@@ -17,7 +17,7 @@ from .interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
 from .lm import FitResult, lm_minimize
 from .spectra import (SpectrumChannel, SpectrumDataset, channel_model,
                       fit_saturation_series, fit_two_dipole_spectra, initial_guess,
-                      predict_phase_vs_power, two_dipole_model)
+                      predict_phase_vs_power, two_dipole_channel_models, two_dipole_model)
 
 __version__ = "0.1.0"
 
@@ -32,5 +32,5 @@ __all__ = [
     "fit_two_dipole_spectra", "fringe_trace", "initial_guess", "integrate_steady_states",
     "lm_minimize", "lock_loop_residual", "phase_extrema_analytic", "phase_extrema_numeric",
     "predict_phase_vs_power", "scatter_response", "steady_state_bloch", "transmission",
-    "two_dipole_model", "window_phasors",
+    "two_dipole_channel_models", "two_dipole_model", "window_phasors",
 ]

@@ -138,26 +138,16 @@ def _write_fit_outputs(bundle: ResultBundle, cfg: RunConfig, data, result: FitRe
                        extra: dict | None = None):
     bundle.write_json("config.json", cfg.resolved())
     bundle.write_text("fit.json", fit_result_json(result, extra=extra))
-    freqs, kinds, dipoles, values, models = [], [], [], [], []
-    params = {}
-    for d in data.dipoles():
-        params[d] = emitter.EmitterParams.isotropic(
-            gamma=result[f"gamma{d}"], beta=result[f"beta{d}"],
-            gamma_dp=result["gamma_dp"], f0=result[f"f0{d}"], phi0=result["phi0"])
-    dipoles = data.dipoles()
-    for ch in data.channels:
-        if cfg.fit.combine == "product" and len(dipoles) == 2:
-            model = spectra.two_dipole_model(ch, params[dipoles[0]], params[dipoles[1]],
-                                             combine="product")
-        else:
-            model = spectra.channel_model(ch, params[ch.dipole])
-        freqs.extend(ch.freq)
-        kinds.extend([{"phase": 0, "intensity": 1, "amplitude": 2}[ch.kind]] * ch.freq.size)
-        dipoles.extend([ch.dipole] * ch.freq.size)
-        values.extend(ch.values)
-        models.extend(model)
-    bundle.write_table("residuals.csv", "freq_ghz,channel,dipole,value,model",
-                       [freqs, kinds, dipoles, values, models])
+    channels = data.channels
+    sizes = [ch.freq.size for ch in channels]
+    kind_codes = {"phase": 0, "intensity": 1, "amplitude": 2}
+    columns = [np.concatenate([ch.freq for ch in channels]),
+               np.repeat([kind_codes[ch.kind] for ch in channels], sizes),
+               np.repeat([ch.dipole for ch in channels], sizes),
+               np.concatenate([ch.values for ch in channels]),
+               np.concatenate(spectra.two_dipole_channel_models(
+                   data, result.params, cfg.fit.combine))]
+    bundle.write_table("residuals.csv", "freq_ghz,channel,dipole,value,model", columns)
 
 
 def cmd_fit(cfg: RunConfig, out_dir, phasor_files) -> ResultBundle:
@@ -223,26 +213,17 @@ def cmd_predict_chiral(cfg: RunConfig, out_dir) -> ResultBundle:
     })
 
     omegas = np.linspace(0.0, scan.omega_max_rad_ns, scan.points)
-    cols = [omegas]
-    header = ["omega_rad_ns"]
+    gdps = np.linspace(0.0, scan.gamma_dp_max_rad_ns, scan.points)
+
+    by_omega, by_gdp = [omegas], [gdps]
     for bd in scan.beta_dirs:
         p = ref.with_(beta=float(bd), gamma_dp=0.0)
-        cols.append(np.array([emitter.phase_extrema_numeric(p, omega_r=float(om)).phi
-                              for om in omegas]))
-        header.append(f"phi_max_bdir_{bd:g}")
-    bundle.write_table("phase_vs_omega.csv", ",".join(header), cols)
-
-    gdps = np.linspace(0.0, scan.gamma_dp_max_rad_ns, scan.points)
-    cols = [gdps]
-    header = ["gamma_dp_rad_ns"]
-    for bd in scan.beta_dirs:
-        vals = []
-        for gdp in gdps:
-            p = ref.with_(beta=float(bd), gamma_dp=float(gdp))
-            vals.append(emitter.phase_extrema_numeric(p).phi)
-        cols.append(np.array(vals))
-        header.append(f"phi_max_bdir_{bd:g}")
-    bundle.write_table("phase_vs_dephasing.csv", ",".join(header), cols)
+        by_omega.append(emitter.phase_extrema_analytic(p, omegas).phi_plus)
+        by_gdp.append(np.array([emitter.phase_extrema_analytic(p.with_(gamma_dp=float(g))).phi_plus
+                                for g in gdps]))
+    header = "".join(f",phi_max_bdir_{bd:g}" for bd in scan.beta_dirs)
+    bundle.write_table("phase_vs_omega.csv", "omega_rad_ns" + header, by_omega)
+    bundle.write_table("phase_vs_dephasing.csv", "gamma_dp_rad_ns" + header, by_gdp)
     bundle.finalize()
     return bundle
 
@@ -256,9 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=os.environ.get("WGPHASE_OUT", "wgphase_out"),
                         help="output bundle directory (env: WGPHASE_OUT)")
     parser.add_argument("--seed", type=int, default=None, help="override noise seed")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv",
-                        help="accepted for interface compatibility; outputs are CSV "
-                             "data plus JSON summaries either way")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="emit model spectra and an on/off fringe pair")
     p_ext = sub.add_parser("extract", help="extract phasors from an on/off trace pair")

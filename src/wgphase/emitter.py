@@ -2,8 +2,9 @@
 
 Closed-form steady state of the optical Bloch equations, the complex
 transmission coefficient of the emitter-waveguide system for isotropic and
-chiral (directional) coupling, analytic and numeric phase-shift extrema,
-the critical photon flux, and the chiral switching thresholds.
+chiral (directional) coupling, the closed-form phase-shift extremum (with a
+numeric search kept as its test oracle), the critical photon flux, and the
+chiral switching thresholds.
 
 Conventions: rates (``gamma``, ``gamma_dp``, ``omega_r``) and detunings are
 angular frequencies in rad/ns.  The total coherence decay rate is
@@ -22,7 +23,7 @@ ISOTROPIC = "isotropic"
 CHIRAL = "chiral"
 
 _GRID_POINTS = 2001
-_GRID_HALF_WIDTH = 20.0  # in units of gamma2
+_GRID_HALF_WIDTH = 20.0  # in power-broadened linewidths
 _GOLDEN_REL_TOL = 1e-10
 
 
@@ -134,17 +135,26 @@ class ScatterResponse:
 
 @dataclass(frozen=True)
 class PhaseExtremum:
-    """Low-power analytic phase extremum for isotropic coupling."""
+    """Closed-form extremal |arg t| over detuning and where it is reached.
+
+    Fields are floats, or arrays shaped like the ``omega_r`` they were
+    evaluated at.
+    """
 
     delta_plus: float
     delta_minus: float
     phi_max: float
-    at_unit_beta_limit: bool = False
+
+    @property
+    def phi_plus(self):
+        """Signed arg t at delta_plus: arg t(-delta) = -arg t(delta), and the
+        positive-detuning branch is the one the program reports."""
+        return -self.phi_max
 
 
 @dataclass(frozen=True)
 class NumericExtremum:
-    """Result of the numeric |arg t| maximization over detuning."""
+    """Result of the numeric |arg t| maximization over detuning (test oracle)."""
 
     delta: float
     phi: float
@@ -227,26 +237,35 @@ def scatter_response(p: EmitterParams, d: DriveState) -> ScatterResponse:
     return ScatterResponse(t=t, i_t=i_t)
 
 
-def phase_extrema_analytic(p: EmitterParams) -> PhaseExtremum:
-    """Low-power, dephasing-free phase extremum for isotropic coupling.
+def phase_extrema_analytic(p: EmitterParams, omega_r=0.0) -> PhaseExtremum:
+    """Extremal |arg t| over detuning, for every coupling, dephasing and drive.
 
-    delta_pm = +/- gamma*sqrt(1 - beta)/2
-    |phi|_max = arctan(beta / (2*sqrt(1 - beta)))
+    With s = beta*gamma (chiral) or beta*gamma/2 (isotropic) and
+    W = 4*(gamma2/gamma)*omega_r**2 (omega_r = 0 is linear response),
+    arg t = -atan2(s*delta, delta**2 + c) with c = gamma2*(gamma2 - s) + W:
 
-    The beta = 1 limit returns phi_max = pi/2 with ``at_unit_beta_limit``
-    set, since the closed form degenerates there.
+    * c > 0: delta_pm = +/- sqrt(c), |phi|_max = atan(s/(2*sqrt(c)))
+    * c = 0: delta_pm = 0, |phi|_max = pi/2 (approached as delta -> 0)
+    * c < 0: delta_pm = 0, |phi|_max = pi (reached on resonance)
+
+    At zero power without dephasing an isotropic emitter gives
+    delta_pm = +/- gamma*sqrt(1 - beta)/2 and
+    |phi|_max = arctan(beta/(2*sqrt(1 - beta))).  c is kept in factored
+    form, so the algebraic zeros (isotropic beta = 1, chiral beta_dir = 1/2,
+    both at zero power without dephasing) are exact zeros.  Broadcasts over
+    an ``omega_r`` array; a scalar ``omega_r`` gives float fields.
     """
-    if p.is_chiral:
-        raise ValueError("analytic extremum is only derived for isotropic coupling")
-    if p.gamma_dp != 0.0:
-        raise ValueError("analytic extremum requires gamma_dp = 0 (validity domain)")
-    if p.beta == 1.0:
-        return PhaseExtremum(delta_plus=0.0, delta_minus=0.0, phi_max=np.pi / 2.0,
-                             at_unit_beta_limit=True)
-    root = math.sqrt(1.0 - p.beta)
-    dplus = p.gamma * root / 2.0
-    return PhaseExtremum(delta_plus=dplus, delta_minus=-dplus,
-                         phi_max=math.atan(p.beta / (2.0 * root)))
+    g2 = p.gamma2
+    s = p.beta * p.gamma if p.is_chiral else p.beta * p.gamma / 2.0
+    omega_r = np.asarray(omega_r, dtype=float)
+    w = 4.0 * (g2 / p.gamma) * omega_r * omega_r
+    c = g2 * (g2 - s) + w
+    root = np.sqrt(np.maximum(c, 0.0))
+    phi = np.where(c > 0, np.arctan(s / (2.0 * np.where(c > 0, root, 1.0))),
+                   np.where(c == 0, np.pi / 2.0, np.pi))
+    if phi.ndim == 0:
+        return PhaseExtremum(delta_plus=float(root), delta_minus=-float(root), phi_max=float(phi))
+    return PhaseExtremum(delta_plus=root, delta_minus=-root, phi_max=phi)
 
 
 def _golden_max(fun, lo, hi, rel_tol=_GOLDEN_REL_TOL):
@@ -270,16 +289,21 @@ def _golden_max(fun, lo, hi, rel_tol=_GOLDEN_REL_TOL):
 
 
 def phase_extrema_numeric(p: EmitterParams, omega_r=0.0, linear_response=False) -> NumericExtremum:
-    """Locate the detuning that maximizes |arg t| for arbitrary parameters.
+    """Locate the detuning that maximizes |arg t| by direct search.
 
-    A 2001-point grid scan over delta in [-20*gamma2, 20*gamma2] brackets the
-    maximum, then golden-section refinement narrows it to 1e-10 relative
-    bracket width.  For a flat response (beta = 0) the result carries
-    ``flat=True``.  When the response is symmetric the positive-detuning
-    extremum is returned.
+    The test oracle for :func:`phase_extrema_analytic`, as :mod:`bloch` is
+    for the steady state: no production code calls it, and it uses none of
+    the closed form's algebra.  A 2001-point grid scan over delta in
+    [-20*L, 20*L] brackets the maximum, with L = sqrt(gamma2**2 + W) the
+    power-broadened linewidth (W = 4*(gamma2/gamma)*omega_r**2, 0 under
+    ``linear_response``); every optimum lies within L of resonance.
+    Golden-section refinement then narrows the bracket to 1e-10 relative
+    width.  For a flat response (beta = 0) the result carries ``flat=True``.
+    When the response is symmetric the positive-detuning extremum is
+    returned.
     """
-    g2 = p.gamma2
-    grid = np.linspace(-_GRID_HALF_WIDTH * g2, _GRID_HALF_WIDTH * g2, _GRID_POINTS)
+    width = math.sqrt(float(saturation_denominator(p, 0.0, omega_r, linear_response)))
+    grid = np.linspace(-_GRID_HALF_WIDTH * width, _GRID_HALF_WIDTH * width, _GRID_POINTS)
     t, _ = transmission(p, grid, omega_r, linear_response)
     phi = np.abs(np.angle(t))
     if np.max(phi) < 1e-15:
@@ -294,6 +318,12 @@ def phase_extrema_numeric(p: EmitterParams, omega_r=0.0, linear_response=False) 
         return abs(np.angle(t_val))
 
     delta_star = _golden_max(objective, lo, hi)
+    if objective(delta_star) < phi[idx]:
+        # a cusp exactly on a grid point (the resonant pi jump) beats any
+        # refinement, which stops a bracket width short of it; the grid point
+        # may be delta = 0 exactly, where the sign of arg t is rounding, so
+        # the positive-branch sign is set here
+        return NumericExtremum(delta=abs(float(grid[idx])), phi=-float(phi[idx]))
     # arg t(-delta) = -arg t(delta) for every parameter set, so the extremum
     # is reported on the positive-detuning branch for determinism
     delta_star = abs(delta_star)

@@ -289,15 +289,3 @@ def _background_counts(off: FringeTrace) -> float:
         raise ValueError("trace metadata lacks p_lo/integration time; pass p_lo_counts")
     return float(p_lo) * float(t_int)
 
-
-def continue_phase_branch(phases: np.ndarray) -> np.ndarray:
-    """Nearest-branch continuation of a wrapped phase series.
-
-    Each value is shifted by the multiple of 2*pi that brings it closest to
-    its predecessor, turning pi-crossing sequences into smooth curves.
-    """
-    phases = np.asarray(phases, dtype=float)
-    out = phases.copy()
-    for i in range(1, out.size):
-        out[i] = out[i - 1] + wrap_angle(out[i] - out[i - 1])
-    return out

@@ -142,6 +142,28 @@ def two_dipole_model(ch: SpectrumChannel, p1: EmitterParams, p2: EmitterParams,
     return np.abs(t1 * t2)
 
 
+def two_dipole_channel_models(data: SpectrumDataset, x, combine: str = "isolated") -> list:
+    """Model values of every channel of ``data`` at a parameter vector of
+    :func:`fit_two_dipole_spectra`.
+
+    ``x`` holds (beta_d, gamma_d, f0_d) for each dipole of ``data`` in
+    ascending order, then the shared gamma_dp and phi0; beta is clipped to
+    [0, 1] and the rates to their physical range, as in the fit.  The
+    ``product`` combination applies only when two dipoles are present.
+    """
+    dipoles = data.dipoles()
+    params = {}
+    for i, d in enumerate(dipoles):
+        b, g, f0 = x[3 * i: 3 * i + 3]
+        params[d] = EmitterParams.isotropic(
+            gamma=max(g, 1e-9), beta=float(np.clip(b, 0, 1)), gamma_dp=max(x[-2], 0.0),
+            f0=f0, phi0=x[-1])
+    if combine == "product" and len(dipoles) == 2:
+        p1, p2 = params[dipoles[0]], params[dipoles[1]]
+        return [two_dipole_model(ch, p1, p2, combine="product") for ch in data.channels]
+    return [channel_model(ch, params[ch.dipole]) for ch in data.channels]
+
+
 def _weights(ch: SpectrumChannel) -> np.ndarray:
     # inverse-variance; low-contrast points keep their (large) fitted sigma
     sig = np.where(ch.sigma > 0, ch.sigma, np.inf)
@@ -254,26 +276,9 @@ def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
     x0 = [min(max(v, l if l is not None else -np.inf), h if h is not None else np.inf)
           for v, l, h in zip(x0, lo, hi)]
 
-    def unpack(x):
-        params = {}
-        for i, d in enumerate(dipoles):
-            b, g, f0 = x[3 * i: 3 * i + 3]
-            params[d] = EmitterParams.isotropic(
-                gamma=max(g, 1e-9), beta=float(np.clip(b, 0, 1)), gamma_dp=max(x[-2], 0.0),
-                f0=f0, phi0=x[-1])
-        return params
-
     def residual(x):
-        params = unpack(x)
-        blocks = []
-        for ch in data.channels:
-            if combine == "product" and len(dipoles) == 2:
-                model = two_dipole_model(ch, params[dipoles[0]], params[dipoles[1]],
-                                         combine="product")
-            else:
-                model = channel_model(ch, params[ch.dipole])
-            blocks.append(_residual_block(ch, model))
-        return np.concatenate(blocks)
+        models = two_dipole_channel_models(data, x, combine)
+        return np.concatenate([_residual_block(ch, m) for ch, m in zip(data.channels, models)])
 
     result = lm_minimize(residual, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
     if result.flat_directions:
@@ -339,9 +344,5 @@ def predict_phase_vs_power(p: EmitterParams, k: float, powers) -> np.ndarray:
     """Signed extremal phase shift versus drive power, omega_r = sqrt(k*P)."""
     if k <= 0:
         raise ValueError(f"calibration constant k must be > 0, got {k}")
-    powers = np.asarray(powers, dtype=float)
-    phi = np.empty_like(powers)
-    for i, pw in enumerate(powers):
-        ext = emitter.phase_extrema_numeric(p, omega_r=float(np.sqrt(k * pw)))
-        phi[i] = ext.phi
-    return phi
+    omega_r = np.sqrt(k * np.asarray(powers, dtype=float))
+    return emitter.phase_extrema_analytic(p, omega_r=omega_r).phi_plus

@@ -19,16 +19,6 @@ def ghz_to_angular(f_ghz):
     return TWO_PI * np.asarray(f_ghz, dtype=float)
 
 
-def angular_to_ghz(omega):
-    """Angular frequency in rad/ns to plain frequency in GHz."""
-    return np.asarray(omega, dtype=float) / TWO_PI
-
-
-def mhz_to_angular(f_mhz):
-    """Plain frequency in MHz to angular frequency in rad/ns."""
-    return TWO_PI * np.asarray(f_mhz, dtype=float) * 1e-3
-
-
 def detuning_angular(freq_ghz, f0_ghz):
     """Laser-emitter detuning in rad/ns for a laser grid in GHz."""
     return TWO_PI * (np.asarray(freq_ghz, dtype=float) - f0_ghz)

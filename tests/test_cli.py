@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from wgphase import spectra
 from wgphase.cli import (EXIT_BAD_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main)
-from wgphase.io import parse_phasors_csv, parse_trace_csv
+from wgphase.emitter import EmitterParams, transmission
+from wgphase.extraction import PhasorPoint
+from wgphase.io import parse_phasors_csv, parse_trace_csv, write_phasors_csv
+from wgphase.units import detuning_angular
 
 
 def run_cli(*args):
@@ -166,6 +170,56 @@ def test_fit_recovers_reference_values(tmp_path):
     assert params["gamma_dp"]["value"] == pytest.approx(3.9, abs=1.0)
     assert params["phi0"]["value"] == pytest.approx(-0.25, abs=0.03)
     assert (fit / "residuals.csv").exists()
+
+
+def _noisy_phasor_file(path, p, freq, rng, sigma=0.01):
+    t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0, True)
+    noise = rng.normal(0.0, sigma, (3, freq.size))
+    pts = [PhasorPoint(freq=f, phase_shift=ph, amp_ratio=a, offset_ratio=it,
+                       phase_err=sigma, amp_err=sigma, offset_err=sigma)
+           for f, ph, a, it in zip(freq, np.angle(t) + p.phi0 + noise[0],
+                                   np.abs(t) + noise[1], i_t + noise[2])]
+    write_phasors_csv(pts, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("n_files,combine", [(1, "isolated"), (2, "isolated"), (2, "product")])
+def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_files, combine):
+    # every row of residuals.csv carries its channel's dipole, and the model
+    # column is the model the fit minimized, bit for bit
+    fits = []
+
+    def recording_lm(fun, *args, **kwargs):
+        result = lm_minimize(fun, *args, **kwargs)
+        fits.append((fun, result))
+        return result
+
+    lm_minimize = spectra.lm_minimize
+    monkeypatch.setattr(spectra, "lm_minimize", recording_lm)
+    rng = np.random.default_rng(5)
+    emitters = [EmitterParams.isotropic(gamma=9.4, gamma_dp=3.9, beta=0.94, phi0=-0.25),
+                EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, f0=6.0, phi0=-0.25)]
+    files = [_noisy_phasor_file(tmp_path / f"p{d}.csv", p, np.linspace(p.f0 - 8, p.f0 + 8, 41),
+                                rng) for d, p in enumerate(emitters[:n_files], start=1)]
+    out = tmp_path / "fit"
+    code = run_cli("--config", write_cfg(tmp_path, "c.json", {"fit": {"combine": combine}}),
+                   "--out", str(out), "fit", *files)
+    assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+    (fun, result), = fits
+    channels = [ch for d, path in enumerate(files, start=1)
+                for ch in spectra.SpectrumDataset.from_phasors(parse_phasors_csv(path),
+                                                              dipole=d).channels]
+    rows = np.loadtxt(out / "residuals.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (sum(ch.freq.size for ch in channels), 5)
+    start, blocks = 0, []
+    for ch in channels:
+        block = rows[start:start + ch.freq.size]
+        start += ch.freq.size
+        np.testing.assert_array_equal(block[:, 0], ch.freq)
+        assert np.all(block[:, 2] == ch.dipole)
+        np.testing.assert_array_equal(block[:, 3], ch.values)
+        blocks.append(spectra._residual_block(ch, block[:, 4]))
+    np.testing.assert_array_equal(np.concatenate(blocks), fun(result.params))
 
 
 def test_fit_missing_file_is_bad_input(tmp_path):

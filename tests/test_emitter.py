@@ -150,7 +150,7 @@ def test_analytic_extrema_zero_coupling():
 def test_analytic_extrema_unit_beta_limit():
     ext = phase_extrema_analytic(EmitterParams.isotropic(gamma=9.4, beta=1.0))
     assert ext.phi_max == pytest.approx(np.pi / 2)
-    assert ext.at_unit_beta_limit
+    assert ext.delta_plus == 0.0
 
 
 def test_analytic_extrema_reference_point():
@@ -161,11 +161,79 @@ def test_analytic_extrema_reference_point():
     assert ext.phi_max == pytest.approx(1.0903580550443291, abs=1e-12)
 
 
+def _extremum_c(p, omega_r, linear_response):
+    """(s, c, rounding): c = gamma2*(gamma2 - s) + W and its rounding error."""
+    s = p.beta * p.gamma if p.is_chiral else p.beta * p.gamma / 2
+    w = 0.0 if linear_response else 4 * (p.gamma2 / p.gamma) * omega_r**2
+    scale = p.gamma2**2 + s * p.gamma2 + w
+    return s, p.gamma2 * (p.gamma2 - s) + w, 16 * np.finfo(float).eps * scale
+
+
 def test_analytic_extrema_domain():
-    with pytest.raises(ValueError):
-        phase_extrema_analytic(EmitterParams.chiral(gamma=9.4, beta_dir=0.9))
-    with pytest.raises(ValueError):
-        phase_extrema_analytic(EmitterParams.isotropic(gamma=9.4, beta=0.9, gamma_dp=1.0))
+    # closed form vs the direct-search oracle over the whole domain: both
+    # couplings, dephasing up to 10*gamma, drive deep into saturation, beta = 0,
+    # and draws placed exactly on a switching threshold (c = 0)
+    rng = np.random.default_rng(20261018)
+    cases = [(EmitterParams.chiral(gamma=0.93, beta_dir=0.77), 12.5, False)]
+    while len(cases) < 3000:
+        gamma = rng.uniform(0.1, 30.0)
+        mode = rng.random()
+        if mode < 0.05:
+            # thresholds: isotropic beta = 1 or chiral beta_dir = 1/2 at zero
+            # power, chiral beta_dir = 1 at gamma_dp = gamma/2 or omega_r = omega_c
+            p, omega_r = [(EmitterParams.isotropic(gamma=gamma), 0.0),
+                          (EmitterParams.chiral(gamma=gamma, beta_dir=0.5), 0.0),
+                          (EmitterParams.chiral(gamma=gamma, gamma_dp=gamma / 2), 0.0),
+                          (EmitterParams.chiral(gamma=gamma),
+                           gamma / (2 * np.sqrt(2)))][rng.integers(4)]
+            cases.append((p, omega_r, False))
+            continue
+        beta = 0.0 if mode < 0.1 else rng.uniform(0.0, 1.0)
+        gamma_dp = gamma * rng.uniform(0.0, 10.0) if rng.random() < 0.7 else 0.0
+        omega_r = gamma * rng.uniform(0.0, 20.0) if rng.random() < 0.7 else 0.0
+        coupling = "chiral" if rng.random() < 0.5 else "isotropic"
+        p = EmitterParams(gamma=gamma, gamma_dp=gamma_dp, coupling=coupling, beta=beta)
+        cases.append((p, omega_r, bool(rng.random() < 0.1)))
+    # the first case's optimum sqrt(c) = 17.7 lies past 20*gamma2 = 9.3; the
+    # oracle's grid scales with the power-broadened linewidth, so it finds it
+    p, omega_r, _ = cases[0]
+    ana, num = phase_extrema_analytic(p, omega_r), phase_extrema_numeric(p, omega_r)
+    assert ana.delta_plus > 20 * p.gamma2
+    assert num.delta == pytest.approx(ana.delta_plus, rel=1e-6)
+    # a resonant pi shift (c < 0) is reported with the positive-branch sign
+    assert phase_extrema_numeric(EmitterParams.chiral(gamma=9.4), 0.0).phi < 0
+    worst = 0.0
+    n_threshold = 0
+    for p, omega_r, linear in cases:
+        ana = phase_extrema_analytic(p, 0.0 if linear else omega_r)
+        num = phase_extrema_numeric(p, omega_r, linear)
+        s, c, rounding = _extremum_c(p, omega_r, linear)
+        if abs(c) <= rounding:
+            # the extremum jumps from pi/2 to pi as c crosses 0; on the c > 0
+            # side atan(s/(2*sqrt(c))) >= pi/2 - 2*sqrt(c)/s
+            n_threshold += 1
+            lo = np.pi / 2 - 2 * np.sqrt(rounding) / s - 1e-12
+            assert lo <= ana.phi_max <= np.pi
+            assert lo <= num.phi_abs <= np.pi + 1e-12
+        else:
+            worst = max(worst, abs(num.phi_abs - ana.phi_max))
+    assert n_threshold > 50
+    assert worst <= 1e-9
+
+
+def test_analytic_extrema_broadcasts_over_drive():
+    # low drive gives c < 0 (resonant pi shift), high drive c > 0
+    p = EmitterParams.chiral(gamma=12.3, beta_dir=0.9, gamma_dp=1.0)
+    omegas = np.linspace(0.0, 30.0, 7)
+    ext = phase_extrema_analytic(p, omega_r=omegas)
+    assert ext.phi_max.shape == ext.delta_plus.shape == omegas.shape
+    assert ext.phi_max[0] == np.pi and ext.phi_max[-1] < np.pi / 2
+    for i, om in enumerate(omegas):
+        one = phase_extrema_analytic(p, omega_r=float(om))
+        assert all(type(v) is float for v in (one.delta_plus, one.delta_minus, one.phi_max))
+        assert (one.delta_plus, one.delta_minus, one.phi_max) == (
+            ext.delta_plus[i], ext.delta_minus[i], ext.phi_max[i])
+    np.testing.assert_array_equal(ext.phi_plus, -ext.phi_max)
 
 
 def test_numeric_matches_analytic():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from wgphase.emitter import EmitterParams, transmission
-from wgphase.extraction import (NoFringeError, continue_phase_branch,
-                                estimate_path_length_fft, extract_phasor_series,
-                                window_phasors)
+from wgphase.extraction import (NoFringeError, estimate_path_length_fft,
+                                extract_phasor_series, window_phasors)
 from wgphase.interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
                                     fringe_trace)
 from wgphase.units import TWO_PI, detuning_angular, wrap_angle
@@ -169,13 +168,6 @@ def test_window_must_cover_one_period():
     _, on, off = make_pair(points=4501)
     with pytest.raises(ValueError, match="at least one fringe period"):
         extract_phasor_series(on, off, window_periods=0.5, delta_l=25.0)
-
-
-def test_continue_phase_branch():
-    raw = wrap_angle(np.linspace(0, 4 * np.pi, 40))
-    smooth = continue_phase_branch(raw)
-    assert np.all(np.diff(smooth) >= -1e-9)
-    np.testing.assert_allclose(smooth, np.linspace(0, 4 * np.pi, 40), atol=1e-9)
 
 
 def test_extraction_with_estimated_path_length():
