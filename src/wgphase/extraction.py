@@ -20,6 +20,8 @@ smooth taper suppresses the spectral leakage between them by orders of
 magnitude.  The residual systematic error is the local-polynomial
 truncation bias, which shrinks with the ratio of window span to spectral
 feature width (i.e. with larger path imbalance or higher ``poly_order``).
+On the uniform grid the extraction requires, all windows share one weighted
+projector, so the solves of a trace are done together.
 """
 
 from __future__ import annotations
@@ -95,10 +97,7 @@ def estimate_path_length_fft(trace: FringeTrace) -> float:
     freq = trace.freq
     if freq.size < 16:
         raise ValueError("trace too short for a spectral estimate")
-    spacing = np.diff(freq)
-    df = float(np.mean(spacing))
-    if not np.allclose(spacing, df, rtol=1e-6, atol=0.0):
-        raise ValueError("frequency grid must be uniform for the FFT estimate")
+    df = _uniform_spacing(freq)
 
     signal = trace.intensity - np.mean(trace.intensity)
     n = signal.size
@@ -157,71 +156,90 @@ def window_phasors(trace: FringeTrace, delta_l: float,
     """Fit the local polynomial phasor model in sliding windows of one trace.
 
     ``hop_periods`` defaults to the window width (non-overlapping windows,
-    so points carry independent noise).
+    so points carry independent noise).  The grid must be uniform: every
+    window then has the same design matrix in its own coordinates (``u``
+    from the sample index, carrier ``theta - theta[start]``), so one weighted
+    projector, one sandwich covariance and one residual dof serve all
+    windows.  A window's local phasor ``z = p + i*q`` is rotated back by
+    ``exp(-i*theta[start])``; the amplitude and phase variances are
+    rotation-invariant and are evaluated in the local frame.
     """
+    if not (np.isfinite(delta_l) and delta_l > 0):
+        raise ValueError(f"delta_l must be finite and > 0, got {delta_l}")
+    if poly_order < 0:
+        raise ValueError(f"poly_order must be >= 0, got {poly_order}")
     if window_periods < 1.0:
         raise ValueError("window must cover at least one fringe period")
     if hop_periods is None:
         hop_periods = window_periods
     freq = trace.freq
-    counts = trace.intensity
+    df = _uniform_spacing(freq)
     period_ghz = C_M_PER_S / delta_l / 1e9
-    df = float(np.mean(np.diff(freq)))
     min_pts = 2 * 3 * (poly_order + 1)
-    pts_per_window = max(int(round(window_periods * period_ghz / df)), min_pts)
+    n = max(int(round(window_periods * period_ghz / df)), min_pts)
     hop = max(int(round(hop_periods * period_ghz / df)), 1)
-    theta = 2.0 * np.pi * freq * 1e9 * delta_l / C_M_PER_S
-
-    out = []
-    start = 0
-    while start + pts_per_window <= freq.size:
-        sl = slice(start, start + pts_per_window)
-        out.append(_fit_window(freq[sl], counts[sl], theta[sl], poly_order, weight_beta))
-        start += hop
-    if not out:
+    if n > freq.size:
         raise ValueError("trace shorter than one extraction window")
-    return out
+    starts = np.arange(0, freq.size - n + 1, hop)
+    theta_start = 2.0 * np.pi * freq[starts] * 1e9 * delta_l / C_M_PER_S
 
-
-def _fit_window(freq, counts, theta, poly_order, weight_beta) -> WindowPhasor:
-    center = 0.5 * (freq[0] + freq[-1])
-    u = freq - center
-    u = u / max(np.max(np.abs(u)), 1e-30)
-    cols = [u**k for k in range(poly_order + 1)]
-    cols += [np.cos(theta) * u**k for k in range(poly_order + 1)]
-    cols += [-np.sin(theta) * u**k for k in range(poly_order + 1)]
-    design = np.column_stack(cols)
-    w = np.clip(np.kaiser(len(freq), weight_beta), 0.0, None)
+    half = 0.5 * (n - 1)
+    u = (np.arange(n) - half) / half
+    carrier = 2.0 * np.pi * np.arange(n) * df * 1e9 * delta_l / C_M_PER_S
+    powers = u[:, None] ** np.arange(poly_order + 1)
+    design = np.hstack([powers, np.cos(carrier)[:, None] * powers,
+                        -np.sin(carrier)[:, None] * powers])
+    w = np.clip(np.kaiser(n, weight_beta), 0.0, None)
     sw = np.sqrt(w)
-    coef, _, _, _ = np.linalg.lstsq(design * sw[:, None], counts * sw, rcond=None)
+    proj = np.linalg.pinv(design * sw[:, None]) * sw
 
-    n, k = design.shape
-    resid = counts - design @ coef
     # sandwich covariance for uniform per-point noise under design weights w;
     # the residual dof accounts for the oblique projector of the weighted fit
+    k = design.shape[1]
     a_mat = design.T @ (design * w[:, None])
     b_mat = design.T @ (design * (w * w)[:, None])
     c_mat = design.T @ design
     a_inv = np.linalg.pinv(a_mat)
     dof = max(n - 2 * k + float(np.trace(a_inv @ c_mat @ a_inv @ b_mat)), 1.0)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * (a_inv @ b_mat @ a_inv)
+    cov_unit = a_inv @ b_mat @ a_inv
 
-    i_a, i_p, i_q = 0, poly_order + 1, 2 * (poly_order + 1)
-    a0, p, q = coef[i_a], coef[i_p], coef[i_q]
-    amp = float(np.hypot(p, q))
-    phase = float(np.arctan2(q, p))
-    var_a = max(cov[i_a, i_a], 0.0)
-    cpp, cqq, cpq = cov[i_p, i_p], cov[i_q, i_q], cov[i_p, i_q]
-    if amp > 0:
-        var_amp = max((p * p * cpp + q * q * cqq + 2 * p * q * cpq) / amp**2, 0.0)
-        var_phase = max((q * q * cpp + p * p * cqq - 2 * p * q * cpq) / amp**4, 0.0)
-    else:
-        var_amp = max(cpp, cqq)
-        var_phase = np.inf
-    return WindowPhasor(freq=float(center), offset=float(a0), amplitude=amp, phase=phase,
-                        var_offset=float(var_a), var_amplitude=float(var_amp),
-                        var_phase=float(var_phase), n_points=n)
+    samples = np.lib.stride_tricks.sliding_window_view(trace.intensity, n)[starts]
+    coef = samples @ proj.T
+    resid = samples - coef @ design.T
+    sigma2 = np.einsum("ij,ij->i", resid, resid) / dof
+
+    i_p, i_q = poly_order + 1, 2 * (poly_order + 1)
+    p, q = coef[:, i_p], coef[:, i_q]
+    amp = np.hypot(p, q)
+    phase = np.angle((p + 1j * q) * np.exp(-1j * theta_start))
+    cpp, cqq, cpq = cov_unit[i_p, i_p], cov_unit[i_q, i_q], cov_unit[i_p, i_q]
+    var_offset = np.maximum(sigma2 * cov_unit[0, 0], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_amp = np.where(
+            amp > 0,
+            np.maximum(sigma2 * (p * p * cpp + q * q * cqq + 2 * p * q * cpq) / amp**2, 0.0),
+            sigma2 * max(cpp, cqq))
+        var_phase = np.where(
+            amp > 0,
+            np.maximum(sigma2 * (q * q * cpp + p * p * cqq - 2 * p * q * cpq) / amp**4, 0.0),
+            np.inf)
+    centers = 0.5 * (freq[starts] + freq[starts + n - 1])
+    return [WindowPhasor(freq=float(centers[j]), offset=float(coef[j, 0]),
+                         amplitude=float(amp[j]), phase=float(phase[j]),
+                         var_offset=float(var_offset[j]), var_amplitude=float(var_amp[j]),
+                         var_phase=float(var_phase[j]), n_points=n)
+            for j in range(starts.size)]
+
+
+def _uniform_spacing(freq: np.ndarray) -> float:
+    """Spacing of a uniform frequency grid; ValueError when it is not uniform."""
+    if freq.size < 2:
+        raise ValueError("frequency grid needs at least two points")
+    spacing = np.diff(freq)
+    df = float(np.mean(spacing))
+    if not np.allclose(spacing, df, rtol=1e-6, atol=0.0):
+        raise ValueError("frequency grid must be uniform (spacings differ by more than 1e-6)")
+    return df
 
 
 def extract_phasor_series(on: FringeTrace, off: FringeTrace,

@@ -27,6 +27,9 @@ from .units import C_M_PER_S, detuning_angular
 
 SCHEMA_TRACE = "wgphase.trace.v1"
 
+# bins per shot-noise random stream; changing it changes every seeded draw
+_NOISE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class ConstantPhase:
@@ -205,18 +208,25 @@ def fringe_trace(cfg: InterferometerConfig, p: EmitterParams, sweep, qd_on: bool
 def apply_shot_noise(trace: FringeTrace, seed: int) -> FringeTrace:
     """Replace each bin by a Poisson draw with that bin's expected count.
 
-    Counter-based seeding: bin ``i`` uses an independent Philox stream keyed
-    by ``(seed, i)``, so the draw for a bin does not depend on evaluation
-    order or on how the grid is chunked.
+    Counter-based seeding: the bins are split into consecutive blocks of
+    ``_NOISE_BLOCK``, and block ``b`` draws all of its bins in order from one
+    Philox stream with key ``seed`` and counter ``[0, b, 0, 0]``.  The block
+    index sits in the second counter word, so the streams of different blocks
+    are 2**64 Philox blocks apart and never overlap.  A bin's draw depends on
+    the seed, on its index and on the expected counts of the earlier bins in
+    its block (a Poisson draw consumes a count-dependent number of random
+    words), never on a later bin: a trace's draws are a prefix of the draws
+    of any longer trace that starts with the same expected counts.
     """
     if not np.all(np.isfinite(trace.intensity)):
         raise ValueError("expected counts must be finite")
     means = trace.intensity
     counts = np.empty_like(means)
     key = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    for i, mu in enumerate(means):
-        bg = np.random.Philox(key=key, counter=[np.uint64(i), 0, 0, 0])
-        counts[i] = np.random.Generator(bg).poisson(mu)
+    for block, start in enumerate(range(0, means.size, _NOISE_BLOCK)):
+        bit_gen = np.random.Philox(key=key, counter=[0, block, 0, 0])
+        sl = slice(start, start + _NOISE_BLOCK)
+        counts[sl] = np.random.Generator(bit_gen).poisson(means[sl])
     meta = dict(trace.meta)
     meta.update({"units": "counts", "shot_noise_seed": int(seed)})
     return FringeTrace(freq=trace.freq.copy(), intensity=counts, meta=meta)

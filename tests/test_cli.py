@@ -127,6 +127,23 @@ def test_extract_grid_mismatch_is_bad_input(tmp_path, capsys):
     assert "share a frequency grid" in err and "3601" in err and "1801" in err
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("delta_l_m", 0.0, "delta_l"),      # was exit 4 (ZeroDivisionError)
+    ("delta_l_m", -2.78, "delta_l"),    # was exit 0 with nonsense phasors
+    ("poly_order", -1, "poly_order"),   # was "need at least one array to concatenate"
+])
+def test_extract_bad_extraction_value_is_bad_input(tmp_path, capsys, field, value, named):
+    sim = tmp_path / "sim"
+    assert run_cli("--config", write_cfg(tmp_path, "sim.json", BASE_CFG),
+                   "--out", str(sim), "simulate") == EXIT_OK
+    bad = dict(BASE_CFG, extraction={field: value})
+    code = run_cli("--config", write_cfg(tmp_path, "bad.json", bad),
+                   "--out", str(tmp_path / "x"), "extract",
+                   str(sim / "trace_on.csv"), str(sim / "trace_off.csv"))
+    assert code == EXIT_BAD_INPUT
+    assert named in capsys.readouterr().err
+
+
 def test_extract_truncated_csv_is_bad_input(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "cfg.json", BASE_CFG)
     sim = tmp_path / "sim"

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from wgphase.emitter import EmitterParams, transmission
-from wgphase.extraction import (NoFringeError, estimate_path_length_fft,
+from wgphase.extraction import (NoFringeError, WindowPhasor, estimate_path_length_fft,
                                 extract_phasor_series, window_phasors)
 from wgphase.interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
-                                    fringe_trace)
-from wgphase.units import TWO_PI, detuning_angular, wrap_angle
+                                    apply_shot_noise, fringe_trace)
+from wgphase.units import C_M_PER_S, TWO_PI, detuning_angular, wrap_angle
 
 EMITTER = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
 
@@ -148,8 +150,6 @@ def test_grid_mismatch_rejected():
 def test_low_contrast_flagged_not_dropped():
     # ideal coupling with no dephasing: fringe amplitude vanishes near
     # resonance, those windows must be flagged but present
-    from wgphase.interferometer import apply_shot_noise
-
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=0.0, beta=1.0, phi0=0.0)
     cfg = InterferometerConfig(delta_l=2.78, visibility=0.65, p_lo=1e6, p_sig=400.0,
                                integration_time=0.1, phi_env=ConstantPhase(0.0))
@@ -180,3 +180,130 @@ def test_extraction_with_estimated_path_length():
     for a, k in zip(auto, known):
         assert a.phase_shift == pytest.approx(k.phase_shift, abs=5e-4)
         assert a.amp_ratio == pytest.approx(k.amp_ratio, abs=5e-4)
+
+
+def window_phasors_loop(trace, delta_l, window_periods=3.0, hop_periods=None,
+                        poly_order=2, weight_beta=12.0):
+    """Test oracle for :func:`window_phasors`: one least-squares solve and one
+    covariance per window, in the trace's own frequency coordinates."""
+    if hop_periods is None:
+        hop_periods = window_periods
+    freq = trace.freq
+    counts = trace.intensity
+    period_ghz = C_M_PER_S / delta_l / 1e9
+    df = float(np.mean(np.diff(freq)))
+    min_pts = 2 * 3 * (poly_order + 1)
+    pts_per_window = max(int(round(window_periods * period_ghz / df)), min_pts)
+    hop = max(int(round(hop_periods * period_ghz / df)), 1)
+    theta = 2.0 * np.pi * freq * 1e9 * delta_l / C_M_PER_S
+
+    out = []
+    start = 0
+    while start + pts_per_window <= freq.size:
+        sl = slice(start, start + pts_per_window)
+        out.append(_fit_window(freq[sl], counts[sl], theta[sl], poly_order, weight_beta))
+        start += hop
+    return out
+
+
+def _fit_window(freq, counts, theta, poly_order, weight_beta) -> WindowPhasor:
+    center = 0.5 * (freq[0] + freq[-1])
+    u = freq - center
+    u = u / max(np.max(np.abs(u)), 1e-30)
+    cols = [u**k for k in range(poly_order + 1)]
+    cols += [np.cos(theta) * u**k for k in range(poly_order + 1)]
+    cols += [-np.sin(theta) * u**k for k in range(poly_order + 1)]
+    design = np.column_stack(cols)
+    w = np.clip(np.kaiser(len(freq), weight_beta), 0.0, None)
+    sw = np.sqrt(w)
+    coef, _, _, _ = np.linalg.lstsq(design * sw[:, None], counts * sw, rcond=None)
+
+    n, k = design.shape
+    resid = counts - design @ coef
+    a_mat = design.T @ (design * w[:, None])
+    b_mat = design.T @ (design * (w * w)[:, None])
+    c_mat = design.T @ design
+    a_inv = np.linalg.pinv(a_mat)
+    dof = max(n - 2 * k + float(np.trace(a_inv @ c_mat @ a_inv @ b_mat)), 1.0)
+    sigma2 = float(resid @ resid) / dof
+    cov = sigma2 * (a_inv @ b_mat @ a_inv)
+
+    i_a, i_p, i_q = 0, poly_order + 1, 2 * (poly_order + 1)
+    a0, p, q = coef[i_a], coef[i_p], coef[i_q]
+    amp = float(np.hypot(p, q))
+    phase = float(np.arctan2(q, p))
+    var_a = max(cov[i_a, i_a], 0.0)
+    cpp, cqq, cpq = cov[i_p, i_p], cov[i_q, i_q], cov[i_p, i_q]
+    if amp > 0:
+        var_amp = max((p * p * cpp + q * q * cqq + 2 * p * q * cpq) / amp**2, 0.0)
+        var_phase = max((q * q * cpp + p * p * cqq - 2 * p * q * cpq) / amp**4, 0.0)
+    else:
+        var_amp = max(cpp, cqq)
+        var_phase = np.inf
+    return WindowPhasor(freq=float(center), offset=float(a0), amplitude=amp, phase=phase,
+                        var_offset=float(var_a), var_amplitude=float(var_amp),
+                        var_phase=float(var_phase), n_points=n)
+
+
+def test_shared_projector_matches_per_window_oracle():
+    # every poly_order / hop / noise combination, with seeded window widths,
+    # path imbalances, emitters (|t| >= 0.05, so every window has a phase) and
+    # environmental phases
+    rng = np.random.default_rng(2024)
+    freq = np.linspace(-15.0, 15.0, 3001)
+    cases = itertools.product(range(4), ("default", "half"), (False, True))
+    for poly_order, hop, noisy in cases:
+        window = float(rng.uniform(1.0, 5.0))
+        delta_l = float(rng.uniform(1.0, 10.0))
+        hop_periods = None if hop == "default" else window / 2
+        p = EmitterParams.isotropic(gamma=float(rng.uniform(5.0, 20.0)),
+                                    gamma_dp=float(rng.uniform(0.0, 5.0)),
+                                    beta=float(rng.uniform(0.2, 0.95)),
+                                    f0=float(rng.uniform(-5.0, 5.0)),
+                                    phi0=float(rng.uniform(-np.pi, np.pi)))
+        cfg = InterferometerConfig(delta_l=delta_l,
+                                   phi_env=ConstantPhase(float(rng.uniform(-np.pi, np.pi))))
+        trace = fringe_trace(cfg, p, freq, qd_on=bool(rng.integers(2)))
+        if noisy:
+            trace = apply_shot_noise(trace, seed=int(rng.integers(2**31)))
+        got = window_phasors(trace, delta_l, window, hop_periods, poly_order)
+        want = window_phasors_loop(trace, delta_l, window, hop_periods, poly_order)
+        # a noiseless window the model fits to within solver rounding leaves a
+        # residual (rms ~1e-8 of the counts or less) that two solves do not
+        # share; its variances only have to agree to that floor
+        floor = (1e-8 * np.max(trace.intensity)) ** 2
+        label = (poly_order, hop, noisy, window, delta_l)
+        assert len(got) == len(want) > 0, label
+        for a, b in zip(got, want):
+            assert a.freq == b.freq and a.n_points == b.n_points, label
+            assert abs(wrap_angle(a.phase - b.phase)) <= 1e-7, label
+            assert a.amplitude == pytest.approx(b.amplitude, rel=1e-7), label
+            assert a.offset == pytest.approx(b.offset, rel=1e-7), label
+            assert a.var_offset == pytest.approx(b.var_offset, rel=1e-5, abs=floor), label
+            assert a.var_amplitude == pytest.approx(b.var_amplitude, rel=1e-5,
+                                                    abs=floor), label
+            assert a.var_phase == pytest.approx(b.var_phase, rel=1e-5,
+                                                abs=floor / b.amplitude**2), label
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"delta_l": 0.0}, "delta_l"),
+    ({"delta_l": -2.78}, "delta_l"),
+    ({"delta_l": np.nan}, "delta_l"),
+    ({"delta_l": np.inf}, "delta_l"),
+    ({"poly_order": -1}, "poly_order"),
+])
+def test_window_phasors_rejects_bad_parameters(kwargs, field):
+    _, on, _ = make_pair(delta_l=2.78, span=15.0, points=4501)
+    args = {"delta_l": 2.78, **kwargs}
+    with pytest.raises(ValueError, match=field):
+        window_phasors(on, **args)
+
+
+def test_window_phasors_rejects_nonuniform_grid():
+    # one shared projector would be wrong, not approximate, on such a grid
+    _, on, _ = make_pair(delta_l=2.78, span=15.0, points=4501)
+    freq = on.freq.copy()
+    freq[2000:] += 0.5 * (freq[1] - freq[0])
+    with pytest.raises(ValueError, match="uniform"):
+        window_phasors(FringeTrace(freq=freq, intensity=on.intensity), 2.78)

@@ -148,6 +148,30 @@ def test_shot_noise_preserves_mean():
     assert np.all(np.abs(avg - means) <= tol)
 
 
+def test_shot_noise_neighbouring_bins_uncorrelated():
+    # each bin's draw must come from random words no neighbour reuses; two
+    # neighbours reading one stream a Philox block apart give a lag-1
+    # correlation of ~0.1 at mean 3, 20x the bound
+    n = 40_000
+    for mean in (3.0, 1e5):
+        trace = FringeTrace(freq=np.arange(float(n)), intensity=np.full(n, mean))
+        for seed in (1, 2):
+            z = (apply_shot_noise(trace, seed=seed).intensity - mean) / np.sqrt(mean)
+            lag1 = np.corrcoef(z[:-1], z[1:])[0, 1]
+            assert abs(lag1) <= 4 / np.sqrt(n), (mean, seed, lag1)
+
+
+def test_shot_noise_prefix_stable_across_block_boundary():
+    # a bin's draw never depends on a later bin, so a shorter trace draws a
+    # prefix of a longer one, also past the first block of bins
+    cfg = make_cfg(p_lo=1e4, p_sig=1e3)
+    freq = np.linspace(-5, 5, 3000)
+    long = fringe_trace(cfg, EmitterParams.isotropic(gamma=9.4), freq, qd_on=True)
+    short = FringeTrace(freq=long.freq[:1500], intensity=long.intensity[:1500])
+    np.testing.assert_array_equal(apply_shot_noise(short, seed=5).intensity,
+                                  apply_shot_noise(long, seed=5).intensity[:1500])
+
+
 def test_lock_zero_drift():
     res = lock_loop_residual(np.zeros(500), GAINS, dt=0.1)
     assert np.all(res == 0)
