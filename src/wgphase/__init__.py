@@ -5,9 +5,9 @@ of emitter parameters from fringe data."""
 
 from .bloch import BlochConvergenceError, bloch_oracle_integrate, integrate_steady_states
 from .emitter import (BlochSteadyState, ChiralThresholds, DriveState, EmitterParams,
-                      NumericExtremum, PhaseExtremum, ScatterResponse, chiral_thresholds,
-                      critical_photon_flux, phase_extrema_analytic, phase_extrema_numeric,
-                      scatter_response, steady_state_bloch, transmission)
+                      NumericExtremum, PhaseExtremum, chiral_thresholds, critical_photon_flux,
+                      phase_extrema_analytic, phase_extrema_numeric, steady_state_bloch,
+                      transmission)
 from .extraction import (NoFringeError, PhasorPoint, estimate_path_length_fft,
                          extract_phasor_series, window_phasors)
 from .interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
@@ -17,7 +17,7 @@ from .interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
 from .lm import FitResult, lm_minimize
 from .spectra import (SpectrumChannel, SpectrumDataset, channel_model,
                       fit_saturation_series, fit_two_dipole_spectra, initial_guess,
-                      predict_phase_vs_power, two_dipole_channel_models, two_dipole_model)
+                      predict_phase_vs_power, two_dipole_channel_models)
 
 __version__ = "0.1.0"
 
@@ -25,12 +25,12 @@ __all__ = [
     "BlochConvergenceError", "BlochSteadyState", "ChiralThresholds", "ConstantPhase",
     "DriveState", "EmitterParams", "FitResult", "FringeTrace", "InterferometerConfig",
     "LockedDriftPhase", "NoFringeError", "NumericExtremum", "PhaseExtremum", "PhasorPoint",
-    "RandomWalkPhase", "ScatterResponse", "SinusoidPhase", "SpectrumChannel",
+    "RandomWalkPhase", "SinusoidPhase", "SpectrumChannel",
     "SpectrumDataset", "UnstableLoopError", "apply_shot_noise", "bloch_oracle_integrate",
     "channel_model", "chiral_thresholds", "critical_photon_flux", "estimate_path_length_fft",
     "expected_rate", "extract_phasor_series", "fit_saturation_series",
     "fit_two_dipole_spectra", "fringe_trace", "initial_guess", "integrate_steady_states",
     "lm_minimize", "lock_loop_residual", "phase_extrema_analytic", "phase_extrema_numeric",
-    "predict_phase_vs_power", "scatter_response", "steady_state_bloch", "transmission",
-    "two_dipole_channel_models", "two_dipole_model", "window_phasors",
+    "predict_phase_vs_power", "steady_state_bloch", "transmission",
+    "two_dipole_channel_models", "window_phasors",
 ]

@@ -47,12 +47,10 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _spectrum_table(bundle: ResultBundle, cfg: RunConfig, name: str):
+def _spectrum_table(bundle: ResultBundle, cfg: RunConfig, name: str, omega_r: float):
     p = cfg.emitter.to_params()
-    drv = cfg.drive
     freq = cfg.sweep.grid()
-    t, i_t = emitter.transmission(p, detuning_angular(freq, p.f0),
-                                  drv.omega_rad_ns, drv.linear_response)
+    t, i_t = emitter.transmission(p, detuning_angular(freq, p.f0), omega_r)
     phase = np.angle(t)
     bundle.write_table(
         name,
@@ -62,19 +60,16 @@ def _spectrum_table(bundle: ResultBundle, cfg: RunConfig, name: str):
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> ResultBundle:
+    omega_r = cfg.drive.omega_r()
     bundle = ResultBundle(out_dir)
     bundle.write_json("config.json", cfg.resolved())
-    _spectrum_table(bundle, cfg, "model_spectrum.csv")
+    _spectrum_table(bundle, cfg, "model_spectrum.csv", omega_r)
 
     p = cfg.emitter.to_params()
     icfg = cfg.interferometer.to_config()
-    drive = None
-    if not cfg.drive.linear_response or cfg.drive.omega_rad_ns > 0:
-        drive = emitter.DriveState(delta=0.0, omega_r=cfg.drive.omega_rad_ns,
-                                   linear_response=cfg.drive.linear_response)
     sweep = cfg.sweep.grid()
     for qd_on, name in ((True, "trace_on.csv"), (False, "trace_off.csv")):
-        trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, drive=drive)
+        trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, omega_r=omega_r)
         if cfg.noise.shot_noise:
             trace = apply_shot_noise(trace, cfg.noise.seed + (0 if qd_on else 1))
         bundle.write_trace(name, trace)
@@ -95,11 +90,9 @@ def cmd_extract(cfg: RunConfig, out_dir, on_file, off_file) -> ResultBundle:
         weight_beta=ext.weight_beta)
     bundle = ResultBundle(out_dir)
     bundle.write_json("config.json", cfg.resolved())
-    drive = (on.meta or {}).get("drive") or {}
     bundle.write_phasors("phasors.csv", points,
                          meta={"delta_l_m": delta_l, "source_on": str(on_file),
-                               "source_off": str(off_file),
-                               "power": drive.get("power")})
+                               "source_off": str(off_file)})
     bundle.write_json("summary.json", {"delta_l_m": delta_l, "n_points": len(points),
                                        "n_low_contrast": sum(q.low_contrast for q in points)})
     bundle.finalize()
@@ -201,6 +194,7 @@ def cmd_fit_saturation(cfg: RunConfig, out_dir, phasor_files) -> ResultBundle:
 def cmd_predict_chiral(cfg: RunConfig, out_dir) -> ResultBundle:
     base = cfg.emitter.to_params()
     scan = cfg.chiral_scan
+    omegas, gdps = scan.grids()
     bundle = ResultBundle(out_dir)
     bundle.write_json("config.json", cfg.resolved())
 
@@ -211,9 +205,6 @@ def cmd_predict_chiral(cfg: RunConfig, out_dir) -> ResultBundle:
         "gamma_dp_c_rad_ns": thresholds.gamma_dp_c,
         "beta_dir_c": thresholds.beta_dir_c,
     })
-
-    omegas = np.linspace(0.0, scan.omega_max_rad_ns, scan.points)
-    gdps = np.linspace(0.0, scan.gamma_dp_max_rad_ns, scan.points)
 
     by_omega, by_gdp = [omegas], [gdps]
     for bd in scan.beta_dirs:

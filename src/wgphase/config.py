@@ -11,10 +11,14 @@ Rates in the emitter block are angular (rad/ns, matching lifetime tables in
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .emitter import EmitterParams
 from .interferometer import (ConstantPhase, InterferometerConfig, LockedDriftPhase,
@@ -46,7 +50,18 @@ class EmitterBlock:
 @dataclass
 class DriveBlock:
     omega_rad_ns: float = 0.0
-    linear_response: bool = True
+    linear_response: bool = True  # linear response is the drive omega_r = 0
+
+    def omega_r(self) -> float:
+        """The Rabi frequency the model is driven at, rad/ns."""
+        if not (math.isfinite(self.omega_rad_ns) and self.omega_rad_ns >= 0):
+            raise ConfigError(
+                f"drive.omega_rad_ns: must be finite and >= 0, got {self.omega_rad_ns}")
+        if self.linear_response and self.omega_rad_ns > 0:
+            raise ConfigError(
+                f"drive.omega_rad_ns: must be 0 under drive.linear_response (omega_r = 0), "
+                f"got {self.omega_rad_ns}; set linear_response to false to drive the emitter")
+        return self.omega_rad_ns
 
 
 @dataclass
@@ -101,7 +116,6 @@ class SweepBlock:
     points: int = 4501
 
     def grid(self):
-        import numpy as np
         if self.points < 2:
             raise ConfigError("sweep.points: need at least 2 points")
         if self.stop_ghz <= self.start_ghz:
@@ -143,6 +157,18 @@ class ChiralScanBlock:
     gamma_dp_max_rad_ns: float = 12.0
     points: int = 121
 
+    def grids(self):
+        """The drive and the dephasing axes of the scan, rad/ns."""
+        if self.points < 2:
+            raise ConfigError("chiral_scan.points: need at least 2 points")
+        axes = []
+        for name in ("omega_max_rad_ns", "gamma_dp_max_rad_ns"):
+            top = getattr(self, name)
+            if not (math.isfinite(top) and top >= 0):
+                raise ConfigError(f"chiral_scan.{name}: must be finite and >= 0, got {top}")
+            axes.append(np.linspace(0.0, top, self.points))
+        return tuple(axes)
+
 
 @dataclass
 class RunConfig:
@@ -159,64 +185,54 @@ class RunConfig:
         return asdict(self)
 
 
-_BLOCKS = {f.name: f.type for f in fields(RunConfig)}
+_EXPECTED = {float: "a number", int: "an integer", bool: "a boolean", str: "a string",
+             dict: "an object", list: "a list"}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Resolved type of every field of the dataclass ``cls``, in field order
+    (resolving the annotation strings costs more than a whole build)."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _build(cls, data: dict, path: str):
+    """``cls`` from ``data``; a field whose type is a dataclass is built the
+    same way one level down.  ``path`` is the dotted prefix of error
+    messages, empty at the root."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
+    types = _field_types(cls)
     for key in data:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown key")
+        if key not in types:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
     kwargs = {}
-    for name, fld in known.items():
-        if name not in data:
-            continue
-        value = data[name]
-        nested = {"env_phase": EnvPhaseBlock}.get(name)
-        if nested is not None:
-            kwargs[name] = _build(nested, value, f"{path}.{name}")
-        else:
-            kwargs[name] = _check_scalar(cls, fld, value, f"{path}.{name}")
+    for name, want in types.items():
+        if name in data:
+            sub = f"{path}.{name}" if path else name
+            if is_dataclass(want):
+                kwargs[name] = _build(want, data[name], sub)
+            else:
+                kwargs[name] = _check_value(want, data[name], sub)
     return cls(**kwargs)
 
 
-def _check_scalar(cls, fld, value, path):
-    want = fld.type
-    if want in ("float", float) and isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got a boolean")
-    if want in ("float", float):
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
-        return float(value)
-    if want in ("int", int):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected an integer, got {type(value).__name__}")
-        return value
-    if want in ("bool", bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {type(value).__name__}")
-        return value
-    if want in ("str", str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {type(value).__name__}")
-        return value
-    if want in ("dict",) or want is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-        return value
-    if want in ("list",) or want is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
-        return value
-    if "Optional[float]" in str(want):
+def _check_value(want, value, path):
+    """``value`` checked against the field type ``want``: one of the JSON
+    types of ``_EXPECTED``, or ``Optional`` of one."""
+    nullable = get_origin(want) is Union
+    if nullable:
         if value is None:
             return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a number or null, got {type(value).__name__}")
-        return float(value)
-    return value
+        want, = (arg for arg in get_args(want) if arg is not type(None))
+    is_bool = isinstance(value, bool)
+    if not isinstance(value, (int, float) if want is float else want) or (
+            is_bool and want in (float, int)):
+        got = "a boolean" if is_bool and want is float and not nullable else type(value).__name__
+        raise ConfigError(f"{path}: expected {_EXPECTED[want]}"
+                          f"{' or null' if nullable else ''}, got {got}")
+    return float(value) if want is float else value
 
 
 def load_config(source) -> RunConfig:
@@ -237,16 +253,4 @@ def load_config(source) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    for key in data:
-        if key not in _BLOCKS:
-            raise ConfigError(f"{key}: unknown key")
-    kwargs = {}
-    block_types = {
-        "emitter": EmitterBlock, "drive": DriveBlock, "interferometer": InterferometerBlock,
-        "sweep": SweepBlock, "noise": NoiseBlock, "extraction": ExtractionBlock,
-        "fit": FitBlock, "chiral_scan": ChiralScanBlock,
-    }
-    for name, cls in block_types.items():
-        if name in data:
-            kwargs[name] = _build(cls, data[name], name)
-    return RunConfig(**kwargs)
+    return _build(RunConfig, data, "")

@@ -96,25 +96,17 @@ class DriveState:
     """Laser drive at a single frequency point.
 
     ``delta`` is the laser-emitter detuning and ``omega_r`` the Rabi
-    frequency, both rad/ns.  ``linear_response=True`` drops the omega_r**2
-    saturation term exactly, which removes tolerance noise when comparing
-    against low-power analytic results.
+    frequency, both rad/ns; ``omega_r = 0`` is the linear-response limit.
     """
 
     delta: float
     omega_r: float = 0.0
-    linear_response: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and math.isfinite(self.omega_r)):
             raise ValueError(f"drive values must be finite, got delta={self.delta!r}, omega_r={self.omega_r!r}")
         if self.omega_r < 0:
             raise ValueError(f"omega_r must be >= 0, got {self.omega_r}")
-
-    @classmethod
-    def linear(cls, delta) -> "DriveState":
-        """Zero-power drive evaluated in the exact linear-response limit."""
-        return cls(delta=delta, omega_r=0.0, linear_response=True)
 
 
 @dataclass(frozen=True)
@@ -123,14 +115,6 @@ class BlochSteadyState:
 
     rho_ee: float
     rho_ge: complex
-
-
-@dataclass(frozen=True)
-class ScatterResponse:
-    """Complex transmission amplitude and normalized transmitted intensity."""
-
-    t: complex
-    i_t: float
 
 
 @dataclass(frozen=True)
@@ -175,14 +159,11 @@ class ChiralThresholds:
     beta_dir_c: float
 
 
-def saturation_denominator(p: EmitterParams, delta, omega_r=0.0, linear_response=False):
+def saturation_denominator(p: EmitterParams, delta, omega_r=0.0):
     """D = gamma2**2 + delta**2 + 4*(gamma2/gamma)*omega_r**2 (array-safe)."""
     delta = np.asarray(delta, dtype=float)
     g2 = p.gamma2
-    d = g2 * g2 + delta * delta
-    if not linear_response:
-        d = d + 4.0 * (g2 / p.gamma) * float(omega_r) ** 2
-    return d
+    return g2 * g2 + delta * delta + 4.0 * (g2 / p.gamma) * float(omega_r) ** 2
 
 
 def steady_state_bloch(p: EmitterParams, d: DriveState) -> BlochSteadyState:
@@ -192,13 +173,13 @@ def steady_state_bloch(p: EmitterParams, d: DriveState) -> BlochSteadyState:
     rho_ge = -omega_r*(i*gamma2 + delta) / D
     """
     g2 = p.gamma2
-    denom = float(saturation_denominator(p, d.delta, d.omega_r, d.linear_response))
+    denom = float(saturation_denominator(p, d.delta, d.omega_r))
     rho_ee = 2.0 * g2 * d.omega_r**2 / (p.gamma * denom)
     rho_ge = -d.omega_r * (1j * g2 + d.delta) / denom
     return BlochSteadyState(rho_ee=rho_ee, rho_ge=complex(rho_ge))
 
 
-def transmission(p: EmitterParams, delta, omega_r=0.0, linear_response=False):
+def transmission(p: EmitterParams, delta, omega_r=0.0):
     """Complex transmission t and normalized intensity I_t on a detuning grid.
 
     Isotropic coupling:
@@ -209,7 +190,7 @@ def transmission(p: EmitterParams, delta, omega_r=0.0, linear_response=False):
         I_t = 1 + 2*beta*gamma*gamma2*(beta - 1)/D
 
     I_t >= |t|**2 always; the excess is the incoherently scattered light and
-    vanishes only for gamma_dp = 0 in the linear-response limit.
+    vanishes only for gamma_dp = 0 in the linear-response limit omega_r = 0.
 
     Returns
     -------
@@ -219,7 +200,7 @@ def transmission(p: EmitterParams, delta, omega_r=0.0, linear_response=False):
     if not np.all(np.isfinite(delta_arr)):
         raise ValueError("delta must be finite")
     g2 = p.gamma2
-    denom = saturation_denominator(p, delta_arr, omega_r, linear_response)
+    denom = saturation_denominator(p, delta_arr, omega_r)
     if p.is_chiral:
         t = 1.0 - p.beta * p.gamma * (g2 + 1j * delta_arr) / denom
         i_t = 1.0 + 2.0 * p.beta * p.gamma * g2 * (p.beta - 1.0) / denom
@@ -229,12 +210,6 @@ def transmission(p: EmitterParams, delta, omega_r=0.0, linear_response=False):
     if np.ndim(delta) == 0:
         return complex(t), float(i_t)
     return t, i_t
-
-
-def scatter_response(p: EmitterParams, d: DriveState) -> ScatterResponse:
-    """Transmission response at a single drive point."""
-    t, i_t = transmission(p, d.delta, d.omega_r, d.linear_response)
-    return ScatterResponse(t=t, i_t=i_t)
 
 
 def phase_extrema_analytic(p: EmitterParams, omega_r=0.0) -> PhaseExtremum:
@@ -288,23 +263,23 @@ def _golden_max(fun, lo, hi, rel_tol=_GOLDEN_REL_TOL):
     return (a + b) / 2.0
 
 
-def phase_extrema_numeric(p: EmitterParams, omega_r=0.0, linear_response=False) -> NumericExtremum:
+def phase_extrema_numeric(p: EmitterParams, omega_r=0.0) -> NumericExtremum:
     """Locate the detuning that maximizes |arg t| by direct search.
 
     The test oracle for :func:`phase_extrema_analytic`, as :mod:`bloch` is
     for the steady state: no production code calls it, and it uses none of
     the closed form's algebra.  A 2001-point grid scan over delta in
     [-20*L, 20*L] brackets the maximum, with L = sqrt(gamma2**2 + W) the
-    power-broadened linewidth (W = 4*(gamma2/gamma)*omega_r**2, 0 under
-    ``linear_response``); every optimum lies within L of resonance.
+    power-broadened linewidth (W = 4*(gamma2/gamma)*omega_r**2); every
+    optimum lies within L of resonance.
     Golden-section refinement then narrows the bracket to 1e-10 relative
     width.  For a flat response (beta = 0) the result carries ``flat=True``.
     When the response is symmetric the positive-detuning extremum is
     returned.
     """
-    width = math.sqrt(float(saturation_denominator(p, 0.0, omega_r, linear_response)))
+    width = math.sqrt(float(saturation_denominator(p, 0.0, omega_r)))
     grid = np.linspace(-_GRID_HALF_WIDTH * width, _GRID_HALF_WIDTH * width, _GRID_POINTS)
-    t, _ = transmission(p, grid, omega_r, linear_response)
+    t, _ = transmission(p, grid, omega_r)
     phi = np.abs(np.angle(t))
     if np.max(phi) < 1e-15:
         return NumericExtremum(delta=0.0, phi=0.0, flat=True)
@@ -314,7 +289,7 @@ def phase_extrema_numeric(p: EmitterParams, omega_r=0.0, linear_response=False) 
     hi = grid[min(idx + 1, len(grid) - 1)]
 
     def objective(delta):
-        t_val, _ = transmission(p, float(delta), omega_r, linear_response)
+        t_val, _ = transmission(p, float(delta), omega_r)
         return abs(np.angle(t_val))
 
     delta_star = _golden_max(objective, lo, hi)
@@ -327,7 +302,7 @@ def phase_extrema_numeric(p: EmitterParams, omega_r=0.0, linear_response=False) 
     # arg t(-delta) = -arg t(delta) for every parameter set, so the extremum
     # is reported on the positive-detuning branch for determinism
     delta_star = abs(delta_star)
-    t_star, _ = transmission(p, delta_star, omega_r, linear_response)
+    t_star, _ = transmission(p, delta_star, omega_r)
     return NumericExtremum(delta=float(delta_star), phi=float(np.angle(t_star)))
 
 

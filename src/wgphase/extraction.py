@@ -168,10 +168,13 @@ def window_phasors(trace: FringeTrace, delta_l: float,
         raise ValueError(f"delta_l must be finite and > 0, got {delta_l}")
     if poly_order < 0:
         raise ValueError(f"poly_order must be >= 0, got {poly_order}")
-    if window_periods < 1.0:
-        raise ValueError("window must cover at least one fringe period")
+    if not (np.isfinite(window_periods) and window_periods >= 1.0):
+        raise ValueError(f"window_periods must be finite and cover at least one fringe "
+                         f"period, got {window_periods}")
     if hop_periods is None:
         hop_periods = window_periods
+    if not (np.isfinite(hop_periods) and hop_periods > 0):
+        raise ValueError(f"hop_periods must be finite and > 0, got {hop_periods}")
     freq = trace.freq
     df = _uniform_spacing(freq)
     period_ghz = C_M_PER_S / delta_l / 1e9

@@ -18,11 +18,11 @@ bin, i.e. rate times integration time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .emitter import DriveState, EmitterParams, transmission
+from .emitter import EmitterParams, transmission
 from .units import C_M_PER_S, detuning_angular
 
 SCHEMA_TRACE = "wgphase.trace.v1"
@@ -150,8 +150,10 @@ class FringeTrace:
 
 
 def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: bool,
-                  drive: Optional[DriveState] = None, phi_env=None):
-    """Expected detector rate (counts/s) on a laser frequency grid."""
+                  omega_r: float = 0.0, phi_env=None):
+    """Expected detector rate (counts/s) on a laser frequency grid, with the
+    emitter driven at Rabi frequency ``omega_r`` (rad/ns; 0 is linear
+    response)."""
     freq_ghz = np.asarray(freq_ghz, dtype=float)
     if freq_ghz.size == 0:
         raise ValueError("frequency grid is empty")
@@ -166,9 +168,7 @@ def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: 
         phi_env = np.broadcast_to(np.asarray(phi_env, dtype=float), freq_ghz.shape)
 
     if qd_on:
-        omega_r = 0.0 if drive is None else drive.omega_r
-        linear = True if drive is None else drive.linear_response
-        t, i_t = transmission(p, detuning_angular(freq_ghz, p.f0), omega_r, linear)
+        t, i_t = transmission(p, detuning_angular(freq_ghz, p.f0), omega_r)
         phi_qd = np.angle(t) + p.phi0
         amp = np.abs(t)
     else:
@@ -183,15 +183,15 @@ def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: 
 
 
 def fringe_trace(cfg: InterferometerConfig, p: EmitterParams, sweep, qd_on: bool,
-                 drive: Optional[DriveState] = None) -> FringeTrace:
+                 omega_r: float = 0.0) -> FringeTrace:
     """Synthesize a noiseless fringe trace over a laser sweep (GHz).
 
-    The drive defaults to the linear-response limit; pass a
-    :class:`DriveState` to include saturation (its detuning field is ignored,
-    the sweep sets the detuning per point).
+    The sweep sets the laser-emitter detuning of every point; ``omega_r`` is
+    the Rabi frequency of the drive, rad/ns, and the default 0 is the
+    linear-response limit.  The metadata records the ``omega_r`` applied.
     """
     sweep = np.asarray(sweep, dtype=float)
-    rate = expected_rate(cfg, p, sweep, qd_on, drive=drive)
+    rate = expected_rate(cfg, p, sweep, qd_on, omega_r=omega_r)
     counts = rate * cfg.integration_time
     meta = {
         "schema": SCHEMA_TRACE,
@@ -199,8 +199,7 @@ def fringe_trace(cfg: InterferometerConfig, p: EmitterParams, sweep, qd_on: bool
         "units": "expected_counts",
         "interferometer": _config_meta(cfg),
         "emitter": _emitter_meta(p),
-        "drive": None if drive is None else {
-            "omega_r": drive.omega_r, "linear_response": drive.linear_response},
+        "drive": {"omega_r": float(omega_r)},
     }
     return FringeTrace(freq=sweep, intensity=counts, meta=meta)
 

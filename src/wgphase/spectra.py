@@ -108,38 +108,24 @@ class SpectrumDataset:
         return cls(channels=[phase, second], power=power)
 
 
-def channel_model(ch: SpectrumChannel, p: EmitterParams, omega_r=0.0,
-                  linear_response=None) -> np.ndarray:
-    """Model values for one channel given emitter parameters."""
-    if linear_response is None:
-        linear_response = omega_r == 0.0
-    t, i_t = transmission(p, detuning_angular(ch.freq, p.f0), omega_r, linear_response)
+def channel_model(ch: SpectrumChannel, params, omega_r=0.0) -> np.ndarray:
+    """Model values for one channel, every emitter driven at ``omega_r``.
+
+    ``params`` is one :class:`EmitterParams`, or a sequence of them whose
+    transmissions multiply (overlapping resonances in series); the product
+    is projected onto the channel kind, with the phase offset of the first.
+    """
+    if isinstance(params, EmitterParams):
+        params = (params,)
+    t, i_t = transmission(params[0], detuning_angular(ch.freq, params[0].f0), omega_r)
+    for p in params[1:]:
+        t_p, i_p = transmission(p, detuning_angular(ch.freq, p.f0), omega_r)
+        t, i_t = t * t_p, i_t * i_p
     if ch.kind == PHASE:
-        return np.angle(t) + p.phi0
+        return np.angle(t) + params[0].phi0
     if ch.kind == INTENSITY:
         return i_t
     return np.abs(t)
-
-
-def two_dipole_model(ch: SpectrumChannel, p1: EmitterParams, p2: EmitterParams,
-                     omega_r=0.0, combine: str = "isolated") -> np.ndarray:
-    """Channel model for a pair of dipoles.
-
-    ``isolated`` evaluates only the channel's own dipole; ``product``
-    multiplies the two complex transmissions (for overlapping resonances).
-    """
-    if combine == "isolated":
-        return channel_model(ch, p1 if ch.dipole == 1 else p2, omega_r)
-    if combine != "product":
-        raise ValueError("combine must be 'isolated' or 'product'")
-    linear = omega_r == 0.0
-    t1, i1 = transmission(p1, detuning_angular(ch.freq, p1.f0), omega_r, linear)
-    t2, i2 = transmission(p2, detuning_angular(ch.freq, p2.f0), omega_r, linear)
-    if ch.kind == PHASE:
-        return np.angle(t1 * t2) + p1.phi0
-    if ch.kind == INTENSITY:
-        return i1 * i2
-    return np.abs(t1 * t2)
 
 
 def two_dipole_channel_models(data: SpectrumDataset, x, combine: str = "isolated") -> list:
@@ -151,6 +137,8 @@ def two_dipole_channel_models(data: SpectrumDataset, x, combine: str = "isolated
     [0, 1] and the rates to their physical range, as in the fit.  The
     ``product`` combination applies only when two dipoles are present.
     """
+    if combine not in ("isolated", "product"):
+        raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
     dipoles = data.dipoles()
     params = {}
     for i, d in enumerate(dipoles):
@@ -159,8 +147,7 @@ def two_dipole_channel_models(data: SpectrumDataset, x, combine: str = "isolated
             gamma=max(g, 1e-9), beta=float(np.clip(b, 0, 1)), gamma_dp=max(x[-2], 0.0),
             f0=f0, phi0=x[-1])
     if combine == "product" and len(dipoles) == 2:
-        p1, p2 = params[dipoles[0]], params[dipoles[1]]
-        return [two_dipole_model(ch, p1, p2, combine="product") for ch in data.channels]
+        return [channel_model(ch, list(params.values())) for ch in data.channels]
     return [channel_model(ch, params[ch.dipole]) for ch in data.channels]
 
 

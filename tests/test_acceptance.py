@@ -87,7 +87,7 @@ def test_criterion_3_chiral_identities():
 
     def re_t_at_gdp(gdp):
         t, _ = transmission(EmitterParams.chiral(gamma=gamma, beta_dir=1.0, gamma_dp=gdp),
-                            0.0, 0.0, linear_response=True)
+                            0.0, 0.0)
         return t.real
 
     omega_cross = _bisect(re_t_at_omega, 1e-6, gamma)
@@ -153,7 +153,7 @@ def test_criterion_5_table_round_trip():
         channels = []
         for p, dipole in ((p1, 1), (p2, 2)):
             freq = grids[dipole]
-            t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0, True)
+            t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0)
             phase = np.angle(t) + p.phi0 + rng.normal(0, sigma, freq.size)
             inten = i_t + rng.normal(0, sigma, freq.size)
             channels.append(SpectrumChannel(freq, phase, np.full(freq.size, sigma),
@@ -183,7 +183,7 @@ def test_criterion_6_saturation_round_trip():
     for scale in (0.1, 0.3, 1.0, 3.0, 10.0):
         power = scale * om_sat2
         freq = np.linspace(-8, 8, 41)
-        t, i_t = transmission(truth, detuning_angular(freq, 0.0), np.sqrt(power), False)
+        t, i_t = transmission(truth, detuning_angular(freq, 0.0), np.sqrt(power))
         phase = np.angle(t) + truth.phi0 + rng.normal(0, 0.02, freq.size)
         inten = i_t + rng.normal(0, 0.02, freq.size)
         datasets.append(SpectrumDataset(channels=[

@@ -131,6 +131,11 @@ def test_extract_grid_mismatch_is_bad_input(tmp_path, capsys):
     ("delta_l_m", 0.0, "delta_l"),      # was exit 4 (ZeroDivisionError)
     ("delta_l_m", -2.78, "delta_l"),    # was exit 0 with nonsense phasors
     ("poly_order", -1, "poly_order"),   # was "need at least one array to concatenate"
+    ("window_periods", np.inf, "window_periods"),  # was exit 4 (OverflowError)
+    ("window_periods", np.nan, "window_periods"),  # was "cannot convert float NaN..."
+    ("hop_periods", np.inf, "hop_periods"),        # was exit 4 (OverflowError)
+    ("hop_periods", 0.0, "hop_periods"),           # was exit 0 with 3500+ windows
+    ("hop_periods", -1.0, "hop_periods"),          # was exit 0 with 3500+ windows
 ])
 def test_extract_bad_extraction_value_is_bad_input(tmp_path, capsys, field, value, named):
     sim = tmp_path / "sim"
@@ -142,6 +147,48 @@ def test_extract_bad_extraction_value_is_bad_input(tmp_path, capsys, field, valu
                    str(sim / "trace_on.csv"), str(sim / "trace_off.csv"))
     assert code == EXIT_BAD_INPUT
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drive", [
+    {"omega_rad_ns": 20.0},                                # linear response: omega_r = 0
+    {"omega_rad_ns": 20.0, "linear_response": True},
+])
+def test_simulate_drive_under_linear_response_is_bad_input(tmp_path, capsys, drive):
+    # was exit 0 with the drive ignored and recorded in the trace sidecar
+    cfg = write_cfg(tmp_path, "cfg.json", dict(BASE_CFG, drive=drive))
+    assert run_cli("--config", cfg, "--out", str(tmp_path / "o"), "simulate") == EXIT_BAD_INPUT
+    assert "drive.omega_rad_ns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drive", [
+    {"omega_rad_ns": -5.0},                                # was exit 0, drive ignored
+    {"omega_rad_ns": -5.0, "linear_response": False},      # was exit 2 naming no field
+    {"omega_rad_ns": np.inf, "linear_response": False},
+    {"omega_rad_ns": np.nan, "linear_response": False},
+])
+def test_simulate_negative_or_nonfinite_drive_is_bad_input(tmp_path, capsys, drive):
+    cfg = write_cfg(tmp_path, "cfg.json", dict(BASE_CFG, drive=drive))
+    assert run_cli("--config", cfg, "--out", str(tmp_path / "o"), "simulate") == EXIT_BAD_INPUT
+    assert "drive.omega_rad_ns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drive, omega_r", [
+    ({}, 0.0),
+    ({"omega_rad_ns": 0.0, "linear_response": False}, 0.0),
+    ({"omega_rad_ns": 8.0, "linear_response": False}, 8.0),
+])
+def test_simulate_trace_meta_records_applied_drive(tmp_path, drive, omega_r):
+    cfg = dict(BASE_CFG, drive=drive)
+    out = tmp_path / "sim"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", cfg),
+                   "--out", str(out), "simulate") == EXIT_OK
+    on = parse_trace_csv(out / "trace_on.csv")
+    assert on.meta["drive"] == {"omega_r": omega_r}
+    p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
+    freq = np.linspace(-12.0, 12.0, 3601)
+    t, i_t = transmission(p, detuning_angular(freq, 0.0), omega_r)
+    rows = np.loadtxt(out / "model_spectrum.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 4], i_t)
 
 
 def test_extract_truncated_csv_is_bad_input(tmp_path, capsys):
@@ -190,7 +237,7 @@ def test_fit_recovers_reference_values(tmp_path):
 
 
 def _noisy_phasor_file(path, p, freq, rng, sigma=0.01):
-    t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0, True)
+    t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0)
     noise = rng.normal(0.0, sigma, (3, freq.size))
     pts = [PhasorPoint(freq=f, phase_shift=ph, amp_ratio=a, offset_ratio=it,
                        phase_err=sigma, amp_err=sigma, offset_err=sigma)
@@ -272,7 +319,7 @@ def test_fit_saturation_summary_includes_k_and_flux(tmp_path):
     powers = [0.1 * om_sat2, 0.5 * om_sat2, om_sat2, 3 * om_sat2, 10 * om_sat2]
     freq = np.linspace(-8, 8, 41)
     for i, power in enumerate(powers):
-        t, i_t = transmission(truth, detuning_angular(freq, 0.0), np.sqrt(power), False)
+        t, i_t = transmission(truth, detuning_angular(freq, 0.0), np.sqrt(power))
         pts = [PhasorPoint(freq=f, phase_shift=ph, amp_ratio=at, offset_ratio=it,
                            phase_err=0.01, amp_err=0.01, offset_err=0.01)
                for f, ph, at, it in zip(freq, np.angle(t) + truth.phi0, np.abs(t), i_t)]
@@ -318,6 +365,21 @@ def test_predict_chiral_outputs(tmp_path):
     above = omegas > 12.3 / (2 * np.sqrt(2)) + 0.5
     assert np.all(np.abs(np.abs(col[below]) - np.pi) < 1e-6)
     assert np.all(np.abs(col[above]) < np.pi / 2)
+
+
+@pytest.mark.parametrize("scan, named", [
+    ({"points": 0}, "chiral_scan.points"),                          # was header-only tables
+    ({"points": 1}, "chiral_scan.points"),
+    ({"omega_max_rad_ns": -5.0}, "chiral_scan.omega_max_rad_ns"),   # was negative drives
+    ({"omega_max_rad_ns": np.nan}, "chiral_scan.omega_max_rad_ns"),
+    ({"gamma_dp_max_rad_ns": np.inf}, "chiral_scan.gamma_dp_max_rad_ns"),  # named no field
+    ({"gamma_dp_max_rad_ns": -1.0}, "chiral_scan.gamma_dp_max_rad_ns"),
+])
+def test_predict_chiral_bad_scan_is_bad_input(tmp_path, capsys, scan, named):
+    cfg = write_cfg(tmp_path, "c.json", {"chiral_scan": scan})
+    assert run_cli("--config", cfg, "--out", str(tmp_path / "o"),
+                   "predict-chiral") == EXIT_BAD_INPUT
+    assert named in capsys.readouterr().err
 
 
 def test_bad_config_is_bad_input(tmp_path, capsys):

@@ -5,8 +5,7 @@ import pytest
 
 from wgphase.emitter import (DriveState, EmitterParams, chiral_thresholds,
                              critical_photon_flux, phase_extrema_analytic,
-                             phase_extrema_numeric, scatter_response, steady_state_bloch,
-                             transmission)
+                             phase_extrema_numeric, steady_state_bloch, transmission)
 
 
 def test_params_validation():
@@ -29,8 +28,6 @@ def test_drive_validation():
         DriveState(delta=np.inf)
     with pytest.raises(ValueError):
         DriveState(delta=0.0, omega_r=-1.0)
-    d = DriveState.linear(delta=3.0)
-    assert d.omega_r == 0.0 and d.linear_response
 
 
 def test_steady_state_undriven():
@@ -67,26 +64,26 @@ def test_steady_state_bounds_random():
 
 def test_resonant_extinction():
     p = EmitterParams.isotropic(gamma=9.4, beta=1.0)
-    r = scatter_response(p, DriveState.linear(delta=0.0))
-    assert r.t == pytest.approx(0.0, abs=1e-15)
-    assert r.i_t == pytest.approx(0.0, abs=1e-15)
+    t, i_t = transmission(p, 0.0)
+    assert t == pytest.approx(0.0, abs=1e-15)
+    assert i_t == pytest.approx(0.0, abs=1e-15)
 
 
 def test_half_linewidth_transmission():
     p = EmitterParams.isotropic(gamma=9.4, beta=1.0)
-    r = scatter_response(p, DriveState.linear(delta=4.7))
-    assert r.t == pytest.approx((1 - 1j) / 2, abs=1e-14)
-    assert np.angle(r.t) == pytest.approx(-np.pi / 4, abs=1e-14)
-    assert r.i_t == pytest.approx(0.5, abs=1e-14)
-    assert r.i_t == pytest.approx(abs(r.t) ** 2, abs=1e-14)
+    t, i_t = transmission(p, 4.7)
+    assert t == pytest.approx((1 - 1j) / 2, abs=1e-14)
+    assert np.angle(t) == pytest.approx(-np.pi / 4, abs=1e-14)
+    assert i_t == pytest.approx(0.5, abs=1e-14)
+    assert i_t == pytest.approx(abs(t) ** 2, abs=1e-14)
 
 
 def test_ideal_chiral_resonance():
     p = EmitterParams.chiral(gamma=9.4, beta_dir=1.0)
-    r = scatter_response(p, DriveState.linear(delta=0.0))
-    assert r.t == pytest.approx(-1.0, abs=1e-15)
-    assert np.angle(r.t) == pytest.approx(np.pi)
-    assert r.i_t == pytest.approx(1.0, abs=1e-15)
+    t, i_t = transmission(p, 0.0)
+    assert t == pytest.approx(-1.0, abs=1e-15)
+    assert np.angle(t) == pytest.approx(np.pi)
+    assert i_t == pytest.approx(1.0, abs=1e-15)
 
 
 def test_chiral_isotropic_correspondence():
@@ -161,10 +158,10 @@ def test_analytic_extrema_reference_point():
     assert ext.phi_max == pytest.approx(1.0903580550443291, abs=1e-12)
 
 
-def _extremum_c(p, omega_r, linear_response):
+def _extremum_c(p, omega_r):
     """(s, c, rounding): c = gamma2*(gamma2 - s) + W and its rounding error."""
     s = p.beta * p.gamma if p.is_chiral else p.beta * p.gamma / 2
-    w = 0.0 if linear_response else 4 * (p.gamma2 / p.gamma) * omega_r**2
+    w = 4 * (p.gamma2 / p.gamma) * omega_r**2
     scale = p.gamma2**2 + s * p.gamma2 + w
     return s, p.gamma2 * (p.gamma2 - s) + w, 16 * np.finfo(float).eps * scale
 
@@ -174,7 +171,7 @@ def test_analytic_extrema_domain():
     # couplings, dephasing up to 10*gamma, drive deep into saturation, beta = 0,
     # and draws placed exactly on a switching threshold (c = 0)
     rng = np.random.default_rng(20261018)
-    cases = [(EmitterParams.chiral(gamma=0.93, beta_dir=0.77), 12.5, False)]
+    cases = [(EmitterParams.chiral(gamma=0.93, beta_dir=0.77), 12.5)]
     while len(cases) < 3000:
         gamma = rng.uniform(0.1, 30.0)
         mode = rng.random()
@@ -186,17 +183,18 @@ def test_analytic_extrema_domain():
                           (EmitterParams.chiral(gamma=gamma, gamma_dp=gamma / 2), 0.0),
                           (EmitterParams.chiral(gamma=gamma),
                            gamma / (2 * np.sqrt(2)))][rng.integers(4)]
-            cases.append((p, omega_r, False))
+            cases.append((p, omega_r))
             continue
         beta = 0.0 if mode < 0.1 else rng.uniform(0.0, 1.0)
         gamma_dp = gamma * rng.uniform(0.0, 10.0) if rng.random() < 0.7 else 0.0
         omega_r = gamma * rng.uniform(0.0, 20.0) if rng.random() < 0.7 else 0.0
         coupling = "chiral" if rng.random() < 0.5 else "isotropic"
         p = EmitterParams(gamma=gamma, gamma_dp=gamma_dp, coupling=coupling, beta=beta)
-        cases.append((p, omega_r, bool(rng.random() < 0.1)))
+        # one draw in ten is linear response, the drive omega_r = 0
+        cases.append((p, 0.0 if rng.random() < 0.1 else omega_r))
     # the first case's optimum sqrt(c) = 17.7 lies past 20*gamma2 = 9.3; the
     # oracle's grid scales with the power-broadened linewidth, so it finds it
-    p, omega_r, _ = cases[0]
+    p, omega_r = cases[0]
     ana, num = phase_extrema_analytic(p, omega_r), phase_extrema_numeric(p, omega_r)
     assert ana.delta_plus > 20 * p.gamma2
     assert num.delta == pytest.approx(ana.delta_plus, rel=1e-6)
@@ -204,10 +202,10 @@ def test_analytic_extrema_domain():
     assert phase_extrema_numeric(EmitterParams.chiral(gamma=9.4), 0.0).phi < 0
     worst = 0.0
     n_threshold = 0
-    for p, omega_r, linear in cases:
-        ana = phase_extrema_analytic(p, 0.0 if linear else omega_r)
-        num = phase_extrema_numeric(p, omega_r, linear)
-        s, c, rounding = _extremum_c(p, omega_r, linear)
+    for p, omega_r in cases:
+        ana = phase_extrema_analytic(p, omega_r)
+        num = phase_extrema_numeric(p, omega_r)
+        s, c, rounding = _extremum_c(p, omega_r)
         if abs(c) <= rounding:
             # the extremum jumps from pi/2 to pi as c crosses 0; on the c > 0
             # side atan(s/(2*sqrt(c))) >= pi/2 - 2*sqrt(c)/s
@@ -302,7 +300,7 @@ def test_chiral_resonant_sign_change_in_beta_dir():
     signs = []
     for bd in betas:
         p = EmitterParams.chiral(gamma=gamma, beta_dir=bd)
-        t, _ = transmission(p, 0.0, 0.0, linear_response=True)
+        t, _ = transmission(p, 0.0, 0.0)
         signs.append(np.sign(t.real))
     signs = np.array(signs)
     flips = np.nonzero(np.diff(signs))[0]

@@ -100,7 +100,7 @@ def test_noiseless_extraction_matches_model_pointwise():
     _, on, off = make_pair(delta_l=25.0, span=12.0, points=15001)
     points = extract_phasor_series(on, off, delta_l=25.0)
     freq = np.array([q.freq for q in points])
-    t, i_t = transmission(EMITTER, detuning_angular(freq, 0.0), 0.0, True)
+    t, i_t = transmission(EMITTER, detuning_angular(freq, 0.0), 0.0)
     want_phase = wrap_angle(np.angle(t) + EMITTER.phi0)
     got_phase = np.array([q.phase_shift for q in points])
     np.testing.assert_allclose(got_phase, want_phase, atol=1e-6)
@@ -292,6 +292,12 @@ def test_shared_projector_matches_per_window_oracle():
     ({"delta_l": np.nan}, "delta_l"),
     ({"delta_l": np.inf}, "delta_l"),
     ({"poly_order": -1}, "poly_order"),
+    ({"window_periods": np.inf}, "window_periods"),
+    ({"window_periods": np.nan}, "window_periods"),
+    ({"hop_periods": np.inf}, "hop_periods"),
+    ({"hop_periods": np.nan}, "hop_periods"),
+    ({"hop_periods": 0.0}, "hop_periods"),
+    ({"hop_periods": -1.0}, "hop_periods"),
 ])
 def test_window_phasors_rejects_bad_parameters(kwargs, field):
     _, on, _ = make_pair(delta_l=2.78, span=15.0, points=4501)

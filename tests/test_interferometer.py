@@ -65,7 +65,7 @@ def test_contrast_collapses_at_extinction():
     p = EmitterParams.isotropic(gamma=12.3, beta=1.0)
     cfg = make_cfg(p_lo=1e6, p_sig=1e4, visibility=0.65)
     rate = expected_rate(cfg, p, np.array([1e-9]), qd_on=True)
-    t, i_t = transmission(p, 2 * np.pi * 1e-9, 0.0, True)
+    t, i_t = transmission(p, 2 * np.pi * 1e-9, 0.0)
     assert rate[0] == pytest.approx(cfg.p_lo + cfg.p_sig * i_t, rel=1e-9)
 
 
@@ -80,11 +80,11 @@ def test_fringe_envelope_matches_abs_t():
     for qd_on in (True, False):
         r0 = expected_rate(cfg, p, freq, qd_on=qd_on, phi_env=np.zeros(freq.size))
         r90 = expected_rate(cfg, p, freq, qd_on=qd_on, phi_env=quad)
-        t, i_t = (transmission(p, 2 * np.pi * freq, 0.0, True) if qd_on
+        t, i_t = (transmission(p, 2 * np.pi * freq, 0.0) if qd_on
                   else (np.ones(freq.size), np.ones(freq.size)))
         bg = cfg.p_lo + cfg.p_sig * i_t
         amps[qd_on] = np.hypot(r0 - bg, r90 - bg)
-    t_on, _ = transmission(p, 2 * np.pi * freq, 0.0, True)
+    t_on, _ = transmission(p, 2 * np.pi * freq, 0.0)
     np.testing.assert_allclose(amps[True] / amps[False], np.abs(t_on), atol=1e-9)
 
 

@@ -35,13 +35,13 @@ def test_recovers_emitter_from_noiseless_spectrum():
     # fitted values; the round trip must be exact
     truth = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
     freq = np.linspace(-6, 6, 61)
-    t, i_t = transmission(truth, detuning_angular(freq, 0.0), 0.0, True)
+    t, i_t = transmission(truth, detuning_angular(freq, 0.0), 0.0)
     phase = np.angle(t) + truth.phi0
 
     def residual(x):
         p = EmitterParams.isotropic(gamma=x[1], beta=min(max(x[0], 0.0), 1.0),
                                     gamma_dp=max(x[2], 0.0), phi0=x[3])
-        tm, im = transmission(p, detuning_angular(freq, 0.0), 0.0, True)
+        tm, im = transmission(p, detuning_angular(freq, 0.0), 0.0)
         return np.concatenate([np.angle(tm) + p.phi0 - phase, im - i_t])
 
     res = lm_minimize(residual, [0.8, 10.0, 2.0, 0.0],

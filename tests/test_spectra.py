@@ -8,9 +8,9 @@ from wgphase.emitter import (EmitterParams, critical_photon_flux, phase_extrema_
 from wgphase.extraction import extract_phasor_series
 from wgphase.interferometer import (ConstantPhase, InterferometerConfig, apply_shot_noise,
                                     fringe_trace)
-from wgphase.spectra import (SpectrumChannel, SpectrumDataset, fit_saturation_series,
-                             fit_two_dipole_spectra, initial_guess,
-                             predict_phase_vs_power, two_dipole_model)
+from wgphase.spectra import (SpectrumChannel, SpectrumDataset, channel_model,
+                             fit_saturation_series, fit_two_dipole_spectra, initial_guess,
+                             predict_phase_vs_power)
 from wgphase.units import detuning_angular
 
 DIPOLE1 = EmitterParams.isotropic(gamma=9.4, gamma_dp=3.9, beta=0.94, f0=0.0, phi0=-0.25)
@@ -18,7 +18,7 @@ DIPOLE2 = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, f0=15.0, p
 
 
 def synth_channels(p, freq, dipole, sigma_phase=1e-3, sigma_int=1e-3, rng=None, omega=0.0):
-    t, i_t = transmission(p, detuning_angular(freq, p.f0), omega, omega == 0.0)
+    t, i_t = transmission(p, detuning_angular(freq, p.f0), omega)
     phase = np.angle(t) + p.phi0
     intensity = i_t
     if rng is not None:
@@ -68,8 +68,8 @@ def test_product_model_roundtrip():
     p1 = DIPOLE1.with_(f0=-1.5)
     p2 = DIPOLE2.with_(f0=1.5)
     freq = np.linspace(-8, 8, 81)
-    t1, i1 = transmission(p1, detuning_angular(freq, p1.f0), 0.0, True)
-    t2, i2 = transmission(p2, detuning_angular(freq, p2.f0), 0.0, True)
+    t1, i1 = transmission(p1, detuning_angular(freq, p1.f0), 0.0)
+    t2, i2 = transmission(p2, detuning_angular(freq, p2.f0), 0.0)
     phase = np.angle(t1 * t2) + p1.phi0
     inten = i1 * i2
     chs = [SpectrumChannel(freq, phase, np.full(freq.size, 1e-3), "phase", 1),
@@ -88,7 +88,7 @@ def test_product_model_roundtrip():
 
 def test_intensity_only_near_unit_beta_not_identifiable():
     freq = np.linspace(9, 21, 41)
-    _, i_t = transmission(DIPOLE2, detuning_angular(freq, 15.0), 0.0, True)
+    _, i_t = transmission(DIPOLE2, detuning_angular(freq, 15.0), 0.0)
     ds = SpectrumDataset(channels=[
         SpectrumChannel(freq, i_t, np.full(freq.size, 1e-3), "intensity", 2)])
     res = fit_two_dipole_spectra(ds)
@@ -108,13 +108,20 @@ def test_initial_guess_deterministic_and_sane():
     assert g1["phi0"] == pytest.approx(-0.25, abs=0.05)
 
 
-def test_two_dipole_model_isolated_vs_product_far_apart():
+def test_channel_model_isolated_vs_product_far_apart():
     freq = np.linspace(-4, 4, 21)
     ch = SpectrumChannel(freq, np.zeros(21), np.ones(21), "phase", 1)
     p2_far = DIPOLE2.with_(f0=500.0)
-    iso = two_dipole_model(ch, DIPOLE1, p2_far, combine="isolated")
-    prod = two_dipole_model(ch, DIPOLE1, p2_far, combine="product")
+    iso = channel_model(ch, DIPOLE1)
+    prod = channel_model(ch, [DIPOLE1, p2_far])
     np.testing.assert_allclose(iso, prod, atol=5e-3)
+
+
+def test_fit_rejects_unknown_combine():
+    # an unknown combination used to fall back to "isolated" silently
+    ds = SpectrumDataset(channels=synth_channels(DIPOLE1, np.linspace(-4, 4, 21), 1))
+    with pytest.raises(ValueError, match="combine"):
+        fit_two_dipole_spectra(ds, combine="prodcut")
 
 
 def test_saturation_noiseless_roundtrip_and_flux_composition():
@@ -256,7 +263,7 @@ def test_amplitude_channel_fit_constrains_coupling_linewidth_product():
     # offset must still come out exact
     freq = np.linspace(-6, 6, 41)
     p = DIPOLE1
-    t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0, True)
+    t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0)
     assert np.max(np.abs(np.abs(t) ** 2 - i_t)) > 0.01
     chs = [SpectrumChannel(freq, np.angle(t) + p.phi0, np.full(freq.size, 1e-3), "phase", 1),
            SpectrumChannel(freq, np.abs(t), np.full(freq.size, 1e-3), "amplitude", 1)]
