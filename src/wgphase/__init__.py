@@ -8,7 +8,7 @@ from .emitter import (BlochSteadyState, ChiralThresholds, DriveState, EmitterPar
                       NumericExtremum, PhaseExtremum, chiral_thresholds, critical_photon_flux,
                       phase_extrema_analytic, phase_extrema_numeric, steady_state_bloch,
                       transmission)
-from .extraction import (NoFringeError, PhasorPoint, estimate_path_length_fft,
+from .extraction import (NoFringeError, PhasorSeries, WindowFits, estimate_path_length_fft,
                          extract_phasor_series, window_phasors)
 from .interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
                              LockedDriftPhase, RandomWalkPhase, SinusoidPhase,
@@ -24,9 +24,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochConvergenceError", "BlochSteadyState", "ChiralThresholds", "ConstantPhase",
     "DriveState", "EmitterParams", "FitResult", "FringeTrace", "InterferometerConfig",
-    "LockedDriftPhase", "NoFringeError", "NumericExtremum", "PhaseExtremum", "PhasorPoint",
-    "RandomWalkPhase", "SinusoidPhase", "SpectrumChannel",
-    "SpectrumDataset", "UnstableLoopError", "apply_shot_noise", "bloch_oracle_integrate",
+    "LockedDriftPhase", "NoFringeError", "NumericExtremum", "PhaseExtremum", "PhasorSeries",
+    "RandomWalkPhase", "SinusoidPhase", "SpectrumChannel", "SpectrumDataset",
+    "UnstableLoopError", "WindowFits", "apply_shot_noise", "bloch_oracle_integrate",
     "channel_model", "chiral_thresholds", "critical_photon_flux", "estimate_path_length_fft",
     "expected_rate", "extract_phasor_series", "fit_saturation_series",
     "fit_two_dipole_spectra", "fringe_trace", "initial_guess", "integrate_steady_states",

@@ -24,7 +24,7 @@ from . import emitter, spectra
 from .bloch import BlochConvergenceError
 from .config import ConfigError, RunConfig, load_config
 from .extraction import NoFringeError, estimate_path_length_fft, extract_phasor_series
-from .interferometer import apply_shot_noise, fringe_trace
+from .interferometer import UnstableLoopError, apply_shot_noise, fringe_trace
 from .io import (ResultBundle, TraceParseError, fit_result_json, parse_phasors_csv,
                  parse_trace_csv, phasor_file_meta)
 from .lm import FitResult
@@ -47,31 +47,32 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _spectrum_table(bundle: ResultBundle, cfg: RunConfig, name: str, omega_r: float):
-    p = cfg.emitter.to_params()
-    freq = cfg.sweep.grid()
-    t, i_t = emitter.transmission(p, detuning_angular(freq, p.f0), omega_r)
+def _spectrum_table(bundle: ResultBundle, name: str, p, freq, omega_r: float):
+    delta = detuning_angular(freq, p.f0)
+    t, i_t = emitter.transmission(p, delta, omega_r)
     phase = np.angle(t)
     bundle.write_table(
         name,
         "freq_ghz,delta_rad_ns,phase_rad,phase_with_offset_rad,i_t,abs_t,re_t,im_t",
-        [freq, detuning_angular(freq, p.f0), phase, phase + p.phi0, i_t,
-         np.abs(t), t.real, t.imag])
+        [freq, delta, phase, phase + p.phi0, i_t, np.abs(t), t.real, t.imag])
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> ResultBundle:
-    omega_r = cfg.drive.omega_r()
-    bundle = ResultBundle(out_dir)
-    bundle.write_json("config.json", cfg.resolved())
-    _spectrum_table(bundle, cfg, "model_spectrum.csv", omega_r)
-
     p = cfg.emitter.to_params()
     icfg = cfg.interferometer.to_config()
     sweep = cfg.sweep.grid()
+    omega_r = cfg.drive.omega_r()
+    traces = {}
     for qd_on, name in ((True, "trace_on.csv"), (False, "trace_off.csv")):
         trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, omega_r=omega_r)
         if cfg.noise.shot_noise:
             trace = apply_shot_noise(trace, cfg.noise.seed + (0 if qd_on else 1))
+        traces[name] = trace
+
+    bundle = ResultBundle(out_dir)
+    bundle.write_json("config.json", cfg.resolved())
+    _spectrum_table(bundle, "model_spectrum.csv", p, sweep, omega_r)
+    for name, trace in traces.items():
         bundle.write_trace(name, trace)
     bundle.finalize()
     return bundle
@@ -84,17 +85,17 @@ def cmd_extract(cfg: RunConfig, out_dir, on_file, off_file) -> ResultBundle:
     delta_l = ext.delta_l_m
     if delta_l is None:
         delta_l = estimate_path_length_fft(off)
-    points = extract_phasor_series(
+    series = extract_phasor_series(
         on, off, window_periods=ext.window_periods, delta_l=delta_l,
         hop_periods=ext.hop_periods, poly_order=ext.poly_order,
         weight_beta=ext.weight_beta)
     bundle = ResultBundle(out_dir)
     bundle.write_json("config.json", cfg.resolved())
-    bundle.write_phasors("phasors.csv", points,
+    bundle.write_phasors("phasors.csv", series,
                          meta={"delta_l_m": delta_l, "source_on": str(on_file),
                                "source_off": str(off_file)})
-    bundle.write_json("summary.json", {"delta_l_m": delta_l, "n_points": len(points),
-                                       "n_low_contrast": sum(q.low_contrast for q in points)})
+    bundle.write_json("summary.json", {"delta_l_m": delta_l, "n_points": len(series),
+                                       "n_low_contrast": np.count_nonzero(series.low_contrast)})
     bundle.finalize()
     return bundle
 
@@ -113,10 +114,9 @@ def _dataset_from_files(cfg: RunConfig, phasor_files):
     channels = []
     windows = cfg.fit.dipole_windows_ghz
     for i, path in enumerate(phasor_files, start=1):
-        points = parse_phasors_csv(path)
         window = windows.get(str(i))
         ds = spectra.SpectrumDataset.from_phasors(
-            points, dipole=i, intensity_from=cfg.fit.intensity_from,
+            parse_phasors_csv(path), dipole=i, intensity_from=cfg.fit.intensity_from,
             freq_window=tuple(window) if window else None)
         channels.extend(ds.channels)
     return spectra.SpectrumDataset(channels=channels)
@@ -163,13 +163,13 @@ def cmd_fit_saturation(cfg: RunConfig, out_dir, phasor_files) -> ResultBundle:
     datasets = []
     powers = list(cfg.fit.powers)
     for i, path in enumerate(phasor_files):
-        points = parse_phasors_csv(path)
+        series = parse_phasors_csv(path)
         power = powers[i] if i < len(powers) else phasor_file_meta(path).get("power")
         if power is None:
             raise TraceParseError(
                 f"{path}: no power level in sidecar and none given in fit.powers")
         datasets.append(spectra.SpectrumDataset.from_phasors(
-            points, dipole=1, power=float(power), intensity_from=cfg.fit.intensity_from))
+            series, dipole=1, power=float(power), intensity_from=cfg.fit.intensity_from))
     result = spectra.fit_saturation_series(
         datasets, init=cfg.fit.init or None, bounds=cfg.fit.bounds or None,
         max_iter=cfg.fit.max_iter)
@@ -193,26 +193,24 @@ def cmd_fit_saturation(cfg: RunConfig, out_dir, phasor_files) -> ResultBundle:
 
 def cmd_predict_chiral(cfg: RunConfig, out_dir) -> ResultBundle:
     base = cfg.emitter.to_params()
-    scan = cfg.chiral_scan
-    omegas, gdps = scan.grids()
-    bundle = ResultBundle(out_dir)
-    bundle.write_json("config.json", cfg.resolved())
-
+    beta_dirs, omegas, gdps = cfg.chiral_scan.grids()
     ref = base.with_(coupling="chiral", beta=1.0) if not base.is_chiral else base
     thresholds = emitter.chiral_thresholds(ref)
+    by_omega, by_gdp = [omegas], [gdps]
+    for bd in beta_dirs:
+        p = ref.with_(beta=bd, gamma_dp=0.0)
+        by_omega.append(emitter.phase_extrema_analytic(p, omegas).phi_plus)
+        by_gdp.append(np.array([emitter.phase_extrema_analytic(p.with_(gamma_dp=float(g))).phi_plus
+                                for g in gdps]))
+    header = "".join(f",phi_max_bdir_{bd:g}" for bd in beta_dirs)
+
+    bundle = ResultBundle(out_dir)
+    bundle.write_json("config.json", cfg.resolved())
     bundle.write_json("thresholds.json", {
         "omega_c_rad_ns": thresholds.omega_c,
         "gamma_dp_c_rad_ns": thresholds.gamma_dp_c,
         "beta_dir_c": thresholds.beta_dir_c,
     })
-
-    by_omega, by_gdp = [omegas], [gdps]
-    for bd in scan.beta_dirs:
-        p = ref.with_(beta=float(bd), gamma_dp=0.0)
-        by_omega.append(emitter.phase_extrema_analytic(p, omegas).phi_plus)
-        by_gdp.append(np.array([emitter.phase_extrema_analytic(p.with_(gamma_dp=float(g))).phi_plus
-                                for g in gdps]))
-    header = "".join(f",phi_max_bdir_{bd:g}" for bd in scan.beta_dirs)
     bundle.write_table("phase_vs_omega.csv", "omega_rad_ns" + header, by_omega)
     bundle.write_table("phase_vs_dephasing.csv", "gamma_dp_rad_ns" + header, by_gdp)
     bundle.finalize()
@@ -266,6 +264,9 @@ def main(argv=None) -> int:
             return EXIT_INTERNAL
     except (ConfigError, TraceParseError, NoFringeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except UnstableLoopError as exc:
+        print(f"error: interferometer.env_phase: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (FitNonConvergence, BlochConvergenceError) as exc:
         print(f"fit did not converge: {exc}", file=sys.stderr)

@@ -77,6 +77,9 @@ class EnvPhaseBlock:
     seed: int = 0
 
     def to_model(self):
+        if not (math.isfinite(self.sigma_rad) and self.sigma_rad >= 0):
+            raise ConfigError(f"interferometer.env_phase.sigma_rad: must be finite and >= 0, "
+                              f"got {self.sigma_rad}")
         if self.kind == "constant":
             return ConstantPhase(self.value_rad)
         if self.kind == "random_walk":
@@ -100,11 +103,12 @@ class InterferometerBlock:
     env_phase: EnvPhaseBlock = field(default_factory=EnvPhaseBlock)
 
     def to_config(self) -> InterferometerConfig:
+        phi_env = self.env_phase.to_model()
         try:
             return InterferometerConfig(
                 delta_l=self.delta_l_m, visibility=self.visibility, p_lo=self.p_lo_cps,
                 p_sig=self.p_sig_cps, integration_time=self.integration_time_s,
-                dark_rate=self.dark_cps, phi_env=self.env_phase.to_model())
+                dark_rate=self.dark_cps, phi_env=phi_env)
         except ValueError as exc:
             raise ConfigError(f"interferometer: {exc}") from exc
 
@@ -158,7 +162,12 @@ class ChiralScanBlock:
     points: int = 121
 
     def grids(self):
-        """The drive and the dephasing axes of the scan, rad/ns."""
+        """The beta_dir values, the drive axis and the dephasing axis, rad/ns."""
+        if not self.beta_dirs:
+            raise ConfigError("chiral_scan.beta_dirs: need at least one value")
+        for i, bd in enumerate(self.beta_dirs):
+            if type(bd) not in (int, float) or not 0 <= bd <= 1:
+                raise ConfigError(f"chiral_scan.beta_dirs[{i}]: must be in [0, 1], got {bd!r}")
         if self.points < 2:
             raise ConfigError("chiral_scan.points: need at least 2 points")
         axes = []
@@ -167,7 +176,7 @@ class ChiralScanBlock:
             if not (math.isfinite(top) and top >= 0):
                 raise ConfigError(f"chiral_scan.{name}: must be finite and >= 0, got {top}")
             axes.append(np.linspace(0.0, top, self.points))
-        return tuple(axes)
+        return ([float(bd) for bd in self.beta_dirs], *axes)
 
 
 @dataclass
@@ -232,7 +241,11 @@ def _check_value(want, value, path):
         got = "a boolean" if is_bool and want is float and not nullable else type(value).__name__
         raise ConfigError(f"{path}: expected {_EXPECTED[want]}"
                           f"{' or null' if nullable else ''}, got {got}")
-    return float(value) if want is float else value
+    try:
+        return float(value) if want is float else value
+    except OverflowError as exc:
+        raise ConfigError(f"{path}: expected a number, got an integer too large "
+                          f"for a float") from exc
 
 
 def load_config(source) -> RunConfig:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,38 +49,45 @@ class NoFringeError(ValueError):
 
 
 @dataclass(frozen=True)
-class WindowPhasor:
-    """Offset / amplitude / phase of one trace inside one window."""
+class WindowFits:
+    """Offset / amplitude / phase of each window of one trace, as arrays."""
 
-    freq: float
-    offset: float
-    amplitude: float
-    phase: float
-    var_offset: float
-    var_amplitude: float
-    var_phase: float
+    freq: np.ndarray
+    offset: np.ndarray
+    amplitude: np.ndarray
+    phase: np.ndarray
+    var_offset: np.ndarray
+    var_amplitude: np.ndarray
+    var_phase: np.ndarray
     n_points: int
+
+    def __len__(self) -> int:
+        return self.freq.size
 
 
 @dataclass(frozen=True)
-class PhasorPoint:
-    """On/off fringe comparison at one frequency.
+class PhasorSeries:
+    """On/off fringe comparison, one array entry per window, fields in the
+    column order of the phasor CSV.
 
     phase_shift : on minus off fringe phase, wrapped to (-pi, pi]
     amp_ratio : on/off fringe amplitude, estimates |t|
     offset_ratio : background-corrected on/off mean level, estimates I_t
-    low_contrast : fringe amplitude below the local noise floor; the point
-        is kept and its uncertainties carry the information
+    low_contrast : bool mask, fringe amplitude below the local noise floor;
+        the window is kept and its uncertainties carry the information
     """
 
-    freq: float
-    phase_shift: float
-    amp_ratio: float
-    offset_ratio: float
-    phase_err: float
-    amp_err: float
-    offset_err: float
-    low_contrast: bool = False
+    freq: np.ndarray
+    phase_shift: np.ndarray
+    phase_err: np.ndarray
+    amp_ratio: np.ndarray
+    amp_err: np.ndarray
+    offset_ratio: np.ndarray
+    offset_err: np.ndarray
+    low_contrast: np.ndarray
+
+    def __len__(self) -> int:
+        return self.freq.size
 
 
 def estimate_path_length_fft(trace: FringeTrace) -> float:
@@ -152,7 +159,7 @@ def window_phasors(trace: FringeTrace, delta_l: float,
                    window_periods: float = DEFAULT_WINDOW_PERIODS,
                    hop_periods: Optional[float] = None,
                    poly_order: int = DEFAULT_POLY_ORDER,
-                   weight_beta: float = DEFAULT_WEIGHT_BETA) -> List[WindowPhasor]:
+                   weight_beta: float = DEFAULT_WEIGHT_BETA) -> WindowFits:
     """Fit the local polynomial phasor model in sliding windows of one trace.
 
     ``hop_periods`` defaults to the window width (non-overlapping windows,
@@ -227,11 +234,9 @@ def window_phasors(trace: FringeTrace, delta_l: float,
             np.maximum(sigma2 * (q * q * cpp + p * p * cqq - 2 * p * q * cpq) / amp**4, 0.0),
             np.inf)
     centers = 0.5 * (freq[starts] + freq[starts + n - 1])
-    return [WindowPhasor(freq=float(centers[j]), offset=float(coef[j, 0]),
-                         amplitude=float(amp[j]), phase=float(phase[j]),
-                         var_offset=float(var_offset[j]), var_amplitude=float(var_amp[j]),
-                         var_phase=float(var_phase[j]), n_points=n)
-            for j in range(starts.size)]
+    return WindowFits(freq=centers, offset=coef[:, 0], amplitude=amp, phase=phase,
+                      var_offset=var_offset, var_amplitude=var_amp, var_phase=var_phase,
+                      n_points=n)
 
 
 def _uniform_spacing(freq: np.ndarray) -> float:
@@ -251,7 +256,7 @@ def extract_phasor_series(on: FringeTrace, off: FringeTrace,
                           hop_periods: Optional[float] = None,
                           poly_order: int = DEFAULT_POLY_ORDER,
                           weight_beta: float = DEFAULT_WEIGHT_BETA,
-                          p_lo_counts: Optional[float] = None) -> List[PhasorPoint]:
+                          p_lo_counts: Optional[float] = None) -> PhasorSeries:
     """Windowed on/off comparison of a fringe pair.
 
     ``delta_l`` defaults to the FFT estimate from the off trace, and the
@@ -273,39 +278,31 @@ def extract_phasor_series(on: FringeTrace, off: FringeTrace,
     won = window_phasors(on, delta_l, window_periods, hop_periods, poly_order, weight_beta)
     woff = window_phasors(off, delta_l, window_periods, hop_periods, poly_order, weight_beta)
 
-    points = []
-    for w_on, w_off in zip(won, woff):
-        dphi = wrap_angle(w_on.phase - w_off.phase)
-        amp_ratio = w_on.amplitude / w_off.amplitude if w_off.amplitude > 0 else np.inf
-        off_on = w_on.offset - p_lo_counts
-        off_off = w_off.offset - p_lo_counts
-        offset_ratio = off_on / off_off if off_off != 0 else np.inf
-
-        phase_err = float(np.sqrt(w_on.var_phase + w_off.var_phase))
-        amp_err = _ratio_err(w_on.amplitude, w_on.var_amplitude,
-                             w_off.amplitude, w_off.var_amplitude)
-        offset_err = _ratio_err(off_on, w_on.var_offset, off_off, w_off.var_offset)
-        low = (w_on.amplitude < _LOW_CONTRAST_SNR * np.sqrt(w_on.var_amplitude)
-               or w_off.amplitude < _LOW_CONTRAST_SNR * np.sqrt(w_off.var_amplitude))
-        points.append(PhasorPoint(freq=w_on.freq, phase_shift=float(dphi),
-                                  amp_ratio=float(amp_ratio), offset_ratio=float(offset_ratio),
-                                  phase_err=phase_err, amp_err=float(amp_err),
-                                  offset_err=float(offset_err), low_contrast=bool(low)))
-    return points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp_ratio = np.where(woff.amplitude > 0, won.amplitude / woff.amplitude, np.inf)
+        off_on = won.offset - p_lo_counts
+        off_off = woff.offset - p_lo_counts
+        offset_ratio = np.where(off_off != 0, off_on / off_off, np.inf)
+        amp_err = _ratio_err(won.amplitude, won.var_amplitude,
+                             woff.amplitude, woff.var_amplitude)
+        offset_err = _ratio_err(off_on, won.var_offset, off_off, woff.var_offset)
+    low = ((won.amplitude < _LOW_CONTRAST_SNR * np.sqrt(won.var_amplitude))
+           | (woff.amplitude < _LOW_CONTRAST_SNR * np.sqrt(woff.var_amplitude)))
+    return PhasorSeries(freq=won.freq, phase_shift=wrap_angle(won.phase - woff.phase),
+                        amp_ratio=amp_ratio, offset_ratio=offset_ratio,
+                        phase_err=np.sqrt(won.var_phase + woff.var_phase),
+                        amp_err=amp_err, offset_err=offset_err, low_contrast=low)
 
 
 def _ratio_err(num, var_num, den, var_den):
-    if den == 0:
-        return np.inf
-    r = num / den
-    return abs(r) * np.sqrt(var_num / max(num**2, 1e-300) + var_den / den**2)
+    """Propagated error of num/den per entry; inf where den == 0."""
+    err = np.abs(num / den) * np.sqrt(var_num / np.maximum(num**2, 1e-300) + var_den / den**2)
+    return np.where(den == 0, np.inf, err)
 
 
 def _background_counts(off: FringeTrace) -> float:
-    meta = off.meta or {}
-    interf = meta.get("interferometer", {})
-    p_lo = interf.get("p_lo_cps")
-    t_int = interf.get("integration_time_s")
+    interf = (off.meta or {}).get("interferometer", {})
+    p_lo, t_int = interf.get("p_lo_cps"), interf.get("integration_time_s")
     if p_lo is None or t_int is None:
         raise ValueError("trace metadata lacks p_lo/integration time; pass p_lo_counts")
     return float(p_lo) * float(t_int)

@@ -2,9 +2,11 @@
 
 Traces are CSV with the exact header ``freq_ghz,counts`` plus a JSON
 sidecar (``<name>.meta.json``) carrying the synthesis metadata and schema
-version.  Floats are written with 17 significant digits so a write/read
-round trip is bit-exact.  Parsing is strict: no NaN, strictly increasing
-frequency, malformed rows reported with their line number.
+version.  One writer formats every table with 17 significant digits, so a
+write/read round trip is bit-exact; one strict reader checks the header,
+the field count and the numbers of both CSV schemas, naming ``file:line``,
+and their sidecars, which must be JSON objects.  Traces must also be finite
+with strictly increasing frequency.
 
 A :class:`ResultBundle` collects the files of one command run and writes a
 ``manifest.json`` with sha256 content hashes; identical config and seed
@@ -15,13 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from pathlib import Path
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from .extraction import PhasorPoint
+from .extraction import PhasorSeries
 from .interferometer import FringeTrace
 from .lm import FitResult
 
@@ -31,125 +33,124 @@ PHASOR_HEADER = "freq_ghz,phase_rad,phase_err,amp_ratio,amp_err,offset_ratio,off
 
 
 class TraceParseError(ValueError):
-    """Malformed trace or phasor file; message carries the line number."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    """Malformed trace or phasor file or sidecar; message names file and line."""
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def write_trace_csv(trace: FringeTrace, path) -> Path:
-    path = Path(path)
-    lines = [TRACE_HEADER]
-    lines += [f"{_fmt(f)},{_fmt(c)}" for f, c in zip(trace.freq, trace.intensity)]
+def _write_csv(path: Path, header: str, columns, sidecar: dict | None = None) -> Path:
+    """One row per entry of the equal-length ``columns``, 17 significant
+    digits, and the ``sidecar`` (with the schema version) when given."""
+    row = ",".join(["{:.17g}"] * len(columns))
+    lines = [header] + [row.format(*values) for values in
+                        zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    meta = {"schema": SCHEMA_VERSION, **(trace.meta or {})}
-    _sidecar_path(path).write_text(_json_dumps(meta), encoding="utf-8")
+    if sidecar is not None:
+        meta = {"schema": SCHEMA_VERSION, **sidecar}
+        _sidecar_path(path).write_text(_json_dumps(meta), encoding="utf-8")
     return path
+
+
+def _read_csv(path: Path, header: str):
+    """The non-blank rows under the exact ``header`` as a float array of shape
+    (columns, rows), and the line number of each row."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+    if not lines or lines[0].strip() != header:
+        found = lines[0].strip() if lines else "<empty file>"
+        raise TraceParseError(f"{path}:1: expected header {header!r}, found {found!r}")
+    n_fields = header.count(",") + 1
+    linenos = [n for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
+    values = []
+    for lineno in linenos:
+        parts = lines[lineno - 1].split(",")
+        if len(parts) != n_fields:
+            raise TraceParseError(f"{path}:{lineno}: expected {n_fields} comma-separated "
+                                  f"fields, got {len(parts)}")
+        try:
+            values += map(float, parts)
+        except ValueError as exc:
+            raise TraceParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    if not values:
+        raise TraceParseError(f"{path}: no data rows")
+    return np.array(values).reshape(-1, n_fields).T.copy(), linenos
+
+
+def _read_sidecar(path: Path) -> dict:
+    """The JSON object in the sidecar of ``path``; empty when there is none."""
+    sidecar = _sidecar_path(path)
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise TraceParseError(f"{sidecar}: not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise TraceParseError(f"{sidecar}: must be a JSON object, got {type(meta).__name__}")
+    return meta
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number (a bool is not a number)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def write_trace_csv(trace: FringeTrace, path) -> Path:
+    return _write_csv(Path(path), TRACE_HEADER, [trace.freq, trace.intensity], trace.meta or {})
 
 
 def parse_trace_csv(path) -> FringeTrace:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceParseError(f"{path}: not valid UTF-8 ({exc})") from exc
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != TRACE_HEADER:
-        found = lines[0].strip() if lines else "<empty file>"
-        raise TraceParseError(f"{path}:1: expected header {TRACE_HEADER!r}, found {found!r}")
-    freqs: List[float] = []
-    counts: List[float] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise TraceParseError(f"{path}:{lineno}: expected 2 comma-separated fields, "
-                                  f"got {len(parts)}")
-        try:
-            f_val, c_val = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise TraceParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-        if not (math.isfinite(f_val) and math.isfinite(c_val)):
-            raise TraceParseError(f"{path}:{lineno}: non-finite value not allowed")
-        if freqs and f_val <= freqs[-1]:
-            raise TraceParseError(f"{path}:{lineno}: freq_ghz must be strictly increasing "
-                                  f"({f_val!r} after {freqs[-1]!r})")
-        freqs.append(f_val)
-        counts.append(c_val)
-    if not freqs:
-        raise TraceParseError(f"{path}: no data rows")
-    meta = {}
-    sidecar = _sidecar_path(path)
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    return FringeTrace(freq=np.array(freqs), intensity=np.array(counts), meta=meta)
+    (freq, counts), linenos = _read_csv(path, TRACE_HEADER)
+    finite = np.isfinite(freq) & np.isfinite(counts)
+    bad = np.flatnonzero(~finite | np.r_[False, freq[1:] <= freq[:-1]])
+    if bad.size:
+        i = bad[0]
+        if not finite[i]:
+            raise TraceParseError(f"{path}:{linenos[i]}: non-finite value not allowed")
+        raise TraceParseError(f"{path}:{linenos[i]}: freq_ghz must be strictly increasing "
+                              f"({float(freq[i])!r} after {float(freq[i - 1])!r})")
+    meta = _read_sidecar(path)
+    interf = meta.get("interferometer", {})
+    if not (isinstance(interf, dict) and all(interf.get(key) is None or _is_number(interf[key])
+                                             for key in ("p_lo_cps", "integration_time_s"))):
+        raise TraceParseError(f"{_sidecar_path(path)}: interferometer must be an object "
+                              f"whose p_lo_cps and integration_time_s are numbers")
+    return FringeTrace(freq=freq, intensity=counts, meta=meta)
 
 
-def write_phasors_csv(points: Sequence[PhasorPoint], path, meta: dict | None = None) -> Path:
+def write_phasors_csv(series: PhasorSeries, path, meta: dict | None = None) -> Path:
+    columns = [series.freq, series.phase_shift, series.phase_err, series.amp_ratio,
+               series.amp_err, series.offset_ratio, series.offset_err]
+    return _write_csv(Path(path), PHASOR_HEADER, columns,
+                      {"low_contrast_freqs": series.freq[series.low_contrast].tolist(),
+                       **(meta or {})})
+
+
+def parse_phasors_csv(path) -> PhasorSeries:
     path = Path(path)
-    lines = [PHASOR_HEADER]
-    for q in points:
-        lines.append(",".join(_fmt(v) for v in (
-            q.freq, q.phase_shift, q.phase_err, q.amp_ratio, q.amp_err,
-            q.offset_ratio, q.offset_err)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    side = {"schema": SCHEMA_VERSION,
-            "low_contrast_freqs": [q.freq for q in points if q.low_contrast]}
-    side.update(meta or {})
-    _sidecar_path(path).write_text(_json_dumps(side), encoding="utf-8")
-    return path
-
-
-def parse_phasors_csv(path) -> List[PhasorPoint]:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != PHASOR_HEADER:
-        found = lines[0].strip() if lines else "<empty file>"
-        raise TraceParseError(f"{path}:1: expected header {PHASOR_HEADER!r}, found {found!r}")
-    sidecar = _sidecar_path(path)
-    low_set = set()
-    meta = {}
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        low_set = set(meta.get("low_contrast_freqs", []))
-    points = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 7:
-            raise TraceParseError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-        try:
-            vals = [float(v) for v in parts]
-        except ValueError as exc:
-            raise TraceParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-        points.append(PhasorPoint(freq=vals[0], phase_shift=vals[1], phase_err=vals[2],
-                                  amp_ratio=vals[3], amp_err=vals[4], offset_ratio=vals[5],
-                                  offset_err=vals[6], low_contrast=vals[0] in low_set))
-    if not points:
-        raise TraceParseError(f"{path}: no data rows")
-    return points
+    columns, _ = _read_csv(path, PHASOR_HEADER)
+    low = phasor_file_meta(path).get("low_contrast_freqs", [])
+    return PhasorSeries(*columns, low_contrast=np.isin(columns[0], low))
 
 
 def phasor_file_meta(path) -> dict:
-    sidecar = _sidecar_path(Path(path))
-    if sidecar.exists():
-        return json.loads(sidecar.read_text(encoding="utf-8"))
-    return {}
+    """The sidecar of a phasor CSV; ``low_contrast_freqs`` and ``power`` hold numbers."""
+    path = Path(path)
+    meta = _read_sidecar(path)
+    low, power = meta.get("low_contrast_freqs", []), meta.get("power")
+    if not (isinstance(low, list) and all(map(_is_number, low))
+            and (power is None or _is_number(power))):
+        raise TraceParseError(f"{_sidecar_path(path)}: low_contrast_freqs must be a list "
+                              f"of numbers and power a number")
+    return meta
 
 
 def fit_result_json(result: FitResult, extra: dict | None = None) -> str:
-    payload = {"schema": SCHEMA_VERSION, **result.as_dict()}
-    payload["covariance"] = [[float(v) for v in row] for row in result.covariance]
-    if extra:
-        payload.update(extra)
-    return _json_dumps(payload)
+    return _json_dumps({"schema": SCHEMA_VERSION, **result.as_dict(),
+                        "covariance": result.covariance, **(extra or {})})
 
 
 def _json_dumps(obj) -> str:
@@ -157,12 +158,8 @@ def _json_dumps(obj) -> str:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
@@ -200,16 +197,16 @@ class ResultBundle:
         self.register(name + ".meta.json")
         return path
 
-    def write_phasors(self, name: str, points, meta=None) -> Path:
-        path = write_phasors_csv(points, self.path(name), meta=meta)
+    def write_phasors(self, name: str, series: PhasorSeries, meta=None) -> Path:
+        path = write_phasors_csv(series, self.path(name), meta=meta)
         self.register(name)
         self.register(name + ".meta.json")
         return path
 
     def write_table(self, name: str, header: str, columns) -> Path:
-        rows = zip(*columns)
-        lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-        return self.write_text(name, "\n".join(lines) + "\n")
+        path = _write_csv(self.path(name), header, columns)
+        self.register(name)
+        return path
 
     def finalize(self) -> Path:
         entries = {}

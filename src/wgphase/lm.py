@@ -146,6 +146,8 @@ def lm_minimize(residual: Callable, init: Sequence[float], bounds=None,
                               RuntimeWarning, stacklevel=2)
                 step = np.linalg.solve(normal + ridge * np.eye(n), -grad)
             x_try = _project(x + step, lower, upper)
+            r_try = np.asarray(residual(x_try), dtype=float)
+            chi2_try = float(r_try @ r_try) if np.all(np.isfinite(r_try)) else np.inf
             clipped = x_try != x + step
             if np.any(clipped) and not np.all(clipped):
                 # re-solve for the free coordinates with the clipped ones held
@@ -157,16 +159,12 @@ def lm_minimize(residual: Callable, init: Sequence[float], bounds=None,
                     step_f = np.linalg.solve(normal_f, rhs)
                     x_alt = x_try.copy()
                     x_alt[free] = _project(x[free] + step_f, lower[free], upper[free])
-                    r_alt = np.asarray(residual(x_alt), dtype=float)
-                    if np.all(np.isfinite(r_alt)):
-                        r_try0 = np.asarray(residual(x_try), dtype=float)
-                        chi2_try0 = float(r_try0 @ r_try0) if np.all(np.isfinite(r_try0)) else np.inf
-                        if float(r_alt @ r_alt) < chi2_try0:
-                            x_try = x_alt
+                    r_alt = (r_try if np.array_equal(x_alt, x_try)
+                             else np.asarray(residual(x_alt), dtype=float))
+                    if np.all(np.isfinite(r_alt)) and float(r_alt @ r_alt) < chi2_try:
+                        x_try, r_try, chi2_try = x_alt, r_alt, float(r_alt @ r_alt)
                 except np.linalg.LinAlgError:
                     pass
-            r_try = np.asarray(residual(x_try), dtype=float)
-            chi2_try = float(r_try @ r_try) if np.all(np.isfinite(r_try)) else np.inf
             if chi2_try < chi2:
                 step_norm = float(np.linalg.norm(x_try - x))
                 rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import emitter
 from .emitter import EmitterParams, transmission
-from .extraction import PhasorPoint
+from .extraction import PhasorSeries
 from .lm import FitResult, lm_minimize
 from .units import TWO_PI, detuning_angular, wrap_angle
 
@@ -75,37 +75,30 @@ class SpectrumDataset:
         return sorted({ch.dipole for ch in self.channels})
 
     @classmethod
-    def from_phasors(cls, points: Sequence[PhasorPoint], dipole: int = 1,
+    def from_phasors(cls, series: PhasorSeries, dipole: int = 1,
                      power: Optional[float] = None, intensity_from: str = "offset",
                      freq_window=None) -> "SpectrumDataset":
-        """Build phase + intensity channels from extracted phasor points.
+        """Build phase + intensity channels from an extracted phasor series.
 
         ``intensity_from`` selects the offset ratio (I_t) or the amplitude
         ratio (|t|) as the intensity-like channel.  ``freq_window`` is an
         optional (lo, hi) restriction in GHz.
         """
-        pts = list(points)
-        if freq_window is not None:
-            lo, hi = freq_window
-            pts = [q for q in pts if lo <= q.freq <= hi]
-        freq = np.array([q.freq for q in pts])
-        phase = SpectrumChannel(
-            freq=freq,
-            values=np.array([q.phase_shift for q in pts]),
-            sigma=np.array([q.phase_err for q in pts]),
-            kind=PHASE, dipole=dipole)
         if intensity_from == "offset":
-            vals = np.array([q.offset_ratio for q in pts])
-            errs = np.array([q.offset_err for q in pts])
-            kind = INTENSITY
+            vals, errs, kind = series.offset_ratio, series.offset_err, INTENSITY
         elif intensity_from == "amplitude":
-            vals = np.array([q.amp_ratio for q in pts])
-            errs = np.array([q.amp_err for q in pts])
-            kind = AMPLITUDE
+            vals, errs, kind = series.amp_ratio, series.amp_err, AMPLITUDE
         else:
             raise ValueError("intensity_from must be 'offset' or 'amplitude'")
-        second = SpectrumChannel(freq=freq, values=vals, sigma=errs, kind=kind, dipole=dipole)
-        return cls(channels=[phase, second], power=power)
+        keep = slice(None)
+        if freq_window is not None:
+            lo, hi = freq_window
+            keep = (lo <= series.freq) & (series.freq <= hi)
+        channels = [SpectrumChannel(freq=series.freq[keep], values=v[keep], sigma=e[keep],
+                                    kind=k, dipole=dipole)
+                    for v, e, k in ((series.phase_shift, series.phase_err, PHASE),
+                                    (vals, errs, kind))]
+        return cls(channels=channels, power=power)
 
 
 def channel_model(ch: SpectrumChannel, params, omega_r=0.0) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from wgphase import spectra
 from wgphase.cli import (EXIT_BAD_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from wgphase.emitter import EmitterParams, transmission
-from wgphase.extraction import PhasorPoint
+from wgphase.extraction import PhasorSeries
 from wgphase.io import parse_phasors_csv, parse_trace_csv, write_phasors_csv
 from wgphase.units import detuning_angular
 
@@ -97,18 +97,19 @@ def test_extract_roundtrip_and_offoff(tmp_path):
                    str(sim / "trace_on.csv"), str(sim / "trace_off.csv")) == EXIT_OK
     summary = read_json(ext / "summary.json")
     assert summary["delta_l_m"] == pytest.approx(2.78, rel=1e-3)
-    points = parse_phasors_csv(ext / "phasors.csv")
-    assert summary["n_points"] == len(points) > 30
+    series = parse_phasors_csv(ext / "phasors.csv")
+    assert summary["n_points"] == len(series) > 30
     # phases near resonance are clearly nonzero for the on/off pair
-    assert max(abs(q.phase_shift) for q in points) > 0.3
+    assert max(abs(shift) for shift in series.phase_shift) > 0.3
 
     off2 = tmp_path / "offoff"
     assert run_cli("--config", cfg_path, "--out", str(off2), "extract",
                    str(sim / "trace_off.csv"), str(sim / "trace_off.csv")) == EXIT_OK
-    for q in parse_phasors_csv(off2 / "phasors.csv"):
-        assert q.phase_shift == pytest.approx(0.0, abs=1e-9)
-        assert q.amp_ratio == pytest.approx(1.0, abs=1e-9)
-        assert q.offset_ratio == pytest.approx(1.0, abs=1e-9)
+    offoff = parse_phasors_csv(off2 / "phasors.csv")
+    for shift, amp, offset in zip(offoff.phase_shift, offoff.amp_ratio, offoff.offset_ratio):
+        assert shift == pytest.approx(0.0, abs=1e-9)
+        assert amp == pytest.approx(1.0, abs=1e-9)
+        assert offset == pytest.approx(1.0, abs=1e-9)
 
 
 def test_extract_grid_mismatch_is_bad_input(tmp_path, capsys):
@@ -239,11 +240,12 @@ def test_fit_recovers_reference_values(tmp_path):
 def _noisy_phasor_file(path, p, freq, rng, sigma=0.01):
     t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0)
     noise = rng.normal(0.0, sigma, (3, freq.size))
-    pts = [PhasorPoint(freq=f, phase_shift=ph, amp_ratio=a, offset_ratio=it,
-                       phase_err=sigma, amp_err=sigma, offset_err=sigma)
-           for f, ph, a, it in zip(freq, np.angle(t) + p.phi0 + noise[0],
-                                   np.abs(t) + noise[1], i_t + noise[2])]
-    write_phasors_csv(pts, path)
+    errs = np.full(freq.size, sigma)
+    series = PhasorSeries(freq=freq, phase_shift=np.angle(t) + p.phi0 + noise[0],
+                          amp_ratio=np.abs(t) + noise[1], offset_ratio=i_t + noise[2],
+                          phase_err=errs, amp_err=errs, offset_err=errs,
+                          low_contrast=np.zeros(freq.size, dtype=bool))
+    write_phasors_csv(series, path)
     return str(path)
 
 
@@ -309,7 +311,6 @@ def test_fit_nonconvergence_exit_code(tmp_path):
 
 def test_fit_saturation_summary_includes_k_and_flux(tmp_path):
     from wgphase.emitter import EmitterParams, transmission
-    from wgphase.extraction import PhasorPoint
     from wgphase.io import write_phasors_csv
     from wgphase.units import detuning_angular
 
@@ -320,11 +321,13 @@ def test_fit_saturation_summary_includes_k_and_flux(tmp_path):
     freq = np.linspace(-8, 8, 41)
     for i, power in enumerate(powers):
         t, i_t = transmission(truth, detuning_angular(freq, 0.0), np.sqrt(power))
-        pts = [PhasorPoint(freq=f, phase_shift=ph, amp_ratio=at, offset_ratio=it,
-                           phase_err=0.01, amp_err=0.01, offset_err=0.01)
-               for f, ph, at, it in zip(freq, np.angle(t) + truth.phi0, np.abs(t), i_t)]
+        errs = np.full(freq.size, 0.01)
+        series = PhasorSeries(freq=freq, phase_shift=np.angle(t) + truth.phi0,
+                              amp_ratio=np.abs(t), offset_ratio=i_t,
+                              phase_err=errs, amp_err=errs, offset_err=errs,
+                              low_contrast=np.zeros(freq.size, dtype=bool))
         path = tmp_path / f"phasors_{i}.csv"
-        write_phasors_csv(pts, path, meta={"power": power})
+        write_phasors_csv(series, path, meta={"power": power})
         files.append(str(path))
     out = tmp_path / "sat"
     assert run_cli("--out", str(out), "fit-saturation", *files) == EXIT_OK
@@ -335,13 +338,14 @@ def test_fit_saturation_summary_includes_k_and_flux(tmp_path):
 
 
 def test_fit_saturation_requires_powers(tmp_path):
-    from wgphase.extraction import PhasorPoint
     from wgphase.io import write_phasors_csv
 
-    pts = [PhasorPoint(freq=float(i), phase_shift=0.0, amp_ratio=1.0, offset_ratio=1.0,
-                       phase_err=0.01, amp_err=0.01, offset_err=0.01) for i in range(6)]
+    ones, errs = np.ones(6), np.full(6, 0.01)
+    series = PhasorSeries(freq=np.arange(6.0), phase_shift=np.zeros(6), amp_ratio=ones,
+                          offset_ratio=ones, phase_err=errs, amp_err=errs, offset_err=errs,
+                          low_contrast=np.zeros(6, dtype=bool))
     path = tmp_path / "p.csv"
-    write_phasors_csv(pts, path)
+    write_phasors_csv(series, path)
     assert run_cli("--out", str(tmp_path / "o"), "fit-saturation", str(path)) == EXIT_BAD_INPUT
 
 
@@ -374,12 +378,71 @@ def test_predict_chiral_outputs(tmp_path):
     ({"omega_max_rad_ns": np.nan}, "chiral_scan.omega_max_rad_ns"),
     ({"gamma_dp_max_rad_ns": np.inf}, "chiral_scan.gamma_dp_max_rad_ns"),  # named no field
     ({"gamma_dp_max_rad_ns": -1.0}, "chiral_scan.gamma_dp_max_rad_ns"),
+    ({"beta_dirs": [None]}, "chiral_scan.beta_dirs[0]"),           # was exit 4 (TypeError)
+    ({"beta_dirs": [1.0, "a"]}, "chiral_scan.beta_dirs[1]"),        # named no field
+    ({"beta_dirs": [True]}, "chiral_scan.beta_dirs[0]"),           # was a phi_max_bdir_1 curve
+    ({"beta_dirs": []}, "chiral_scan.beta_dirs"),                  # was axis-only tables
 ])
 def test_predict_chiral_bad_scan_is_bad_input(tmp_path, capsys, scan, named):
     cfg = write_cfg(tmp_path, "c.json", {"chiral_scan": scan})
     assert run_cli("--config", cfg, "--out", str(tmp_path / "o"),
                    "predict-chiral") == EXIT_BAD_INPUT
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("simulate", {"sweep": {"points": 1}}, "sweep.points"),
+    ("simulate", {"emitter": {"beta": 2.0}}, "beta"),
+    ("simulate", {"interferometer": {"visibility": 2.0}}, "visibility"),
+    ("simulate", {"interferometer": {"env_phase": {"kind": "locked_drift", "kp": 5.0}}},
+     "interferometer.env_phase"),                                   # was exit 4
+    ("simulate", {"interferometer": {"env_phase": {"kind": "random_walk", "sigma_rad": -1.0}}},
+     "interferometer.env_phase.sigma_rad"),                         # was "scale < 0"
+    ("predict-chiral", {"chiral_scan": {"beta_dirs": [1.5]}}, "chiral_scan.beta_dirs[0]"),
+])
+def test_rejected_run_writes_no_bundle(tmp_path, capsys, command, payload, named):
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out),
+                   command) == EXIT_BAD_INPUT
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_integer_too_large_for_float_is_bad_input(tmp_path, capsys):
+    # was exit 4 (OverflowError from float())
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"sweep": {"start_ghz": 1' + "0" * 400 + "}}", encoding="utf-8")
+    assert run_cli("--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "simulate") == EXIT_BAD_INPUT
+    assert "sweep.start_ghz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, content", [
+    ("p.csv.meta.json", b"[]"),                                # was exit 4 (AttributeError)
+    ("p.csv.meta.json", b'{"low_contrast_freqs": 5}'),         # was exit 4 (TypeError)
+    ("p.csv.meta.json", b'{"low_contrast_freqs": [0.0,'),      # named no file
+    ("p.csv", b"freq_ghz,phase_rad,phase_err,amp_ratio,amp_err,offset_ratio,offset_err\n"
+              b"\xff\xfe,0,1,1,1,1,1\n"),                         # named no file
+])
+def test_fit_bad_phasor_file_is_bad_input(tmp_path, capsys, name, content):
+    p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
+    path = _noisy_phasor_file(tmp_path / "p.csv", p, np.linspace(-8, 8, 41),
+                              np.random.default_rng(0))
+    (tmp_path / name).write_bytes(content)
+    assert run_cli("--out", str(tmp_path / "fit"), "fit", path) == EXIT_BAD_INPUT
+    assert f"{name}:" in capsys.readouterr().err
+
+
+def test_extract_bad_trace_sidecar_is_bad_input(tmp_path, capsys):
+    # was exit 4 (AttributeError while reading the local-oscillator background)
+    sim = tmp_path / "sim"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", BASE_CFG),
+                   "--out", str(sim), "simulate") == EXIT_OK
+    (sim / "trace_off.csv.meta.json").write_text('{"interferometer": 3}', encoding="utf-8")
+    code = run_cli("--out", str(tmp_path / "x"), "extract",
+                   str(sim / "trace_on.csv"), str(sim / "trace_off.csv"))
+    assert code == EXIT_BAD_INPUT
+    assert "trace_off.csv.meta.json:" in capsys.readouterr().err
 
 
 def test_bad_config_is_bad_input(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wgphase.emitter import EmitterParams, transmission
-from wgphase.extraction import (NoFringeError, WindowPhasor, estimate_path_length_fft,
+from wgphase.extraction import (NoFringeError, WindowFits, estimate_path_length_fft,
                                 extract_phasor_series, window_phasors)
 from wgphase.interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
                                     apply_shot_noise, fringe_trace)
@@ -75,12 +75,12 @@ def test_fft_nonuniform_grid_rejected():
 
 def test_self_comparison_is_identity():
     _, _, off = make_pair(delta_l=2.78, span=15.0, points=4501)
-    points = extract_phasor_series(off, off, delta_l=2.78)
-    assert len(points) > 30
-    for q in points:
-        assert q.phase_shift == pytest.approx(0.0, abs=1e-12)
-        assert q.amp_ratio == pytest.approx(1.0, abs=1e-12)
-        assert q.offset_ratio == pytest.approx(1.0, abs=1e-12)
+    series = extract_phasor_series(off, off, delta_l=2.78)
+    assert len(series) > 30
+    for shift, amp, offset in zip(series.phase_shift, series.amp_ratio, series.offset_ratio):
+        assert shift == pytest.approx(0.0, abs=1e-12)
+        assert amp == pytest.approx(1.0, abs=1e-12)
+        assert offset == pytest.approx(1.0, abs=1e-12)
 
 
 def test_far_detuned_phase_vanishes():
@@ -89,31 +89,29 @@ def test_far_detuned_phase_vanishes():
     # large enough to push it below the 1e-6 target)
     p = EMITTER.with_(f0=-1e7, phi0=0.0)
     _, on, off = make_pair(delta_l=2.78, span=15.0, points=4501, p=p)
-    for q in extract_phasor_series(on, off, delta_l=2.78):
-        assert abs(q.phase_shift) < 1e-6
-        assert q.amp_ratio == pytest.approx(1.0, abs=1e-6)
+    series = extract_phasor_series(on, off, delta_l=2.78)
+    for shift, amp in zip(series.phase_shift, series.amp_ratio):
+        assert abs(shift) < 1e-6
+        assert amp == pytest.approx(1.0, abs=1e-6)
 
 
 def test_noiseless_extraction_matches_model_pointwise():
     # window span (set by the fringe period at this path imbalance) keeps the
     # local-polynomial bias below 1e-6
     _, on, off = make_pair(delta_l=25.0, span=12.0, points=15001)
-    points = extract_phasor_series(on, off, delta_l=25.0)
-    freq = np.array([q.freq for q in points])
-    t, i_t = transmission(EMITTER, detuning_angular(freq, 0.0), 0.0)
+    series = extract_phasor_series(on, off, delta_l=25.0)
+    t, i_t = transmission(EMITTER, detuning_angular(series.freq, 0.0), 0.0)
     want_phase = wrap_angle(np.angle(t) + EMITTER.phi0)
-    got_phase = np.array([q.phase_shift for q in points])
-    np.testing.assert_allclose(got_phase, want_phase, atol=1e-6)
-    np.testing.assert_allclose([q.amp_ratio for q in points], np.abs(t), atol=1e-6)
-    np.testing.assert_allclose([q.offset_ratio for q in points], i_t, atol=5e-6)
+    np.testing.assert_allclose(series.phase_shift, want_phase, atol=1e-6)
+    np.testing.assert_allclose(series.amp_ratio, np.abs(t), atol=1e-6)
+    np.testing.assert_allclose(series.offset_ratio, i_t, atol=5e-6)
 
 
 def test_phase_shift_wrapped_range():
     # an ideal chiral emitter pushes the shift to +/- pi; outputs stay in (-pi, pi]
     p = EmitterParams.chiral(gamma=12.3, beta_dir=1.0, phi0=0.0)
     _, on, off = make_pair(delta_l=25.0, span=12.0, points=15001, p=p)
-    points = extract_phasor_series(on, off, delta_l=25.0)
-    shifts = np.array([q.phase_shift for q in points])
+    shifts = extract_phasor_series(on, off, delta_l=25.0).phase_shift
     assert np.all(shifts > -np.pi) and np.all(shifts <= np.pi)
     assert np.max(np.abs(shifts)) > 3.0
 
@@ -123,9 +121,10 @@ def test_env_phase_2pi_invariance():
     _, on_b, off_b = make_pair(phi_env=0.4 + TWO_PI)
     pa = extract_phasor_series(on_a, off_a, delta_l=25.0)
     pb = extract_phasor_series(on_b, off_b, delta_l=25.0)
-    for qa, qb in zip(pa, pb):
-        assert qa.phase_shift == pytest.approx(qb.phase_shift, abs=1e-9)
-        assert qa.amp_ratio == pytest.approx(qb.amp_ratio, abs=1e-9)
+    for a, b in zip(pa.phase_shift, pb.phase_shift):
+        assert a == pytest.approx(b, abs=1e-9)
+    for a, b in zip(pa.amp_ratio, pb.amp_ratio):
+        assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_constant_env_phase_shifts_window_phase():
@@ -136,8 +135,8 @@ def test_constant_env_phase_shifts_window_phase():
     _, on_b, _ = make_pair(phi_env=shift)
     wa = window_phasors(on_a, 25.0)
     wb = window_phasors(on_b, 25.0)
-    for a, b in zip(wa, wb):
-        assert wrap_angle(b.phase - a.phase) == pytest.approx(shift, abs=1e-7)
+    for a, b in zip(wa.phase, wb.phase):
+        assert wrap_angle(b - a) == pytest.approx(shift, abs=1e-7)
 
 
 def test_grid_mismatch_rejected():
@@ -156,12 +155,12 @@ def test_low_contrast_flagged_not_dropped():
     freq = np.linspace(-15, 15, 4501)
     on = fringe_trace(cfg, p, freq, qd_on=True)
     off = fringe_trace(cfg, p, freq, qd_on=False)
-    points = extract_phasor_series(apply_shot_noise(on, 1), apply_shot_noise(off, 2),
+    series = extract_phasor_series(apply_shot_noise(on, 1), apply_shot_noise(off, 2),
                                    delta_l=2.78)
-    flagged = [q for q in points if q.low_contrast]
-    assert flagged, "expected low-contrast windows near the extinction point"
-    assert all(abs(q.freq) < 1.5 for q in flagged)
-    assert len(points) == len(extract_phasor_series(on, off, delta_l=2.78))
+    flagged = series.freq[series.low_contrast]
+    assert flagged.size, "expected low-contrast windows near the extinction point"
+    assert all(abs(f) < 1.5 for f in flagged)
+    assert len(series) == len(extract_phasor_series(on, off, delta_l=2.78))
 
 
 def test_window_must_cover_one_period():
@@ -177,9 +176,10 @@ def test_extraction_with_estimated_path_length():
     auto = extract_phasor_series(on, off)
     known = extract_phasor_series(on, off, delta_l=2.78)
     assert len(auto) == len(known)
-    for a, k in zip(auto, known):
-        assert a.phase_shift == pytest.approx(k.phase_shift, abs=5e-4)
-        assert a.amp_ratio == pytest.approx(k.amp_ratio, abs=5e-4)
+    for a, k in zip(auto.phase_shift, known.phase_shift):
+        assert a == pytest.approx(k, abs=5e-4)
+    for a, k in zip(auto.amp_ratio, known.amp_ratio):
+        assert a == pytest.approx(k, abs=5e-4)
 
 
 def window_phasors_loop(trace, delta_l, window_periods=3.0, hop_periods=None,
@@ -203,10 +203,12 @@ def window_phasors_loop(trace, delta_l, window_periods=3.0, hop_periods=None,
         sl = slice(start, start + pts_per_window)
         out.append(_fit_window(freq[sl], counts[sl], theta[sl], poly_order, weight_beta))
         start += hop
-    return out
+    return WindowFits(*(np.array(column) for column in zip(*out)), n_points=pts_per_window)
 
 
-def _fit_window(freq, counts, theta, poly_order, weight_beta) -> WindowPhasor:
+def _fit_window(freq, counts, theta, poly_order, weight_beta) -> tuple:
+    """(freq, offset, amplitude, phase, var_offset, var_amplitude, var_phase)
+    of one window."""
     center = 0.5 * (freq[0] + freq[-1])
     u = freq - center
     u = u / max(np.max(np.abs(u)), 1e-30)
@@ -240,9 +242,8 @@ def _fit_window(freq, counts, theta, poly_order, weight_beta) -> WindowPhasor:
     else:
         var_amp = max(cpp, cqq)
         var_phase = np.inf
-    return WindowPhasor(freq=float(center), offset=float(a0), amplitude=amp, phase=phase,
-                        var_offset=float(var_a), var_amplitude=float(var_amp),
-                        var_phase=float(var_phase), n_points=n)
+    return (float(center), float(a0), amp, phase, float(var_a), float(var_amp),
+            float(var_phase))
 
 
 def test_shared_projector_matches_per_window_oracle():
@@ -274,16 +275,17 @@ def test_shared_projector_matches_per_window_oracle():
         floor = (1e-8 * np.max(trace.intensity)) ** 2
         label = (poly_order, hop, noisy, window, delta_l)
         assert len(got) == len(want) > 0, label
-        for a, b in zip(got, want):
-            assert a.freq == b.freq and a.n_points == b.n_points, label
-            assert abs(wrap_angle(a.phase - b.phase)) <= 1e-7, label
-            assert a.amplitude == pytest.approx(b.amplitude, rel=1e-7), label
-            assert a.offset == pytest.approx(b.offset, rel=1e-7), label
-            assert a.var_offset == pytest.approx(b.var_offset, rel=1e-5, abs=floor), label
-            assert a.var_amplitude == pytest.approx(b.var_amplitude, rel=1e-5,
-                                                    abs=floor), label
-            assert a.var_phase == pytest.approx(b.var_phase, rel=1e-5,
-                                                abs=floor / b.amplitude**2), label
+        for j in range(len(want)):
+            assert got.freq[j] == want.freq[j] and got.n_points == want.n_points, label
+            assert abs(wrap_angle(got.phase[j] - want.phase[j])) <= 1e-7, label
+            assert got.amplitude[j] == pytest.approx(want.amplitude[j], rel=1e-7), label
+            assert got.offset[j] == pytest.approx(want.offset[j], rel=1e-7), label
+            assert got.var_offset[j] == pytest.approx(want.var_offset[j], rel=1e-5,
+                                                      abs=floor), label
+            assert got.var_amplitude[j] == pytest.approx(want.var_amplitude[j], rel=1e-5,
+                                                         abs=floor), label
+            assert got.var_phase[j] == pytest.approx(want.var_phase[j], rel=1e-5,
+                                                     abs=floor / want.amplitude[j]**2), label
 
 
 @pytest.mark.parametrize("kwargs, field", [

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgphase.config import ConfigError, RunConfig, load_config
 from wgphase.emitter import EmitterParams
-from wgphase.extraction import PhasorPoint
-from wgphase.interferometer import ConstantPhase, InterferometerConfig, fringe_trace
-from wgphase.io import (ResultBundle, TraceParseError, parse_phasors_csv, parse_trace_csv,
-                        write_phasors_csv, write_trace_csv)
+from wgphase.extraction import PhasorSeries
+from wgphase.interferometer import ConstantPhase, FringeTrace, InterferometerConfig, fringe_trace
+from wgphase.io import (SCHEMA_VERSION, ResultBundle, TraceParseError, parse_phasors_csv,
+                        parse_trace_csv, write_phasors_csv, write_trace_csv)
 
 
 @pytest.fixture
@@ -60,16 +63,52 @@ def test_trace_parse_rejects_locale_commas(tmp_path):
 
 
 def test_phasor_roundtrip(tmp_path):
-    points = [PhasorPoint(freq=0.1 * i, phase_shift=-0.2 + 0.01 * i, amp_ratio=0.9,
-                          offset_ratio=0.8, phase_err=0.01, amp_err=0.02, offset_err=0.03,
-                          low_contrast=(i == 2)) for i in range(5)]
-    path = write_phasors_csv(points, tmp_path / "p.csv", meta={"power": 2.5})
+    i = np.arange(5)
+    series = PhasorSeries(freq=0.1 * i, phase_shift=-0.2 + 0.01 * i, amp_ratio=np.full(5, 0.9),
+                          offset_ratio=np.full(5, 0.8), phase_err=np.full(5, 0.01),
+                          amp_err=np.full(5, 0.02), offset_err=np.full(5, 0.03),
+                          low_contrast=(i == 2))
+    path = write_phasors_csv(series, tmp_path / "p.csv", meta={"power": 2.5})
     back = parse_phasors_csv(path)
     assert len(back) == 5
-    for a, b in zip(points, back):
-        assert a.freq == b.freq
-        assert a.phase_shift == b.phase_shift
-        assert a.low_contrast == b.low_contrast
+    for j in range(5):
+        assert series.freq[j] == back.freq[j]
+        assert series.phase_shift[j] == back.phase_shift[j]
+        assert series.low_contrast[j] == back.low_contrast[j]
+
+
+# the text format carries one NaN, so the values drawn use the canonical one
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ANY_VALUE = st.floats(allow_nan=False) | st.just(math.nan)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.tuples(_FINITE, st.floats(min_value=0.0, allow_infinity=False)),
+                     min_size=1, unique_by=lambda row: row[0]))
+def test_trace_csv_roundtrip_property(tmp_path_factory, rows):
+    freq, counts = zip(*sorted(rows))
+    trace = FringeTrace(freq=np.array(freq), intensity=np.array(counts), meta={"run": 1})
+    back = parse_trace_csv(write_trace_csv(trace, tmp_path_factory.mktemp("t") / "t.csv"))
+    assert _bits(back.freq) == _bits(freq)
+    assert _bits(back.intensity) == _bits(counts)
+    assert back.meta == {"schema": SCHEMA_VERSION, "run": 1}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.tuples(_FINITE, *[_ANY_VALUE] * 6, st.booleans()),
+                     min_size=1, unique_by=lambda row: row[0]))
+def test_phasor_csv_roundtrip_property(tmp_path_factory, rows):
+    columns = list(zip(*sorted(rows)))
+    series = PhasorSeries(*map(np.array, columns[:7]), low_contrast=np.array(columns[7]))
+    back = parse_phasors_csv(write_phasors_csv(series, tmp_path_factory.mktemp("p") / "p.csv"))
+    for name in ("freq", "phase_shift", "amp_ratio", "offset_ratio", "phase_err", "amp_err",
+                 "offset_err"):
+        assert _bits(getattr(back, name)) == _bits(getattr(series, name)), name
+    np.testing.assert_array_equal(back.low_contrast, series.low_contrast)
 
 
 def test_bundle_manifest_hashes(tmp_path):

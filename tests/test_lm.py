@@ -85,6 +85,22 @@ def test_bounds_are_respected():
     assert res.params[0] == pytest.approx(2.0)
 
 
+def test_clipped_steps_evaluate_each_point_once():
+    # the first steps run into the bound on p[0] and are re-solved for p[1];
+    # the residual of every trial point is computed once and reused
+    x = np.linspace(0, 1, 20)
+    y = 5.0 * x + 1.0
+    seen = []
+
+    def residual(p):
+        seen.append(tuple(p))
+        return p[0] * x + p[1] - y
+
+    res = lm_minimize(residual, [0.0, 0.0], bounds=([None, None], [2.0, None]))
+    assert res.params[0] == pytest.approx(2.0)
+    assert len(seen) == len(set(seen))
+
+
 def test_init_outside_bounds_rejected():
     with pytest.raises(ValueError):
         lm_minimize(lambda p: p, [5.0], bounds=([0.0], [1.0]))

@@ -284,10 +284,12 @@ def test_amplitude_channel_fit_constrains_coupling_linewidth_product():
 
 
 def test_from_phasors_amplitude_variant_and_window():
-    from wgphase.extraction import PhasorPoint
+    from wgphase.extraction import PhasorSeries
 
-    pts = [PhasorPoint(freq=float(i), phase_shift=0.1, amp_ratio=0.9, offset_ratio=0.8,
-                       phase_err=0.01, amp_err=0.02, offset_err=0.03) for i in range(10)]
+    pts = PhasorSeries(freq=np.arange(10.0), phase_shift=np.full(10, 0.1),
+                       amp_ratio=np.full(10, 0.9), offset_ratio=np.full(10, 0.8),
+                       phase_err=np.full(10, 0.01), amp_err=np.full(10, 0.02),
+                       offset_err=np.full(10, 0.03), low_contrast=np.zeros(10, dtype=bool))
     ds = SpectrumDataset.from_phasors(pts, dipole=2, intensity_from="amplitude",
                                       freq_window=(2.0, 8.0))
     kinds = sorted(ch.kind for ch in ds.channels)
