@@ -3,7 +3,6 @@ photonic waveguides: steady-state transmission of a driven two-level emitter
 (isotropic and chiral coupling), Mach-Zehnder fringe synthesis, and recovery
 of emitter parameters from fringe data."""
 
-from .bloch import BlochConvergenceError, bloch_oracle_integrate, integrate_steady_states
 from .emitter import (BlochSteadyState, ChiralThresholds, DriveState, EmitterParams,
                       NumericExtremum, PhaseExtremum, chiral_thresholds, critical_photon_flux,
                       phase_extrema_analytic, phase_extrema_numeric, steady_state_bloch,
@@ -22,14 +21,13 @@ from .spectra import (SpectrumChannel, SpectrumDataset, channel_model,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochConvergenceError", "BlochSteadyState", "ChiralThresholds", "ConstantPhase",
-    "DriveState", "EmitterParams", "FitResult", "FringeTrace", "InterferometerConfig",
-    "LockedDriftPhase", "NoFringeError", "NumericExtremum", "PhaseExtremum", "PhasorSeries",
-    "RandomWalkPhase", "SinusoidPhase", "SpectrumChannel", "SpectrumDataset",
-    "UnstableLoopError", "WindowFits", "apply_shot_noise", "bloch_oracle_integrate",
-    "channel_model", "chiral_thresholds", "critical_photon_flux", "estimate_path_length_fft",
-    "expected_rate", "extract_phasor_series", "fit_saturation_series",
-    "fit_two_dipole_spectra", "fringe_trace", "initial_guess", "integrate_steady_states",
+    "BlochSteadyState", "ChiralThresholds", "ConstantPhase", "DriveState", "EmitterParams",
+    "FitResult", "FringeTrace", "InterferometerConfig", "LockedDriftPhase", "NoFringeError",
+    "NumericExtremum", "PhaseExtremum", "PhasorSeries", "RandomWalkPhase", "SinusoidPhase",
+    "SpectrumChannel", "SpectrumDataset", "UnstableLoopError", "WindowFits",
+    "apply_shot_noise", "channel_model", "chiral_thresholds", "critical_photon_flux",
+    "estimate_path_length_fft", "expected_rate", "extract_phasor_series",
+    "fit_saturation_series", "fit_two_dipole_spectra", "fringe_trace", "initial_guess",
     "lm_minimize", "lock_loop_residual", "phase_extrema_analytic", "phase_extrema_numeric",
     "predict_phase_vs_power", "steady_state_bloch", "transmission",
     "two_dipole_channel_models", "window_phasors",

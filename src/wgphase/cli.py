@@ -21,7 +21,6 @@ import traceback
 import numpy as np
 
 from . import emitter, spectra
-from .bloch import BlochConvergenceError
 from .config import ConfigError, RunConfig, load_config
 from .extraction import NoFringeError, estimate_path_length_fft, extract_phasor_series
 from .interferometer import UnstableLoopError, apply_shot_noise, fringe_trace
@@ -127,10 +126,9 @@ def _check_converged(result: FitResult):
         raise FitNonConvergence(result.message)
 
 
-def _write_fit_outputs(bundle: ResultBundle, cfg: RunConfig, data, result: FitResult,
-                       extra: dict | None = None):
+def _write_fit_outputs(bundle: ResultBundle, cfg: RunConfig, data, result: FitResult):
     bundle.write_json("config.json", cfg.resolved())
-    bundle.write_text("fit.json", fit_result_json(result, extra=extra))
+    bundle.write_text("fit.json", fit_result_json(result))
     channels = data.channels
     sizes = [ch.freq.size for ch in channels]
     kind_codes = {"phase": 0, "intensity": 1, "amplitude": 2}
@@ -262,13 +260,13 @@ def main(argv=None) -> int:
             cmd_predict_chiral(cfg, args.out)
         else:  # pragma: no cover - argparse enforces the choices
             return EXIT_INTERNAL
-    except (ConfigError, TraceParseError, NoFringeError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, TraceParseError, NoFringeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except UnstableLoopError as exc:
         print(f"error: interferometer.env_phase: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (FitNonConvergence, BlochConvergenceError) as exc:
+    except FitNonConvergence as exc:
         print(f"fit did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except Exception:  # pragma: no cover - defensive

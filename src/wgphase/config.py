@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -23,6 +24,7 @@ import numpy as np
 from .emitter import EmitterParams
 from .interferometer import (ConstantPhase, InterferometerConfig, LockedDriftPhase,
                              RandomWalkPhase, SinusoidPhase)
+from .units import is_number
 
 
 class ConfigError(ValueError):
@@ -152,6 +154,24 @@ class FitBlock:
     bounds: dict = field(default_factory=dict)
     dipole_windows_ghz: dict = field(default_factory=dict)  # {"1": [lo, hi], ...}
     powers: list = field(default_factory=list)              # saturation override
+
+    def __post_init__(self):
+        # the subcommand picks the fit; ``model`` only has to name one
+        if self.model not in ("two_dipole", "saturation"):
+            raise ConfigError(f"fit.model: must be 'two_dipole' or 'saturation', "
+                              f"got {self.model!r}")
+        if self.max_iter < 1:
+            raise ConfigError(f"fit.max_iter: must be >= 1, got {self.max_iter}")
+        for i, power in enumerate(self.powers):
+            if not is_number(power):
+                raise ConfigError(f"fit.powers[{i}]: must be a finite number, got {power!r}")
+        for key, window in self.dipole_windows_ghz.items():
+            if not (re.fullmatch("[1-9][0-9]*", key) and isinstance(window, list)
+                    and len(window) == 2 and all(map(is_number, window))
+                    and window[0] < window[1]):
+                raise ConfigError(f"fit.dipole_windows_ghz.{key}: must map a dipole index "
+                                  f"(1, 2, ...) to a [lo, hi] pair of finite numbers with "
+                                  f"lo < hi, got {window!r}")
 
 
 @dataclass

@@ -255,13 +255,12 @@ def extract_phasor_series(on: FringeTrace, off: FringeTrace,
                           delta_l: Optional[float] = None,
                           hop_periods: Optional[float] = None,
                           poly_order: int = DEFAULT_POLY_ORDER,
-                          weight_beta: float = DEFAULT_WEIGHT_BETA,
-                          p_lo_counts: Optional[float] = None) -> PhasorSeries:
+                          weight_beta: float = DEFAULT_WEIGHT_BETA) -> PhasorSeries:
     """Windowed on/off comparison of a fringe pair.
 
-    ``delta_l`` defaults to the FFT estimate from the off trace, and the
-    local-oscillator background ``p_lo_counts`` to the value recorded in the
-    off-trace metadata.  Windows whose fringe amplitude falls below 5x its
+    ``delta_l`` defaults to the FFT estimate from the off trace; the
+    local-oscillator background is the one recorded in the off-trace
+    metadata.  Windows whose fringe amplitude falls below 5x its
     own fitted uncertainty are flagged low-contrast but never dropped.
     """
     if on.freq.shape != off.freq.shape or not np.array_equal(on.freq, off.freq):
@@ -272,16 +271,15 @@ def extract_phasor_series(on: FringeTrace, off: FringeTrace,
         )
     if delta_l is None:
         delta_l = estimate_path_length_fft(off)
-    if p_lo_counts is None:
-        p_lo_counts = _background_counts(off)
+    background = _background_counts(off)
 
     won = window_phasors(on, delta_l, window_periods, hop_periods, poly_order, weight_beta)
     woff = window_phasors(off, delta_l, window_periods, hop_periods, poly_order, weight_beta)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         amp_ratio = np.where(woff.amplitude > 0, won.amplitude / woff.amplitude, np.inf)
-        off_on = won.offset - p_lo_counts
-        off_off = woff.offset - p_lo_counts
+        off_on = won.offset - background
+        off_off = woff.offset - background
         offset_ratio = np.where(off_off != 0, off_on / off_off, np.inf)
         amp_err = _ratio_err(won.amplitude, won.var_amplitude,
                              woff.amplitude, woff.var_amplitude)
@@ -304,6 +302,6 @@ def _background_counts(off: FringeTrace) -> float:
     interf = (off.meta or {}).get("interferometer", {})
     p_lo, t_int = interf.get("p_lo_cps"), interf.get("integration_time_s")
     if p_lo is None or t_int is None:
-        raise ValueError("trace metadata lacks p_lo/integration time; pass p_lo_counts")
+        raise ValueError("trace metadata lacks p_lo/integration time")
     return float(p_lo) * float(t_int)
 

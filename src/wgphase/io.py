@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 from typing import List
 
@@ -26,6 +25,7 @@ import numpy as np
 from .extraction import PhasorSeries
 from .interferometer import FringeTrace
 from .lm import FitResult
+from .units import is_number
 
 SCHEMA_VERSION = "wgphase/1"
 TRACE_HEADER = "freq_ghz,counts"
@@ -92,11 +92,6 @@ def _read_sidecar(path: Path) -> dict:
     return meta
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number (a bool is not a number)."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def write_trace_csv(trace: FringeTrace, path) -> Path:
     return _write_csv(Path(path), TRACE_HEADER, [trace.freq, trace.intensity], trace.meta or {})
 
@@ -114,7 +109,7 @@ def parse_trace_csv(path) -> FringeTrace:
                               f"({float(freq[i])!r} after {float(freq[i - 1])!r})")
     meta = _read_sidecar(path)
     interf = meta.get("interferometer", {})
-    if not (isinstance(interf, dict) and all(interf.get(key) is None or _is_number(interf[key])
+    if not (isinstance(interf, dict) and all(interf.get(key) is None or is_number(interf[key])
                                              for key in ("p_lo_cps", "integration_time_s"))):
         raise TraceParseError(f"{_sidecar_path(path)}: interferometer must be an object "
                               f"whose p_lo_cps and integration_time_s are numbers")
@@ -141,8 +136,8 @@ def phasor_file_meta(path) -> dict:
     path = Path(path)
     meta = _read_sidecar(path)
     low, power = meta.get("low_contrast_freqs", []), meta.get("power")
-    if not (isinstance(low, list) and all(map(_is_number, low))
-            and (power is None or _is_number(power))):
+    if not (isinstance(low, list) and all(map(is_number, low))
+            and (power is None or is_number(power))):
         raise TraceParseError(f"{_sidecar_path(path)}: low_contrast_freqs must be a list "
                               f"of numbers and power a number")
     return meta

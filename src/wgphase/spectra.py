@@ -29,7 +29,7 @@ from . import emitter
 from .emitter import EmitterParams, transmission
 from .extraction import PhasorSeries
 from .lm import FitResult, lm_minimize
-from .units import TWO_PI, detuning_angular, wrap_angle
+from .units import TWO_PI, detuning_angular, is_number, wrap_angle
 
 PHASE = "phase"
 INTENSITY = "intensity"
@@ -133,15 +133,18 @@ def two_dipole_channel_models(data: SpectrumDataset, x, combine: str = "isolated
     if combine not in ("isolated", "product"):
         raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
     dipoles = data.dipoles()
-    params = {}
-    for i, d in enumerate(dipoles):
-        b, g, f0 = x[3 * i: 3 * i + 3]
-        params[d] = EmitterParams.isotropic(
-            gamma=max(g, 1e-9), beta=float(np.clip(b, 0, 1)), gamma_dp=max(x[-2], 0.0),
-            f0=f0, phi0=x[-1])
+    params = {d: _clipped_emitter(*x[3 * i: 3 * i + 3], x[-2], x[-1])
+              for i, d in enumerate(dipoles)}
     if combine == "product" and len(dipoles) == 2:
         return [channel_model(ch, list(params.values())) for ch in data.channels]
     return [channel_model(ch, params[ch.dipole]) for ch in data.channels]
+
+
+def _clipped_emitter(beta, gamma, f0, gamma_dp, phi0) -> EmitterParams:
+    """The isotropic emitter at a fit's parameter values, beta clipped to
+    [0, 1] and the rates to their physical range."""
+    return EmitterParams.isotropic(gamma=max(gamma, 1e-9), beta=float(np.clip(beta, 0, 1)),
+                                   gamma_dp=max(gamma_dp, 0.0), f0=f0, phi0=phi0)
 
 
 def _weights(ch: SpectrumChannel) -> np.ndarray:
@@ -218,13 +221,56 @@ def _find_channel(dataset: SpectrumDataset, kind: str, dipole: int):
     return None
 
 
+def _start(defaults: dict, init: Optional[dict], aliases: dict) -> dict:
+    """``defaults`` updated from ``init`` by key; an ``aliases`` key sets the
+    keys it lists, except those ``init`` also sets by name.  ValueError
+    naming ``fit.init.<key>`` for an unknown key or a non-finite value."""
+    start = dict(defaults)
+    # alias keys first, so that a key given by name wins
+    for key, value in sorted((init or {}).items(), key=lambda item: item[0] in defaults):
+        if key not in defaults and key not in aliases:
+            raise ValueError(f"fit.init.{key}: not a parameter of this fit, which takes "
+                             f"{', '.join([*defaults, *aliases])}")
+        if not is_number(value):
+            raise ValueError(f"fit.init.{key}: must be a finite number, got {value!r}")
+        start.update(dict.fromkeys(aliases.get(key, [key]), value))
+    return start
+
+
+def _fit(channels, models, names, start, lo, hi, bounds, max_iter) -> FitResult:
+    """Weighted least-squares fit of ``channels`` to ``models(x)``, one model
+    array per channel.  ``bounds`` replaces the box ``lo``, ``hi`` (None:
+    open) of a parameter of ``names`` in place, and ``start`` is projected
+    into the box.  ValueError naming ``fit.bounds.<key>`` for an unknown key
+    or a value that is not a [lo, hi] pair of numbers or nulls with lo <= hi."""
+    for key, pair in (bounds or {}).items():
+        if key not in names:
+            raise ValueError(f"fit.bounds.{key}: not a parameter of this fit, which takes "
+                             f"{', '.join(names)}")
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(b is None or is_number(b) for b in pair)
+                and (None in pair or pair[0] <= pair[1])):
+            raise ValueError(f"fit.bounds.{key}: must be a [lo, hi] pair of numbers or nulls "
+                             f"with lo <= hi, got {pair!r}")
+        lo[names.index(key)], hi[names.index(key)] = pair
+    x0 = [min(max(v, l if l is not None else -np.inf), h if h is not None else np.inf)
+          for v, l, h in zip(start, lo, hi)]
+
+    def residual(x):
+        return np.concatenate([_residual_block(ch, m) for ch, m in zip(channels, models(x))])
+
+    return lm_minimize(residual, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
+
+
 def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
                            bounds: Optional[dict] = None, combine: str = "isolated",
                            max_iter: int = 500) -> FitResult:
     """Joint weighted fit of phase and intensity spectra of up to two dipoles.
 
     Free parameters are (beta_i, gamma_i, f0_i) per present dipole plus the
-    shared gamma_dp and phi0.  With channels for a single dipole present the
+    shared gamma_dp and phi0, named beta1, gamma1, f01, ..., gamma_dp, phi0
+    in ``init`` and ``bounds``; ``init`` may also set beta, gamma or f0 of
+    every dipole at once.  With channels for a single dipole present the
     fit reduces to a single-resonance fit.  Returns ``converged=False``
     with a flat-direction diagnostic for non-identifiable inputs.
     """
@@ -232,35 +278,17 @@ def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
     if not dipoles:
         raise ValueError("dataset has no channels")
 
-    names, x0, lo, hi = [], [], [], []
-    for d in dipoles:
-        guess = initial_guess(data, d)
-        if init:
-            for key in ("beta", "gamma", "f0"):
-                guess[key] = init.get(f"{key}{d}", init.get(key, guess[key]))
-        names += [f"beta{d}", f"gamma{d}", f"f0{d}"]
-        x0 += [guess["beta"], guess["gamma"], guess["f0"]]
-        lo += [0.0, 1e-6, guess["f0"] - 50.0]
-        hi += [1.0, None, guess["f0"] + 50.0]
-    shared = initial_guess(data, dipoles[0])
-    gamma_dp0 = init.get("gamma_dp", shared["gamma_dp"]) if init else shared["gamma_dp"]
-    phi00 = init.get("phi0", shared["phi0"]) if init else shared["phi0"]
-    names += ["gamma_dp", "phi0"]
-    x0 += [gamma_dp0, phi00]
-    lo += [0.0, -np.pi]
-    hi += [None, np.pi]
-    if bounds:
-        for i, name in enumerate(names):
-            if name in bounds:
-                lo[i], hi[i] = bounds[name]
-    x0 = [min(max(v, l if l is not None else -np.inf), h if h is not None else np.inf)
-          for v, l, h in zip(x0, lo, hi)]
-
-    def residual(x):
-        models = two_dipole_channel_models(data, x, combine)
-        return np.concatenate([_residual_block(ch, m) for ch, m in zip(data.channels, models)])
-
-    result = lm_minimize(residual, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
+    guesses = {d: initial_guess(data, d) for d in dipoles}
+    defaults = {f"{key}{d}": guesses[d][key] for d in dipoles for key in ("beta", "gamma", "f0")}
+    defaults.update((key, guesses[dipoles[0]][key]) for key in ("gamma_dp", "phi0"))
+    start = _start(defaults, init, {key: [f"{key}{d}" for d in dipoles]
+                                    for key in ("beta", "gamma", "f0")})
+    f0s = [start[f"f0{d}"] for d in dipoles]
+    lo = [b for f0 in f0s for b in (0.0, 1e-6, f0 - 50.0)] + [0.0, -np.pi]
+    hi = [b for f0 in f0s for b in (1.0, None, f0 + 50.0)] + [None, np.pi]
+    names = list(defaults)
+    result = _fit(data.channels, lambda x: two_dipole_channel_models(data, x, combine), names,
+                  [start[n] for n in names], lo, hi, bounds, max_iter)
     if result.flat_directions:
         result.converged = False
         result.message += "; non-identifiable: flat directions " + ", ".join(result.flat_directions)
@@ -272,8 +300,9 @@ def fit_saturation_series(datasets: Sequence[SpectrumDataset], init: Optional[di
     """Global fit of spectra taken at several drive powers.
 
     Parameters (beta, gamma, gamma_dp, phi0, k) are shared across datasets;
-    dataset j is driven at omega_r = sqrt(k * P_j).  Needs >= 3 power
-    levels, otherwise k is not identifiable.
+    dataset j is driven at omega_r = sqrt(k * P_j).  ``init`` may also set
+    the resonance f0, which the fit holds fixed.  Needs >= 3 power levels,
+    otherwise k is not identifiable.
     """
     datasets = list(datasets)
     powers = [ds.power for ds in datasets]
@@ -286,34 +315,20 @@ def fit_saturation_series(datasets: Sequence[SpectrumDataset], init: Optional[di
 
     lowest = min(range(len(datasets)), key=lambda i: powers[i])
     guess = initial_guess(datasets[lowest], datasets[lowest].dipoles()[0])
-    if init:
-        guess.update({k: v for k, v in init.items() if k in guess})
-    k0 = init.get("k", 0.0) if init else 0.0
+    start = _start({**guess, "k": 0.0}, init, {})
     names = ["beta", "gamma", "gamma_dp", "phi0", "k"]
-    x0 = [guess["beta"], guess["gamma"], guess["gamma_dp"], guess["phi0"], k0]
-    f0 = guess["f0"] if not init or "f0" not in init else init["f0"]
     lo = [0.0, 1e-6, 0.0, -np.pi, 0.0]
-    hi = [1.0, None, None, np.pi, None]
-    if bounds:
-        for i, name in enumerate(names):
-            if name in bounds:
-                lo[i], hi[i] = bounds[name]
-    x0 = [min(max(v, l if l is not None else -np.inf), h if h is not None else np.inf)
-          for v, l, h in zip(x0, lo, hi)]
 
-    def residual(x):
+    def models(x):
         beta, gamma, gamma_dp, phi0, k = x
-        p = EmitterParams.isotropic(gamma=max(gamma, 1e-9), beta=float(np.clip(beta, 0, 1)),
-                                    gamma_dp=max(gamma_dp, 0.0), f0=f0, phi0=phi0)
-        blocks = []
-        for ds in datasets:
-            omega = float(np.sqrt(max(k, 0.0) * ds.power))
-            for ch in ds.channels:
-                blocks.append(_residual_block(ch, channel_model(ch, p, omega)))
-        return np.concatenate(blocks)
+        p = _clipped_emitter(beta, gamma, start["f0"], gamma_dp, phi0)
+        return [channel_model(ch, p, float(np.sqrt(max(k, 0.0) * ds.power)))
+                for ds in datasets for ch in ds.channels]
 
-    result = lm_minimize(residual, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
-    if result["k"] <= lo[4] + 1e-12:
+    result = _fit([ch for ds in datasets for ch in ds.channels], models, names,
+                  [start[n] for n in names], lo, [1.0, None, None, np.pi, None], bounds,
+                  max_iter)
+    if lo[4] is not None and result["k"] <= lo[4] + 1e-12:
         result.message += "; k pinned at lower bound (series shows no saturation)"
         if "k" not in result.flat_directions:
             result.flat_directions.append("k")

@@ -6,6 +6,9 @@ frequencies in GHz (1 GHz = 2*pi rad/ns), interferometer path lengths are in
 meters, photon rates in counts/s.
 """
 
+import sys
+from numbers import Real
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -14,9 +17,10 @@ TWO_PI = 2.0 * np.pi
 C_M_PER_S = 299_792_458.0
 
 
-def ghz_to_angular(f_ghz):
-    """Plain frequency in GHz to angular frequency in rad/ns."""
-    return TWO_PI * np.asarray(f_ghz, dtype=float)
+def is_number(value) -> bool:
+    """A finite real number (a bool is not a number)."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def detuning_angular(freq_ghz, f0_ghz):

@@ -1,4 +1,4 @@
-"""Time-domain integration of the optical Bloch equations.
+"""Test oracles: time-domain integration of the optical Bloch equations.
 
 Independent cross-check for the closed-form steady state in
 :mod:`wgphase.emitter`: the rotating-frame master equation with decay
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .emitter import BlochSteadyState, DriveState, EmitterParams
+from wgphase.emitter import BlochSteadyState, DriveState, EmitterParams
 
 _REL_CHANGE_TOL = 1e-12
 _CHECK_EVERY = 16

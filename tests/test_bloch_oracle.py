@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import BlochConvergenceError, bloch_oracle_integrate, integrate_steady_states
 
-from wgphase.bloch import BlochConvergenceError, bloch_oracle_integrate, integrate_steady_states
 from wgphase.emitter import DriveState, EmitterParams, steady_state_bloch
 
 

@@ -309,11 +309,8 @@ def test_fit_nonconvergence_exit_code(tmp_path):
     assert (tmp_path / "fit" / "fit.json").exists()
 
 
-def test_fit_saturation_summary_includes_k_and_flux(tmp_path):
-    from wgphase.emitter import EmitterParams, transmission
-    from wgphase.io import write_phasors_csv
-    from wgphase.units import detuning_angular
-
+def _saturation_files(tmp_path):
+    """Noiseless phasor files at five drive powers (k = 1), the power in each sidecar."""
     truth = EmitterParams.isotropic(gamma=12.6, gamma_dp=3.4, beta=0.99, phi0=-0.26)
     om_sat2 = truth.gamma * truth.gamma2 / 4.0
     files = []
@@ -329,6 +326,11 @@ def test_fit_saturation_summary_includes_k_and_flux(tmp_path):
         path = tmp_path / f"phasors_{i}.csv"
         write_phasors_csv(series, path, meta={"power": power})
         files.append(str(path))
+    return files
+
+
+def test_fit_saturation_summary_includes_k_and_flux(tmp_path):
+    files = _saturation_files(tmp_path)
     out = tmp_path / "sat"
     assert run_cli("--out", str(out), "fit-saturation", *files) == EXIT_OK
     payload = read_json(out / "fit.json")
@@ -338,8 +340,6 @@ def test_fit_saturation_summary_includes_k_and_flux(tmp_path):
 
 
 def test_fit_saturation_requires_powers(tmp_path):
-    from wgphase.io import write_phasors_csv
-
     ones, errs = np.ones(6), np.full(6, 0.01)
     series = PhasorSeries(freq=np.arange(6.0), phase_shift=np.zeros(6), amp_ratio=ones,
                           offset_ratio=ones, phase_err=errs, amp_err=errs, offset_err=errs,
@@ -443,6 +443,76 @@ def test_extract_bad_trace_sidecar_is_bad_input(tmp_path, capsys):
                    str(sim / "trace_on.csv"), str(sim / "trace_off.csv"))
     assert code == EXIT_BAD_INPUT
     assert "trace_off.csv.meta.json:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, fit, named", [
+    ("fit", {"init": {"beta": "a"}}, "fit.init.beta"),                 # was exit 4 (TypeError)
+    ("fit", {"init": {"gamma": None}}, "fit.init.gamma"),              # was exit 4 (TypeError)
+    ("fit", {"init": {"beta1": np.nan}}, "fit.init.beta1"),            # named no field
+    ("fit", {"init": {"nonsense": 1}}, "fit.init.nonsense"),           # was ignored, exit 0
+    ("fit", {"init": {"k": 1.0}}, "fit.init.k"),                       # was ignored, exit 0
+    ("fit", {"bounds": {"beta1": "xy"}}, "fit.bounds.beta1"),          # was exit 4 (TypeError)
+    ("fit", {"bounds": {"beta1": [2, 1]}}, "fit.bounds.beta1"),        # named no field
+    ("fit", {"bounds": {"gamma1": [0, None, 3]}}, "fit.bounds.gamma1"),  # was exit 4
+    ("fit", {"bounds": {"beta": [2, 1]}}, "fit.bounds.beta"),          # was ignored, exit 0
+    ("fit-saturation", {"bounds": {"f0": [-1, 1]}}, "fit.bounds.f0"),  # was ignored, exit 0
+    ("fit-saturation", {"init": {"beta1": 0.5}}, "fit.init.beta1"),    # was ignored, exit 0
+    ("fit", {"powers": [[1], [2], [3]]}, "fit.powers[0]"),             # was exit 4 (TypeError)
+    ("fit-saturation", {"powers": ["a"]}, "fit.powers[0]"),            # named no field
+    ("fit-saturation", {"powers": [1.0, np.inf, 3.0]}, "fit.powers[1]"),
+    ("fit", {"dipole_windows_ghz": {"1": ["a", "b"]}}, "fit.dipole_windows_ghz.1"),  # was exit 4
+    ("fit", {"dipole_windows_ghz": {"1": [1]}}, "fit.dipole_windows_ghz.1"),  # named no field
+    ("fit", {"dipole_windows_ghz": {"1": [2, -2]}}, "fit.dipole_windows_ghz.1"),
+    ("fit", {"dipole_windows_ghz": {"1": [-2, np.nan]}}, "fit.dipole_windows_ghz.1"),
+    ("fit", {"dipole_windows_ghz": {"x": [-2, 2]}}, "fit.dipole_windows_ghz.x"),  # was ignored
+    ("fit", {"max_iter": -3}, "fit.max_iter"),                         # was exit 3
+    ("fit", {"max_iter": 0}, "fit.max_iter"),                          # was exit 3
+    ("fit", {"model": "banana"}, "fit.model"),                         # was ignored, exit 0
+])
+def test_bad_fit_block_is_bad_input(tmp_path, capsys, command, fit, named):
+    if command == "fit":
+        p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
+        files = [_noisy_phasor_file(tmp_path / "p.csv", p, np.linspace(-8, 8, 41),
+                                    np.random.default_rng(0))]
+    else:
+        files = _saturation_files(tmp_path)
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", {"fit": fit}), "--out", str(out),
+                   command, *files) == EXIT_BAD_INPUT
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_init_shorthand_held_f0_and_open_bounds_are_valid(tmp_path):
+    # the shorthand init sets every dipole, the saturation fit holds init.f0,
+    # either fit.model is accepted by either subcommand, and a null lower
+    # bound on k was exit 4 (TypeError)
+    p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
+    path = _noisy_phasor_file(tmp_path / "p.csv", p, np.linspace(-8, 8, 41),
+                              np.random.default_rng(0))
+    cfg = {"fit": {"model": "saturation", "init": {"beta": 0.9, "gamma": 11.0, "f0": 0.1},
+                   "bounds": {"gamma1": [1, None]}}}
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", cfg), "--out",
+                   str(tmp_path / "fit"), "fit", path) == EXIT_OK
+    cfg = {"fit": {"model": "two_dipole", "init": {"f0": 0.0}, "bounds": {"k": [None, 100]}}}
+    assert run_cli("--config", write_cfg(tmp_path, "s.json", cfg), "--out",
+                   str(tmp_path / "sat"), "fit-saturation", *_saturation_files(tmp_path)) == EXIT_OK
+    assert read_json(tmp_path / "sat" / "fit.json")["params"]["k"]["value"] == pytest.approx(
+        1.0, rel=0.05)
+
+
+@pytest.mark.parametrize("args", [
+    ("fit", "{dir}"), ("pathlength", "{dir}"), ("extract", "{dir}", "{dir}"),
+    ("--config", "{dir}", "simulate"),
+    ("--out", "{dir}/file", "predict-chiral"),   # was exit 4 (FileExistsError)
+])
+def test_unusable_path_is_bad_input(tmp_path, capsys, args):
+    # was exit 4 (IsADirectoryError); an unreadable file takes the same path
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), *(a.format(dir=tmp_path) for a in args)) == EXIT_BAD_INPUT
+    assert str(tmp_path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_is_bad_input(tmp_path, capsys):

@@ -1,0 +1,33 @@
+"""The package ships only the pipeline; its test oracles live in ``tests/``."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import wgphase
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in wgphase.__all__ if not hasattr(wgphase, name)]
+    assert missing == []
+
+
+def test_bloch_oracle_is_not_shipped():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("wgphase.bloch")
+
+
+def test_oracles_import_only_state_types_from_wgphase():
+    # the oracle stays independent of the closed forms it checks
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "wgphase" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wgphase":
+            imported |= {alias.name for alias in node.names}
+    assert imported == {"EmitterParams", "DriveState", "BlochSteadyState"}
