@@ -3,10 +3,9 @@ photonic waveguides: steady-state transmission of a driven two-level emitter
 (isotropic and chiral coupling), Mach-Zehnder fringe synthesis, and recovery
 of emitter parameters from fringe data."""
 
-from .emitter import (BlochSteadyState, ChiralThresholds, DriveState, EmitterParams,
-                      NumericExtremum, PhaseExtremum, chiral_thresholds, critical_photon_flux,
-                      phase_extrema_analytic, phase_extrema_numeric, steady_state_bloch,
-                      transmission)
+from .emitter import (ChiralThresholds, EmitterParams, NumericExtremum, PhaseExtremum,
+                      chiral_thresholds, critical_photon_flux, phase_extrema_analytic,
+                      phase_extrema_numeric, transmission)
 from .extraction import (NoFringeError, PhasorSeries, WindowFits, estimate_path_length_fft,
                          extract_phasor_series, window_phasors)
 from .interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
@@ -21,14 +20,13 @@ from .spectra import (SpectrumChannel, SpectrumDataset, channel_model,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochSteadyState", "ChiralThresholds", "ConstantPhase", "DriveState", "EmitterParams",
-    "FitResult", "FringeTrace", "InterferometerConfig", "LockedDriftPhase", "NoFringeError",
-    "NumericExtremum", "PhaseExtremum", "PhasorSeries", "RandomWalkPhase", "SinusoidPhase",
-    "SpectrumChannel", "SpectrumDataset", "UnstableLoopError", "WindowFits",
-    "apply_shot_noise", "channel_model", "chiral_thresholds", "critical_photon_flux",
-    "estimate_path_length_fft", "expected_rate", "extract_phasor_series",
-    "fit_saturation_series", "fit_two_dipole_spectra", "fringe_trace", "initial_guess",
-    "lm_minimize", "lock_loop_residual", "phase_extrema_analytic", "phase_extrema_numeric",
-    "predict_phase_vs_power", "steady_state_bloch", "transmission",
-    "two_dipole_channel_models", "window_phasors",
+    "ChiralThresholds", "ConstantPhase", "EmitterParams", "FitResult", "FringeTrace",
+    "InterferometerConfig", "LockedDriftPhase", "NoFringeError", "NumericExtremum",
+    "PhaseExtremum", "PhasorSeries", "RandomWalkPhase", "SinusoidPhase", "SpectrumChannel",
+    "SpectrumDataset", "UnstableLoopError", "WindowFits", "apply_shot_noise",
+    "channel_model", "chiral_thresholds", "critical_photon_flux", "estimate_path_length_fft",
+    "expected_rate", "extract_phasor_series", "fit_saturation_series",
+    "fit_two_dipole_spectra", "fringe_trace", "initial_guess", "lm_minimize",
+    "lock_loop_residual", "phase_extrema_analytic", "phase_extrema_numeric",
+    "predict_phase_vs_power", "transmission", "two_dipole_channel_models", "window_phasors",
 ]

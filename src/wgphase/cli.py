@@ -176,13 +176,13 @@ def cmd_fit_saturation(cfg: RunConfig, out_dir, phasor_files) -> ResultBundle:
         gamma=result["gamma"], beta=max(result["beta"], 1e-6),
         gamma_dp=result["gamma_dp"], phi0=result["phi0"])
     n_c = emitter.critical_photon_flux(p_fit) if result["beta"] > 0 else None
+    pw = np.geomspace(min(ds.power for ds in datasets) / 3,
+                      max(ds.power for ds in datasets) * 2, 25)
+    phi = spectra.predict_phase_vs_power(p_fit, result["k"], pw) if result["k"] > 0 else None
     bundle = ResultBundle(out_dir)
     bundle.write_json("config.json", cfg.resolved())
     bundle.write_text("fit.json", fit_result_json(result, extra={"n_c": n_c}))
-    if result["k"] > 0:
-        pw = np.geomspace(min(ds.power for ds in datasets) / 3,
-                          max(ds.power for ds in datasets) * 2, 25)
-        phi = spectra.predict_phase_vs_power(p_fit, result["k"], pw)
+    if phi is not None:
         bundle.write_table("phase_vs_power.csv", "power,phi_max_rad", [pw, phi])
     bundle.finalize()
     _check_converged(result)

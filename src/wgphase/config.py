@@ -24,6 +24,7 @@ import numpy as np
 from .emitter import EmitterParams
 from .interferometer import (ConstantPhase, InterferometerConfig, LockedDriftPhase,
                              RandomWalkPhase, SinusoidPhase)
+from .spectra import check_fit_values
 from .units import is_number
 
 
@@ -162,9 +163,13 @@ class FitBlock:
                               f"got {self.model!r}")
         if self.max_iter < 1:
             raise ConfigError(f"fit.max_iter: must be >= 1, got {self.max_iter}")
+        try:
+            check_fit_values(self.init, self.bounds)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for i, power in enumerate(self.powers):
-            if not is_number(power):
-                raise ConfigError(f"fit.powers[{i}]: must be a finite number, got {power!r}")
+            if not (is_number(power) and power > 0):
+                raise ConfigError(f"fit.powers[{i}]: must be a finite number > 0, got {power!r}")
         for key, window in self.dipole_windows_ghz.items():
             if not (re.fullmatch("[1-9][0-9]*", key) and isinstance(window, list)
                     and len(window) == 2 and all(map(is_number, window))
@@ -181,13 +186,16 @@ class ChiralScanBlock:
     gamma_dp_max_rad_ns: float = 12.0
     points: int = 121
 
+    def __post_init__(self):
+        # checked at load: resolved() deep-copies the list into every bundle
+        for i, bd in enumerate(self.beta_dirs):
+            if type(bd) not in (int, float) or not 0 <= bd <= 1:
+                raise ConfigError(f"chiral_scan.beta_dirs[{i}]: must be in [0, 1], got {bd!r}")
+
     def grids(self):
         """The beta_dir values, the drive axis and the dephasing axis, rad/ns."""
         if not self.beta_dirs:
             raise ConfigError("chiral_scan.beta_dirs: need at least one value")
-        for i, bd in enumerate(self.beta_dirs):
-            if type(bd) not in (int, float) or not 0 <= bd <= 1:
-                raise ConfigError(f"chiral_scan.beta_dirs[{i}]: must be in [0, 1], got {bd!r}")
         if self.points < 2:
             raise ConfigError("chiral_scan.points: need at least 2 points")
         axes = []
@@ -276,14 +284,12 @@ def load_config(source) -> RunConfig:
         data = source
     else:
         path = Path(source)
-        if path.exists():
-            text = path.read_text(encoding="utf-8")
-        else:
-            text = str(source)
+        is_file = path.exists()
+        text = path.read_text(encoding="utf-8") if is_file else str(source)
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # bad or too deeply nested
+            raise ConfigError(f"{path if is_file else 'config'} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return _build(RunConfig, data, "")

@@ -1,10 +1,10 @@
 """Steady-state response of a driven two-level emitter in a waveguide.
 
-Closed-form steady state of the optical Bloch equations, the complex
-transmission coefficient of the emitter-waveguide system for isotropic and
-chiral (directional) coupling, the closed-form phase-shift extremum (with a
-numeric search kept as its test oracle), the critical photon flux, and the
-chiral switching thresholds.
+The complex transmission coefficient of the emitter-waveguide system for
+isotropic and chiral (directional) coupling, in closed form from the steady
+state of the optical Bloch equations, the closed-form phase-shift extremum
+(with a numeric search kept as its test oracle), the critical photon flux,
+and the chiral switching thresholds.
 
 Conventions: rates (``gamma``, ``gamma_dp``, ``omega_r``) and detunings are
 angular frequencies in rad/ns.  The total coherence decay rate is
@@ -87,34 +87,13 @@ class EmitterParams:
     def is_chiral(self) -> bool:
         return self.coupling == CHIRAL
 
+    @property
+    def coupling_rate(self) -> float:
+        """s = beta*gamma (chiral) or beta*gamma/2 (isotropic): emission into the probe's mode."""
+        return self.beta * self.gamma if self.is_chiral else self.beta * self.gamma / 2.0
+
     def with_(self, **kwargs) -> "EmitterParams":
         return replace(self, **kwargs)
-
-
-@dataclass(frozen=True)
-class DriveState:
-    """Laser drive at a single frequency point.
-
-    ``delta`` is the laser-emitter detuning and ``omega_r`` the Rabi
-    frequency, both rad/ns; ``omega_r = 0`` is the linear-response limit.
-    """
-
-    delta: float
-    omega_r: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta) and math.isfinite(self.omega_r)):
-            raise ValueError(f"drive values must be finite, got delta={self.delta!r}, omega_r={self.omega_r!r}")
-        if self.omega_r < 0:
-            raise ValueError(f"omega_r must be >= 0, got {self.omega_r}")
-
-
-@dataclass(frozen=True)
-class BlochSteadyState:
-    """Steady-state density matrix elements of the driven two-level system."""
-
-    rho_ee: float
-    rho_ge: complex
 
 
 @dataclass(frozen=True)
@@ -166,19 +145,6 @@ def saturation_denominator(p: EmitterParams, delta, omega_r=0.0):
     return g2 * g2 + delta * delta + 4.0 * (g2 / p.gamma) * float(omega_r) ** 2
 
 
-def steady_state_bloch(p: EmitterParams, d: DriveState) -> BlochSteadyState:
-    """Closed-form steady state of the driven two-level emitter.
-
-    rho_ee = 2*gamma2*omega_r**2 / (gamma*D)
-    rho_ge = -omega_r*(i*gamma2 + delta) / D
-    """
-    g2 = p.gamma2
-    denom = float(saturation_denominator(p, d.delta, d.omega_r))
-    rho_ee = 2.0 * g2 * d.omega_r**2 / (p.gamma * denom)
-    rho_ge = -d.omega_r * (1j * g2 + d.delta) / denom
-    return BlochSteadyState(rho_ee=rho_ee, rho_ge=complex(rho_ge))
-
-
 def transmission(p: EmitterParams, delta, omega_r=0.0):
     """Complex transmission t and normalized intensity I_t on a detuning grid.
 
@@ -201,11 +167,10 @@ def transmission(p: EmitterParams, delta, omega_r=0.0):
         raise ValueError("delta must be finite")
     g2 = p.gamma2
     denom = saturation_denominator(p, delta_arr, omega_r)
+    t = 1.0 - p.coupling_rate * (g2 + 1j * delta_arr) / denom
     if p.is_chiral:
-        t = 1.0 - p.beta * p.gamma * (g2 + 1j * delta_arr) / denom
         i_t = 1.0 + 2.0 * p.beta * p.gamma * g2 * (p.beta - 1.0) / denom
     else:
-        t = 1.0 - (p.beta * p.gamma / 2.0) * (g2 + 1j * delta_arr) / denom
         i_t = 1.0 - p.beta * p.gamma * g2 * (2.0 - p.beta) / (2.0 * denom)
     if np.ndim(delta) == 0:
         return complex(t), float(i_t)
@@ -231,7 +196,7 @@ def phase_extrema_analytic(p: EmitterParams, omega_r=0.0) -> PhaseExtremum:
     an ``omega_r`` array; a scalar ``omega_r`` gives float fields.
     """
     g2 = p.gamma2
-    s = p.beta * p.gamma if p.is_chiral else p.beta * p.gamma / 2.0
+    s = p.coupling_rate
     omega_r = np.asarray(omega_r, dtype=float)
     w = 4.0 * (g2 / p.gamma) * omega_r * omega_r
     c = g2 * (g2 - s) + w
@@ -266,13 +231,13 @@ def _golden_max(fun, lo, hi, rel_tol=_GOLDEN_REL_TOL):
 def phase_extrema_numeric(p: EmitterParams, omega_r=0.0) -> NumericExtremum:
     """Locate the detuning that maximizes |arg t| by direct search.
 
-    The test oracle for :func:`phase_extrema_analytic`, as :mod:`bloch` is
-    for the steady state: no production code calls it, and it uses none of
-    the closed form's algebra.  A 2001-point grid scan over delta in
-    [-20*L, 20*L] brackets the maximum, with L = sqrt(gamma2**2 + W) the
-    power-broadened linewidth (W = 4*(gamma2/gamma)*omega_r**2); every
-    optimum lies within L of resonance.
-    Golden-section refinement then narrows the bracket to 1e-10 relative
+    The test oracle for :func:`phase_extrema_analytic`, as the integrated
+    Bloch equations are for :func:`transmission`: no production code calls
+    it, and it uses none of the closed form's algebra.  A 2001-point grid
+    scan over delta in [-20*L, 20*L] brackets the maximum, with
+    L = sqrt(gamma2**2 + W) the power-broadened linewidth
+    (W = 4*(gamma2/gamma)*omega_r**2); every optimum lies within L of
+    resonance.  Golden-section refinement then narrows the bracket to 1e-10 relative
     width.  For a flat response (beta = 0) the result carries ``flat=True``.
     When the response is symmetric the positive-detuning extremum is
     returned.

@@ -85,7 +85,7 @@ def _read_sidecar(path: Path) -> dict:
     sidecar = _sidecar_path(path)
     try:
         meta = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON or nested too deeply
         raise TraceParseError(f"{sidecar}: not valid JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise TraceParseError(f"{sidecar}: must be a JSON object, got {type(meta).__name__}")
@@ -132,14 +132,14 @@ def parse_phasors_csv(path) -> PhasorSeries:
 
 
 def phasor_file_meta(path) -> dict:
-    """The sidecar of a phasor CSV; ``low_contrast_freqs`` and ``power`` hold numbers."""
+    """The sidecar of a phasor CSV; ``low_contrast_freqs`` holds numbers, ``power`` a number > 0."""
     path = Path(path)
     meta = _read_sidecar(path)
     low, power = meta.get("low_contrast_freqs", []), meta.get("power")
     if not (isinstance(low, list) and all(map(is_number, low))
-            and (power is None or is_number(power))):
+            and (power is None or is_number(power) and power > 0)):
         raise TraceParseError(f"{_sidecar_path(path)}: low_contrast_freqs must be a list "
-                              f"of numbers and power a number")
+                              f"of numbers and power a number > 0")
     return meta
 
 

@@ -147,22 +147,6 @@ def _clipped_emitter(beta, gamma, f0, gamma_dp, phi0) -> EmitterParams:
                                    gamma_dp=max(gamma_dp, 0.0), f0=f0, phi0=phi0)
 
 
-def _weights(ch: SpectrumChannel) -> np.ndarray:
-    # inverse-variance; low-contrast points keep their (large) fitted sigma
-    sig = np.where(ch.sigma > 0, ch.sigma, np.inf)
-    finite = np.isfinite(ch.values) & np.isfinite(sig)
-    w = np.where(finite & (sig > 0), 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
-    return w
-
-
-def _residual_block(ch: SpectrumChannel, model: np.ndarray) -> np.ndarray:
-    w = _weights(ch)
-    diff = model - ch.values
-    if ch.kind == PHASE:
-        diff = wrap_angle(diff)
-    return np.where(w > 0, diff * w, 0.0)
-
-
 def initial_guess(dataset: SpectrumDataset, dipole: int) -> dict:
     """Deterministic starting point for one dipole from its own channels.
 
@@ -221,18 +205,32 @@ def _find_channel(dataset: SpectrumDataset, kind: str, dipole: int):
     return None
 
 
+def check_fit_values(init: Optional[dict] = None, bounds: Optional[dict] = None):
+    """ValueError naming ``fit.init.<key>`` for a start that is not a finite
+    number, or ``fit.bounds.<key>`` for a bound that is not a [lo, hi] pair of
+    numbers or nulls with lo <= hi.  Which keys are parameters, the fit checks."""
+    for key, value in (init or {}).items():
+        if not is_number(value):
+            raise ValueError(f"fit.init.{key}: must be a finite number, got {value!r}")
+    for key, pair in (bounds or {}).items():
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(b is None or is_number(b) for b in pair)
+                and (None in pair or pair[0] <= pair[1])):
+            raise ValueError(f"fit.bounds.{key}: must be a [lo, hi] pair of numbers or nulls "
+                             f"with lo <= hi, got {pair!r}")
+
+
 def _start(defaults: dict, init: Optional[dict], aliases: dict) -> dict:
     """``defaults`` updated from ``init`` by key; an ``aliases`` key sets the
     keys it lists, except those ``init`` also sets by name.  ValueError
     naming ``fit.init.<key>`` for an unknown key or a non-finite value."""
+    check_fit_values(init=init)
     start = dict(defaults)
     # alias keys first, so that a key given by name wins
     for key, value in sorted((init or {}).items(), key=lambda item: item[0] in defaults):
         if key not in defaults and key not in aliases:
             raise ValueError(f"fit.init.{key}: not a parameter of this fit, which takes "
                              f"{', '.join([*defaults, *aliases])}")
-        if not is_number(value):
-            raise ValueError(f"fit.init.{key}: must be a finite number, got {value!r}")
         start.update(dict.fromkeys(aliases.get(key, [key]), value))
     return start
 
@@ -243,21 +241,25 @@ def _fit(channels, models, names, start, lo, hi, bounds, max_iter) -> FitResult:
     open) of a parameter of ``names`` in place, and ``start`` is projected
     into the box.  ValueError naming ``fit.bounds.<key>`` for an unknown key
     or a value that is not a [lo, hi] pair of numbers or nulls with lo <= hi."""
+    check_fit_values(bounds=bounds)
     for key, pair in (bounds or {}).items():
         if key not in names:
             raise ValueError(f"fit.bounds.{key}: not a parameter of this fit, which takes "
                              f"{', '.join(names)}")
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(b is None or is_number(b) for b in pair)
-                and (None in pair or pair[0] <= pair[1])):
-            raise ValueError(f"fit.bounds.{key}: must be a [lo, hi] pair of numbers or nulls "
-                             f"with lo <= hi, got {pair!r}")
         lo[names.index(key)], hi[names.index(key)] = pair
     x0 = [min(max(v, l if l is not None else -np.inf), h if h is not None else np.inf)
           for v, l, h in zip(start, lo, hi)]
+    values = np.concatenate([ch.values for ch in channels])
+    sigma = np.concatenate([ch.sigma for ch in channels])
+    phase = np.concatenate([np.full(ch.values.size, ch.kind == PHASE) for ch in channels])
+    # inverse-variance; low-contrast points keep their (large) fitted sigma
+    used = np.isfinite(values) & np.isfinite(sigma) & (sigma > 0)
+    weights = np.where(used, 1.0 / np.where(used, sigma, 1.0), 0.0)
 
     def residual(x):
-        return np.concatenate([_residual_block(ch, m) for ch, m in zip(channels, models(x))])
+        diff = np.concatenate(models(x)) - values
+        diff[phase] = wrap_angle(diff[phase])
+        return np.where(used, diff * weights, 0.0)
 
     return lm_minimize(residual, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
 

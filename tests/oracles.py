@@ -1,9 +1,11 @@
 """Test oracles: time-domain integration of the optical Bloch equations.
 
-Independent cross-check for the closed-form steady state in
+Independent cross-check for the closed-form transmission in
 :mod:`wgphase.emitter`: the rotating-frame master equation with decay
 ``gamma`` and pure dephasing ``gamma_dp`` is integrated from the ground
-state with fixed-step classical Runge-Kutta until the state stops moving.
+state with fixed-step classical Runge-Kutta until the state stops moving,
+and the input-output relations of :func:`input_output` turn the steady
+state into the transmission t and intensity I_t of the waveguide.
 
 Sign convention matches the closed form: the drive enters with a negative
 amplitude so that rho_ge -> -omega_r*(i*gamma2 + delta)/D.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from wgphase.emitter import BlochSteadyState, DriveState, EmitterParams
+from wgphase.emitter import EmitterParams
 
 _REL_CHANGE_TOL = 1e-12
 _CHECK_EVERY = 16
@@ -104,16 +106,36 @@ def integrate_steady_states(gamma, gamma_dp, omega_r, delta, dt=None, horizon=No
     return rho_ee, rho_ge, converged, residual
 
 
-def bloch_oracle_integrate(p: EmitterParams, d: DriveState, dt=None, horizon=None) -> BlochSteadyState:
-    """Integrate one system to steady state; raises on non-convergence.
+def bloch_oracle_integrate(p: EmitterParams, delta, omega_r, horizon=None):
+    """``(rho_ee, rho_ge)`` of one system integrated to steady state; raises
+    on non-convergence.
 
-    ``dt`` defaults to 0.5 / (fastest rate in the problem) and ``horizon``
-    to 120 / min(gamma, gamma2), far beyond the transient lifetime.
+    The step is 0.5 / (fastest rate in the problem) and ``horizon``
+    defaults to 120 / min(gamma, gamma2), far beyond the transient lifetime.
     """
     rho_ee, rho_ge, converged, residual = integrate_steady_states(
-        p.gamma, p.gamma_dp, d.omega_r, d.delta, dt=dt, horizon=horizon
+        p.gamma, p.gamma_dp, omega_r, delta, horizon=horizon
     )
     if not bool(converged[0]):
         hz = horizon if horizon is not None else 120.0 / min(p.gamma, p.gamma2)
         raise BlochConvergenceError(float(residual[0]), hz)
-    return BlochSteadyState(rho_ee=float(rho_ee[0]), rho_ge=complex(rho_ge[0]))
+    return float(rho_ee[0]), complex(rho_ge[0])
+
+
+def input_output(s, gamma, omega_r, rho_ee, rho_ge):
+    """Transmission t and intensity I_t of the waveguide from the emitter's
+    steady state at a drive omega_r > 0 (array-safe).
+
+    ``s`` is the emission rate into the forward mode: beta*gamma for chiral
+    coupling, beta*gamma/2 for isotropic.  The forward field is the probe
+    plus the coherently emitted field; the forward intensity counts the
+    emitted flux s**2*rho_ee/omega_r**2 in full, incoherent part included,
+    and the steady state gamma*rho_ee = -2*omega_r*Im(rho_ge) rewrites the
+    interference term:
+
+        t   = 1 + i*s*conj(rho_ge)/omega_r
+        I_t = 1 - s*(gamma - s)*rho_ee/omega_r**2
+    """
+    t = 1.0 + 1j * s * np.conj(rho_ge) / omega_r
+    i_t = 1.0 - s * (gamma - s) * rho_ee / omega_r**2
+    return t, i_t

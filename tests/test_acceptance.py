@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import integrate_steady_states
+from oracles import input_output, integrate_steady_states
 
 from wgphase.cli import EXIT_OK, main as cli_main
 from wgphase.emitter import (EmitterParams, chiral_thresholds, critical_photon_flux,
@@ -32,13 +32,15 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_oracle_equivalence():
-    # closed-form steady state vs RK4 integration, 1000 random draws, < 10 s
+    # closed-form steady state and transmission of both couplings vs RK4
+    # integration, 1000 random draws, < 10 s
     rng = np.random.default_rng(20240917)
     n = 1000
     gamma = rng.uniform(1, 30, n)
     gamma_dp = rng.uniform(0, 10, n)
     omega = rng.uniform(0, 20, n)
     delta = rng.uniform(-50, 50, n)
+    beta = rng.uniform(0, 1, n)
     start = time.perf_counter()
     rho_ee, rho_ge, converged, _ = integrate_steady_states(gamma, gamma_dp, omega, delta)
     elapsed = time.perf_counter() - start
@@ -46,9 +48,21 @@ def test_criterion_1_oracle_equivalence():
     denominator = gamma2**2 + delta**2 + 4 * (gamma2 / gamma) * omega**2
     err_ee = np.max(np.abs(rho_ee - 2 * gamma2 * omega**2 / (gamma * denominator)))
     err_ge = np.max(np.abs(rho_ge - (-omega * (1j * gamma2 + delta) / denominator)))
-    ok = converged.all() and err_ee < 1e-8 and err_ge < 1e-8 and elapsed < 10.0
+    # the input-output relations amplify rho errors by s/omega and s*|gamma - s|/omega**2
+    worst_t = worst_i = 0.0
+    for coupling, s in (("isotropic", beta * gamma / 2), ("chiral", beta * gamma)):
+        t_oracle, i_oracle = input_output(s, gamma, omega, rho_ee, rho_ge)
+        t, i_t = map(np.array, zip(*(
+            transmission(EmitterParams(gamma=g, gamma_dp=g_dp, coupling=coupling, beta=b), d, om)
+            for g, g_dp, b, d, om in zip(gamma, gamma_dp, beta, delta, omega))))
+        worst_t = max(worst_t, np.max(np.abs(t - t_oracle) / (1e-8 * s / omega + 1e-12)))
+        worst_i = max(worst_i, np.max(np.abs(i_t - i_oracle)
+                                      / (1e-8 * s * np.abs(gamma - s) / omega**2 + 1e-12)))
+    ok = (converged.all() and err_ee < 1e-8 and err_ge < 1e-8 and worst_t <= 1.0
+          and worst_i <= 1.0 and elapsed < 10.0)
     report("1 oracle equivalence", ok,
-           f"max err ee {err_ee:.2e}, ge {err_ge:.2e}, {elapsed:.2f}s")
+           f"max err ee {err_ee:.2e}, ge {err_ge:.2e}, t and I_t at {worst_t:.1e} and "
+           f"{worst_i:.1e} of their bounds, {elapsed:.2f}s")
 
 
 def test_criterion_2_analytic_extremum():

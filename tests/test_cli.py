@@ -10,7 +10,7 @@ from wgphase.cli import (EXIT_BAD_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.extraction import PhasorSeries
 from wgphase.io import parse_phasors_csv, parse_trace_csv, write_phasors_csv
-from wgphase.units import detuning_angular
+from wgphase.units import detuning_angular, wrap_angle
 
 
 def run_cli(*args):
@@ -26,6 +26,8 @@ def write_cfg(tmp_path, name, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
+
+NESTED_600 = json.loads("[" * 600 + "1" + "]" * 600)
 
 BASE_CFG = {
     "emitter": {"gamma_rad_ns": 12.3, "gamma_dp_rad_ns": 3.9, "beta": 1.0,
@@ -249,6 +251,18 @@ def _noisy_phasor_file(path, p, freq, rng, sigma=0.01):
     return str(path)
 
 
+def _channel_residual(ch, model):
+    # one channel's block of the fit residual, channel by channel: inverse-sigma
+    # weights, wrapped phase, and 0 where a value or sigma is unusable
+    sig = np.where(ch.sigma > 0, ch.sigma, np.inf)
+    finite = np.isfinite(ch.values) & np.isfinite(sig)
+    w = np.where(finite & (sig > 0), 1.0 / np.where(sig > 0, sig, 1.0), 0.0)
+    diff = model - ch.values
+    if ch.kind == "phase":
+        diff = wrap_angle(diff)
+    return np.where(w > 0, diff * w, 0.0)
+
+
 @pytest.mark.parametrize("n_files,combine", [(1, "isolated"), (2, "isolated"), (2, "product")])
 def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_files, combine):
     # every row of residuals.csv carries its channel's dipole, and the model
@@ -284,7 +298,7 @@ def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_fil
         np.testing.assert_array_equal(block[:, 0], ch.freq)
         assert np.all(block[:, 2] == ch.dipole)
         np.testing.assert_array_equal(block[:, 3], ch.values)
-        blocks.append(spectra._residual_block(ch, block[:, 4]))
+        blocks.append(_channel_residual(ch, block[:, 4]))
     np.testing.assert_array_equal(np.concatenate(blocks), fun(result.params))
 
 
@@ -337,6 +351,16 @@ def test_fit_saturation_summary_includes_k_and_flux(tmp_path):
     assert payload["params"]["k"]["value"] == pytest.approx(1.0, rel=0.05)
     assert payload["n_c"] == pytest.approx(0.3927, abs=0.02)
     assert (out / "phase_vs_power.csv").exists()
+
+
+def test_fit_saturation_zero_sidecar_power_is_bad_input(tmp_path, capsys):
+    # was exit 2 from the phase-vs-power curve, after config.json and fit.json
+    files = _saturation_files(tmp_path)
+    (tmp_path / "phasors_0.csv.meta.json").write_text('{"power": 0}', encoding="utf-8")
+    out = tmp_path / "sat"
+    assert run_cli("--out", str(out), "fit-saturation", *files) == EXIT_BAD_INPUT
+    assert "phasors_0.csv.meta.json:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_saturation_requires_powers(tmp_path):
@@ -399,12 +423,26 @@ def test_predict_chiral_bad_scan_is_bad_input(tmp_path, capsys, scan, named):
     ("simulate", {"interferometer": {"env_phase": {"kind": "random_walk", "sigma_rad": -1.0}}},
      "interferometer.env_phase.sigma_rad"),                         # was "scale < 0"
     ("predict-chiral", {"chiral_scan": {"beta_dirs": [1.5]}}, "chiral_scan.beta_dirs[0]"),
+    # was exit 4 (RecursionError copying the config into the bundle), leaving an empty bundle
+    ("simulate", {"fit": {"init": {"x": NESTED_600}}}, "fit.init.x"),
+    ("simulate", {"chiral_scan": {"beta_dirs": [NESTED_600]}}, "chiral_scan.beta_dirs[0]"),
+    ("simulate", {"fit": {"bounds": {"beta1": "xy"}}}, "fit.bounds.beta1"),  # was exit 0
 ])
 def test_rejected_run_writes_no_bundle(tmp_path, capsys, command, payload, named):
     out = tmp_path / "o"
     assert run_cli("--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out),
                    command) == EXIT_BAD_INPUT
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_nested_too_deeply_is_bad_input(tmp_path, capsys):
+    # was exit 4 (RecursionError from the JSON parser)
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"a": ' * 5000 + "1" + "}" * 5000, encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("--config", str(cfg), "--out", str(out), "simulate") == EXIT_BAD_INPUT
+    assert str(cfg) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -423,6 +461,8 @@ def test_config_integer_too_large_for_float_is_bad_input(tmp_path, capsys):
     ("p.csv.meta.json", b'{"low_contrast_freqs": [0.0,'),      # named no file
     ("p.csv", b"freq_ghz,phase_rad,phase_err,amp_ratio,amp_err,offset_ratio,offset_err\n"
               b"\xff\xfe,0,1,1,1,1,1\n"),                         # named no file
+    pytest.param("p.csv.meta.json", b"[" * 5000 + b"]" * 5000,  # was exit 4 (RecursionError)
+                 id="p.csv.meta.json-nested"),
 ])
 def test_fit_bad_phasor_file_is_bad_input(tmp_path, capsys, name, content):
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
@@ -431,6 +471,7 @@ def test_fit_bad_phasor_file_is_bad_input(tmp_path, capsys, name, content):
     (tmp_path / name).write_bytes(content)
     assert run_cli("--out", str(tmp_path / "fit"), "fit", path) == EXIT_BAD_INPUT
     assert f"{name}:" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_extract_bad_trace_sidecar_is_bad_input(tmp_path, capsys):
@@ -468,6 +509,8 @@ def test_extract_bad_trace_sidecar_is_bad_input(tmp_path, capsys):
     ("fit", {"max_iter": -3}, "fit.max_iter"),                         # was exit 3
     ("fit", {"max_iter": 0}, "fit.max_iter"),                          # was exit 3
     ("fit", {"model": "banana"}, "fit.model"),                         # was ignored, exit 0
+    ("fit-saturation", {"powers": [0, 1, 2, 4, 8]}, "fit.powers[0]"),   # left config.json, fit.json
+    ("fit-saturation", {"powers": [-1, 1, 2, 4, 8]}, "fit.powers[0]"),  # named no field
 ])
 def test_bad_fit_block_is_bad_input(tmp_path, capsys, command, fit, named):
     if command == "fit":

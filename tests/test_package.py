@@ -30,4 +30,4 @@ def test_oracles_import_only_state_types_from_wgphase():
             assert not any(alias.name.split(".")[0] == "wgphase" for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wgphase":
             imported |= {alias.name for alias in node.names}
-    assert imported == {"EmitterParams", "DriveState", "BlochSteadyState"}
+    assert imported == {"EmitterParams"}
