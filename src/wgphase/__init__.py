@@ -15,7 +15,7 @@ from .interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
 from .lm import FitResult, lm_minimize
 from .spectra import (SpectrumChannel, SpectrumDataset, channel_model,
                       fit_saturation_series, fit_two_dipole_spectra, initial_guess,
-                      predict_phase_vs_power, two_dipole_channel_models)
+                      predict_phase_vs_power, two_dipole_model)
 
 __version__ = "0.1.0"
 
@@ -28,5 +28,5 @@ __all__ = [
     "expected_rate", "extract_phasor_series", "fit_saturation_series",
     "fit_two_dipole_spectra", "fringe_trace", "initial_guess", "lm_minimize",
     "lock_loop_residual", "phase_extrema_analytic", "phase_extrema_numeric",
-    "predict_phase_vs_power", "transmission", "two_dipole_channel_models", "window_phasors",
+    "predict_phase_vs_power", "transmission", "two_dipole_model", "window_phasors",
 ]

@@ -60,7 +60,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> ResultBundle:
     p = cfg.emitter.to_params()
     icfg = cfg.interferometer.to_config()
     sweep = cfg.sweep.grid()
-    omega_r = cfg.drive.omega_r()
+    omega_r = cfg.drive.omega_rad_ns
     traces = {}
     for qd_on, name in ((True, "trace_on.csv"), (False, "trace_off.csv")):
         trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, omega_r=omega_r)
@@ -136,8 +136,7 @@ def _write_fit_outputs(bundle: ResultBundle, cfg: RunConfig, data, result: FitRe
                np.repeat([kind_codes[ch.kind] for ch in channels], sizes),
                np.repeat([ch.dipole for ch in channels], sizes),
                np.concatenate([ch.values for ch in channels]),
-               np.concatenate(spectra.two_dipole_channel_models(
-                   data, result.params, cfg.fit.combine))]
+               spectra.two_dipole_model(data, result.params, cfg.fit.combine)]
     bundle.write_table("residuals.csv", "freq_ghz,channel,dipole,value,model", columns)
 
 

@@ -55,8 +55,7 @@ class DriveBlock:
     omega_rad_ns: float = 0.0
     linear_response: bool = True  # linear response is the drive omega_r = 0
 
-    def omega_r(self) -> float:
-        """The Rabi frequency the model is driven at, rad/ns."""
+    def __post_init__(self):
         if not (math.isfinite(self.omega_rad_ns) and self.omega_rad_ns >= 0):
             raise ConfigError(
                 f"drive.omega_rad_ns: must be finite and >= 0, got {self.omega_rad_ns}")
@@ -64,7 +63,6 @@ class DriveBlock:
             raise ConfigError(
                 f"drive.omega_rad_ns: must be 0 under drive.linear_response (omega_r = 0), "
                 f"got {self.omega_rad_ns}; set linear_response to false to drive the emitter")
-        return self.omega_rad_ns
 
 
 @dataclass

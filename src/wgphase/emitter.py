@@ -21,6 +21,8 @@ import numpy as np
 
 ISOTROPIC = "isotropic"
 CHIRAL = "chiral"
+# the parameters :func:`transmission_derivatives` differentiates by, in its row order
+DERIVATIVE_ORDER = ("beta", "gamma", "gamma_dp", "delta", "w")
 
 _GRID_POINTS = 2001
 _GRID_HALF_WIDTH = 20.0  # in power-broadened linewidths
@@ -138,11 +140,18 @@ class ChiralThresholds:
     beta_dir_c: float
 
 
+def _rabi_squared(omega_r):
+    """omega_r**2 by the C ``pow`` per element, the rounding of ``float ** 2``,
+    so an array gives the bits of its elements' scalar calls."""
+    return np.float_power(np.asarray(omega_r, dtype=float), 2.0)
+
+
 def saturation_denominator(p: EmitterParams, delta, omega_r=0.0):
-    """D = gamma2**2 + delta**2 + 4*(gamma2/gamma)*omega_r**2 (array-safe)."""
+    """D = gamma2**2 + delta**2 + 4*(gamma2/gamma)*omega_r**2 (broadcasts
+    over ``delta`` and ``omega_r``)."""
     delta = np.asarray(delta, dtype=float)
     g2 = p.gamma2
-    return g2 * g2 + delta * delta + 4.0 * (g2 / p.gamma) * float(omega_r) ** 2
+    return g2 * g2 + delta * delta + 4.0 * (g2 / p.gamma) * _rabi_squared(omega_r)
 
 
 def transmission(p: EmitterParams, delta, omega_r=0.0):
@@ -158,6 +167,8 @@ def transmission(p: EmitterParams, delta, omega_r=0.0):
     I_t >= |t|**2 always; the excess is the incoherently scattered light and
     vanishes only for gamma_dp = 0 in the linear-response limit omega_r = 0.
 
+    Broadcasts over ``delta`` and ``omega_r``; scalars give scalars.
+
     Returns
     -------
     (t, i_t) : complex ndarray (or scalar), float ndarray (or scalar)
@@ -172,9 +183,53 @@ def transmission(p: EmitterParams, delta, omega_r=0.0):
         i_t = 1.0 + 2.0 * p.beta * p.gamma * g2 * (p.beta - 1.0) / denom
     else:
         i_t = 1.0 - p.beta * p.gamma * g2 * (2.0 - p.beta) / (2.0 * denom)
-    if np.ndim(delta) == 0:
+    if np.ndim(denom) == 0:
         return complex(t), float(i_t)
     return t, i_t
+
+
+def transmission_derivatives(p: EmitterParams, delta, omega_r=0.0):
+    """Exact partial derivatives of the isotropic :func:`transmission`.
+
+    With s = beta*gamma/2, gamma2 = gamma/2 + gamma_dp, w = omega_r**2,
+    D = gamma2**2 + delta**2 + 4*(gamma2/gamma)*w and A = beta*gamma*gamma2*(2 - beta):
+        t   = 1 - s*(gamma2 + i*delta)/D
+        I_t = 1 - A/(2*D)
+    Returns (dt, di): complex and real arrays of shape (5, *broadcast shape),
+    the derivatives of t and I_t by ``DERIVATIVE_ORDER`` = (beta, gamma,
+    gamma_dp, delta, w) in that order.
+    """
+    if p.is_chiral:
+        raise ValueError("transmission_derivatives covers isotropic coupling")
+    delta = np.asarray(delta, dtype=float)
+    w = _rabi_squared(omega_r)
+    beta, gamma, g2, s = p.beta, p.gamma, p.gamma2, p.coupling_rate
+    inv_den = 1.0 / (g2 * g2 + delta * delta + 4.0 * (g2 / gamma) * w)
+    q_re, q_im = g2 * inv_den, delta * inv_den  # t = 1 - s*(q_re + i*q_im)
+    a = beta * gamma * g2 * (2.0 - beta)
+    shape = np.shape(inv_den)
+
+    # d/d(row) of D, then of s, of Re and Im of gamma2 + i*delta, and of A
+    d_den = np.empty((len(DERIVATIVE_ORDER),) + shape)
+    d_den[0] = 0.0
+    d_den[1] = g2 - 4.0 * w * p.gamma_dp / (gamma * gamma)
+    d_den[2] = 2.0 * g2 + 4.0 * w / gamma
+    d_den[3] = 2.0 * delta
+    d_den[4] = 4.0 * g2 / gamma
+    d_s, d_re, d_im, d_a = np.array([
+        [gamma / 2.0, beta / 2.0, 0.0, 0.0, 0.0],
+        [0.0, 0.5, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [gamma * g2 * (2.0 - 2.0 * beta), beta * (2.0 - beta) * (g2 + gamma / 2.0),
+         beta * gamma * (2.0 - beta), 0.0, 0.0],
+    ]).reshape((4, len(DERIVATIVE_ORDER)) + (1,) * len(shape))
+    # dt = -ds*q - (s/D)*(d(gamma2 + i*delta) - q*dD), in real arithmetic
+    c = s * inv_den
+    dt = np.empty(d_den.shape, dtype=complex)
+    dt.real = c * (q_re * d_den - d_re) - d_s * q_re
+    dt.imag = c * (q_im * d_den - d_im) - d_s * q_im
+    di = (a * inv_den * d_den - d_a) * (0.5 * inv_den)
+    return dt, di
 
 
 def phase_extrema_analytic(p: EmitterParams, omega_r=0.0) -> PhaseExtremum:

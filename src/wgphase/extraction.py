@@ -93,9 +93,10 @@ class PhasorSeries:
 def estimate_path_length_fft(trace: FringeTrace) -> float:
     """Estimate the interferometer path-length imbalance from a fringe trace.
 
-    Mean-subtracted, Hann-windowed, zero-padded (x8) FFT of counts vs laser
-    frequency; the dominant non-DC magnitude peak is refined by parabolic
-    interpolation on the log magnitude and converted via delta_l = c * tau.
+    Mean-subtracted, Hann-windowed FFT of counts vs laser frequency,
+    zero-padded to the smallest 2*3*5-smooth length >= 8x the trace; the
+    dominant non-DC magnitude peak is refined by parabolic interpolation on
+    the log magnitude and converted via delta_l = c * tau.
 
     Raises :class:`NoFringeError` when no peak rises above 5x the median
     magnitude.  If a competing peak is within 1% of the winner, the smaller
@@ -109,12 +110,12 @@ def estimate_path_length_fft(trace: FringeTrace) -> float:
     signal = trace.intensity - np.mean(trace.intensity)
     n = signal.size
     windowed = signal * np.hanning(n)
-    n_fft = 8 * n
+    n_fft = _smooth_length(8 * n)
     mag = np.abs(np.fft.rfft(windowed, n=n_fft))
     tau = np.fft.rfftfreq(n_fft, d=df * 1e9)  # conjugate variable, seconds
 
-    # Hann leakage from DC spans ~2 original bins = 16 padded bins
-    dc_guard = 17
+    # Hann leakage from DC spans ~2 original bins = 2*n_fft/n padded bins
+    dc_guard = int(2 * n_fft / n) + 1
     search = mag.copy()
     search[:dc_guard] = 0.0
     floor = np.median(mag[dc_guard:])
@@ -125,6 +126,21 @@ def estimate_path_length_fft(trace: FringeTrace) -> float:
     peak = _resolve_tie(search, peak)
     delta = _parabolic_offset(mag, peak)
     return C_M_PER_S * (peak + delta) * (tau[1] - tau[0])
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n.  An FFT length with a large prime
+    factor (8*4501 = 2**3 * 7 * 643) takes numpy's much slower Bluestein path."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power of two that takes odd to >= n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def _resolve_tie(mag: np.ndarray, peak: int) -> int:

@@ -1,11 +1,13 @@
 """Levenberg-Marquardt nonlinear least squares with box bounds.
 
-Minimizes ``sum(residual(x)**2)`` with Marquardt-scaled damping: the
-damping factor is divided by 3 after an accepted step and doubled after a
-rejected one.  The Jacobian is taken by central finite differences with
-per-parameter step ``max(1e-6*|x|, 1e-8)``; bounds are enforced by
-projecting trial points onto the box.  The covariance estimate is
-``inv(J^T J)`` scaled by the reduced chi-square.
+Minimizes ``sum(r(x)**2)`` for a callable that returns the residual vector
+``r`` together with its Jacobian ``J = dr/dx``, evaluated once per trial
+point, with Marquardt-scaled damping: the damping factor is divided by 3
+after an accepted step and doubled after a rejected one.  Bounds are
+enforced by projecting trial points onto the box.  The covariance estimate
+is ``inv(J^T J)`` at the final point, scaled by the reduced chi-square.
+:func:`jacobian_fd` (central differences) is the oracle that analytic
+Jacobians are tested against.
 """
 
 from __future__ import annotations
@@ -87,15 +89,22 @@ def _project(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def lm_minimize(residual: Callable, init: Sequence[float], bounds=None,
+def _evaluate(fun: Callable, x: np.ndarray):
+    r, jac = fun(x)
+    return np.asarray(r, dtype=float), np.asarray(jac, dtype=float)
+
+
+def lm_minimize(fun: Callable, init: Sequence[float], bounds=None,
                 names: Optional[Sequence[str]] = None, max_iter: int = 500,
                 lambda0: float = 1e-3) -> FitResult:
     """Minimize a residual vector in the least-squares sense.
 
     Parameters
     ----------
-    residual : callable
-        Maps a parameter vector to a residual array (already weighted).
+    fun : callable
+        Maps a parameter vector to ``(r, J)``: the residual array (already
+        weighted) and its Jacobian, shape ``(r.size, x.size)``.  Called once
+        per point the minimizer visits.
     init : sequence of float
         Starting point; must lie within ``bounds`` and give finite residuals.
     bounds : optional pair (lower, upper) of sequences
@@ -116,18 +125,18 @@ def lm_minimize(residual: Callable, init: Sequence[float], bounds=None,
         if np.any(x < lower) or np.any(x > upper):
             raise ValueError("initial point violates bounds")
 
-    r = np.asarray(residual(x), dtype=float)
+    r, jac = _evaluate(fun, x)
     if not np.all(np.isfinite(r)):
         raise ValueError("residual is not finite at the initial point")
+    if jac.shape != (r.size, n):
+        raise ValueError(f"Jacobian has shape {jac.shape}, expected {(r.size, n)}")
     chi2 = float(r @ r)
     lam = lambda0
     converged = False
     message = "max iterations exhausted"
     n_iter = 0
-    jac = None
 
     for n_iter in range(1, max_iter + 1):
-        jac = jacobian_fd(residual, x, f0=r)
         jtj = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(jtj).copy()
@@ -146,7 +155,7 @@ def lm_minimize(residual: Callable, init: Sequence[float], bounds=None,
                               RuntimeWarning, stacklevel=2)
                 step = np.linalg.solve(normal + ridge * np.eye(n), -grad)
             x_try = _project(x + step, lower, upper)
-            r_try = np.asarray(residual(x_try), dtype=float)
+            r_try, jac_try = _evaluate(fun, x_try)
             chi2_try = float(r_try @ r_try) if np.all(np.isfinite(r_try)) else np.inf
             clipped = x_try != x + step
             if np.any(clipped) and not np.all(clipped):
@@ -159,16 +168,17 @@ def lm_minimize(residual: Callable, init: Sequence[float], bounds=None,
                     step_f = np.linalg.solve(normal_f, rhs)
                     x_alt = x_try.copy()
                     x_alt[free] = _project(x[free] + step_f, lower[free], upper[free])
-                    r_alt = (r_try if np.array_equal(x_alt, x_try)
-                             else np.asarray(residual(x_alt), dtype=float))
+                    r_alt, jac_alt = ((r_try, jac_try) if np.array_equal(x_alt, x_try)
+                                      else _evaluate(fun, x_alt))
                     if np.all(np.isfinite(r_alt)) and float(r_alt @ r_alt) < chi2_try:
-                        x_try, r_try, chi2_try = x_alt, r_alt, float(r_alt @ r_alt)
+                        x_try, r_try, jac_try = x_alt, r_alt, jac_alt
+                        chi2_try = float(r_alt @ r_alt)
                 except np.linalg.LinAlgError:
                     pass
             if chi2_try < chi2:
                 step_norm = float(np.linalg.norm(x_try - x))
                 rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
-                x, r, chi2 = x_try, r_try, chi2_try
+                x, r, jac, chi2 = x_try, r_try, jac_try, chi2_try
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
                 if rel_drop < _CHI2_REL_TOL:
@@ -186,8 +196,6 @@ def lm_minimize(residual: Callable, init: Sequence[float], bounds=None,
             message = "no downhill step found (stationary point)"
             break
 
-    if jac is None:
-        jac = jacobian_fd(residual, x, f0=r)
     covariance, flat = _covariance(jac, chi2, r.size, n)
     names = list(names) if names is not None else [f"p{i}" for i in range(n)]
     flat_names = [names[i] for i in flat]

@@ -36,6 +36,7 @@ INTENSITY = "intensity"
 AMPLITUDE = "amplitude"
 
 _MIN_POINTS_PER_CHANNEL = 5
+_MIN_GAMMA = 1e-9  # a fit's gamma is clipped up to this
 
 
 @dataclass
@@ -101,6 +102,83 @@ class SpectrumDataset:
         return cls(channels=channels, power=power)
 
 
+class _Points:
+    """The channels of a fit as one grid: their points concatenated in order."""
+
+    def __init__(self, channels):
+        sizes = [ch.freq.size for ch in channels]
+        self.freq = np.concatenate([ch.freq for ch in channels])
+        self.values = np.concatenate([ch.values for ch in channels])
+        self.sigma = np.concatenate([ch.sigma for ch in channels])
+        kinds = np.repeat([ch.kind for ch in channels], sizes)
+        self.phase = kinds == PHASE
+        self.amplitude = kinds == AMPLITUDE
+        dipole = np.repeat([ch.dipole for ch in channels], sizes)
+        self.of_dipole = {d: np.flatnonzero(dipole == d) for d in set(dipole.tolist())}
+
+
+def _model(points: _Points, factors, phi0, product=False, jac=None) -> np.ndarray:
+    """Model values on ``points``; with ``jac`` given, an array of zeros with
+    one row per point, their derivatives are added into it.
+
+    Each factor ``(p, sel, omega_r, chain)`` is an emitter whose
+    transmission covers the points ``sel``, driven at ``omega_r`` (a scalar
+    or one value per selected point).  Under ``product`` the factors all
+    cover every point and their transmissions multiply; otherwise their
+    points are disjoint.  The product t is projected on each point's
+    channel kind: arg t + phi0, |t| or I_t.  ``chain`` lists
+    ``(column, row, scale)``: parameter ``column`` of ``jac`` moves the
+    emitter's ``DERIVATIVE_ORDER[row]`` by ``scale`` (a scalar or one value
+    per selected point) per unit.  The phi0 column is the caller's.
+    """
+    t = np.empty(points.freq.size, dtype=complex)
+    i_t = np.empty(points.freq.size)
+    parts = []
+    for k, (p, sel, omega_r, _) in enumerate(factors):
+        delta = detuning_angular(points.freq[sel], p.f0)
+        t_e, i_e = transmission(p, delta, omega_r)
+        if product and k:
+            t[sel] *= t_e
+            i_t[sel] *= i_e
+        else:
+            t[sel], i_t[sel] = t_e, i_e
+        parts.append((delta, t_e, i_e))
+    values = np.where(points.phase, np.angle(t) + phi0,
+                      np.where(points.amplitude, np.abs(t), i_t))
+    if jac is None:
+        return values
+    for k, ((p, sel, omega_r, chain), (delta, t_e, i_e)) in enumerate(zip(factors, parts)):
+        dt, di = emitter.transmission_derivatives(p, delta, omega_r)
+        # d ln t = sum of the factors' dt/t: its imaginary part moves arg t, its
+        # real part ln|t|; I_t differentiates by the product rule
+        # (a zero t, where arg t has no derivative, contributes none)
+        dlog = dt * np.divide(1.0, t_e, out=np.zeros_like(t_e), where=t_e != 0)
+        rows = di
+        if product:
+            for j, (_, _, i_other) in enumerate(parts):
+                if j != k:
+                    rows *= i_other
+        np.copyto(rows, dlog.imag, where=points.phase[sel])
+        amplitude = points.amplitude[sel]
+        if amplitude.any():
+            np.copyto(rows, np.abs(t[sel]) * dlog.real, where=amplitude)
+        for column, row, scale in chain:
+            jac[sel, column] += scale * rows[row]
+    return values
+
+
+_BETA, _GAMMA, _GAMMA_DP, _DELTA, _W = range(len(emitter.DERIVATIVE_ORDER))
+
+
+def _rate_chain(columns, beta, gamma, gamma_dp):
+    """``(column, row, 1)`` for each of beta, gamma and gamma_dp that is not
+    past the clip of :func:`_clipped_emitter`; a clipped one has a zero
+    column, and one on its clip is differentiated from the feasible side."""
+    inside = (0.0 <= beta <= 1.0, gamma >= _MIN_GAMMA, gamma_dp >= 0.0)
+    return [(column, row, 1.0)
+            for column, row, ok in zip(columns, (_BETA, _GAMMA, _GAMMA_DP), inside) if ok]
+
+
 def channel_model(ch: SpectrumChannel, params, omega_r=0.0) -> np.ndarray:
     """Model values for one channel, every emitter driven at ``omega_r``.
 
@@ -110,40 +188,46 @@ def channel_model(ch: SpectrumChannel, params, omega_r=0.0) -> np.ndarray:
     """
     if isinstance(params, EmitterParams):
         params = (params,)
-    t, i_t = transmission(params[0], detuning_angular(ch.freq, params[0].f0), omega_r)
-    for p in params[1:]:
-        t_p, i_p = transmission(p, detuning_angular(ch.freq, p.f0), omega_r)
-        t, i_t = t * t_p, i_t * i_p
-    if ch.kind == PHASE:
-        return np.angle(t) + params[0].phi0
-    if ch.kind == INTENSITY:
-        return i_t
-    return np.abs(t)
+    return _model(_Points([ch]), [(p, slice(None), omega_r, ()) for p in params],
+                  params[0].phi0, product=True)
 
 
-def two_dipole_channel_models(data: SpectrumDataset, x, combine: str = "isolated") -> list:
-    """Model values of every channel of ``data`` at a parameter vector of
-    :func:`fit_two_dipole_spectra`.
+def two_dipole_model(data: SpectrumDataset, x, combine: str = "isolated") -> np.ndarray:
+    """Model values of the channels of ``data``, concatenated in order, at a
+    parameter vector of :func:`fit_two_dipole_spectra`.
 
     ``x`` holds (beta_d, gamma_d, f0_d) for each dipole of ``data`` in
     ascending order, then the shared gamma_dp and phi0; beta is clipped to
     [0, 1] and the rates to their physical range, as in the fit.  The
     ``product`` combination applies only when two dipoles are present.
     """
+    return _two_dipole(_Points(data.channels), data.dipoles(), x, combine)
+
+
+def _two_dipole(points: _Points, dipoles, x, combine, jac=None) -> np.ndarray:
+    """:func:`two_dipole_model` on ``points``, and its Jacobian into ``jac``."""
     if combine not in ("isolated", "product"):
         raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
-    dipoles = data.dipoles()
-    params = {d: _clipped_emitter(*x[3 * i: 3 * i + 3], x[-2], x[-1])
-              for i, d in enumerate(dipoles)}
-    if combine == "product" and len(dipoles) == 2:
-        return [channel_model(ch, list(params.values())) for ch in data.channels]
-    return [channel_model(ch, params[ch.dipole]) for ch in data.channels]
+    product = combine == "product" and len(dipoles) == 2
+    gamma_dp, phi0 = x[-2], x[-1]
+    factors = []
+    for i, d in enumerate(dipoles):
+        beta, gamma, f0 = x[3 * i: 3 * i + 3]
+        chain = _rate_chain((3 * i, 3 * i + 1, len(x) - 2), beta, gamma, gamma_dp)
+        chain.append((3 * i + 2, _DELTA, -TWO_PI))  # delta = 2*pi*(freq - f0)
+        factors.append((_clipped_emitter(beta, gamma, f0, gamma_dp, phi0),
+                        slice(None) if product else points.of_dipole[d], 0.0, chain))
+    values = _model(points, factors, phi0, product, jac)
+    if jac is not None:
+        jac[points.phase, -1] = 1.0
+    return values
 
 
 def _clipped_emitter(beta, gamma, f0, gamma_dp, phi0) -> EmitterParams:
     """The isotropic emitter at a fit's parameter values, beta clipped to
     [0, 1] and the rates to their physical range."""
-    return EmitterParams.isotropic(gamma=max(gamma, 1e-9), beta=float(np.clip(beta, 0, 1)),
+    return EmitterParams.isotropic(gamma=max(gamma, _MIN_GAMMA),
+                                   beta=float(np.clip(beta, 0, 1)),
                                    gamma_dp=max(gamma_dp, 0.0), f0=f0, phi0=phi0)
 
 
@@ -235,12 +319,14 @@ def _start(defaults: dict, init: Optional[dict], aliases: dict) -> dict:
     return start
 
 
-def _fit(channels, models, names, start, lo, hi, bounds, max_iter) -> FitResult:
-    """Weighted least-squares fit of ``channels`` to ``models(x)``, one model
-    array per channel.  ``bounds`` replaces the box ``lo``, ``hi`` (None:
-    open) of a parameter of ``names`` in place, and ``start`` is projected
-    into the box.  ValueError naming ``fit.bounds.<key>`` for an unknown key
-    or a value that is not a [lo, hi] pair of numbers or nulls with lo <= hi."""
+def _fit(points: _Points, model, names, start, lo, hi, bounds, max_iter) -> FitResult:
+    """Weighted least-squares fit of ``points`` to ``model(x, jac)``, which
+    returns the model values and adds their derivatives into ``jac``, an
+    array of zeros with one row per point and one column per name.
+    ``bounds`` replaces the box ``lo``, ``hi`` (None: open) of a parameter of
+    ``names`` in place, and ``start`` is projected into the box.  ValueError
+    naming ``fit.bounds.<key>`` for an unknown key or a value that is not a
+    [lo, hi] pair of numbers or nulls with lo <= hi."""
     check_fit_values(bounds=bounds)
     for key, pair in (bounds or {}).items():
         if key not in names:
@@ -249,19 +335,20 @@ def _fit(channels, models, names, start, lo, hi, bounds, max_iter) -> FitResult:
         lo[names.index(key)], hi[names.index(key)] = pair
     x0 = [min(max(v, l if l is not None else -np.inf), h if h is not None else np.inf)
           for v, l, h in zip(start, lo, hi)]
-    values = np.concatenate([ch.values for ch in channels])
-    sigma = np.concatenate([ch.sigma for ch in channels])
-    phase = np.concatenate([np.full(ch.values.size, ch.kind == PHASE) for ch in channels])
+    values, sigma, phase = points.values, points.sigma, points.phase
     # inverse-variance; low-contrast points keep their (large) fitted sigma
     used = np.isfinite(values) & np.isfinite(sigma) & (sigma > 0)
     weights = np.where(used, 1.0 / np.where(used, sigma, 1.0), 0.0)
 
-    def residual(x):
-        diff = np.concatenate(models(x)) - values
-        diff[phase] = wrap_angle(diff[phase])
-        return np.where(used, diff * weights, 0.0)
+    def fun(x):
+        jac = np.zeros((values.size, len(names)))
+        diff = model(x, jac) - values
+        diff[phase] = wrap_angle(diff[phase])  # whose derivative is 1
+        jac *= weights[:, None]
+        jac[~used] = 0.0
+        return np.where(used, diff * weights, 0.0), jac
 
-    return lm_minimize(residual, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
+    return lm_minimize(fun, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
 
 
 def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
@@ -289,7 +376,8 @@ def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
     lo = [b for f0 in f0s for b in (0.0, 1e-6, f0 - 50.0)] + [0.0, -np.pi]
     hi = [b for f0 in f0s for b in (1.0, None, f0 + 50.0)] + [None, np.pi]
     names = list(defaults)
-    result = _fit(data.channels, lambda x: two_dipole_channel_models(data, x, combine), names,
+    points = _Points(data.channels)
+    result = _fit(points, lambda x, jac: _two_dipole(points, dipoles, x, combine, jac), names,
                   [start[n] for n in names], lo, hi, bounds, max_iter)
     if result.flat_directions:
         result.converged = False
@@ -321,15 +409,24 @@ def fit_saturation_series(datasets: Sequence[SpectrumDataset], init: Optional[di
     names = ["beta", "gamma", "gamma_dp", "phi0", "k"]
     lo = [0.0, 1e-6, 0.0, -np.pi, 0.0]
 
-    def models(x):
-        beta, gamma, gamma_dp, phi0, k = x
-        p = _clipped_emitter(beta, gamma, start["f0"], gamma_dp, phi0)
-        return [channel_model(ch, p, float(np.sqrt(max(k, 0.0) * ds.power)))
-                for ds in datasets for ch in ds.channels]
+    points = _Points([ch for ds in datasets for ch in ds.channels])
+    power = np.repeat([float(ds.power) for ds in datasets],
+                      [sum(ch.freq.size for ch in ds.channels) for ds in datasets])
 
-    result = _fit([ch for ds in datasets for ch in ds.channels], models, names,
-                  [start[n] for n in names], lo, [1.0, None, None, np.pi, None], bounds,
-                  max_iter)
+    def model(x, jac):
+        # every dataset in one call, at its own omega_r**2 = k*P; f0 is held
+        beta, gamma, gamma_dp, phi0, k = x
+        chain = _rate_chain((0, 1, 2), beta, gamma, gamma_dp)
+        if k >= 0.0:
+            chain.append((4, _W, power))
+        p = _clipped_emitter(beta, gamma, start["f0"], gamma_dp, phi0)
+        values = _model(points, [(p, slice(None), np.sqrt(max(k, 0.0) * power), chain)], phi0,
+                        jac=jac)
+        jac[points.phase, 3] = 1.0
+        return values
+
+    result = _fit(points, model, names, [start[n] for n in names], lo,
+                  [1.0, None, None, np.pi, None], bounds, max_iter)
     if lo[4] is not None and result["k"] <= lo[4] + 1e-12:
         result.message += "; k pinned at lower bound (series shows no saturation)"
         if "k" not in result.flat_directions:

@@ -299,7 +299,7 @@ def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_fil
         assert np.all(block[:, 2] == ch.dipole)
         np.testing.assert_array_equal(block[:, 3], ch.values)
         blocks.append(_channel_residual(ch, block[:, 4]))
-    np.testing.assert_array_equal(np.concatenate(blocks), fun(result.params))
+    np.testing.assert_array_equal(np.concatenate(blocks), fun(result.params)[0])
 
 
 def test_fit_missing_file_is_bad_input(tmp_path):
@@ -427,6 +427,11 @@ def test_predict_chiral_bad_scan_is_bad_input(tmp_path, capsys, scan, named):
     ("simulate", {"fit": {"init": {"x": NESTED_600}}}, "fit.init.x"),
     ("simulate", {"chiral_scan": {"beta_dirs": [NESTED_600]}}, "chiral_scan.beta_dirs[0]"),
     ("simulate", {"fit": {"bounds": {"beta1": "xy"}}}, "fit.bounds.beta1"),  # was exit 0
+    # the drive is checked at load, not only by the commands that apply it
+    ("predict-chiral", {"drive": {"omega_rad_ns": -1}}, "drive.omega_rad_ns"),  # was exit 0
+    ("predict-chiral", {"drive": {"omega_rad_ns": 8.0}}, "drive.omega_rad_ns"),  # was exit 0
+    ("simulate", {"drive": {"omega_rad_ns": -1, "linear_response": False}},
+     "drive.omega_rad_ns"),                                         # wrote no bundle already
 ])
 def test_rejected_run_writes_no_bundle(tmp_path, capsys, command, payload, named):
     out = tmp_path / "o"

@@ -8,11 +8,20 @@ from wgphase.lm import fd_step, jacobian_fd, lm_minimize
 from wgphase.units import detuning_angular
 
 
+def fd(residual):
+    """``residual`` as the ``x -> (r, J)`` callable ``lm_minimize`` takes,
+    with the finite-difference Jacobian."""
+    def fun(x):
+        r = np.asarray(residual(x), dtype=float)
+        return r, jacobian_fd(residual, x, r)
+    return fun
+
+
 def test_exact_linear_fit():
     x = np.linspace(0, 10, 40)
     y = 2.5 * x - 1.25
 
-    res = lm_minimize(lambda p: p[0] * x + p[1] - y, [0.0, 0.0], names=["a", "b"])
+    res = lm_minimize(fd(lambda p: p[0] * x + p[1] - y), [0.0, 0.0], names=["a", "b"])
     assert res.converged
     assert res["a"] == pytest.approx(2.5, abs=1e-12)
     assert res["b"] == pytest.approx(-1.25, abs=1e-12)
@@ -24,7 +33,7 @@ def test_exact_sinusoid_fit():
     omega = 3.0
     y = 0.7 + 1.9 * np.cos(omega * x + 0.4)
 
-    res = lm_minimize(lambda p: p[0] + p[1] * np.cos(omega * x + p[2]) - y,
+    res = lm_minimize(fd(lambda p: p[0] + p[1] * np.cos(omega * x + p[2]) - y),
                       [0.5, 1.0, 0.0])
     assert res.converged
     np.testing.assert_allclose(res.params, [0.7, 1.9, 0.4], atol=1e-10)
@@ -44,7 +53,7 @@ def test_recovers_emitter_from_noiseless_spectrum():
         tm, im = transmission(p, detuning_angular(freq, 0.0), 0.0)
         return np.concatenate([np.angle(tm) + p.phi0 - phase, im - i_t])
 
-    res = lm_minimize(residual, [0.8, 10.0, 2.0, 0.0],
+    res = lm_minimize(fd(residual), [0.8, 10.0, 2.0, 0.0],
                       bounds=([0.0, 1.0, 0.0, -np.pi], [1.0, 40.0, 20.0, np.pi]),
                       names=["beta", "gamma", "gamma_dp", "phi0"])
     assert res.converged
@@ -81,7 +90,7 @@ def test_bounds_are_respected():
     x = np.linspace(0, 1, 20)
     y = 3.0 * x  # truth outside the box
 
-    res = lm_minimize(lambda p: p[0] * x - y, [0.5], bounds=([0.0], [2.0]))
+    res = lm_minimize(fd(lambda p: p[0] * x - y), [0.5], bounds=([0.0], [2.0]))
     assert res.params[0] == pytest.approx(2.0)
 
 
@@ -92,30 +101,30 @@ def test_clipped_steps_evaluate_each_point_once():
     y = 5.0 * x + 1.0
     seen = []
 
-    def residual(p):
+    def fun(p):
         seen.append(tuple(p))
-        return p[0] * x + p[1] - y
+        return fd(lambda q: q[0] * x + q[1] - y)(p)
 
-    res = lm_minimize(residual, [0.0, 0.0], bounds=([None, None], [2.0, None]))
+    res = lm_minimize(fun, [0.0, 0.0], bounds=([None, None], [2.0, None]))
     assert res.params[0] == pytest.approx(2.0)
     assert len(seen) == len(set(seen))
 
 
 def test_init_outside_bounds_rejected():
     with pytest.raises(ValueError):
-        lm_minimize(lambda p: p, [5.0], bounds=([0.0], [1.0]))
+        lm_minimize(fd(lambda p: p), [5.0], bounds=([0.0], [1.0]))
 
 
 def test_nonfinite_initial_residual_rejected():
     with pytest.raises(ValueError):
-        lm_minimize(lambda p: np.array([np.nan]), [1.0])
+        lm_minimize(fd(lambda p: np.array([np.nan])), [1.0])
 
 
 def test_max_iteration_exhaustion_flagged():
     x = np.linspace(0.1, 3, 25)
     y = np.exp(-1.7 * x) + 0.3 * np.sin(5 * x)
 
-    res = lm_minimize(lambda p: np.exp(p[0] * x) + p[1] * np.sin(p[2] * x) - y,
+    res = lm_minimize(fd(lambda p: np.exp(p[0] * x) + p[1] * np.sin(p[2] * x) - y),
                       [0.5, 1.0, 1.0], max_iter=2)
     assert not res.converged
     assert "max iterations" in res.message
@@ -127,7 +136,7 @@ def test_covariance_symmetric_psd_and_scaled():
     sigma = 0.05
     y = 1.3 * x + 0.4 + rng.normal(0, sigma, x.size)
 
-    res = lm_minimize(lambda p: (p[0] * x + p[1] - y) / sigma, [0.0, 0.0])
+    res = lm_minimize(fd(lambda p: (p[0] * x + p[1] - y) / sigma), [0.0, 0.0])
     cov = res.covariance
     np.testing.assert_allclose(cov, cov.T, atol=1e-9)
     eig = np.linalg.eigvalsh(cov)
@@ -137,7 +146,7 @@ def test_covariance_symmetric_psd_and_scaled():
 
 
 def test_flat_direction_diagnostic():
-    res = lm_minimize(lambda p: np.array([p[0] - 1.0, 2.0 * p[0] + 1.0]), [0.0, 0.5],
+    res = lm_minimize(fd(lambda p: np.array([p[0] - 1.0, 2.0 * p[0] + 1.0])), [0.0, 0.5],
                       names=["used", "unused"])
     assert res.flat_directions == ["unused"]
     assert res.uncertainties[1] == 0.0 or not np.isfinite(res.uncertainties[1])
@@ -149,5 +158,5 @@ def test_singular_normal_equations_ridge_warning():
         return np.array([p[0] + p[1] - 1.0, 2 * (p[0] + p[1]) - 2.0])
 
     with pytest.warns(RuntimeWarning, match="ridge"):
-        res = lm_minimize(residual, [0.0, 0.0], lambda0=0.0)
+        res = lm_minimize(fd(residual), [0.0, 0.0], lambda0=0.0)
     assert np.isfinite(res.chi2)
