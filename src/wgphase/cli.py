@@ -47,13 +47,9 @@ def _load(args) -> RunConfig:
 
 
 def _spectrum_table(bundle: ResultBundle, name: str, p, freq, omega_r: float):
-    delta = detuning_angular(freq, p.f0)
-    t, i_t = emitter.transmission(p, delta, omega_r)
-    phase = np.angle(t)
-    bundle.write_table(
-        name,
-        "freq_ghz,delta_rad_ns,phase_rad,phase_with_offset_rad,i_t,abs_t,re_t,im_t",
-        [freq, delta, phase, phase + p.phi0, i_t, np.abs(t), t.real, t.imag])
+    t, i_t = emitter.transmission(p, detuning_angular(freq, p.f0), omega_r)
+    bundle.write_table(name, "freq_ghz,phase_rad,abs_t,i_t",
+                       [freq, np.angle(t), np.abs(t), i_t])
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> ResultBundle:
@@ -61,9 +57,11 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> ResultBundle:
     icfg = cfg.interferometer.to_config()
     sweep = cfg.sweep.grid()
     omega_r = cfg.drive.omega_rad_ns
+    # one environmental-phase realisation (one lock loop) serves both traces
+    phi_env = icfg.phi_env.series(sweep.size, icfg.integration_time)
     traces = {}
     for qd_on, name in ((True, "trace_on.csv"), (False, "trace_off.csv")):
-        trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, omega_r=omega_r)
+        trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, omega_r=omega_r, phi_env=phi_env)
         if cfg.noise.shot_noise:
             trace = apply_shot_noise(trace, cfg.noise.seed + (0 if qd_on else 1))
         traces[name] = trace

@@ -120,11 +120,16 @@ class SweepBlock:
     stop_ghz: float = 15.0
     points: int = 4501
 
-    def grid(self):
+    def __post_init__(self):
         if self.points < 2:
             raise ConfigError("sweep.points: need at least 2 points")
+        if not (math.isfinite(self.start_ghz) and math.isfinite(self.stop_ghz)):
+            raise ConfigError(f"sweep: start_ghz and stop_ghz must be finite, "
+                              f"got {self.start_ghz} and {self.stop_ghz}")
         if self.stop_ghz <= self.start_ghz:
             raise ConfigError("sweep: stop_ghz must exceed start_ghz")
+
+    def grid(self):
         return np.linspace(self.start_ghz, self.stop_ghz, self.points)
 
 
@@ -189,20 +194,20 @@ class ChiralScanBlock:
         for i, bd in enumerate(self.beta_dirs):
             if type(bd) not in (int, float) or not 0 <= bd <= 1:
                 raise ConfigError(f"chiral_scan.beta_dirs[{i}]: must be in [0, 1], got {bd!r}")
-
-    def grids(self):
-        """The beta_dir values, the drive axis and the dephasing axis, rad/ns."""
         if not self.beta_dirs:
             raise ConfigError("chiral_scan.beta_dirs: need at least one value")
         if self.points < 2:
             raise ConfigError("chiral_scan.points: need at least 2 points")
-        axes = []
         for name in ("omega_max_rad_ns", "gamma_dp_max_rad_ns"):
             top = getattr(self, name)
             if not (math.isfinite(top) and top >= 0):
                 raise ConfigError(f"chiral_scan.{name}: must be finite and >= 0, got {top}")
-            axes.append(np.linspace(0.0, top, self.points))
-        return ([float(bd) for bd in self.beta_dirs], *axes)
+
+    def grids(self):
+        """The beta_dir values, the drive axis and the dephasing axis, rad/ns."""
+        return ([float(bd) for bd in self.beta_dirs],
+                np.linspace(0.0, self.omega_max_rad_ns, self.points),
+                np.linspace(0.0, self.gamma_dp_max_rad_ns, self.points))
 
 
 @dataclass

@@ -183,15 +183,17 @@ def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: 
 
 
 def fringe_trace(cfg: InterferometerConfig, p: EmitterParams, sweep, qd_on: bool,
-                 omega_r: float = 0.0) -> FringeTrace:
+                 omega_r: float = 0.0, phi_env=None) -> FringeTrace:
     """Synthesize a noiseless fringe trace over a laser sweep (GHz).
 
     The sweep sets the laser-emitter detuning of every point; ``omega_r`` is
     the Rabi frequency of the drive, rad/ns, and the default 0 is the
     linear-response limit.  The metadata records the ``omega_r`` applied.
+    ``phi_env`` is the environmental phase per point, as in
+    :func:`expected_rate`; by default ``cfg.phi_env`` generates it.
     """
     sweep = np.asarray(sweep, dtype=float)
-    rate = expected_rate(cfg, p, sweep, qd_on, omega_r=omega_r)
+    rate = expected_rate(cfg, p, sweep, qd_on, omega_r=omega_r, phi_env=phi_env)
     counts = rate * cfg.integration_time
     meta = {
         "schema": SCHEMA_TRACE,
@@ -258,13 +260,14 @@ def lock_loop_residual(drift, gains, dt: float) -> np.ndarray:
     amplitude = float(np.max(np.abs(drift))) if drift.size else 0.0
     limit = 10.0 * amplitude if amplitude > 0 else np.inf
 
-    residual = np.empty_like(drift)
+    residual = []
     correction = 0.0
     integral = 0.0
     prev_err = 0.0
-    for i, value in enumerate(drift):
+    # Python floats take the same IEEE steps as numpy scalars, at a fraction of the cost
+    for i, value in enumerate(drift.tolist()):
         err = value - correction
-        residual[i] = err
+        residual.append(err)
         if abs(err) > limit:
             raise UnstableLoopError(
                 f"lock residual {err:.3g} rad exceeded 10x drift amplitude "
@@ -274,7 +277,7 @@ def lock_loop_residual(drift, gains, dt: float) -> np.ndarray:
         derivative = (err - prev_err) / dt
         correction = kp * err + ki * integral + kd * derivative
         prev_err = err
-    return residual
+    return np.array(residual, dtype=float)
 
 
 def _config_meta(cfg: InterferometerConfig) -> dict:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from wgphase import spectra
+from wgphase import interferometer, spectra
 from wgphase.cli import (EXIT_BAD_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.extraction import PhasorSeries
@@ -190,8 +190,21 @@ def test_simulate_trace_meta_records_applied_drive(tmp_path, drive, omega_r):
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
     freq = np.linspace(-12.0, 12.0, 3601)
     t, i_t = transmission(p, detuning_angular(freq, 0.0), omega_r)
-    rows = np.loadtxt(out / "model_spectrum.csv", delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(rows[:, 4], i_t)
+    rows = np.genfromtxt(out / "model_spectrum.csv", delimiter=",", names=True)
+    np.testing.assert_array_equal(rows["i_t"], i_t)
+
+
+def test_simulate_runs_the_lock_loop_once(tmp_path, monkeypatch):
+    # the on and off traces share one environmental-phase realisation
+    calls = []
+    loop = interferometer.lock_loop_residual
+    monkeypatch.setattr(interferometer, "lock_loop_residual",
+                        lambda *args, **kwargs: calls.append(1) or loop(*args, **kwargs))
+    cfg = dict(BASE_CFG, interferometer={"env_phase": {"kind": "locked_drift"}},
+               noise={"shot_noise": True, "seed": 3})
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", cfg),
+                   "--out", str(tmp_path / "sim"), "simulate") == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_extract_truncated_csv_is_bad_input(tmp_path, capsys):
@@ -432,6 +445,13 @@ def test_predict_chiral_bad_scan_is_bad_input(tmp_path, capsys, scan, named):
     ("predict-chiral", {"drive": {"omega_rad_ns": 8.0}}, "drive.omega_rad_ns"),  # was exit 0
     ("simulate", {"drive": {"omega_rad_ns": -1, "linear_response": False}},
      "drive.omega_rad_ns"),                                         # wrote no bundle already
+    # the scan grids are checked at load, not only by the command that uses them
+    ("predict-chiral", {"sweep": {"points": 1}}, "sweep.points"),            # was exit 0
+    ("predict-chiral", {"sweep": {"start_ghz": 5, "stop_ghz": -5}}, "stop_ghz"),  # was exit 0
+    ("simulate", {"chiral_scan": {"points": 1}}, "chiral_scan.points"),      # was exit 0
+    ("simulate", {"chiral_scan": {"beta_dirs": []}}, "chiral_scan.beta_dirs"),  # was exit 0
+    ("simulate", {"sweep": {"stop_ghz": np.inf}}, "stop_ghz"),      # named no field
+    ("predict-chiral", {"sweep": {"start_ghz": np.nan}}, "start_ghz"),       # was exit 0
 ])
 def test_rejected_run_writes_no_bundle(tmp_path, capsys, command, payload, named):
     out = tmp_path / "o"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,38 @@ def test_lock_unstable_gains_detected():
     drift = np.ones(2000)
     with pytest.raises(UnstableLoopError):
         lock_loop_residual(drift, {"kp": 25.0, "ki": 0.0, "kd": 0.0}, dt=0.1)
+
+
+def _lock_loop_reference(drift, gains, dt):
+    # the loop over numpy scalars that lock_loop_residual replaced; same IEEE steps
+    kp, ki, kd = gains["kp"], gains["ki"], gains["kd"]
+    limit = 10.0 * np.max(np.abs(drift))
+    residual = np.empty_like(drift)
+    correction = integral = prev_err = 0.0
+    for i, value in enumerate(drift):
+        err = value - correction
+        residual[i] = err
+        if abs(err) > limit:
+            raise UnstableLoopError(
+                f"lock residual {err:.3g} rad exceeded 10x drift amplitude "
+                f"{limit / 10.0:.3g} rad at step {i} (unstable gains?)")
+        integral += err * dt
+        correction = kp * err + ki * integral + kd * ((err - prev_err) / dt)
+        prev_err = err
+    return residual
+
+
+@pytest.mark.parametrize("gains", [GAINS, {"kp": 0.3, "ki": 2.0, "kd": 0.01},
+                                   {"kp": 25.0, "ki": 0.0, "kd": 0.0}])
+def test_lock_loop_matches_scalar_reference(gains):
+    drift = np.cumsum(np.random.default_rng(4).normal(0.0, 0.05, 3000))
+    try:
+        want = _lock_loop_reference(drift, gains, 0.1)
+    except UnstableLoopError as exc:
+        with pytest.raises(UnstableLoopError, match=re.escape(str(exc))):
+            lock_loop_residual(drift, gains, dt=0.1)
+    else:
+        assert lock_loop_residual(drift, gains, dt=0.1).tobytes() == want.tobytes()
 
 
 def test_lock_residual_feeds_fringe_trace():

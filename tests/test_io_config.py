@@ -12,8 +12,9 @@ from wgphase.config import ConfigError, RunConfig, load_config
 from wgphase.emitter import EmitterParams
 from wgphase.extraction import PhasorSeries
 from wgphase.interferometer import ConstantPhase, FringeTrace, InterferometerConfig, fringe_trace
-from wgphase.io import (SCHEMA_VERSION, ResultBundle, TraceParseError, parse_phasors_csv,
-                        parse_trace_csv, write_phasors_csv, write_trace_csv)
+from wgphase.io import (PHASOR_HEADER, SCHEMA_VERSION, ResultBundle, TraceParseError,
+                        _write_csv, parse_phasors_csv, parse_trace_csv, write_phasors_csv,
+                        write_trace_csv)
 
 
 @pytest.fixture
@@ -60,6 +61,72 @@ def test_trace_parse_rejects_locale_commas(tmp_path):
     path.write_text("freq_ghz,counts\n0.0,1.0\n1,5,2.0\n", encoding="utf-8")
     with pytest.raises(TraceParseError, match="locale.csv:3"):
         parse_trace_csv(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\x0c"])
+def test_trace_parse_line_breaks(tmp_path, newline):
+    path = tmp_path / "t.csv"
+    path.write_bytes(newline.join(["freq_ghz,counts", "0.0,1.5", "1.0,2.5", ""]).encode())
+    back = parse_trace_csv(path)
+    np.testing.assert_array_equal(back.freq, [0.0, 1.0])
+    np.testing.assert_array_equal(back.intensity, [1.5, 2.5])
+
+
+@pytest.mark.parametrize("body, message", [
+    # blank lines are skipped but counted: the bad row is line 5
+    ("0.0,1.0\n\n   \n2.0,x\n", "5: non-numeric value"),
+    ("0.0,1.0\n\n2.0,1.0\n\n1.0,1.0\n", "6: freq_ghz must be strictly increasing"),
+    ("0.0,1.0\n1.0,1e\n", "3: non-numeric value"),
+    ("0.0,--1\n", "2: non-numeric value"),
+    ("0.0,0x1p3\n", "2: non-numeric value"),
+    # the comma count is checked per line, not in total
+    ("1,2,3\n4\n", "2: expected 2 comma-separated fields, got 3"),
+])
+def test_trace_parse_errors_name_the_right_line(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text("freq_ghz,counts\n" + body, encoding="utf-8")
+    with pytest.raises(TraceParseError) as err:
+        parse_trace_csv(path)
+    assert str(err.value).startswith(f"{path}:{message}")
+
+
+def test_trace_parse_blank_lines_and_padding(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("freq_ghz,counts\n 0.5 ,\t2 \n\n1.5,3\n", encoding="utf-8")
+    back = parse_trace_csv(path)
+    np.testing.assert_array_equal(back.freq, [0.5, 1.5])
+    np.testing.assert_array_equal(back.intensity, [2.0, 3.0])
+
+
+def test_phasor_parse_accepts_what_float_accepts(tmp_path):
+    # underscores, non-ASCII digits and every nan/inf spelling parse as float() parses them
+    fields = ["1_000", "\uff11\uff12", "\u0661\u0662", "nan", "NaN", "-nan", "Infinity",
+              "-infinity", "iNF", " +inf", "1e400", "-0"]
+    rows = ["0," + ",".join(fields[:6]), "1," + ",".join(fields[6:])]
+    path = tmp_path / "p.csv"
+    path.write_text(PHASOR_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    back = parse_phasors_csv(path)
+    want = np.array([[float(v) for v in row.split(",")] for row in rows])
+    for j, name in enumerate(("freq", "phase_shift", "phase_err", "amp_ratio", "amp_err",
+                              "offset_ratio", "offset_err")):
+        assert _bits(getattr(back, name)) == _bits(want[:, j]), name
+
+
+@pytest.mark.parametrize("n_columns", [1, 2, 4, 7])
+def test_write_csv_matches_format_reference(tmp_path, n_columns):
+    # %.17g must print the bytes of {:.17g} for every double
+    rng = np.random.default_rng(n_columns)
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.7976931348623157e308,
+               2.0 ** 53 + 2, 2.0 ** 60 + 2 ** 10, -(2.0 ** 70), 0.1 + 0.2, 1e-310]
+    columns = []
+    for _ in range(n_columns):
+        values = rng.normal(size=64) * 10.0 ** rng.integers(-300, 300, size=64)
+        values[:len(special)] = special
+        columns.append(rng.permutation(values))
+    path = _write_csv(tmp_path / "x.csv", "h", columns)
+    want = "h\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                           for row in zip(*(c.tolist() for c in columns)))
+    assert path.read_bytes() == want.encode()
 
 
 def test_phasor_roundtrip(tmp_path):
