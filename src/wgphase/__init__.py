@@ -8,10 +8,9 @@ from .emitter import (ChiralThresholds, EmitterParams, NumericExtremum, PhaseExt
                       phase_extrema_numeric, transmission)
 from .extraction import (NoFringeError, PhasorSeries, WindowFits, estimate_path_length_fft,
                          extract_phasor_series, window_phasors)
-from .interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
-                             LockedDriftPhase, RandomWalkPhase, SinusoidPhase,
-                             UnstableLoopError, apply_shot_noise, expected_rate,
-                             fringe_trace, lock_loop_residual)
+from .interferometer import (FringeTrace, InterferometerConfig, UnstableLoopError,
+                             apply_shot_noise, expected_rate, fringe_trace,
+                             lock_loop_residual)
 from .lm import FitResult, lm_minimize
 from .spectra import (SpectrumChannel, SpectrumDataset, channel_model,
                       fit_saturation_series, fit_two_dipole_spectra, initial_guess,
@@ -20,9 +19,8 @@ from .spectra import (SpectrumChannel, SpectrumDataset, channel_model,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChiralThresholds", "ConstantPhase", "EmitterParams", "FitResult", "FringeTrace",
-    "InterferometerConfig", "LockedDriftPhase", "NoFringeError", "NumericExtremum",
-    "PhaseExtremum", "PhasorSeries", "RandomWalkPhase", "SinusoidPhase", "SpectrumChannel",
+    "ChiralThresholds", "EmitterParams", "FitResult", "FringeTrace", "InterferometerConfig",
+    "NoFringeError", "NumericExtremum", "PhaseExtremum", "PhasorSeries", "SpectrumChannel",
     "SpectrumDataset", "UnstableLoopError", "WindowFits", "apply_shot_noise",
     "channel_model", "chiral_thresholds", "critical_photon_flux", "estimate_path_length_fft",
     "expected_rate", "extract_phasor_series", "fit_saturation_series",

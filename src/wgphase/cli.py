@@ -58,7 +58,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> ResultBundle:
     sweep = cfg.sweep.grid()
     omega_r = cfg.drive.omega_rad_ns
     # one environmental-phase realisation (one lock loop) serves both traces
-    phi_env = icfg.phi_env.series(sweep.size, icfg.integration_time)
+    phi_env = cfg.interferometer.env_phase.series(sweep.size, icfg.integration_time)
     traces = {}
     for qd_on, name in ((True, "trace_on.csv"), (False, "trace_off.csv")):
         trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, omega_r=omega_r, phi_env=phi_env)

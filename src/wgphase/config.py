@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -21,9 +20,9 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import interferometer
 from .emitter import EmitterParams
-from .interferometer import (ConstantPhase, InterferometerConfig, LockedDriftPhase,
-                             RandomWalkPhase, SinusoidPhase)
+from .extraction import check_window_values
 from .spectra import check_fit_values
 from .units import is_number
 
@@ -41,6 +40,9 @@ class EmitterBlock:
     f0_ghz: float = 0.0
     phi0_rad: float = -0.25
 
+    def __post_init__(self):
+        self.to_params()  # checked at load, for every command
+
     def to_params(self) -> EmitterParams:
         try:
             return EmitterParams(gamma=self.gamma_rad_ns, gamma_dp=self.gamma_dp_rad_ns,
@@ -56,9 +58,8 @@ class DriveBlock:
     linear_response: bool = True  # linear response is the drive omega_r = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_rad_ns) and self.omega_rad_ns >= 0):
-            raise ConfigError(
-                f"drive.omega_rad_ns: must be finite and >= 0, got {self.omega_rad_ns}")
+        if self.omega_rad_ns < 0:
+            raise ConfigError(f"drive.omega_rad_ns: must be >= 0, got {self.omega_rad_ns}")
         if self.linear_response and self.omega_rad_ns > 0:
             raise ConfigError(
                 f"drive.omega_rad_ns: must be 0 under drive.linear_response (omega_r = 0), "
@@ -77,20 +78,30 @@ class EnvPhaseBlock:
     kd: float = 0.0
     seed: int = 0
 
-    def to_model(self):
-        if not (math.isfinite(self.sigma_rad) and self.sigma_rad >= 0):
-            raise ConfigError(f"interferometer.env_phase.sigma_rad: must be finite and >= 0, "
-                              f"got {self.sigma_rad}")
+    def __post_init__(self):
+        if self.kind not in ("constant", "random_walk", "sinusoid", "locked_drift"):
+            raise ConfigError(f"interferometer.env_phase.kind: unknown kind {self.kind!r}")
+        for name in ("sigma_rad", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"interferometer.env_phase.{name}: must be >= 0, "
+                                  f"got {getattr(self, name)}")
+
+    def series(self, n: int, dt: float) -> np.ndarray:
+        """The environmental phase of ``n`` samples ``dt`` s apart, rad.  The
+        walk is seeded by ``seed`` alone; ``locked_drift`` is the residual the
+        lock loop leaves of it."""
         if self.kind == "constant":
-            return ConstantPhase(self.value_rad)
-        if self.kind == "random_walk":
-            return RandomWalkPhase(self.sigma_rad, seed=self.seed)
+            return np.full(n, self.value_rad)
         if self.kind == "sinusoid":
-            return SinusoidPhase(self.amplitude_rad, self.frequency_hz)
-        if self.kind == "locked_drift":
-            return LockedDriftPhase(self.sigma_rad, kp=self.kp, ki=self.ki, kd=self.kd,
-                                    seed=self.seed)
-        raise ConfigError(f"interferometer.env_phase.kind: unknown kind {self.kind!r}")
+            times = np.arange(n) * dt
+            return self.amplitude_rad * np.sin(2.0 * np.pi * self.frequency_hz * times)
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x7761]))
+        walk = np.cumsum(rng.normal(0.0, self.sigma_rad, n))
+        if self.kind == "random_walk":
+            return walk
+        gains = {"kp": self.kp, "ki": self.ki, "kd": self.kd}
+        # looked up on the module, so a wrapper installed there (a profiler, a test) sees it
+        return interferometer.lock_loop_residual(walk, gains, dt)
 
 
 @dataclass
@@ -103,13 +114,15 @@ class InterferometerBlock:
     dark_cps: float = 0.0
     env_phase: EnvPhaseBlock = field(default_factory=EnvPhaseBlock)
 
-    def to_config(self) -> InterferometerConfig:
-        phi_env = self.env_phase.to_model()
+    def __post_init__(self):
+        self.to_config()  # checked at load, for every command
+
+    def to_config(self) -> interferometer.InterferometerConfig:
         try:
-            return InterferometerConfig(
+            return interferometer.InterferometerConfig(
                 delta_l=self.delta_l_m, visibility=self.visibility, p_lo=self.p_lo_cps,
                 p_sig=self.p_sig_cps, integration_time=self.integration_time_s,
-                dark_rate=self.dark_cps, phi_env=phi_env)
+                dark_rate=self.dark_cps)
         except ValueError as exc:
             raise ConfigError(f"interferometer: {exc}") from exc
 
@@ -123,9 +136,6 @@ class SweepBlock:
     def __post_init__(self):
         if self.points < 2:
             raise ConfigError("sweep.points: need at least 2 points")
-        if not (math.isfinite(self.start_ghz) and math.isfinite(self.stop_ghz)):
-            raise ConfigError(f"sweep: start_ghz and stop_ghz must be finite, "
-                              f"got {self.start_ghz} and {self.stop_ghz}")
         if self.stop_ghz <= self.start_ghz:
             raise ConfigError("sweep: stop_ghz must exceed start_ghz")
 
@@ -146,6 +156,13 @@ class ExtractionBlock:
     poly_order: int = 2
     weight_beta: float = 12.0
     delta_l_m: Optional[float] = None   # None -> FFT estimate from the off trace
+
+    def __post_init__(self):
+        try:  # checked at load, for every command
+            check_window_values(self.window_periods, self.hop_periods, self.poly_order,
+                                self.delta_l_m)
+        except ValueError as exc:
+            raise ConfigError(f"extraction: {exc}") from exc
 
 
 @dataclass
@@ -200,8 +217,8 @@ class ChiralScanBlock:
             raise ConfigError("chiral_scan.points: need at least 2 points")
         for name in ("omega_max_rad_ns", "gamma_dp_max_rad_ns"):
             top = getattr(self, name)
-            if not (math.isfinite(top) and top >= 0):
-                raise ConfigError(f"chiral_scan.{name}: must be finite and >= 0, got {top}")
+            if top < 0:
+                raise ConfigError(f"chiral_scan.{name}: must be >= 0, got {top}")
 
     def grids(self):
         """The beta_dir values, the drive axis and the dephasing axis, rad/ns."""
@@ -260,7 +277,7 @@ def _build(cls, data: dict, path: str):
 
 def _check_value(want, value, path):
     """``value`` checked against the field type ``want``: one of the JSON
-    types of ``_EXPECTED``, or ``Optional`` of one."""
+    types of ``_EXPECTED``, or ``Optional`` of one; a float must be finite."""
     nullable = get_origin(want) is Union
     if nullable:
         if value is None:
@@ -272,11 +289,12 @@ def _check_value(want, value, path):
         got = "a boolean" if is_bool and want is float and not nullable else type(value).__name__
         raise ConfigError(f"{path}: expected {_EXPECTED[want]}"
                           f"{' or null' if nullable else ''}, got {got}")
-    try:
-        return float(value) if want is float else value
-    except OverflowError as exc:
-        raise ConfigError(f"{path}: expected a number, got an integer too large "
-                          f"for a float") from exc
+    if want is not float:
+        return value
+    if not is_number(value):  # NaN, Infinity and 1e400 parse to floats
+        got = "an integer too large for a float" if isinstance(value, int) else value
+        raise ConfigError(f"{path}: expected a finite number, got {got}")
+    return float(value)
 
 
 def load_config(source) -> RunConfig:

@@ -171,6 +171,22 @@ def _parabolic_offset(mag: np.ndarray, i: int) -> float:
     return float(0.5 * (a - c) / denom)
 
 
+def check_window_values(window_periods: float, hop_periods: Optional[float],
+                        poly_order: int, delta_l: Optional[float] = None):
+    """ValueError naming the first of the :func:`window_phasors` parameters
+    that it would reject; a None ``hop_periods`` or ``delta_l`` is not
+    checked (the window width, or the FFT estimate, stands in for it)."""
+    if delta_l is not None and not (np.isfinite(delta_l) and delta_l > 0):
+        raise ValueError(f"delta_l must be finite and > 0, got {delta_l}")
+    if poly_order < 0:
+        raise ValueError(f"poly_order must be >= 0, got {poly_order}")
+    if not (np.isfinite(window_periods) and window_periods >= 1.0):
+        raise ValueError(f"window_periods must be finite and cover at least one fringe "
+                         f"period, got {window_periods}")
+    if hop_periods is not None and not (np.isfinite(hop_periods) and hop_periods > 0):
+        raise ValueError(f"hop_periods must be finite and > 0, got {hop_periods}")
+
+
 def window_phasors(trace: FringeTrace, delta_l: float,
                    window_periods: float = DEFAULT_WINDOW_PERIODS,
                    hop_periods: Optional[float] = None,
@@ -187,17 +203,9 @@ def window_phasors(trace: FringeTrace, delta_l: float,
     ``exp(-i*theta[start])``; the amplitude and phase variances are
     rotation-invariant and are evaluated in the local frame.
     """
-    if not (np.isfinite(delta_l) and delta_l > 0):
-        raise ValueError(f"delta_l must be finite and > 0, got {delta_l}")
-    if poly_order < 0:
-        raise ValueError(f"poly_order must be >= 0, got {poly_order}")
-    if not (np.isfinite(window_periods) and window_periods >= 1.0):
-        raise ValueError(f"window_periods must be finite and cover at least one fringe "
-                         f"period, got {window_periods}")
+    check_window_values(window_periods, hop_periods, poly_order, delta_l)
     if hop_periods is None:
         hop_periods = window_periods
-    if not (np.isfinite(hop_periods) and hop_periods > 0):
-        raise ValueError(f"hop_periods must be finite and > 0, got {hop_periods}")
     freq = trace.freq
     df = _uniform_spacing(freq)
     period_ghz = C_M_PER_S / delta_l / 1e9

@@ -18,7 +18,6 @@ bin, i.e. rate times integration time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -32,61 +31,6 @@ _NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
-class ConstantPhase:
-    """Fixed environmental phase offset, rad."""
-
-    value: float = 0.0
-
-    def series(self, n: int, integration_time: float) -> np.ndarray:
-        return np.full(n, self.value)
-
-
-@dataclass(frozen=True)
-class RandomWalkPhase:
-    """Gaussian random-walk drift, ``sigma`` rad per sample."""
-
-    sigma: float
-    seed: int = 0
-
-    def series(self, n: int, integration_time: float) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence([int(self.seed), 0x7761]))
-        return np.cumsum(rng.normal(0.0, self.sigma, n))
-
-
-@dataclass(frozen=True)
-class SinusoidPhase:
-    """Sinusoidal drift: amplitude rad, frequency Hz against sample time."""
-
-    amplitude: float
-    frequency: float
-    phase: float = 0.0
-
-    def series(self, n: int, integration_time: float) -> np.ndarray:
-        times = np.arange(n) * integration_time
-        return self.amplitude * np.sin(2.0 * np.pi * self.frequency * times + self.phase)
-
-
-@dataclass(frozen=True)
-class LockedDriftPhase:
-    """Random-walk drift with the lock loop engaged; the residual after the
-    PID correction is what reaches the interferometer."""
-
-    sigma: float
-    kp: float = 0.6
-    ki: float = 4.0
-    kd: float = 0.0
-    seed: int = 0
-
-    def series(self, n: int, integration_time: float) -> np.ndarray:
-        drift = RandomWalkPhase(self.sigma, self.seed).series(n, integration_time)
-        return lock_loop_residual(drift, {"kp": self.kp, "ki": self.ki, "kd": self.kd},
-                                  integration_time)
-
-
-EnvPhase = Union[ConstantPhase, RandomWalkPhase, SinusoidPhase, LockedDriftPhase]
-
-
-@dataclass(frozen=True)
 class InterferometerConfig:
     """Interferometer geometry, powers and acquisition settings.
 
@@ -94,7 +38,6 @@ class InterferometerConfig:
     visibility : fringe contrast v in [0, 1]
     p_lo, p_sig : local-oscillator and signal-arm photon rates, counts/s
     integration_time : s per frequency sample
-    phi_env : environmental phase model (defaults to zero)
     dark_rate : detector dark counts/s, default 0
     """
 
@@ -103,7 +46,6 @@ class InterferometerConfig:
     p_lo: float = 1e6
     p_sig: float = 1e4
     integration_time: float = 0.1
-    phi_env: EnvPhase = field(default_factory=ConstantPhase)
     dark_rate: float = 0.0
 
     def __post_init__(self):
@@ -116,12 +58,6 @@ class InterferometerConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.integration_time <= 0:
             raise ValueError(f"integration_time must be > 0, got {self.integration_time}")
-
-    def fringe_period_ghz(self) -> float:
-        """Fringe period in laser frequency, GHz (c / delta_l)."""
-        if self.delta_l == 0:
-            return np.inf
-        return C_M_PER_S / self.delta_l / 1e9
 
 
 @dataclass
@@ -144,16 +80,16 @@ class FringeTrace:
             raise ValueError("freq and intensity must have the same shape")
         if self.freq.size and np.any(np.diff(self.freq) <= 0):
             raise ValueError("freq must be strictly increasing")
-        if np.any(self.intensity < 0):
-            raise ValueError("intensity must be non-negative")
-
+        if not np.all(np.isfinite(self.intensity) & (self.intensity >= 0)):
+            raise ValueError("intensity must be finite and non-negative")
 
 
 def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: bool,
-                  omega_r: float = 0.0, phi_env=None):
+                  omega_r: float = 0.0, phi_env=0.0):
     """Expected detector rate (counts/s) on a laser frequency grid, with the
     emitter driven at Rabi frequency ``omega_r`` (rad/ns; 0 is linear
-    response)."""
+    response) and the environmental phase ``phi_env`` (rad; a scalar or one
+    value per point)."""
     freq_ghz = np.asarray(freq_ghz, dtype=float)
     if freq_ghz.size == 0:
         raise ValueError("frequency grid is empty")
@@ -162,10 +98,7 @@ def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: 
     if np.any(np.diff(freq_ghz) <= 0):
         raise ValueError("frequency grid must be strictly increasing")
 
-    if phi_env is None:
-        phi_env = cfg.phi_env.series(freq_ghz.size, cfg.integration_time)
-    else:
-        phi_env = np.broadcast_to(np.asarray(phi_env, dtype=float), freq_ghz.shape)
+    phi_env = np.broadcast_to(np.asarray(phi_env, dtype=float), freq_ghz.shape)
 
     if qd_on:
         t, i_t = transmission(p, detuning_angular(freq_ghz, p.f0), omega_r)
@@ -183,14 +116,13 @@ def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: 
 
 
 def fringe_trace(cfg: InterferometerConfig, p: EmitterParams, sweep, qd_on: bool,
-                 omega_r: float = 0.0, phi_env=None) -> FringeTrace:
+                 omega_r: float = 0.0, phi_env=0.0) -> FringeTrace:
     """Synthesize a noiseless fringe trace over a laser sweep (GHz).
 
     The sweep sets the laser-emitter detuning of every point; ``omega_r`` is
     the Rabi frequency of the drive, rad/ns, and the default 0 is the
     linear-response limit.  The metadata records the ``omega_r`` applied.
-    ``phi_env`` is the environmental phase per point, as in
-    :func:`expected_rate`; by default ``cfg.phi_env`` generates it.
+    ``phi_env`` is the environmental phase, as in :func:`expected_rate`.
     """
     sweep = np.asarray(sweep, dtype=float)
     rate = expected_rate(cfg, p, sweep, qd_on, omega_r=omega_r, phi_env=phi_env)
@@ -219,8 +151,6 @@ def apply_shot_noise(trace: FringeTrace, seed: int) -> FringeTrace:
     words), never on a later bin: a trace's draws are a prefix of the draws
     of any longer trace that starts with the same expected counts.
     """
-    if not np.all(np.isfinite(trace.intensity)):
-        raise ValueError("expected counts must be finite")
     means = trace.intensity
     counts = np.empty_like(means)
     key = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
@@ -246,7 +176,7 @@ def lock_loop_residual(drift, gains, dt: float) -> np.ndarray:
         correction <- kp*e + ki*integral(e dt) + kd*de/dt
 
     and the residual recorded for that step is ``e``.  The residual series
-    can be fed back into :func:`fringe_trace` as the environmental phase.
+    is the environmental phase :func:`fringe_trace` takes.
 
     Raises :class:`UnstableLoopError` when |residual| grows beyond 10x the
     drift amplitude.
@@ -281,10 +211,6 @@ def lock_loop_residual(drift, gains, dt: float) -> np.ndarray:
 
 
 def _config_meta(cfg: InterferometerConfig) -> dict:
-    env = cfg.phi_env
-    env_meta = {"kind": type(env).__name__}
-    for key, val in vars(env).items():
-        env_meta[key] = val
     return {
         "delta_l_m": cfg.delta_l,
         "visibility": cfg.visibility,
@@ -292,7 +218,6 @@ def _config_meta(cfg: InterferometerConfig) -> dict:
         "p_sig_cps": cfg.p_sig,
         "integration_time_s": cfg.integration_time,
         "dark_cps": cfg.dark_rate,
-        "env_phase": env_meta,
     }
 
 

@@ -16,7 +16,7 @@ from wgphase.cli import EXIT_OK, main as cli_main
 from wgphase.emitter import (EmitterParams, chiral_thresholds, critical_photon_flux,
                              phase_extrema_analytic, phase_extrema_numeric, transmission)
 from wgphase.extraction import estimate_path_length_fft
-from wgphase.interferometer import (ConstantPhase, InterferometerConfig, apply_shot_noise,
+from wgphase.interferometer import (InterferometerConfig, apply_shot_noise,
                                     fringe_trace)
 from wgphase.spectra import (SpectrumChannel, SpectrumDataset, fit_saturation_series,
                              fit_two_dipole_spectra, predict_phase_vs_power)
@@ -131,7 +131,7 @@ def _bisect(fun, lo, hi, tol=1e-12):
 def test_criterion_4_path_length_recovery():
     # delta_l = 2.78 m, visibility 0.65, Poisson noise at 1e5 counts/bin
     cfg = InterferometerConfig(delta_l=2.78, visibility=0.65, p_lo=1e6, p_sig=1e4,
-                               integration_time=0.1, phi_env=ConstantPhase(0.0))
+                               integration_time=0.1)
     freq = np.linspace(-15, 15, 4501)
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, phi0=-0.25)
     off = fringe_trace(cfg, p, freq, qd_on=False)

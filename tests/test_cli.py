@@ -452,6 +452,20 @@ def test_predict_chiral_bad_scan_is_bad_input(tmp_path, capsys, scan, named):
     ("simulate", {"chiral_scan": {"beta_dirs": []}}, "chiral_scan.beta_dirs"),  # was exit 0
     ("simulate", {"sweep": {"stop_ghz": np.inf}}, "stop_ghz"),      # named no field
     ("predict-chiral", {"sweep": {"start_ghz": np.nan}}, "start_ghz"),       # was exit 0
+    # non-finite floats are rejected at load; each wrote nan counts and exited 0
+    ("simulate", {"interferometer": {"p_lo_cps": np.nan}}, "interferometer.p_lo_cps"),
+    ("simulate", {"interferometer": {"delta_l_m": np.inf}}, "interferometer.delta_l_m"),
+    ("simulate", {"interferometer": {"env_phase": {"value_rad": np.nan}}},
+     "interferometer.env_phase.value_rad"),
+    ("simulate", {"interferometer": {"env_phase": {"kind": "locked_drift", "kp": np.nan}}},
+     "interferometer.env_phase.kp"),
+    # every block is checked at load, not only by the commands that use it
+    ("predict-chiral", {"interferometer": {"visibility": 2.0}}, "visibility"),  # was exit 0
+    ("simulate", {"extraction": {"poly_order": -1}}, "poly_order"),             # was exit 0
+    ("predict-chiral", {"interferometer": {"env_phase": {"kind": "volcano"}}},
+     "interferometer.env_phase.kind"),                               # was exit 0
+    ("simulate", {"interferometer": {"env_phase": {"kind": "random_walk", "seed": -1}}},
+     "interferometer.env_phase.seed"),                               # named no field
 ])
 def test_rejected_run_writes_no_bundle(tmp_path, capsys, command, payload, named):
     out = tmp_path / "o"

@@ -8,7 +8,7 @@ import pytest
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.extraction import (NoFringeError, WindowFits, estimate_path_length_fft,
                                 extract_phasor_series, window_phasors)
-from wgphase.interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
+from wgphase.interferometer import (FringeTrace, InterferometerConfig,
                                     apply_shot_noise, fringe_trace)
 from wgphase.units import C_M_PER_S, TWO_PI, detuning_angular, wrap_angle
 
@@ -18,11 +18,10 @@ EMITTER = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25
 def make_pair(delta_l=25.0, span=12.0, points=15001, p=EMITTER, visibility=0.65,
               phi_env=0.0):
     cfg = InterferometerConfig(delta_l=delta_l, visibility=visibility, p_lo=1e6,
-                               p_sig=1e4, integration_time=0.1,
-                               phi_env=ConstantPhase(phi_env))
+                               p_sig=1e4, integration_time=0.1)
     freq = np.linspace(-span, span, points)
-    on = fringe_trace(cfg, p, freq, qd_on=True)
-    off = fringe_trace(cfg, p, freq, qd_on=False)
+    on = fringe_trace(cfg, p, freq, qd_on=True, phi_env=phi_env)
+    off = fringe_trace(cfg, p, freq, qd_on=False, phi_env=phi_env)
     return cfg, on, off
 
 
@@ -151,7 +150,7 @@ def test_low_contrast_flagged_not_dropped():
     # resonance, those windows must be flagged but present
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=0.0, beta=1.0, phi0=0.0)
     cfg = InterferometerConfig(delta_l=2.78, visibility=0.65, p_lo=1e6, p_sig=400.0,
-                               integration_time=0.1, phi_env=ConstantPhase(0.0))
+                               integration_time=0.1)
     freq = np.linspace(-15, 15, 4501)
     on = fringe_trace(cfg, p, freq, qd_on=True)
     off = fringe_trace(cfg, p, freq, qd_on=False)
@@ -262,9 +261,9 @@ def test_shared_projector_matches_per_window_oracle():
                                     beta=float(rng.uniform(0.2, 0.95)),
                                     f0=float(rng.uniform(-5.0, 5.0)),
                                     phi0=float(rng.uniform(-np.pi, np.pi)))
-        cfg = InterferometerConfig(delta_l=delta_l,
-                                   phi_env=ConstantPhase(float(rng.uniform(-np.pi, np.pi))))
-        trace = fringe_trace(cfg, p, freq, qd_on=bool(rng.integers(2)))
+        phi_env = float(rng.uniform(-np.pi, np.pi))
+        cfg = InterferometerConfig(delta_l=delta_l)
+        trace = fringe_trace(cfg, p, freq, qd_on=bool(rng.integers(2)), phi_env=phi_env)
         if noisy:
             trace = apply_shot_noise(trace, seed=int(rng.integers(2**31)))
         got = window_phasors(trace, delta_l, window, hop_periods, poly_order)

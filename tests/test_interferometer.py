@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
 from wgphase.emitter import EmitterParams, transmission
-from wgphase.interferometer import (ConstantPhase, FringeTrace, InterferometerConfig,
-                                    RandomWalkPhase, SinusoidPhase, UnstableLoopError,
+from wgphase.config import EnvPhaseBlock
+from wgphase.interferometer import (FringeTrace, InterferometerConfig, UnstableLoopError,
                                     apply_shot_noise, expected_rate, fringe_trace,
                                     lock_loop_residual)
 from wgphase.units import C_M_PER_S
@@ -17,7 +18,7 @@ GAINS = {"kp": 0.6, "ki": 4.0, "kd": 0.0}
 
 def make_cfg(**kwargs):
     defaults = dict(delta_l=2.78, visibility=1.0, p_lo=100.0, p_sig=100.0,
-                    integration_time=0.1, phi_env=ConstantPhase(0.0))
+                    integration_time=0.1)
     defaults.update(kwargs)
     return InterferometerConfig(**defaults)
 
@@ -38,6 +39,9 @@ def test_trace_validation():
         FringeTrace(freq=np.array([1.0, 0.5]), intensity=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         FringeTrace(freq=np.array([0.0, 1.0]), intensity=np.array([1.0, -1.0]))
+    for bad in (np.nan, np.inf):  # a trace the CSV reader would refuse
+        with pytest.raises(ValueError, match="finite"):
+            FringeTrace(freq=np.array([0.0, 1.0]), intensity=np.array([1.0, bad]))
 
 
 def test_ideal_two_beam_span_and_period():
@@ -47,8 +51,10 @@ def test_ideal_two_beam_span_and_period():
     rates = trace.intensity / cfg.integration_time
     assert rates.min() == pytest.approx(0.0, abs=1e-2)
     assert rates.max() == pytest.approx(400.0, abs=1e-2)
-    assert cfg.fringe_period_ghz() == pytest.approx(C_M_PER_S / 2.78 / 1e9)
-    assert cfg.fringe_period_ghz() == pytest.approx(0.1078, abs=2e-4)  # ~107.8 MHz
+    period = C_M_PER_S / cfg.delta_l / 1e9
+    assert period == pytest.approx(0.1078, abs=2e-4)  # ~107.8 MHz
+    shifted = fringe_trace(cfg, EmitterParams.isotropic(gamma=9.4), freq + period, qd_on=False)
+    np.testing.assert_allclose(shifted.intensity, trace.intensity, rtol=0, atol=1e-6)
 
 
 def test_sin_squared_shape_recovered():
@@ -94,21 +100,38 @@ def test_phase_additivity():
     p = EmitterParams.isotropic(gamma=12.3, beta=0.9, phi0=-0.25)
     freq = np.linspace(-2, 2, 2001)
     base = expected_rate(make_cfg(), p, freq, qd_on=True)
-    shifted = expected_rate(make_cfg(phi_env=ConstantPhase(0.7)), p, freq, qd_on=True)
-    # a constant environmental phase is a pure carrier shift
-    ref = expected_rate(make_cfg(), p, freq + 0.0, qd_on=True,
-                        phi_env=np.full(freq.size, 0.7))
-    np.testing.assert_allclose(shifted, ref, rtol=0, atol=1e-9)
+    shifted = expected_rate(make_cfg(), p, freq, qd_on=True, phi_env=0.7)
+    # a scalar is the same phase at every point
+    ref = expected_rate(make_cfg(), p, freq, qd_on=True, phi_env=np.full(freq.size, 0.7))
+    np.testing.assert_array_equal(shifted, ref)
     assert not np.allclose(shifted, base)
 
 
 def test_env_phase_models():
-    assert np.all(ConstantPhase(0.3).series(5, 0.1) == 0.3)
-    walk = RandomWalkPhase(sigma=0.1, seed=3)
+    assert np.all(EnvPhaseBlock(value_rad=0.3).series(5, 0.1) == 0.3)
+    walk = EnvPhaseBlock(kind="random_walk", sigma_rad=0.1, seed=3)
     np.testing.assert_array_equal(walk.series(100, 0.1), walk.series(100, 0.1))
-    sin = SinusoidPhase(amplitude=0.5, frequency=1.0).series(11, 0.1)
+    sin = EnvPhaseBlock(kind="sinusoid", amplitude_rad=0.5, frequency_hz=1.0).series(11, 0.1)
     assert sin[0] == pytest.approx(0.0)
     assert np.max(np.abs(sin)) <= 0.5 + 1e-12
+
+
+# sha256 of the float64 bytes of each kind's series (257 samples, dt 0.1 s),
+# as the per-kind phase classes this block replaced generated them
+_SERIES_SHA256 = {
+    "constant": "702bf2b4c270242ed3e525eb04b1ffdf8b8b14e2ab5378eaa3e5e555c355b1c3",
+    "random_walk": "e9e08d71c0d5b91d36e7625c20d08ea892e6e7facf5df6c2579d51d78772906c",
+    "sinusoid": "12613b1abf8bf45045732013cca3abb619303f81bda4a5868d934da2b5cfe2d3",
+    "locked_drift": "72c7912124126ed60a22388b4f1ca487982496b3cbd639ef12caa36f116bf651",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SERIES_SHA256))
+def test_env_phase_series_bytes_pinned(kind):
+    block = EnvPhaseBlock(kind=kind, value_rad=0.3, sigma_rad=0.05, amplitude_rad=0.4,
+                          frequency_hz=0.7, kp=0.5, ki=3.0, kd=0.005, seed=5)
+    series = block.series(257, 0.1)
+    assert hashlib.sha256(series.tobytes()).hexdigest() == _SERIES_SHA256[kind]
 
 
 def test_shot_noise_zero_rate():

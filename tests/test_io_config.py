@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wgphase.config import ConfigError, RunConfig, load_config
 from wgphase.emitter import EmitterParams
 from wgphase.extraction import PhasorSeries
-from wgphase.interferometer import ConstantPhase, FringeTrace, InterferometerConfig, fringe_trace
+from wgphase.interferometer import FringeTrace, InterferometerConfig, fringe_trace
 from wgphase.io import (PHASOR_HEADER, SCHEMA_VERSION, ResultBundle, TraceParseError,
                         _write_csv, parse_phasors_csv, parse_trace_csv, write_phasors_csv,
                         write_trace_csv)
@@ -20,7 +20,7 @@ from wgphase.io import (PHASOR_HEADER, SCHEMA_VERSION, ResultBundle, TraceParseE
 @pytest.fixture
 def trace():
     cfg = InterferometerConfig(delta_l=2.78, visibility=0.65, p_lo=1e6, p_sig=1e4,
-                               integration_time=0.1, phi_env=ConstantPhase(0.0))
+                               integration_time=0.1)
     freq = np.linspace(-2, 2, 257)
     return fringe_trace(cfg, EmitterParams.isotropic(gamma=12.3), freq, qd_on=False)
 
@@ -233,23 +233,22 @@ def test_config_type_errors():
 
 
 def test_config_domain_errors_carry_block():
-    cfg = load_config({"emitter": {"beta": 1.5}})
+    # checked at load, so every command rejects them
     with pytest.raises(ConfigError, match="emitter"):
-        cfg.emitter.to_params()
-    cfg = load_config({"interferometer": {"visibility": 2.0}})
+        load_config({"emitter": {"beta": 1.5}})
     with pytest.raises(ConfigError, match="interferometer"):
-        cfg.interferometer.to_config()
+        load_config({"interferometer": {"visibility": 2.0}})
+    with pytest.raises(ConfigError, match="extraction"):
+        load_config({"extraction": {"poly_order": -1}})
 
 
 def test_config_env_phase_kinds():
     for kind in ("constant", "random_walk", "sinusoid", "locked_drift"):
         cfg = load_config({"interferometer": {"env_phase": {"kind": kind}}})
-        model = cfg.interferometer.env_phase.to_model()
-        series = model.series(64, 0.1)
+        series = cfg.interferometer.env_phase.series(64, 0.1)
         assert series.shape == (64,)
     with pytest.raises(ConfigError, match="unknown kind"):
-        load_config({"interferometer": {"env_phase": {"kind": "volcano"}}}
-                    ).interferometer.env_phase.to_model()
+        load_config({"interferometer": {"env_phase": {"kind": "volcano"}}})
 
 
 def test_runconfig_is_dataclass_roundtrip():

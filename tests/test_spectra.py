@@ -6,7 +6,7 @@ import pytest
 from wgphase.emitter import (EmitterParams, critical_photon_flux, phase_extrema_numeric,
                              transmission)
 from wgphase.extraction import extract_phasor_series
-from wgphase.interferometer import (ConstantPhase, InterferometerConfig, apply_shot_noise,
+from wgphase.interferometer import (InterferometerConfig, apply_shot_noise,
                                     fringe_trace)
 from wgphase.spectra import (SpectrumChannel, SpectrumDataset, channel_model,
                              fit_saturation_series, fit_two_dipole_spectra, initial_guess,
@@ -189,8 +189,7 @@ def _pipeline_fit(delta_l, seeds=None, integration_time=0.1, span=9.0, points=90
     """fringe pair -> phasors -> single-dipole fit, optionally with shot noise."""
     p = DIPOLE2.with_(f0=0.0)
     cfg = InterferometerConfig(delta_l=delta_l, visibility=0.65, p_lo=1e6, p_sig=1e4,
-                               integration_time=integration_time,
-                               phi_env=ConstantPhase(0.0))
+                               integration_time=integration_time)
     freq = np.linspace(-span, span, points)
     on = fringe_trace(cfg, p, freq, qd_on=True)
     off = fringe_trace(cfg, p, freq, qd_on=False)
