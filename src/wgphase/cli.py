@@ -5,9 +5,17 @@ pair to phasors), ``pathlength`` (FFT imbalance estimate), ``fit``
 (two-dipole spectral fit), ``fit-saturation`` (power series fit) and
 ``predict-chiral`` (thresholds and phase curves for directional coupling).
 
-Every run writes its resolved config and a hashed manifest into the output
-directory; identical config and seed reproduce byte-identical products.
-Exit codes: 0 success, 2 bad input, 3 fit non-convergence, 4 internal error.
+:func:`main` owns the run: it loads the config, hands the command a
+:class:`~wgphase.io.ResultBundle`, and once the command's work has succeeded
+adds the resolved config and a hashed manifest.  Each command computes
+before it writes, so one that fails leaves no output directory.  Identical
+config and seed reproduce byte-identical products.
+
+Exit codes: 0 success; 2 bad input: a bad input file, a ``WGPHASE_LOG``
+that is no ``logging`` level name, or a bad config, which is checked at
+load for every command (PID lock gains that make the loop unstable
+included); 3 fit non-convergence, the bundle still written in full;
+4 internal error.
 """
 
 from __future__ import annotations
@@ -35,10 +43,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
 
 
-class FitNonConvergence(RuntimeError):
-    pass
-
-
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
@@ -46,13 +50,7 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _spectrum_table(bundle: ResultBundle, name: str, p, freq, omega_r: float):
-    t, i_t = emitter.transmission(p, detuning_angular(freq, p.f0), omega_r)
-    bundle.write_table(name, "freq_ghz,phase_rad,abs_t,i_t",
-                       [freq, np.angle(t), np.abs(t), i_t])
-
-
-def cmd_simulate(cfg: RunConfig, out_dir) -> ResultBundle:
+def cmd_simulate(cfg: RunConfig, bundle: ResultBundle):
     p = cfg.emitter.to_params()
     icfg = cfg.interferometer.to_config()
     sweep = cfg.sweep.grid()
@@ -66,16 +64,14 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> ResultBundle:
             trace = apply_shot_noise(trace, cfg.noise.seed + (0 if qd_on else 1))
         traces[name] = trace
 
-    bundle = ResultBundle(out_dir)
-    bundle.write_json("config.json", cfg.resolved())
-    _spectrum_table(bundle, "model_spectrum.csv", p, sweep, omega_r)
+    t, i_t = emitter.transmission(p, detuning_angular(sweep, p.f0), omega_r)
+    bundle.write_table("model_spectrum.csv", "freq_ghz,phase_rad,abs_t,i_t",
+                       [sweep, np.angle(t), np.abs(t), i_t])
     for name, trace in traces.items():
         bundle.write_trace(name, trace)
-    bundle.finalize()
-    return bundle
 
 
-def cmd_extract(cfg: RunConfig, out_dir, on_file, off_file) -> ResultBundle:
+def cmd_extract(cfg: RunConfig, bundle: ResultBundle, on_file, off_file):
     on = parse_trace_csv(on_file)
     off = parse_trace_csv(off_file)
     ext = cfg.extraction
@@ -86,25 +82,16 @@ def cmd_extract(cfg: RunConfig, out_dir, on_file, off_file) -> ResultBundle:
         on, off, window_periods=ext.window_periods, delta_l=delta_l,
         hop_periods=ext.hop_periods, poly_order=ext.poly_order,
         weight_beta=ext.weight_beta)
-    bundle = ResultBundle(out_dir)
-    bundle.write_json("config.json", cfg.resolved())
     bundle.write_phasors("phasors.csv", series,
                          meta={"delta_l_m": delta_l, "source_on": str(on_file),
                                "source_off": str(off_file)})
     bundle.write_json("summary.json", {"delta_l_m": delta_l, "n_points": len(series),
                                        "n_low_contrast": np.count_nonzero(series.low_contrast)})
-    bundle.finalize()
-    return bundle
 
 
-def cmd_pathlength(cfg: RunConfig, out_dir, trace_file) -> ResultBundle:
-    trace = parse_trace_csv(trace_file)
-    delta_l = estimate_path_length_fft(trace)
-    bundle = ResultBundle(out_dir)
-    bundle.write_json("config.json", cfg.resolved())
+def cmd_pathlength(cfg: RunConfig, bundle: ResultBundle, trace_file):
+    delta_l = estimate_path_length_fft(parse_trace_csv(trace_file))
     bundle.write_json("summary.json", {"delta_l_m": delta_l, "source": str(trace_file)})
-    bundle.finalize()
-    return bundle
 
 
 def _dataset_from_files(cfg: RunConfig, phasor_files):
@@ -119,14 +106,11 @@ def _dataset_from_files(cfg: RunConfig, phasor_files):
     return spectra.SpectrumDataset(channels=channels)
 
 
-def _check_converged(result: FitResult):
-    if not result.converged:
-        raise FitNonConvergence(result.message)
-
-
-def _write_fit_outputs(bundle: ResultBundle, cfg: RunConfig, data, result: FitResult):
-    bundle.write_json("config.json", cfg.resolved())
-    bundle.write_text("fit.json", fit_result_json(result))
+def cmd_fit(cfg: RunConfig, bundle: ResultBundle, phasor_files) -> FitResult:
+    data = _dataset_from_files(cfg, phasor_files)
+    result = spectra.fit_two_dipole_spectra(
+        data, init=cfg.fit.init or None, bounds=cfg.fit.bounds or None,
+        combine=cfg.fit.combine, max_iter=cfg.fit.max_iter)
     channels = data.channels
     sizes = [ch.freq.size for ch in channels]
     kind_codes = {"phase": 0, "intensity": 1, "amplitude": 2}
@@ -135,26 +119,12 @@ def _write_fit_outputs(bundle: ResultBundle, cfg: RunConfig, data, result: FitRe
                np.repeat([ch.dipole for ch in channels], sizes),
                np.concatenate([ch.values for ch in channels]),
                spectra.two_dipole_model(data, result.params, cfg.fit.combine)]
+    bundle.write_text("fit.json", fit_result_json(result))
     bundle.write_table("residuals.csv", "freq_ghz,channel,dipole,value,model", columns)
+    return result
 
 
-def cmd_fit(cfg: RunConfig, out_dir, phasor_files) -> ResultBundle:
-    if not phasor_files:
-        raise TraceParseError("no phasor datasets given")
-    data = _dataset_from_files(cfg, phasor_files)
-    result = spectra.fit_two_dipole_spectra(
-        data, init=cfg.fit.init or None, bounds=cfg.fit.bounds or None,
-        combine=cfg.fit.combine, max_iter=cfg.fit.max_iter)
-    bundle = ResultBundle(out_dir)
-    _write_fit_outputs(bundle, cfg, data, result)
-    bundle.finalize()
-    _check_converged(result)
-    return bundle
-
-
-def cmd_fit_saturation(cfg: RunConfig, out_dir, phasor_files) -> ResultBundle:
-    if not phasor_files:
-        raise TraceParseError("no phasor datasets given")
+def cmd_fit_saturation(cfg: RunConfig, bundle: ResultBundle, phasor_files) -> FitResult:
     datasets = []
     powers = list(cfg.fit.powers)
     for i, path in enumerate(phasor_files):
@@ -176,17 +146,13 @@ def cmd_fit_saturation(cfg: RunConfig, out_dir, phasor_files) -> ResultBundle:
     pw = np.geomspace(min(ds.power for ds in datasets) / 3,
                       max(ds.power for ds in datasets) * 2, 25)
     phi = spectra.predict_phase_vs_power(p_fit, result["k"], pw) if result["k"] > 0 else None
-    bundle = ResultBundle(out_dir)
-    bundle.write_json("config.json", cfg.resolved())
     bundle.write_text("fit.json", fit_result_json(result, extra={"n_c": n_c}))
     if phi is not None:
         bundle.write_table("phase_vs_power.csv", "power,phi_max_rad", [pw, phi])
-    bundle.finalize()
-    _check_converged(result)
-    return bundle
+    return result
 
 
-def cmd_predict_chiral(cfg: RunConfig, out_dir) -> ResultBundle:
+def cmd_predict_chiral(cfg: RunConfig, bundle: ResultBundle):
     base = cfg.emitter.to_params()
     beta_dirs, omegas, gdps = cfg.chiral_scan.grids()
     ref = base.with_(coupling="chiral", beta=1.0) if not base.is_chiral else base
@@ -198,9 +164,6 @@ def cmd_predict_chiral(cfg: RunConfig, out_dir) -> ResultBundle:
         by_gdp.append(np.array([emitter.phase_extrema_analytic(p.with_(gamma_dp=float(g))).phi_plus
                                 for g in gdps]))
     header = "".join(f",phi_max_bdir_{bd:g}" for bd in beta_dirs)
-
-    bundle = ResultBundle(out_dir)
-    bundle.write_json("config.json", cfg.resolved())
     bundle.write_json("thresholds.json", {
         "omega_c_rad_ns": thresholds.omega_c,
         "gamma_dp_c_rad_ns": thresholds.gamma_dp_c,
@@ -208,8 +171,6 @@ def cmd_predict_chiral(cfg: RunConfig, out_dir) -> ResultBundle:
     })
     bundle.write_table("phase_vs_omega.csv", "omega_rad_ns" + header, by_omega)
     bundle.write_table("phase_vs_dephasing.csv", "gamma_dp_rad_ns" + header, by_gdp)
-    bundle.finalize()
-    return bundle
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,38 +198,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("WGPHASE_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("WGPHASE_LOG", "WARNING").upper()
+    # checked here: basicConfig checks the level only when the root logger has no handler
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: WGPHASE_LOG: unknown logging level {level!r}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     log = logging.getLogger("wgphase")
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
+        bundle, result = ResultBundle(args.out), None
+        # the commands are looked up here on each call, so a wrapper installed on
+        # the module (a profiler, a test) sees them
         if args.command == "simulate":
-            cmd_simulate(cfg, args.out)
+            cmd_simulate(cfg, bundle)
         elif args.command == "extract":
-            cmd_extract(cfg, args.out, args.on_file, args.off_file)
+            cmd_extract(cfg, bundle, args.on_file, args.off_file)
         elif args.command == "pathlength":
-            cmd_pathlength(cfg, args.out, args.trace_file)
+            cmd_pathlength(cfg, bundle, args.trace_file)
         elif args.command == "fit":
-            cmd_fit(cfg, args.out, args.phasor_files)
+            result = cmd_fit(cfg, bundle, args.phasor_files)
         elif args.command == "fit-saturation":
-            cmd_fit_saturation(cfg, args.out, args.phasor_files)
+            result = cmd_fit_saturation(cfg, bundle, args.phasor_files)
         elif args.command == "predict-chiral":
-            cmd_predict_chiral(cfg, args.out)
-        else:  # pragma: no cover - argparse enforces the choices
-            return EXIT_INTERNAL
+            cmd_predict_chiral(cfg, bundle)
+        bundle.write_json("config.json", cfg.resolved())
+        bundle.finalize()
     except (ConfigError, TraceParseError, NoFringeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except UnstableLoopError as exc:
         print(f"error: interferometer.env_phase: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except FitNonConvergence as exc:
-        print(f"fit did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except Exception:  # pragma: no cover - defensive
         traceback.print_exc()
         return EXIT_INTERNAL
+    if result is not None and not result.converged:  # the bundle holds the diagnostics
+        print(f"fit did not converge: {result.message}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     log.info("%s finished, bundle written to %s", args.command, args.out)
     return EXIT_OK
 

@@ -116,6 +116,15 @@ class InterferometerBlock:
 
     def __post_init__(self):
         self.to_config()  # checked at load, for every command
+        env = self.env_phase
+        if env.kind == "locked_drift":  # the loop runs one step per integration time
+            radius = interferometer.lock_loop_radius(
+                {"kp": env.kp, "ki": env.ki, "kd": env.kd}, self.integration_time_s)
+            if radius > 1.0 + 1e-9:
+                raise ConfigError(
+                    f"interferometer.env_phase: PID gains kp={env.kp:g}, ki={env.ki:g}, "
+                    f"kd={env.kd:g} at integration_time_s {self.integration_time_s:g} make "
+                    f"an unstable lock loop (largest pole radius {radius:.4g} > 1)")
 
     def to_config(self) -> interferometer.InterferometerConfig:
         try:

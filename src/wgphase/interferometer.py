@@ -210,6 +210,15 @@ def lock_loop_residual(drift, gains, dt: float) -> np.ndarray:
     return np.array(residual, dtype=float)
 
 
+def lock_loop_radius(gains, dt: float) -> float:
+    """Largest |root| of the characteristic polynomial of :func:`lock_loop_residual`,
+    ``z^3 + (kp + ki*dt + kd/dt - 1)*z^2 - (kp + 2*kd/dt)*z + kd/dt``; above 1
+    the loop is unstable.  With ``ki = 0`` a harmless root sits at exactly z = 1."""
+    kp, ki, kd = (float(gains.get(key, 0.0)) for key in ("kp", "ki", "kd"))
+    roots = np.roots([1.0, kp + ki * dt + kd / dt - 1.0, -(kp + 2.0 * kd / dt), kd / dt])
+    return float(np.max(np.abs(roots)))
+
+
 def _config_meta(cfg: InterferometerConfig) -> dict:
     return {
         "delta_l_m": cfg.delta_l,

@@ -177,16 +177,19 @@ def _json_default(obj):
 class ResultBundle:
     """Output directory of one command run, finished off with a manifest.
 
-    Files are registered as they are written; ``finalize`` records sha256
-    hashes and sizes so reproducibility is checkable after the fact.
+    The directory is made at the first write, so a run that fails before it
+    writes anything leaves none.  Files are registered as they are written;
+    ``finalize`` records sha256 hashes and sizes so reproducibility is
+    checkable after the fact.
     """
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files: List[str] = []
 
     def path(self, name: str) -> Path:
+        if not self.files:  # the first write makes the directory
+            self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
     def register(self, name: str):

@@ -332,8 +332,9 @@ def test_fit_nonconvergence_exit_code(tmp_path):
     code = run_cli("--config", cfg_path, "--out", str(tmp_path / "fit"), "fit",
                    str(ext / "phasors.csv"))
     assert code == EXIT_NO_CONVERGENCE
-    # diagnostics still land in the bundle for inspection
-    assert (tmp_path / "fit" / "fit.json").exists()
+    # diagnostics still land in a finished bundle for inspection
+    manifest = read_json(tmp_path / "fit" / "manifest.json")
+    assert sorted(manifest["files"]) == ["config.json", "fit.json", "residuals.csv"]
 
 
 def _saturation_files(tmp_path):
@@ -466,12 +467,56 @@ def test_predict_chiral_bad_scan_is_bad_input(tmp_path, capsys, scan, named):
      "interferometer.env_phase.kind"),                               # was exit 0
     ("simulate", {"interferometer": {"env_phase": {"kind": "random_walk", "seed": -1}}},
      "interferometer.env_phase.seed"),                               # named no field
+    # unstable lock gains are found from the loop's poles at load, not by running it
+    ("predict-chiral", {"interferometer": {"env_phase": {"kind": "locked_drift", "kp": 5.0}}},
+     "interferometer.env_phase"),                                    # was exit 0
 ])
 def test_rejected_run_writes_no_bundle(tmp_path, capsys, command, payload, named):
     out = tmp_path / "o"
     assert run_cli("--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out),
                    command) == EXIT_BAD_INPUT
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def lifecycle_inputs(tmp_path_factory):
+    """A config, a simulated trace pair, its phasors and saturation phasor files."""
+    tmp_path = tmp_path_factory.mktemp("inputs")
+    cfg_path = write_cfg(tmp_path, "cfg.json", BASE_CFG)
+    sim, ext = tmp_path / "sim", tmp_path / "ext"
+    assert run_cli("--config", cfg_path, "--out", str(sim), "simulate") == EXIT_OK
+    assert run_cli("--config", cfg_path, "--out", str(ext), "extract",
+                   str(sim / "trace_on.csv"), str(sim / "trace_off.csv")) == EXIT_OK
+    return {"cfg": cfg_path, "on": str(sim / "trace_on.csv"), "off": str(sim / "trace_off.csv"),
+            "phasors": str(ext / "phasors.csv"), "saturation": _saturation_files(tmp_path)}
+
+
+@pytest.mark.parametrize("command, operands", [
+    ("simulate", []), ("extract", ["on", "off"]), ("pathlength", ["off"]),
+    ("fit", ["phasors"]), ("fit-saturation", ["saturation"]), ("predict-chiral", []),
+])
+def test_manifest_lists_every_bundle_file(tmp_path, lifecycle_inputs, command, operands):
+    # every command's bundle is finished the same way: config.json, then the manifest
+    args = []
+    for name in operands:
+        value = lifecycle_inputs[name]
+        args += value if isinstance(value, list) else [value]
+    out = tmp_path / "o"
+    assert run_cli("--config", lifecycle_inputs["cfg"], "--out", str(out),
+                   command, *args) == EXIT_OK
+    on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert sorted(read_json(out / "manifest.json")["files"]) == on_disk
+    assert "config.json" in on_disk
+
+
+def test_bad_log_level_is_bad_input(tmp_path, capsys, monkeypatch):
+    # was a ValueError traceback from logging.basicConfig (exit 1) from a shell,
+    # and exit 0 when the root logger already had a handler
+    monkeypatch.setenv("WGPHASE_LOG", "bogus")
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), "predict-chiral") == EXIT_BAD_INPUT
+    assert "WGPHASE_LOG" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ from wgphase.emitter import EmitterParams, transmission
 from wgphase.config import EnvPhaseBlock
 from wgphase.interferometer import (FringeTrace, InterferometerConfig, UnstableLoopError,
                                     apply_shot_noise, expected_rate, fringe_trace,
-                                    lock_loop_residual)
+                                    lock_loop_radius, lock_loop_residual)
 from wgphase.units import C_M_PER_S
 
 GAINS = {"kp": 0.6, "ki": 4.0, "kd": 0.0}
@@ -255,6 +255,34 @@ def test_lock_loop_matches_scalar_reference(gains):
             lock_loop_residual(drift, gains, dt=0.1)
     else:
         assert lock_loop_residual(drift, gains, dt=0.1).tobytes() == want.tobytes()
+
+
+def test_lock_loop_radius_matches_impulse_response():
+    # a seeded draw of gain sets, a quarter with ki = 0 (a spurious pole at
+    # exactly z = 1); the loop's response to a unit impulse either blows up
+    # (UnstableLoopError) or decays, and the pole radius must say which.  A
+    # set within reach of the unit circle does neither in 3000 steps and is
+    # left out
+    rng = np.random.default_rng(17)
+    impulse = np.zeros(3000)
+    impulse[0] = 1.0
+    verdicts = set()
+    for k in range(120):
+        dt = float(rng.choice([0.01, 0.1, 0.5]))
+        gains = {"kp": rng.uniform(0.0, 2.5), "ki": 0.0 if k % 4 == 0 else rng.uniform(0.0, 10.0),
+                 "kd": rng.uniform(0.0, 0.05) if k % 3 == 0 else 0.0}
+        try:
+            decayed = np.max(np.abs(lock_loop_residual(impulse, gains, dt)[-200:])) < 1e-9
+        except UnstableLoopError:
+            blew_up = True
+        else:
+            if not decayed:
+                continue
+            blew_up = False
+        assert (lock_loop_radius(gains, dt) > 1.0 + 1e-9) == blew_up, (gains, dt)
+        verdicts.add((blew_up, gains["ki"] == 0.0))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+    assert lock_loop_radius(GAINS, 0.1) == pytest.approx(0.7746, abs=1e-4)
 
 
 def test_lock_residual_feeds_fringe_trace():

@@ -191,6 +191,16 @@ def test_bundle_manifest_hashes(tmp_path):
         assert len(data) == entry["bytes"]
 
 
+def test_bundle_directory_made_at_first_write(tmp_path):
+    # a run that fails before it writes anything leaves no output directory
+    bundle = ResultBundle(tmp_path / "a" / "out")
+    assert not (tmp_path / "a").exists()
+    bundle.write_json("summary.json", {"n": 1})
+    bundle.finalize()
+    assert sorted(p.name for p in (tmp_path / "a" / "out").iterdir()) == ["manifest.json",
+                                                                          "summary.json"]
+
+
 def test_bundle_rerun_byte_identical(tmp_path, trace):
     digests = []
     for sub in ("a", "b"):
@@ -249,6 +259,20 @@ def test_config_env_phase_kinds():
         assert series.shape == (64,)
     with pytest.raises(ConfigError, match="unknown kind"):
         load_config({"interferometer": {"env_phase": {"kind": "volcano"}}})
+
+
+def test_config_lock_gains_checked_at_load():
+    def locked(dt=0.1, **gains):
+        return {"interferometer": {"integration_time_s": dt,
+                                   "env_phase": {"kind": "locked_drift", **gains}}}
+    load_config(locked())                      # the defaults: pole radius 0.775
+    load_config(locked(kp=0.5, ki=0.0))        # ki = 0: the pole at z = 1 is no instability
+    with pytest.raises(ConfigError, match=r"interferometer\.env_phase: .*unstable"):
+        load_config(locked(kp=5.0))
+    with pytest.raises(ConfigError, match=r"interferometer\.env_phase: .*unstable"):
+        load_config(locked(dt=0.01, kd=0.02))  # kd/dt = 2
+    # only the locked_drift kind runs the loop, so only it has its gains checked
+    load_config({"interferometer": {"env_phase": {"kind": "random_walk", "kp": 5.0}}})
 
 
 def test_runconfig_is_dataclass_roundtrip():
