@@ -29,7 +29,7 @@ import traceback
 import numpy as np
 
 from . import emitter, spectra
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_seed, load_config
 from .extraction import NoFringeError, estimate_path_length_fft, extract_phasor_series
 from .interferometer import UnstableLoopError, apply_shot_noise, fringe_trace
 from .io import (ResultBundle, TraceParseError, fit_result_json, parse_phasors_csv,
@@ -46,6 +46,7 @@ EXIT_INTERNAL = 4
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
+        check_seed(args.seed, "--seed")
         cfg.noise.seed = args.seed
     return cfg
 
@@ -161,14 +162,13 @@ def cmd_predict_chiral(cfg: RunConfig, bundle: ResultBundle):
     for bd in beta_dirs:
         p = ref.with_(beta=bd, gamma_dp=0.0)
         by_omega.append(emitter.phase_extrema_analytic(p, omegas).phi_plus)
-        by_gdp.append(np.array([emitter.phase_extrema_analytic(p.with_(gamma_dp=float(g))).phi_plus
-                                for g in gdps]))
+        # the whole dephasing axis in one call, on gamma2 = gamma/2 + gamma_dp
+        by_gdp.append(emitter._phase_extrema(p.coupling_rate, p.gamma, p.gamma / 2.0 + gdps,
+                                             0.0).phi_plus)
     header = "".join(f",phi_max_bdir_{bd:g}" for bd in beta_dirs)
-    bundle.write_json("thresholds.json", {
-        "omega_c_rad_ns": thresholds.omega_c,
-        "gamma_dp_c_rad_ns": thresholds.gamma_dp_c,
-        "beta_dir_c": thresholds.beta_dir_c,
-    })
+    bundle.write_json("thresholds.json", {"omega_c_rad_ns": thresholds.omega_c,
+                                          "gamma_dp_c_rad_ns": thresholds.gamma_dp_c,
+                                          "beta_dir_c": thresholds.beta_dir_c})
     bundle.write_table("phase_vs_omega.csv", "omega_rad_ns" + header, by_omega)
     bundle.write_table("phase_vs_dephasing.csv", "gamma_dp_rad_ns" + header, by_gdp)
 

@@ -152,10 +152,18 @@ class SweepBlock:
         return np.linspace(self.start_ghz, self.stop_ghz, self.points)
 
 
+def check_seed(seed: int, name: str):
+    if not 0 <= seed <= 2**64 - 2:  # the off trace draws seed + 1, from a 64-bit Philox key
+        raise ConfigError(f"{name}: must be in [0, 2**64 - 2], got {seed}")
+
+
 @dataclass
 class NoiseBlock:
     shot_noise: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        check_seed(self.seed, "noise.seed")
 
 
 @dataclass

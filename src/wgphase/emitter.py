@@ -146,14 +146,6 @@ def _rabi_squared(omega_r):
     return np.float_power(np.asarray(omega_r, dtype=float), 2.0)
 
 
-def saturation_denominator(p: EmitterParams, delta, omega_r=0.0):
-    """D = gamma2**2 + delta**2 + 4*(gamma2/gamma)*omega_r**2 (broadcasts
-    over ``delta`` and ``omega_r``)."""
-    delta = np.asarray(delta, dtype=float)
-    g2 = p.gamma2
-    return g2 * g2 + delta * delta + 4.0 * (g2 / p.gamma) * _rabi_squared(omega_r)
-
-
 def transmission(p: EmitterParams, delta, omega_r=0.0):
     """Complex transmission t and normalized intensity I_t on a detuning grid.
 
@@ -177,7 +169,7 @@ def transmission(p: EmitterParams, delta, omega_r=0.0):
     if not np.all(np.isfinite(delta_arr)):
         raise ValueError("delta must be finite")
     g2 = p.gamma2
-    denom = saturation_denominator(p, delta_arr, omega_r)
+    denom = g2 * g2 + delta_arr * delta_arr + 4.0 * (g2 / p.gamma) * _rabi_squared(omega_r)
     t = 1.0 - p.coupling_rate * (g2 + 1j * delta_arr) / denom
     if p.is_chiral:
         i_t = 1.0 + 2.0 * p.beta * p.gamma * g2 * (p.beta - 1.0) / denom
@@ -250,11 +242,15 @@ def phase_extrema_analytic(p: EmitterParams, omega_r=0.0) -> PhaseExtremum:
     both at zero power without dephasing) are exact zeros.  Broadcasts over
     an ``omega_r`` array; a scalar ``omega_r`` gives float fields.
     """
-    g2 = p.gamma2
-    s = p.coupling_rate
+    return _phase_extrema(p.coupling_rate, p.gamma, p.gamma2, omega_r)
+
+
+def _phase_extrema(s, gamma, gamma2, omega_r) -> PhaseExtremum:
+    """:func:`phase_extrema_analytic` at coupling rate ``s``; broadcasts over
+    ``gamma2`` and ``omega_r``, each element the bits of its scalar call."""
     omega_r = np.asarray(omega_r, dtype=float)
-    w = 4.0 * (g2 / p.gamma) * omega_r * omega_r
-    c = g2 * (g2 - s) + w
+    w = 4.0 * (gamma2 / gamma) * omega_r * omega_r
+    c = gamma2 * (gamma2 - s) + w
     root = np.sqrt(np.maximum(c, 0.0))
     phi = np.where(c > 0, np.arctan(s / (2.0 * np.where(c > 0, root, 1.0))),
                    np.where(c == 0, np.pi / 2.0, np.pi))
@@ -297,7 +293,8 @@ def phase_extrema_numeric(p: EmitterParams, omega_r=0.0) -> NumericExtremum:
     When the response is symmetric the positive-detuning extremum is
     returned.
     """
-    width = math.sqrt(float(saturation_denominator(p, 0.0, omega_r)))
+    g2 = p.gamma2  # the width is sqrt(D) on resonance
+    width = math.sqrt(float(g2 * g2 + 4.0 * (g2 / p.gamma) * _rabi_squared(omega_r)))
     grid = np.linspace(-_GRID_HALF_WIDTH * width, _GRID_HALF_WIDTH * width, _GRID_POINTS)
     t, _ = transmission(p, grid, omega_r)
     phi = np.abs(np.angle(t))

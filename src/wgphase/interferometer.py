@@ -104,10 +104,8 @@ def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: 
         t, i_t = transmission(p, detuning_angular(freq_ghz, p.f0), omega_r)
         phi_qd = np.angle(t) + p.phi0
         amp = np.abs(t)
-    else:
-        i_t = np.ones_like(freq_ghz)
-        phi_qd = np.zeros_like(freq_ghz)
-        amp = np.ones_like(freq_ghz)
+    else:  # broadcast against the grid below
+        i_t, phi_qd, amp = 1.0, 0.0, 1.0
 
     geometric = 2.0 * np.pi * freq_ghz * 1e9 * cfg.delta_l / C_M_PER_S
     coherent = 2.0 * cfg.visibility * np.sqrt(cfg.p_lo * cfg.p_sig) * amp
@@ -153,7 +151,7 @@ def apply_shot_noise(trace: FringeTrace, seed: int) -> FringeTrace:
     """
     means = trace.intensity
     counts = np.empty_like(means)
-    key = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    key = np.uint64(int(seed))  # OverflowError outside [0, 2**64)
     for block, start in enumerate(range(0, means.size, _NOISE_BLOCK)):
         bit_gen = np.random.Philox(key=key, counter=[0, block, 0, 0])
         sl = slice(start, start + _NOISE_BLOCK)
@@ -184,16 +182,12 @@ def lock_loop_residual(drift, gains, dt: float) -> np.ndarray:
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     drift = np.asarray(drift, dtype=float)
-    kp = float(gains.get("kp", 0.0))
-    ki = float(gains.get("ki", 0.0))
-    kd = float(gains.get("kd", 0.0))
+    kp, ki, kd = (float(gains.get(key, 0.0)) for key in ("kp", "ki", "kd"))
     amplitude = float(np.max(np.abs(drift))) if drift.size else 0.0
     limit = 10.0 * amplitude if amplitude > 0 else np.inf
 
     residual = []
-    correction = 0.0
-    integral = 0.0
-    prev_err = 0.0
+    correction = integral = prev_err = 0.0
     # Python floats take the same IEEE steps as numpy scalars, at a fraction of the cost
     for i, value in enumerate(drift.tolist()):
         err = value - correction

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from wgphase import interferometer, spectra
+from wgphase import emitter, interferometer, spectra
 from wgphase.cli import (EXIT_BAD_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.extraction import PhasorSeries
@@ -65,6 +66,21 @@ def test_simulate_seed_reruns_byte_identical(tmp_path):
     assert run_cli("--config", cfg_path, "--out", str(out_c), "--seed", "22",
                    "simulate") == EXIT_OK
     assert read_json(out_c / "manifest.json")["files"] != manifests[0]
+
+
+def test_largest_seed_runs(tmp_path):
+    # 2**64 - 2 is the largest seed whose off trace, at seed + 1, has a 64-bit key
+    top = 2**64 - 2
+    noise = {"shot_noise": True, "seed": top}
+    cfg_path = write_cfg(tmp_path, "cfg.json", {"sweep": {"points": 50}, "noise": noise})
+    assert run_cli("--config", cfg_path, "--out", str(tmp_path / "a"), "simulate") == EXIT_OK
+    noise["seed"] = 0
+    flag_cfg = write_cfg(tmp_path, "flag.json", {"sweep": {"points": 50}, "noise": noise})
+    assert run_cli("--config", flag_cfg, "--out", str(tmp_path / "b"), f"--seed={top}",
+                   "simulate") == EXIT_OK
+    manifests = [read_json(tmp_path / sub / "manifest.json") for sub in ("a", "b")]
+    assert manifests[0] == manifests[1]
+    assert parse_trace_csv(tmp_path / "b" / "trace_off.csv").meta["shot_noise_seed"] == top + 1
 
 
 def test_simulate_ideal_isotropic_vs_chiral_curves(tmp_path):
@@ -387,13 +403,22 @@ def test_fit_saturation_requires_powers(tmp_path):
     assert run_cli("--out", str(tmp_path / "o"), "fit-saturation", str(path)) == EXIT_BAD_INPUT
 
 
+CHIRAL_CFG = {"emitter": {"coupling": "chiral", "beta": 1.0, "gamma_rad_ns": 12.3,
+                          "gamma_dp_rad_ns": 0.0},
+              "chiral_scan": {"beta_dirs": [1.0, 0.7, 0.5], "points": 31,
+                              "omega_max_rad_ns": 10.0, "gamma_dp_max_rad_ns": 10.0}}
+
+# sha256 of the scan tables of CHIRAL_CFG, as one closed-form call per scan
+# point wrote them before the scans were vectorised
+_CHIRAL_SHA256 = {
+    "phase_vs_omega.csv": "3e849d695bdc363edde28ec3e42bd951bb9e2efb4c2f9da5d3a4dce5125be20a",
+    "phase_vs_dephasing.csv": "adefd356b6b3e375db888f317b3df3d005157cb3606d433e2fa2a3cd6388782d",
+}
+
+
 def test_predict_chiral_outputs(tmp_path):
-    cfg = {"emitter": {"coupling": "chiral", "beta": 1.0, "gamma_rad_ns": 12.3,
-                       "gamma_dp_rad_ns": 0.0},
-           "chiral_scan": {"beta_dirs": [1.0, 0.7, 0.5], "points": 31,
-                           "omega_max_rad_ns": 10.0, "gamma_dp_max_rad_ns": 10.0}}
     out = tmp_path / "chi"
-    assert run_cli("--config", write_cfg(tmp_path, "c.json", cfg),
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", CHIRAL_CFG),
                    "--out", str(out), "predict-chiral") == EXIT_OK
     thresholds = read_json(out / "thresholds.json")
     assert thresholds["omega_c_rad_ns"] == pytest.approx(12.3 / (2 * np.sqrt(2)))
@@ -407,6 +432,32 @@ def test_predict_chiral_outputs(tmp_path):
     above = omegas > 12.3 / (2 * np.sqrt(2)) + 0.5
     assert np.all(np.abs(np.abs(col[below]) - np.pi) < 1e-6)
     assert np.all(np.abs(col[above]) < np.pi / 2)
+
+
+def test_predict_chiral_tables_bytes_pinned(tmp_path):
+    out = tmp_path / "chi"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", CHIRAL_CFG),
+                   "--out", str(out), "predict-chiral") == EXIT_OK
+    for name, digest in _CHIRAL_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_predict_chiral_evaluates_whole_axes(tmp_path, monkeypatch):
+    # each scan is one closed-form call per beta_dir on its whole axis, never
+    # one call per point (121 here)
+    calls = {"phase_extrema_analytic": 0, "_phase_extrema": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(emitter, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(emitter, name, counted)
+    beta_dirs = [1.0, 0.9, 0.7, 0.5]
+    cfg = {"chiral_scan": {"beta_dirs": beta_dirs, "points": 121}}
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", cfg),
+                   "--out", str(tmp_path / "chi"), "predict-chiral") == EXIT_OK
+    assert calls["_phase_extrema"] >= len(beta_dirs)  # the wrappers saw the scans
+    for name, n in calls.items():
+        assert n <= 2 * len(beta_dirs), (name, n)
 
 
 @pytest.mark.parametrize("scan, named", [
@@ -470,11 +521,19 @@ def test_predict_chiral_bad_scan_is_bad_input(tmp_path, capsys, scan, named):
     # unstable lock gains are found from the loop's poles at load, not by running it
     ("predict-chiral", {"interferometer": {"env_phase": {"kind": "locked_drift", "kp": 5.0}}},
      "interferometer.env_phase"),                                    # was exit 0
+    # the off trace draws from seed + 1, and a Philox key holds 64 bits
+    ("simulate", {"noise": {"shot_noise": True, "seed": -1}}, "noise.seed"),  # was exit 0
+    ("simulate", {"noise": {"shot_noise": True, "seed": 2**64 - 1}}, "noise.seed"),
+    ("simulate", {"noise": {"shot_noise": True, "seed": 2**64}}, "noise.seed"),  # was seed 0
+    ("--seed=-1 simulate", {"noise": {"shot_noise": True}}, "--seed"),        # was exit 0
+    (f"--seed={2**64 - 1} simulate", {"noise": {"shot_noise": True}}, "--seed"),
+    (f"--seed={2**64} simulate", {"noise": {"shot_noise": True}}, "--seed"),  # was seed 0
 ])
 def test_rejected_run_writes_no_bundle(tmp_path, capsys, command, payload, named):
+    # ``command`` may lead with global options, such as "--seed=-1 simulate"
     out = tmp_path / "o"
     assert run_cli("--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out),
-                   command) == EXIT_BAD_INPUT
+                   *command.split()) == EXIT_BAD_INPUT
     assert named in capsys.readouterr().err
     assert not out.exists()
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wgphase import emitter
 from wgphase.emitter import (EmitterParams, chiral_thresholds, critical_photon_flux,
                              phase_extrema_analytic, phase_extrema_numeric, transmission)
 
@@ -201,6 +202,33 @@ def test_analytic_extrema_broadcasts_over_drive():
         assert (one.delta_plus, one.delta_minus, one.phi_max) == (
             ext.delta_plus[i], ext.delta_minus[i], ext.phi_max[i])
     np.testing.assert_array_equal(ext.phi_plus, -ext.phi_max)
+
+
+def _bits(ext):
+    return np.array([ext.delta_plus, ext.delta_minus, ext.phi_max]).view(np.uint64)
+
+
+@pytest.mark.parametrize("coupling", ["chiral", "isotropic"])
+def test_closed_form_broadcasts_bit_for_bit(coupling):
+    # predict-chiral evaluates each whole axis in one call; every element must
+    # carry the bits of the scalar call, so the tables keep their bytes
+    rng = np.random.default_rng(1203)
+    branches = set()
+    for gamma in rng.uniform(0.5, 30.0, 3):
+        for beta in (0.0, 0.5, 1.0, rng.uniform()):
+            p = EmitterParams(gamma=gamma, coupling=coupling, beta=beta)
+            # gamma_dp = 0 and gamma/2 are exact zeros of c (chiral 1/2 and 1, isotropic 1)
+            gdps = np.concatenate([[0.0, gamma / 2.0], rng.uniform(0.0, 2.0 * gamma, 40)])
+            ext = emitter._phase_extrema(p.coupling_rate, gamma, gamma / 2.0 + gdps, 0.0)
+            one = [phase_extrema_analytic(p.with_(gamma_dp=float(g))) for g in gdps]
+            assert np.array_equal(_bits(ext), np.stack([_bits(e) for e in one], axis=1))
+            branches.update(np.sign(np.pi / 2 - ext.phi_max).tolist())  # c > 0 is +1
+            omegas = np.concatenate([[0.0], rng.uniform(0.0, 3.0 * gamma, 40)])
+            ext = phase_extrema_analytic(p, omegas)
+            one = [phase_extrema_analytic(p, float(om)) for om in omegas]
+            assert np.array_equal(_bits(ext), np.stack([_bits(e) for e in one], axis=1))
+    # chiral coupling reaches c < 0 (a resonant pi); isotropic never does
+    assert branches == ({1.0, 0.0, -1.0} if coupling == "chiral" else {1.0, 0.0})
 
 
 def test_numeric_matches_analytic():

@@ -152,6 +152,14 @@ def test_shot_noise_deterministic():
     assert a.meta["shot_noise_seed"] == 42
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_shot_noise_seed_outside_key_range_raises(seed):
+    # a Philox key holds 64 bits; such a seed was folded onto one inside the range
+    trace = FringeTrace(freq=np.arange(3.0), intensity=np.full(3, 5.0))
+    with pytest.raises(OverflowError):
+        apply_shot_noise(trace, seed=seed)
+
+
 def test_shot_noise_relative_spread():
     # mean 1e6 counts: relative std ~ 1e-3 across bins
     trace = FringeTrace(freq=np.arange(4000.0), intensity=np.full(4000, 1e6))
