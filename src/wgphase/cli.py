@@ -21,6 +21,7 @@ included); 3 fit non-convergence, the bundle still written in full;
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -179,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Forward and inverse modeling of single-emitter phase shifts "
                     "in photonic waveguides")
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", default=os.environ.get("WGPHASE_OUT", "wgphase_out"),
-                        help="output bundle directory (env: WGPHASE_OUT)")
+    parser.add_argument("--out", help="output bundle directory (env: WGPHASE_OUT)")
     parser.add_argument("--seed", type=int, default=None, help="override noise seed")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="emit model spectra and an on/off fringe pair")
@@ -197,6 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built at the first main call, not at import, and reused by every later one:
+# parse_args leaves it unchanged, and main reads WGPHASE_OUT on each call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     level = os.environ.get("WGPHASE_LOG", "WARNING").upper()
     # checked here: basicConfig checks the level only when the root logger has no handler
@@ -205,10 +210,11 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     log = logging.getLogger("wgphase")
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    out = os.environ.get("WGPHASE_OUT", "wgphase_out") if args.out is None else args.out
     try:
         cfg = _load(args)
-        bundle, result = ResultBundle(args.out), None
+        bundle, result = ResultBundle(out), None
         # the commands are looked up here on each call, so a wrapper installed on
         # the module (a profiler, a test) sees them
         if args.command == "simulate":
@@ -237,7 +243,7 @@ def main(argv=None) -> int:
     if result is not None and not result.converged:  # the bundle holds the diagnostics
         print(f"fit did not converge: {result.message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    log.info("%s finished, bundle written to %s", args.command, args.out)
+    log.info("%s finished, bundle written to %s", args.command, out)
     return EXIT_OK
 
 

@@ -10,9 +10,11 @@ objects.  The reader converts a well-formed file in one cast and falls back
 to a per-line pass that names the first bad ``file:line``.  Traces must
 also be finite with strictly increasing frequency.
 
-A :class:`ResultBundle` collects the files of one command run and writes a
-``manifest.json`` with sha256 content hashes; identical config and seed
-must reproduce byte-identical data products.
+Every file is written as the UTF-8 bytes of its text, with ``\n`` line
+ends on every platform.  A :class:`ResultBundle` collects the files of one
+command run, hashing each one's bytes as they are written, and writes a
+``manifest.json`` of those sha256 hashes and sizes; identical config and
+seed must reproduce byte-identical data products.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import hashlib
 import json
 from itertools import repeat
 from pathlib import Path
-from typing import List
+from typing import Dict
 
 import numpy as np
 
@@ -43,17 +45,30 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _write_csv(path: Path, header: str, columns, sidecar: dict | None = None) -> Path:
+def _write_utf8(path: Path, text: str) -> dict:
+    """Write ``text`` to ``path`` as UTF-8 bytes; the sha256 and length of those bytes."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def _discard(name: str, digest: dict):
+    """The ``record`` of a file written outside a bundle."""
+
+
+def _write_csv(path: Path, header: str, columns, sidecar: dict | None = None,
+               record=_discard) -> Path:
     """One row per entry of the equal-length ``columns``, 17 significant
-    digits, and the ``sidecar`` (with the schema version) when given."""
+    digits, and the ``sidecar`` (with the schema version) when given;
+    ``record(file name, digest)`` is called for each file written."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     # one %-format over the whole table; %.17g prints the bytes of {:.17g}
-    path.write_text(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()),
-                    encoding="utf-8")
+    record(path.name, _write_utf8(
+        path, header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())))
     if sidecar is not None:
-        meta = {"schema": SCHEMA_VERSION, **sidecar}
-        _sidecar_path(path).write_text(_json_dumps(meta), encoding="utf-8")
+        side = _sidecar_path(path)
+        record(side.name, _write_utf8(side, _json_dumps({"schema": SCHEMA_VERSION, **sidecar})))
     return path
 
 
@@ -108,8 +123,9 @@ def _read_sidecar(path: Path) -> dict:
     return meta
 
 
-def write_trace_csv(trace: FringeTrace, path) -> Path:
-    return _write_csv(Path(path), TRACE_HEADER, [trace.freq, trace.intensity], trace.meta or {})
+def write_trace_csv(trace: FringeTrace, path, *, _record=_discard) -> Path:
+    return _write_csv(Path(path), TRACE_HEADER, [trace.freq, trace.intensity], trace.meta or {},
+                      _record)
 
 
 def parse_trace_csv(path) -> FringeTrace:
@@ -132,12 +148,13 @@ def parse_trace_csv(path) -> FringeTrace:
     return FringeTrace(freq=freq, intensity=counts, meta=meta)
 
 
-def write_phasors_csv(series: PhasorSeries, path, meta: dict | None = None) -> Path:
+def write_phasors_csv(series: PhasorSeries, path, meta: dict | None = None, *,
+                      _record=_discard) -> Path:
     columns = [series.freq, series.phase_shift, series.phase_err, series.amp_ratio,
                series.amp_err, series.offset_ratio, series.offset_err]
     return _write_csv(Path(path), PHASOR_HEADER, columns,
                       {"low_contrast_freqs": series.freq[series.low_contrast].tolist(),
-                       **(meta or {})})
+                       **(meta or {})}, _record)
 
 
 def parse_phasors_csv(path) -> PhasorSeries:
@@ -178,56 +195,42 @@ class ResultBundle:
     """Output directory of one command run, finished off with a manifest.
 
     The directory is made at the first write, so a run that fails before it
-    writes anything leaves none.  Files are registered as they are written;
-    ``finalize`` records sha256 hashes and sizes so reproducibility is
+    writes anything leaves none.  Each file's sha256 hash and size are taken
+    from its bytes as it is written (``files`` maps name to that digest; a
+    name written twice keeps its last one), and ``finalize`` writes them to
+    ``manifest.json`` without reading any file back, so reproducibility is
     checkable after the fact.
     """
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
-        self.files: List[str] = []
+        self.files: Dict[str, dict] = {}
 
     def path(self, name: str) -> Path:
         if not self.files:  # the first write makes the directory
             self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
-    def register(self, name: str):
-        if name not in self.files:
-            self.files.append(name)
-
     def write_text(self, name: str, content: str) -> Path:
         path = self.path(name)
-        path.write_text(content, encoding="utf-8")
-        self.register(name)
+        self.files[name] = _write_utf8(path, content)
         return path
 
     def write_json(self, name: str, obj) -> Path:
         return self.write_text(name, _json_dumps(obj))
 
     def write_trace(self, name: str, trace: FringeTrace) -> Path:
-        path = write_trace_csv(trace, self.path(name))
-        self.register(name)
-        self.register(name + ".meta.json")
-        return path
+        # through the module global, so a wrapper installed on write_trace_csv sees the call
+        return write_trace_csv(trace, self.path(name), _record=self.files.__setitem__)
 
     def write_phasors(self, name: str, series: PhasorSeries, meta=None) -> Path:
-        path = write_phasors_csv(series, self.path(name), meta=meta)
-        self.register(name)
-        self.register(name + ".meta.json")
-        return path
+        return write_phasors_csv(series, self.path(name), meta=meta,
+                                 _record=self.files.__setitem__)
 
     def write_table(self, name: str, header: str, columns) -> Path:
-        path = _write_csv(self.path(name), header, columns)
-        self.register(name)
-        return path
+        return _write_csv(self.path(name), header, columns, record=self.files.__setitem__)
 
     def finalize(self) -> Path:
-        entries = {}
-        for name in sorted(self.files):
-            data = self.path(name).read_bytes()
-            entries[name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        manifest = {"schema": SCHEMA_VERSION, "files": entries}
         path = self.path("manifest.json")
-        path.write_text(_json_dumps(manifest), encoding="utf-8")
+        _write_utf8(path, _json_dumps({"schema": SCHEMA_VERSION, "files": self.files}))
         return path

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 
@@ -565,8 +566,55 @@ def test_manifest_lists_every_bundle_file(tmp_path, lifecycle_inputs, command, o
     assert run_cli("--config", lifecycle_inputs["cfg"], "--out", str(out),
                    command, *args) == EXIT_OK
     on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
-    assert sorted(read_json(out / "manifest.json")["files"]) == on_disk
+    entries = read_json(out / "manifest.json")["files"]
+    assert sorted(entries) == on_disk
     assert "config.json" in on_disk
+    # the digests are taken from the bytes as written; they must be those on disk
+    for name, entry in entries.items():
+        data = (out / name).read_bytes()
+        assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}, name
+
+
+def test_out_default_reads_wgphase_out_on_every_run(tmp_path, monkeypatch):
+    # the parser is reused across calls, so the default must not be fixed when it is built
+    monkeypatch.chdir(tmp_path)
+    for name in ("first", "second"):
+        monkeypatch.setenv("WGPHASE_OUT", name)
+        assert run_cli("predict-chiral") == EXIT_OK
+        assert (tmp_path / name / "manifest.json").exists()
+    monkeypatch.delenv("WGPHASE_OUT")
+    assert run_cli("predict-chiral") == EXIT_OK
+    assert (tmp_path / "wgphase_out" / "manifest.json").exists()
+
+
+def test_usage_error_leaves_the_parser_usable(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--out", "bad", "fit")  # no phasor files
+    assert exc.value.code == 2
+    assert "phasor_files" in capsys.readouterr().err
+    assert run_cli("--out", "good", "predict-chiral") == EXIT_OK
+    assert not (tmp_path / "bad").exists()
+    assert (tmp_path / "good" / "manifest.json").exists()
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, lifecycle_inputs):
+    assert run_cli("--out", str(tmp_path / "a"), "predict-chiral") == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfg = lifecycle_inputs["cfg"]
+    assert run_cli("--config", cfg, "--out", str(tmp_path / "b"), "pathlength",
+                   lifecycle_inputs["off"]) == EXIT_OK
+    assert run_cli("--config", cfg, "--out", str(tmp_path / "c"), "fit",
+                   lifecycle_inputs["phasors"]) == EXIT_OK
+    assert run_cli("--out", str(tmp_path / "d"), "predict-chiral") == EXIT_OK
+    assert built == []
 
 
 def test_bad_log_level_is_bad_input(tmp_path, capsys, monkeypatch):

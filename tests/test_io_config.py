@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,11 +186,38 @@ def test_bundle_manifest_hashes(tmp_path):
     bundle.write_table("x.csv", "a,b", [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
     bundle.finalize()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    import hashlib
     for name, entry in manifest["files"].items():
         data = (tmp_path / "out" / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
         assert len(data) == entry["bytes"]
+
+
+def test_bundle_manifest_matches_disk_without_reading_back(tmp_path, monkeypatch):
+    bundle = ResultBundle(tmp_path / "out")
+    bundle.write_json("summary.json", {"n": 1})
+    bundle.write_table("x.csv", "a", [np.array([1.0, 2.0])])
+    bundle.write_json("summary.json", {"n": 2, "rewritten": True})  # the last digest is kept
+    series = PhasorSeries(*[np.arange(3.0)] * 7, low_contrast=np.array([False, True, False]))
+    bundle.write_phasors("p.csv", series, meta={"power": 2.5})
+    opened = []
+    path_open = Path.open
+
+    def recording_open(self, mode="r", *args, **kwargs):
+        opened.append((self.name, mode))
+        return path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    bundle.finalize()
+    monkeypatch.undo()
+    assert opened == [("manifest.json", "wb")]
+    out = tmp_path / "out"
+    on_disk = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    assert sorted(on_disk) == ["p.csv", "p.csv.meta.json", "summary.json", "x.csv"]
+    assert json.loads(on_disk["summary.json"]) == {"n": 2, "rewritten": True}
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["files"] == {
+        name: {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        for name, data in on_disk.items()}
 
 
 def test_bundle_directory_made_at_first_write(tmp_path):
