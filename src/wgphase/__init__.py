@@ -3,28 +3,27 @@ photonic waveguides: steady-state transmission of a driven two-level emitter
 (isotropic and chiral coupling), Mach-Zehnder fringe synthesis, and recovery
 of emitter parameters from fringe data."""
 
-from .emitter import (ChiralThresholds, EmitterParams, NumericExtremum, PhaseExtremum,
-                      chiral_thresholds, critical_photon_flux, phase_extrema_analytic,
-                      phase_extrema_numeric, transmission)
+from .emitter import (ChiralThresholds, EmitterParams, PhaseExtremum, chiral_thresholds,
+                      critical_photon_flux, phase_extrema_analytic, transmission)
 from .extraction import (NoFringeError, PhasorSeries, WindowFits, estimate_path_length_fft,
                          extract_phasor_series, window_phasors)
-from .interferometer import (FringeTrace, InterferometerConfig, UnstableLoopError,
+from .interferometer import (EnvPhase, FringeTrace, InterferometerConfig, UnstableLoopError,
                              apply_shot_noise, expected_rate, fringe_trace,
                              lock_loop_residual)
 from .lm import FitResult, lm_minimize
-from .spectra import (SpectrumChannel, SpectrumDataset, channel_model,
-                      fit_saturation_series, fit_two_dipole_spectra, initial_guess,
-                      predict_phase_vs_power, two_dipole_model)
+from .spectra import (SpectrumChannel, SpectrumDataset, fit_saturation_series,
+                      fit_two_dipole_spectra, initial_guess, predict_phase_vs_power,
+                      two_dipole_model)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChiralThresholds", "EmitterParams", "FitResult", "FringeTrace", "InterferometerConfig",
-    "NoFringeError", "NumericExtremum", "PhaseExtremum", "PhasorSeries", "SpectrumChannel",
-    "SpectrumDataset", "UnstableLoopError", "WindowFits", "apply_shot_noise",
-    "channel_model", "chiral_thresholds", "critical_photon_flux", "estimate_path_length_fft",
-    "expected_rate", "extract_phasor_series", "fit_saturation_series",
-    "fit_two_dipole_spectra", "fringe_trace", "initial_guess", "lm_minimize",
-    "lock_loop_residual", "phase_extrema_analytic", "phase_extrema_numeric",
-    "predict_phase_vs_power", "transmission", "two_dipole_model", "window_phasors",
+    "ChiralThresholds", "EmitterParams", "EnvPhase", "FitResult", "FringeTrace",
+    "InterferometerConfig", "NoFringeError", "PhaseExtremum", "PhasorSeries",
+    "SpectrumChannel", "SpectrumDataset", "UnstableLoopError", "WindowFits",
+    "apply_shot_noise", "chiral_thresholds", "critical_photon_flux",
+    "estimate_path_length_fft", "expected_rate", "extract_phasor_series",
+    "fit_saturation_series", "fit_two_dipole_spectra", "fringe_trace", "initial_guess",
+    "lm_minimize", "lock_loop_residual", "phase_extrema_analytic", "predict_phase_vs_power",
+    "transmission", "two_dipole_model", "window_phasors",
 ]

@@ -11,11 +11,11 @@ adds the resolved config and a hashed manifest.  Each command computes
 before it writes, so one that fails leaves no output directory.  Identical
 config and seed reproduce byte-identical products.
 
-Exit codes: 0 success; 2 bad input: a bad input file, a ``WGPHASE_LOG``
-that is no ``logging`` level name, or a bad config, which is checked at
-load for every command (PID lock gains that make the loop unstable
-included); 3 fit non-convergence, the bundle still written in full;
-4 internal error.
+Exit codes, returned by :func:`main`: 0 success (``--help`` too); 2 bad
+input: a command line the parser rejects, a bad input file, a
+``WGPHASE_LOG`` that is no ``logging`` level name, or a bad config, checked
+at load for every command (unstable PID lock gains included); 3 fit
+non-convergence, the bundle still written in full; 4 internal error.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ def _load(args) -> RunConfig:
 
 def cmd_simulate(cfg: RunConfig, bundle: ResultBundle):
     p = cfg.emitter.to_params()
-    icfg = cfg.interferometer.to_config()
+    icfg = cfg.interferometer
     sweep = cfg.sweep.grid()
     omega_r = cfg.drive.omega_rad_ns
     # one environmental-phase realisation (one lock loop) serves both traces
-    phi_env = cfg.interferometer.env_phase.series(sweep.size, icfg.integration_time)
+    phi_env = icfg.env_phase.series(sweep.size, icfg.integration_time_s)
     traces = {}
     for qd_on, name in ((True, "trace_on.csv"), (False, "trace_off.csv")):
         trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, omega_r=omega_r, phi_env=phi_env)
@@ -210,7 +210,10 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     log = logging.getLogger("wgphase")
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0), printed: not raised
+        return exc.code
     out = os.environ.get("WGPHASE_OUT", "wgphase_out") if args.out is None else args.out
     try:
         cfg = _load(args)

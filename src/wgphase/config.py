@@ -7,6 +7,9 @@ materialized dictionary that gets snapshotted next to the outputs.
 
 Rates in the emitter block are angular (rad/ns, matching lifetime tables in
 1/ns); frequencies on the sweep axis are GHz.
+
+The ``interferometer`` block is the library's ``InterferometerConfig``
+itself, built like any other block.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import interferometer
 from .emitter import EmitterParams
 from .extraction import check_window_values
+from .interferometer import InterferometerConfig
 from .spectra import check_fit_values
 from .units import is_number
 
@@ -44,12 +47,9 @@ class EmitterBlock:
         self.to_params()  # checked at load, for every command
 
     def to_params(self) -> EmitterParams:
-        try:
-            return EmitterParams(gamma=self.gamma_rad_ns, gamma_dp=self.gamma_dp_rad_ns,
-                                 coupling=self.coupling, beta=self.beta,
-                                 f0=self.f0_ghz, phi0=self.phi0_rad)
-        except ValueError as exc:
-            raise ConfigError(f"emitter: {exc}") from exc
+        return EmitterParams(gamma=self.gamma_rad_ns, gamma_dp=self.gamma_dp_rad_ns,
+                             coupling=self.coupling, beta=self.beta,
+                             f0=self.f0_ghz, phi0=self.phi0_rad)
 
 
 @dataclass
@@ -64,76 +64,6 @@ class DriveBlock:
             raise ConfigError(
                 f"drive.omega_rad_ns: must be 0 under drive.linear_response (omega_r = 0), "
                 f"got {self.omega_rad_ns}; set linear_response to false to drive the emitter")
-
-
-@dataclass
-class EnvPhaseBlock:
-    kind: str = "constant"        # constant | random_walk | sinusoid | locked_drift
-    value_rad: float = 0.0        # constant
-    sigma_rad: float = 0.05       # random_walk / locked_drift step
-    amplitude_rad: float = 0.0    # sinusoid
-    frequency_hz: float = 0.0     # sinusoid
-    kp: float = 0.6               # locked_drift PID gains
-    ki: float = 4.0
-    kd: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "random_walk", "sinusoid", "locked_drift"):
-            raise ConfigError(f"interferometer.env_phase.kind: unknown kind {self.kind!r}")
-        for name in ("sigma_rad", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"interferometer.env_phase.{name}: must be >= 0, "
-                                  f"got {getattr(self, name)}")
-
-    def series(self, n: int, dt: float) -> np.ndarray:
-        """The environmental phase of ``n`` samples ``dt`` s apart, rad.  The
-        walk is seeded by ``seed`` alone; ``locked_drift`` is the residual the
-        lock loop leaves of it."""
-        if self.kind == "constant":
-            return np.full(n, self.value_rad)
-        if self.kind == "sinusoid":
-            times = np.arange(n) * dt
-            return self.amplitude_rad * np.sin(2.0 * np.pi * self.frequency_hz * times)
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x7761]))
-        walk = np.cumsum(rng.normal(0.0, self.sigma_rad, n))
-        if self.kind == "random_walk":
-            return walk
-        gains = {"kp": self.kp, "ki": self.ki, "kd": self.kd}
-        # looked up on the module, so a wrapper installed there (a profiler, a test) sees it
-        return interferometer.lock_loop_residual(walk, gains, dt)
-
-
-@dataclass
-class InterferometerBlock:
-    delta_l_m: float = 2.78
-    visibility: float = 0.65
-    p_lo_cps: float = 1e6
-    p_sig_cps: float = 1e4
-    integration_time_s: float = 0.1
-    dark_cps: float = 0.0
-    env_phase: EnvPhaseBlock = field(default_factory=EnvPhaseBlock)
-
-    def __post_init__(self):
-        self.to_config()  # checked at load, for every command
-        env = self.env_phase
-        if env.kind == "locked_drift":  # the loop runs one step per integration time
-            radius = interferometer.lock_loop_radius(
-                {"kp": env.kp, "ki": env.ki, "kd": env.kd}, self.integration_time_s)
-            if radius > 1.0 + 1e-9:
-                raise ConfigError(
-                    f"interferometer.env_phase: PID gains kp={env.kp:g}, ki={env.ki:g}, "
-                    f"kd={env.kd:g} at integration_time_s {self.integration_time_s:g} make "
-                    f"an unstable lock loop (largest pole radius {radius:.4g} > 1)")
-
-    def to_config(self) -> interferometer.InterferometerConfig:
-        try:
-            return interferometer.InterferometerConfig(
-                delta_l=self.delta_l_m, visibility=self.visibility, p_lo=self.p_lo_cps,
-                p_sig=self.p_sig_cps, integration_time=self.integration_time_s,
-                dark_rate=self.dark_cps)
-        except ValueError as exc:
-            raise ConfigError(f"interferometer: {exc}") from exc
 
 
 @dataclass
@@ -174,12 +104,9 @@ class ExtractionBlock:
     weight_beta: float = 12.0
     delta_l_m: Optional[float] = None   # None -> FFT estimate from the off trace
 
-    def __post_init__(self):
-        try:  # checked at load, for every command
-            check_window_values(self.window_periods, self.hop_periods, self.poly_order,
-                                self.delta_l_m)
-        except ValueError as exc:
-            raise ConfigError(f"extraction: {exc}") from exc
+    def __post_init__(self):  # checked at load, for every command
+        check_window_values(self.window_periods, self.hop_periods, self.poly_order,
+                            self.delta_l_m)
 
 
 @dataclass
@@ -248,7 +175,7 @@ class ChiralScanBlock:
 class RunConfig:
     emitter: EmitterBlock = field(default_factory=EmitterBlock)
     drive: DriveBlock = field(default_factory=DriveBlock)
-    interferometer: InterferometerBlock = field(default_factory=InterferometerBlock)
+    interferometer: InterferometerConfig = field(default_factory=InterferometerConfig)
     sweep: SweepBlock = field(default_factory=SweepBlock)
     noise: NoiseBlock = field(default_factory=NoiseBlock)
     extraction: ExtractionBlock = field(default_factory=ExtractionBlock)
@@ -274,7 +201,9 @@ def _field_types(cls) -> dict:
 def _build(cls, data: dict, path: str):
     """``cls`` from ``data``; a field whose type is a dataclass is built the
     same way one level down.  ``path`` is the dotted prefix of error
-    messages, empty at the root."""
+    messages, empty at the root.  A ``ValueError`` from the constructor (a
+    library check, which knows no path) becomes a ``ConfigError`` under
+    ``path``, or under the field its message leads with as ``field: ...``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     types = _field_types(cls)
@@ -285,11 +214,14 @@ def _build(cls, data: dict, path: str):
     for name, want in types.items():
         if name in data:
             sub = f"{path}.{name}" if path else name
-            if is_dataclass(want):
-                kwargs[name] = _build(want, data[name], sub)
-            else:
-                kwargs[name] = _check_value(want, data[name], sub)
-    return cls(**kwargs)
+            kwargs[name] = (_build if is_dataclass(want) else _check_value)(want, data[name], sub)
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        field_led = str(exc).split(":", 1)[0] in types
+        raise ConfigError(f"{path}{'.' if field_led else ': '}{exc}") from exc
 
 
 def _check_value(want, value, path):

@@ -12,12 +12,13 @@ with ``t = 1, I_t = 1, phi0 = 0`` when the emitter is switched off.  The
 coherent term carries |t| while the background carries I_t; the two differ
 by the incoherently scattered light, and the inverse pipeline relies on
 that distinction.  Traces store expected (or Poisson-sampled) counts per
-bin, i.e. rate times integration time.
+bin, i.e. rate times integration time.  :class:`InterferometerConfig` is the
+run config's ``interferometer`` block, its :class:`EnvPhase` makes ``phi_env``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,33 +32,81 @@ _NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
-class InterferometerConfig:
-    """Interferometer geometry, powers and acquisition settings.
+class EnvPhase:
+    """The environmental phase between the arms, as the recipe of its series."""
 
-    delta_l : path-length imbalance, m
-    visibility : fringe contrast v in [0, 1]
-    p_lo, p_sig : local-oscillator and signal-arm photon rates, counts/s
-    integration_time : s per frequency sample
-    dark_rate : detector dark counts/s, default 0
-    """
-
-    delta_l: float = 2.78
-    visibility: float = 0.65
-    p_lo: float = 1e6
-    p_sig: float = 1e4
-    integration_time: float = 0.1
-    dark_rate: float = 0.0
+    kind: str = "constant"        # constant | random_walk | sinusoid | locked_drift
+    value_rad: float = 0.0        # constant
+    sigma_rad: float = 0.05       # random_walk / locked_drift step
+    amplitude_rad: float = 0.0    # sinusoid
+    frequency_hz: float = 0.0     # sinusoid
+    kp: float = 0.6               # locked_drift PID gains
+    ki: float = 4.0
+    kd: float = 0.0
+    seed: int = 0
 
     def __post_init__(self):
-        if self.delta_l < 0:
-            raise ValueError(f"delta_l must be >= 0, got {self.delta_l}")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
-        for name in ("p_lo", "p_sig", "dark_rate"):
+        if self.kind not in ("constant", "random_walk", "sinusoid", "locked_drift"):
+            raise ValueError(f"kind: unknown kind {self.kind!r}")
+        for name in ("sigma_rad", "seed"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.integration_time <= 0:
-            raise ValueError(f"integration_time must be > 0, got {self.integration_time}")
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+
+    def series(self, n: int, dt: float) -> np.ndarray:
+        """The environmental phase of ``n`` samples ``dt`` s apart, rad.  The
+        walk is seeded by ``seed`` alone; ``locked_drift`` is the residual the
+        lock loop leaves of it."""
+        if self.kind == "constant":
+            return np.full(n, self.value_rad)
+        if self.kind == "sinusoid":
+            times = np.arange(n) * dt
+            return self.amplitude_rad * np.sin(2.0 * np.pi * self.frequency_hz * times)
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x7761]))
+        walk = np.cumsum(rng.normal(0.0, self.sigma_rad, n))
+        if self.kind == "random_walk":
+            return walk
+        return lock_loop_residual(walk, {"kp": self.kp, "ki": self.ki, "kd": self.kd}, dt)
+
+
+@dataclass(frozen=True)
+class InterferometerConfig:
+    """Interferometer geometry, powers and acquisition settings: the
+    ``interferometer`` block of a run config, under the same names.
+
+    delta_l_m : path-length imbalance, m
+    visibility : fringe contrast v in [0, 1]
+    p_lo_cps, p_sig_cps : local-oscillator and signal-arm photon rates, counts/s
+    integration_time_s : s per frequency sample
+    dark_cps : detector dark counts/s, default 0
+    env_phase : the environmental phase; ``simulate`` passes its series
+        (one sample per integration time) to :func:`fringe_trace` as ``phi_env``
+    """
+
+    delta_l_m: float = 2.78
+    visibility: float = 0.65
+    p_lo_cps: float = 1e6
+    p_sig_cps: float = 1e4
+    integration_time_s: float = 0.1
+    dark_cps: float = 0.0
+    env_phase: EnvPhase = field(default_factory=EnvPhase)
+
+    def __post_init__(self):
+        for name in ("delta_l_m", "p_lo_cps", "p_sig_cps", "dark_cps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.visibility <= 1.0:
+            raise ValueError(f"visibility: must be in [0, 1], got {self.visibility}")
+        if self.integration_time_s <= 0:
+            raise ValueError(f"integration_time_s: must be > 0, got {self.integration_time_s}")
+        env = self.env_phase
+        if env.kind == "locked_drift":  # the loop runs one step per integration time
+            radius = lock_loop_radius({"kp": env.kp, "ki": env.ki, "kd": env.kd},
+                                      self.integration_time_s)
+            if radius > 1.0 + 1e-9:
+                raise ValueError(
+                    f"env_phase: PID gains kp={env.kp:g}, ki={env.ki:g}, kd={env.kd:g} at "
+                    f"integration_time_s {self.integration_time_s:g} make an unstable lock "
+                    f"loop (largest pole radius {radius:.4g} > 1)")
 
 
 @dataclass
@@ -107,9 +156,9 @@ def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: 
     else:  # broadcast against the grid below
         i_t, phi_qd, amp = 1.0, 0.0, 1.0
 
-    geometric = 2.0 * np.pi * freq_ghz * 1e9 * cfg.delta_l / C_M_PER_S
-    coherent = 2.0 * cfg.visibility * np.sqrt(cfg.p_lo * cfg.p_sig) * amp
-    return (cfg.p_lo + cfg.p_sig * i_t + cfg.dark_rate
+    geometric = 2.0 * np.pi * freq_ghz * 1e9 * cfg.delta_l_m / C_M_PER_S
+    coherent = 2.0 * cfg.visibility * np.sqrt(cfg.p_lo_cps * cfg.p_sig_cps) * amp
+    return (cfg.p_lo_cps + cfg.p_sig_cps * i_t + cfg.dark_cps
             + coherent * np.cos(geometric + phi_env + phi_qd))
 
 
@@ -120,16 +169,18 @@ def fringe_trace(cfg: InterferometerConfig, p: EmitterParams, sweep, qd_on: bool
     The sweep sets the laser-emitter detuning of every point; ``omega_r`` is
     the Rabi frequency of the drive, rad/ns, and the default 0 is the
     linear-response limit.  The metadata records the ``omega_r`` applied.
-    ``phi_env`` is the environmental phase, as in :func:`expected_rate`.
+    ``phi_env`` is the environmental phase, as in :func:`expected_rate`;
+    ``cfg.env_phase`` is not read here, so one series can serve several traces.
     """
     sweep = np.asarray(sweep, dtype=float)
     rate = expected_rate(cfg, p, sweep, qd_on, omega_r=omega_r, phi_env=phi_env)
-    counts = rate * cfg.integration_time
+    counts = rate * cfg.integration_time_s
     meta = {
         "schema": SCHEMA_TRACE,
         "qd_on": bool(qd_on),
         "units": "expected_counts",
-        "interferometer": _config_meta(cfg),
+        "interferometer": {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                           if f.name != "env_phase"},
         "emitter": _emitter_meta(p),
         "drive": {"omega_r": float(omega_r)},
     }
@@ -211,17 +262,6 @@ def lock_loop_radius(gains, dt: float) -> float:
     kp, ki, kd = (float(gains.get(key, 0.0)) for key in ("kp", "ki", "kd"))
     roots = np.roots([1.0, kp + ki * dt + kd / dt - 1.0, -(kp + 2.0 * kd / dt), kd / dt])
     return float(np.max(np.abs(roots)))
-
-
-def _config_meta(cfg: InterferometerConfig) -> dict:
-    return {
-        "delta_l_m": cfg.delta_l,
-        "visibility": cfg.visibility,
-        "p_lo_cps": cfg.p_lo,
-        "p_sig_cps": cfg.p_sig,
-        "integration_time_s": cfg.integration_time,
-        "dark_cps": cfg.dark_rate,
-    }
 
 
 def _emitter_meta(p: EmitterParams) -> dict:

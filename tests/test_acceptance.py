@@ -130,8 +130,8 @@ def _bisect(fun, lo, hi, tol=1e-12):
 
 def test_criterion_4_path_length_recovery():
     # delta_l = 2.78 m, visibility 0.65, Poisson noise at 1e5 counts/bin
-    cfg = InterferometerConfig(delta_l=2.78, visibility=0.65, p_lo=1e6, p_sig=1e4,
-                               integration_time=0.1)
+    cfg = InterferometerConfig(delta_l_m=2.78, visibility=0.65, p_lo_cps=1e6, p_sig_cps=1e4,
+                               integration_time_s=0.1)
     freq = np.linspace(-15, 15, 4501)
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, phi0=-0.25)
     off = fringe_trace(cfg, p, freq, qd_on=False)

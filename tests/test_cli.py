@@ -589,13 +589,25 @@ def test_out_default_reads_wgphase_out_on_every_run(tmp_path, monkeypatch):
 
 def test_usage_error_leaves_the_parser_usable(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        run_cli("--out", "bad", "fit")  # no phasor files
-    assert exc.value.code == 2
+    assert run_cli("--out", "bad", "fit") == EXIT_BAD_INPUT  # no phasor files
     assert "phasor_files" in capsys.readouterr().err
     assert run_cli("--out", "good", "predict-chiral") == EXIT_OK
     assert not (tmp_path / "bad").exists()
     assert (tmp_path / "good" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, code, printed", [
+    (["--help"], EXIT_OK, "usage: wgphase"),                    # was SystemExit(0)
+    (["--seed", "abc", "simulate"], EXIT_BAD_INPUT, "--seed"),  # was SystemExit(2)
+])
+def test_command_line_parse_returns_its_exit_code(tmp_path, monkeypatch, capsys, argv, code,
+                                                  printed):
+    # main returns every exit code, the parser's included, and writes no bundle
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert printed in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch, lifecycle_inputs):

@@ -17,8 +17,8 @@ EMITTER = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25
 
 def make_pair(delta_l=25.0, span=12.0, points=15001, p=EMITTER, visibility=0.65,
               phi_env=0.0):
-    cfg = InterferometerConfig(delta_l=delta_l, visibility=visibility, p_lo=1e6,
-                               p_sig=1e4, integration_time=0.1)
+    cfg = InterferometerConfig(delta_l_m=delta_l, visibility=visibility, p_lo_cps=1e6,
+                               p_sig_cps=1e4, integration_time_s=0.1)
     freq = np.linspace(-span, span, points)
     on = fringe_trace(cfg, p, freq, qd_on=True, phi_env=phi_env)
     off = fringe_trace(cfg, p, freq, qd_on=False, phi_env=phi_env)
@@ -149,8 +149,8 @@ def test_low_contrast_flagged_not_dropped():
     # ideal coupling with no dephasing: fringe amplitude vanishes near
     # resonance, those windows must be flagged but present
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=0.0, beta=1.0, phi0=0.0)
-    cfg = InterferometerConfig(delta_l=2.78, visibility=0.65, p_lo=1e6, p_sig=400.0,
-                               integration_time=0.1)
+    cfg = InterferometerConfig(delta_l_m=2.78, visibility=0.65, p_lo_cps=1e6, p_sig_cps=400.0,
+                               integration_time_s=0.1)
     freq = np.linspace(-15, 15, 4501)
     on = fringe_trace(cfg, p, freq, qd_on=True)
     off = fringe_trace(cfg, p, freq, qd_on=False)
@@ -262,7 +262,7 @@ def test_shared_projector_matches_per_window_oracle():
                                     f0=float(rng.uniform(-5.0, 5.0)),
                                     phi0=float(rng.uniform(-np.pi, np.pi)))
         phi_env = float(rng.uniform(-np.pi, np.pi))
-        cfg = InterferometerConfig(delta_l=delta_l)
+        cfg = InterferometerConfig(delta_l_m=delta_l)
         trace = fringe_trace(cfg, p, freq, qd_on=bool(rng.integers(2)), phi_env=phi_env)
         if noisy:
             trace = apply_shot_noise(trace, seed=int(rng.integers(2**31)))

@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 
 from wgphase.emitter import EmitterParams, transmission
-from wgphase.config import EnvPhaseBlock
-from wgphase.interferometer import (FringeTrace, InterferometerConfig, UnstableLoopError,
-                                    apply_shot_noise, expected_rate, fringe_trace,
-                                    lock_loop_radius, lock_loop_residual)
+from wgphase.interferometer import (EnvPhase, FringeTrace, InterferometerConfig,
+                                    UnstableLoopError, apply_shot_noise, expected_rate,
+                                    fringe_trace, lock_loop_radius, lock_loop_residual)
 from wgphase.units import C_M_PER_S
 
 GAINS = {"kp": 0.6, "ki": 4.0, "kd": 0.0}
 
 
 def make_cfg(**kwargs):
-    defaults = dict(delta_l=2.78, visibility=1.0, p_lo=100.0, p_sig=100.0,
-                    integration_time=0.1)
+    defaults = dict(delta_l_m=2.78, visibility=1.0, p_lo_cps=100.0, p_sig_cps=100.0,
+                    integration_time_s=0.1)
     defaults.update(kwargs)
     return InterferometerConfig(**defaults)
 
@@ -27,11 +26,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_cfg(visibility=1.2)
     with pytest.raises(ValueError):
-        make_cfg(delta_l=-1.0)
+        make_cfg(delta_l_m=-1.0)
     with pytest.raises(ValueError):
-        make_cfg(p_lo=-5.0)
+        make_cfg(p_lo_cps=-5.0)
     with pytest.raises(ValueError):
-        make_cfg(integration_time=0.0)
+        make_cfg(integration_time_s=0.0)
+
+
+def test_config_checks_lock_gains_and_env_phase():
+    # the library record checks what the config loader checks: no run needed
+    with pytest.raises(ValueError, match=r"env_phase: .*unstable"):
+        InterferometerConfig(env_phase=EnvPhase(kind="locked_drift", kp=5.0))
+    with pytest.raises(ValueError, match="env_phase: .*unstable"):
+        InterferometerConfig(integration_time_s=0.01,
+                             env_phase=EnvPhase(kind="locked_drift", kd=0.02))
+    InterferometerConfig(env_phase=EnvPhase(kind="random_walk", kp=5.0))  # no loop to check
+    with pytest.raises(ValueError, match="kind: unknown kind"):
+        EnvPhase(kind="volcano")
+    with pytest.raises(ValueError, match="sigma_rad: must be >= 0"):
+        EnvPhase(sigma_rad=-1.0)
 
 
 def test_trace_validation():
@@ -48,10 +61,10 @@ def test_ideal_two_beam_span_and_period():
     cfg = make_cfg()
     freq = np.linspace(-15, 15, 12001)
     trace = fringe_trace(cfg, EmitterParams.isotropic(gamma=9.4), freq, qd_on=False)
-    rates = trace.intensity / cfg.integration_time
+    rates = trace.intensity / cfg.integration_time_s
     assert rates.min() == pytest.approx(0.0, abs=1e-2)
     assert rates.max() == pytest.approx(400.0, abs=1e-2)
-    period = C_M_PER_S / cfg.delta_l / 1e9
+    period = C_M_PER_S / cfg.delta_l_m / 1e9
     assert period == pytest.approx(0.1078, abs=2e-4)  # ~107.8 MHz
     shifted = fringe_trace(cfg, EmitterParams.isotropic(gamma=9.4), freq + period, qd_on=False)
     np.testing.assert_allclose(shifted.intensity, trace.intensity, rtol=0, atol=1e-6)
@@ -62,8 +75,8 @@ def test_sin_squared_shape_recovered():
     cfg = make_cfg()
     freq = np.linspace(-3, 3, 4001)
     trace = fringe_trace(cfg, EmitterParams.isotropic(gamma=9.4, phi0=0.0), freq, qd_on=False)
-    dphi = 2 * np.pi * freq * 1e9 * cfg.delta_l / C_M_PER_S
-    scale = 4 * cfg.p_lo * cfg.integration_time
+    dphi = 2 * np.pi * freq * 1e9 * cfg.delta_l_m / C_M_PER_S
+    scale = 4 * cfg.p_lo_cps * cfg.integration_time_s
     model = scale - scale * np.sin(dphi / 2) ** 2
     np.testing.assert_allclose(trace.intensity, model, atol=1e-12 * scale)
 
@@ -71,17 +84,17 @@ def test_sin_squared_shape_recovered():
 def test_contrast_collapses_at_extinction():
     # ideal isotropic emitter at resonance: |t| = 0, oscillating term vanishes
     p = EmitterParams.isotropic(gamma=12.3, beta=1.0)
-    cfg = make_cfg(p_lo=1e6, p_sig=1e4, visibility=0.65)
+    cfg = make_cfg(p_lo_cps=1e6, p_sig_cps=1e4, visibility=0.65)
     rate = expected_rate(cfg, p, np.array([1e-9]), qd_on=True)
     t, i_t = transmission(p, 2 * np.pi * 1e-9, 0.0)
-    assert rate[0] == pytest.approx(cfg.p_lo + cfg.p_sig * i_t, rel=1e-9)
+    assert rate[0] == pytest.approx(cfg.p_lo_cps + cfg.p_sig_cps * i_t, rel=1e-9)
 
 
 def test_fringe_envelope_matches_abs_t():
     # local fringe amplitude on/off ratio equals |t(f)| pointwise; the
     # amplitude at fixed f is read out exactly from two quadrature samples
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
-    cfg = make_cfg(p_lo=1e6, p_sig=1e4, visibility=0.65)
+    cfg = make_cfg(p_lo_cps=1e6, p_sig_cps=1e4, visibility=0.65)
     freq = np.linspace(-4, 4, 101)
     quad = np.full(freq.size, -np.pi / 2)
     amps = {}
@@ -90,7 +103,7 @@ def test_fringe_envelope_matches_abs_t():
         r90 = expected_rate(cfg, p, freq, qd_on=qd_on, phi_env=quad)
         t, i_t = (transmission(p, 2 * np.pi * freq, 0.0) if qd_on
                   else (np.ones(freq.size), np.ones(freq.size)))
-        bg = cfg.p_lo + cfg.p_sig * i_t
+        bg = cfg.p_lo_cps + cfg.p_sig_cps * i_t
         amps[qd_on] = np.hypot(r0 - bg, r90 - bg)
     t_on, _ = transmission(p, 2 * np.pi * freq, 0.0)
     np.testing.assert_allclose(amps[True] / amps[False], np.abs(t_on), atol=1e-9)
@@ -108,10 +121,10 @@ def test_phase_additivity():
 
 
 def test_env_phase_models():
-    assert np.all(EnvPhaseBlock(value_rad=0.3).series(5, 0.1) == 0.3)
-    walk = EnvPhaseBlock(kind="random_walk", sigma_rad=0.1, seed=3)
+    assert np.all(EnvPhase(value_rad=0.3).series(5, 0.1) == 0.3)
+    walk = EnvPhase(kind="random_walk", sigma_rad=0.1, seed=3)
     np.testing.assert_array_equal(walk.series(100, 0.1), walk.series(100, 0.1))
-    sin = EnvPhaseBlock(kind="sinusoid", amplitude_rad=0.5, frequency_hz=1.0).series(11, 0.1)
+    sin = EnvPhase(kind="sinusoid", amplitude_rad=0.5, frequency_hz=1.0).series(11, 0.1)
     assert sin[0] == pytest.approx(0.0)
     assert np.max(np.abs(sin)) <= 0.5 + 1e-12
 
@@ -128,8 +141,8 @@ _SERIES_SHA256 = {
 
 @pytest.mark.parametrize("kind", sorted(_SERIES_SHA256))
 def test_env_phase_series_bytes_pinned(kind):
-    block = EnvPhaseBlock(kind=kind, value_rad=0.3, sigma_rad=0.05, amplitude_rad=0.4,
-                          frequency_hz=0.7, kp=0.5, ki=3.0, kd=0.005, seed=5)
+    block = EnvPhase(kind=kind, value_rad=0.3, sigma_rad=0.05, amplitude_rad=0.4,
+                     frequency_hz=0.7, kp=0.5, ki=3.0, kd=0.005, seed=5)
     series = block.series(257, 0.1)
     assert hashlib.sha256(series.tobytes()).hexdigest() == _SERIES_SHA256[kind]
 
@@ -141,7 +154,7 @@ def test_shot_noise_zero_rate():
 
 
 def test_shot_noise_deterministic():
-    cfg = make_cfg(p_lo=1e6, p_sig=1e4)
+    cfg = make_cfg(p_lo_cps=1e6, p_sig_cps=1e4)
     freq = np.linspace(-1, 1, 400)
     trace = fringe_trace(cfg, EmitterParams.isotropic(gamma=9.4), freq, qd_on=False)
     a = apply_shot_noise(trace, seed=42)
@@ -197,7 +210,7 @@ def test_shot_noise_neighbouring_bins_uncorrelated():
 def test_shot_noise_prefix_stable_across_block_boundary():
     # a bin's draw never depends on a later bin, so a shorter trace draws a
     # prefix of a longer one, also past the first block of bins
-    cfg = make_cfg(p_lo=1e4, p_sig=1e3)
+    cfg = make_cfg(p_lo_cps=1e4, p_sig_cps=1e3)
     freq = np.linspace(-5, 5, 3000)
     long = fringe_trace(cfg, EmitterParams.isotropic(gamma=9.4), freq, qd_on=True)
     short = FringeTrace(freq=long.freq[:1500], intensity=long.intensity[:1500])

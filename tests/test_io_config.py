@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from wgphase.config import ConfigError, RunConfig, load_config
 from wgphase.emitter import EmitterParams
 from wgphase.extraction import PhasorSeries
-from wgphase.interferometer import FringeTrace, InterferometerConfig, fringe_trace
+from wgphase.interferometer import EnvPhase, FringeTrace, InterferometerConfig, fringe_trace
 from wgphase.io import (PHASOR_HEADER, SCHEMA_VERSION, ResultBundle, TraceParseError,
                         _write_csv, parse_phasors_csv, parse_trace_csv, write_phasors_csv,
                         write_trace_csv)
@@ -21,8 +21,8 @@ from wgphase.io import (PHASOR_HEADER, SCHEMA_VERSION, ResultBundle, TraceParseE
 
 @pytest.fixture
 def trace():
-    cfg = InterferometerConfig(delta_l=2.78, visibility=0.65, p_lo=1e6, p_sig=1e4,
-                               integration_time=0.1)
+    cfg = InterferometerConfig(delta_l_m=2.78, visibility=0.65, p_lo_cps=1e6, p_sig_cps=1e4,
+                               integration_time_s=0.1)
     freq = np.linspace(-2, 2, 257)
     return fringe_trace(cfg, EmitterParams.isotropic(gamma=12.3), freq, qd_on=False)
 
@@ -302,6 +302,32 @@ def test_config_lock_gains_checked_at_load():
         load_config(locked(dt=0.01, kd=0.02))  # kd/dt = 2
     # only the locked_drift kind runs the loop, so only it has its gains checked
     load_config({"interferometer": {"env_phase": {"kind": "random_walk", "kp": 5.0}}})
+
+
+def test_interferometer_block_is_the_library_record_and_round_trips():
+    block = {"delta_l_m": 3.1, "visibility": 0.5, "p_lo_cps": 2e6, "p_sig_cps": 3e4,
+             "integration_time_s": 0.2, "dark_cps": 5.0,
+             "env_phase": {"kind": "locked_drift", "value_rad": 0.1, "sigma_rad": 0.02,
+                           "amplitude_rad": 0.3, "frequency_hz": 0.4, "kp": 0.5, "ki": 2.0,
+                           "kd": 0.001, "seed": 7}}
+    cfg = load_config({"interferometer": block})
+    assert cfg.interferometer == InterferometerConfig(
+        **{**block, "env_phase": EnvPhase(**block["env_phase"])})
+    assert cfg.resolved()["interferometer"] == block
+    assert load_config(cfg.resolved()) == cfg
+
+
+def test_trace_sidecar_records_the_interferometer_without_env_phase(tmp_path):
+    cfg = InterferometerConfig(delta_l_m=3.1, dark_cps=5.0,
+                               env_phase=EnvPhase(kind="sinusoid", amplitude_rad=0.3))
+    trace = fringe_trace(cfg, EmitterParams.isotropic(gamma=12.3),
+                         np.linspace(-2, 2, 33), qd_on=True)
+    path = write_trace_csv(trace, tmp_path / "t.csv")
+    sidecar = json.loads(Path(f"{path}.meta.json").read_text(encoding="utf-8"))
+    assert set(sidecar["interferometer"]) == {"delta_l_m", "visibility", "p_lo_cps",
+                                              "p_sig_cps", "integration_time_s", "dark_cps"}
+    assert sidecar["interferometer"]["delta_l_m"] == 3.1
+    assert sidecar["interferometer"]["dark_cps"] == 5.0
 
 
 def test_runconfig_is_dataclass_roundtrip():

@@ -31,3 +31,11 @@ def test_oracles_import_only_state_types_from_wgphase():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wgphase":
             imported |= {alias.name for alias in node.names}
     assert imported == {"EmitterParams"}
+
+
+def test_test_oracles_are_not_public():
+    # the numeric searches cross-check the closed forms; they stay in their
+    # modules (for the tests and the benchmark tracer), outside the package API
+    oracles = {"phase_extrema_numeric", "NumericExtremum", "channel_model"}
+    assert oracles.isdisjoint(wgphase.__all__)
+    assert not any(hasattr(wgphase, name) for name in oracles)

@@ -188,8 +188,8 @@ def test_predict_phase_consistent_with_direct_extremum():
 def _pipeline_fit(delta_l, seeds=None, integration_time=0.1, span=9.0, points=9001):
     """fringe pair -> phasors -> single-dipole fit, optionally with shot noise."""
     p = DIPOLE2.with_(f0=0.0)
-    cfg = InterferometerConfig(delta_l=delta_l, visibility=0.65, p_lo=1e6, p_sig=1e4,
-                               integration_time=integration_time)
+    cfg = InterferometerConfig(delta_l_m=delta_l, visibility=0.65, p_lo_cps=1e6, p_sig_cps=1e4,
+                               integration_time_s=integration_time)
     freq = np.linspace(-span, span, points)
     on = fringe_trace(cfg, p, freq, qd_on=True)
     off = fringe_trace(cfg, p, freq, qd_on=False)
