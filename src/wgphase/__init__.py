@@ -5,8 +5,8 @@ of emitter parameters from fringe data."""
 
 from .emitter import (ChiralThresholds, EmitterParams, PhaseExtremum, chiral_thresholds,
                       critical_photon_flux, phase_extrema_analytic, transmission)
-from .extraction import (NoFringeError, PhasorSeries, WindowFits, estimate_path_length_fft,
-                         extract_phasor_series, window_phasors)
+from .extraction import (ExtractionConfig, NoFringeError, PhasorSeries, WindowFits,
+                         estimate_path_length_fft, extract_phasor_series, window_phasors)
 from .interferometer import (EnvPhase, FringeTrace, InterferometerConfig, UnstableLoopError,
                              apply_shot_noise, expected_rate, fringe_trace,
                              lock_loop_residual)
@@ -18,7 +18,8 @@ from .spectra import (SpectrumChannel, SpectrumDataset, fit_saturation_series,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChiralThresholds", "EmitterParams", "EnvPhase", "FitResult", "FringeTrace",
+    "ChiralThresholds", "EmitterParams", "EnvPhase", "ExtractionConfig", "FitResult",
+    "FringeTrace",
     "InterferometerConfig", "NoFringeError", "PhaseExtremum", "PhasorSeries",
     "SpectrumChannel", "SpectrumDataset", "UnstableLoopError", "WindowFits",
     "apply_shot_noise", "chiral_thresholds", "critical_photon_flux",

@@ -76,18 +76,12 @@ def cmd_simulate(cfg: RunConfig, bundle: ResultBundle):
 def cmd_extract(cfg: RunConfig, bundle: ResultBundle, on_file, off_file):
     on = parse_trace_csv(on_file)
     off = parse_trace_csv(off_file)
-    ext = cfg.extraction
-    delta_l = ext.delta_l_m
-    if delta_l is None:
-        delta_l = estimate_path_length_fft(off)
-    series = extract_phasor_series(
-        on, off, window_periods=ext.window_periods, delta_l=delta_l,
-        hop_periods=ext.hop_periods, poly_order=ext.poly_order,
-        weight_beta=ext.weight_beta)
+    ext = cfg.extraction.with_path_length(off)  # one FFT estimate, recorded below
+    series = extract_phasor_series(on, off, ext)
     bundle.write_phasors("phasors.csv", series,
-                         meta={"delta_l_m": delta_l, "source_on": str(on_file),
+                         meta={"delta_l_m": ext.delta_l_m, "source_on": str(on_file),
                                "source_off": str(off_file)})
-    bundle.write_json("summary.json", {"delta_l_m": delta_l, "n_points": len(series),
+    bundle.write_json("summary.json", {"delta_l_m": ext.delta_l_m, "n_points": len(series),
                                        "n_low_contrast": np.count_nonzero(series.low_contrast)})
 
 

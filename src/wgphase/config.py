@@ -8,8 +8,8 @@ materialized dictionary that gets snapshotted next to the outputs.
 Rates in the emitter block are angular (rad/ns, matching lifetime tables in
 1/ns); frequencies on the sweep axis are GHz.
 
-The ``interferometer`` block is the library's ``InterferometerConfig``
-itself, built like any other block.
+The ``interferometer`` and ``extraction`` blocks are the library's records
+themselves, built like any other block.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import json
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .emitter import EmitterParams
-from .extraction import check_window_values
+from .extraction import ExtractionConfig
 from .interferometer import InterferometerConfig
 from .spectra import check_fit_values
 from .units import is_number
@@ -97,19 +97,6 @@ class NoiseBlock:
 
 
 @dataclass
-class ExtractionBlock:
-    window_periods: float = 3.0
-    hop_periods: Optional[float] = None
-    poly_order: int = 2
-    weight_beta: float = 12.0
-    delta_l_m: Optional[float] = None   # None -> FFT estimate from the off trace
-
-    def __post_init__(self):  # checked at load, for every command
-        check_window_values(self.window_periods, self.hop_periods, self.poly_order,
-                            self.delta_l_m)
-
-
-@dataclass
 class FitBlock:
     model: str = "two_dipole"           # two_dipole | saturation
     combine: str = "isolated"           # isolated | product
@@ -178,7 +165,7 @@ class RunConfig:
     interferometer: InterferometerConfig = field(default_factory=InterferometerConfig)
     sweep: SweepBlock = field(default_factory=SweepBlock)
     noise: NoiseBlock = field(default_factory=NoiseBlock)
-    extraction: ExtractionBlock = field(default_factory=ExtractionBlock)
+    extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     fit: FitBlock = field(default_factory=FitBlock)
     chiral_scan: ChiralScanBlock = field(default_factory=ChiralScanBlock)
 

@@ -21,23 +21,20 @@ magnitude.  The residual systematic error is the local-polynomial
 truncation bias, which shrinks with the ratio of window span to spectral
 feature width (i.e. with larger path imbalance or higher ``poly_order``).
 On the uniform grid the extraction requires, all windows share one weighted
-projector, so the solves of a trace are done together.
+projector, so the solves of a trace are done together.  The settings are one
+:class:`ExtractionConfig`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .interferometer import FringeTrace
 from .units import C_M_PER_S, wrap_angle
-
-DEFAULT_WINDOW_PERIODS = 3.0
-DEFAULT_POLY_ORDER = 2
-DEFAULT_WEIGHT_BETA = 12.0
 
 _LOW_CONTRAST_SNR = 5.0
 _PEAK_FLOOR_RATIO = 5.0
@@ -46,6 +43,40 @@ _TIE_RATIO = 0.99
 
 class NoFringeError(ValueError):
     """No dominant non-DC component found in the fringe spectrum."""
+
+
+@dataclass(frozen=True)
+class ExtractionConfig:
+    """The window settings, under the names of the run config's ``extraction``
+    block: window width and step in fringe periods (``hop_periods`` None: the
+    width, so windows do not overlap), the order of the local polynomial, the
+    Kaiser taper ``weight_beta`` and the path-length imbalance ``delta_l_m``
+    in m (None: the FFT estimate, see :meth:`with_path_length`)."""
+
+    window_periods: float = 3.0
+    hop_periods: Optional[float] = None
+    poly_order: int = 2
+    weight_beta: float = 12.0
+    delta_l_m: Optional[float] = None
+
+    def __post_init__(self):
+        for name in ("delta_l_m", "hop_periods"):  # None is no value to check
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name}: must be finite and > 0, got {value}")
+        if self.poly_order < 0:
+            raise ValueError(f"poly_order: must be >= 0, got {self.poly_order}")
+        if not (np.isfinite(self.window_periods) and self.window_periods >= 1.0):
+            raise ValueError(f"window_periods: must be finite and cover at least one fringe "
+                             f"period, got {self.window_periods}")
+        if not np.isfinite(self.weight_beta):
+            raise ValueError(f"weight_beta: must be finite, got {self.weight_beta}")
+
+    def with_path_length(self, trace: FringeTrace) -> ExtractionConfig:
+        """This record, a None ``delta_l_m`` set to the (checked) estimate from ``trace``."""
+        if self.delta_l_m is not None:
+            return self
+        return replace(self, delta_l_m=estimate_path_length_fft(trace))
 
 
 @dataclass(frozen=True)
@@ -171,46 +202,26 @@ def _parabolic_offset(mag: np.ndarray, i: int) -> float:
     return float(0.5 * (a - c) / denom)
 
 
-def check_window_values(window_periods: float, hop_periods: Optional[float],
-                        poly_order: int, delta_l: Optional[float] = None):
-    """ValueError naming the first of the :func:`window_phasors` parameters
-    that it would reject; a None ``hop_periods`` or ``delta_l`` is not
-    checked (the window width, or the FFT estimate, stands in for it)."""
-    if delta_l is not None and not (np.isfinite(delta_l) and delta_l > 0):
-        raise ValueError(f"delta_l must be finite and > 0, got {delta_l}")
-    if poly_order < 0:
-        raise ValueError(f"poly_order must be >= 0, got {poly_order}")
-    if not (np.isfinite(window_periods) and window_periods >= 1.0):
-        raise ValueError(f"window_periods must be finite and cover at least one fringe "
-                         f"period, got {window_periods}")
-    if hop_periods is not None and not (np.isfinite(hop_periods) and hop_periods > 0):
-        raise ValueError(f"hop_periods must be finite and > 0, got {hop_periods}")
+def window_phasors(trace: FringeTrace, cfg: ExtractionConfig) -> WindowFits:
+    """Fit the local polynomial phasor model in sliding windows of one trace,
+    at the path length ``cfg.delta_l_m`` (None: the estimate from ``trace``).
 
-
-def window_phasors(trace: FringeTrace, delta_l: float,
-                   window_periods: float = DEFAULT_WINDOW_PERIODS,
-                   hop_periods: Optional[float] = None,
-                   poly_order: int = DEFAULT_POLY_ORDER,
-                   weight_beta: float = DEFAULT_WEIGHT_BETA) -> WindowFits:
-    """Fit the local polynomial phasor model in sliding windows of one trace.
-
-    ``hop_periods`` defaults to the window width (non-overlapping windows,
-    so points carry independent noise).  The grid must be uniform: every
-    window then has the same design matrix in its own coordinates (``u``
-    from the sample index, carrier ``theta - theta[start]``), so one weighted
-    projector, one sandwich covariance and one residual dof serve all
-    windows.  A window's local phasor ``z = p + i*q`` is rotated back by
-    ``exp(-i*theta[start])``; the amplitude and phase variances are
-    rotation-invariant and are evaluated in the local frame.
+    The grid must be uniform: every window then has the same design matrix
+    in its own coordinates (``u`` from the sample index, carrier ``theta -
+    theta[start]``), so one weighted projector, one sandwich covariance and
+    one residual dof serve all windows.  A window's local phasor ``z = p +
+    i*q`` is rotated back by ``exp(-i*theta[start])``; the amplitude and
+    phase variances are rotation-invariant and are evaluated in the local
+    frame.
     """
-    check_window_values(window_periods, hop_periods, poly_order, delta_l)
-    if hop_periods is None:
-        hop_periods = window_periods
+    cfg = cfg.with_path_length(trace)
+    delta_l, poly_order = cfg.delta_l_m, cfg.poly_order
+    hop_periods = cfg.window_periods if cfg.hop_periods is None else cfg.hop_periods
     freq = trace.freq
     df = _uniform_spacing(freq)
     period_ghz = C_M_PER_S / delta_l / 1e9
     min_pts = 2 * 3 * (poly_order + 1)
-    n = max(int(round(window_periods * period_ghz / df)), min_pts)
+    n = max(int(round(cfg.window_periods * period_ghz / df)), min_pts)
     hop = max(int(round(hop_periods * period_ghz / df)), 1)
     if n > freq.size:
         raise ValueError("trace shorter than one extraction window")
@@ -223,7 +234,7 @@ def window_phasors(trace: FringeTrace, delta_l: float,
     powers = u[:, None] ** np.arange(poly_order + 1)
     design = np.hstack([powers, np.cos(carrier)[:, None] * powers,
                         -np.sin(carrier)[:, None] * powers])
-    w = np.clip(np.kaiser(n, weight_beta), 0.0, None)
+    w = np.clip(np.kaiser(n, cfg.weight_beta), 0.0, None)
     sw = np.sqrt(w)
     proj = np.linalg.pinv(design * sw[:, None]) * sw
 
@@ -275,14 +286,10 @@ def _uniform_spacing(freq: np.ndarray) -> float:
 
 
 def extract_phasor_series(on: FringeTrace, off: FringeTrace,
-                          window_periods: float = DEFAULT_WINDOW_PERIODS,
-                          delta_l: Optional[float] = None,
-                          hop_periods: Optional[float] = None,
-                          poly_order: int = DEFAULT_POLY_ORDER,
-                          weight_beta: float = DEFAULT_WEIGHT_BETA) -> PhasorSeries:
+                          cfg: ExtractionConfig = ExtractionConfig()) -> PhasorSeries:
     """Windowed on/off comparison of a fringe pair.
 
-    ``delta_l`` defaults to the FFT estimate from the off trace; the
+    A None ``cfg.delta_l_m`` is the FFT estimate from the off trace; the
     local-oscillator background is the one recorded in the off-trace
     metadata.  Windows whose fringe amplitude falls below 5x its
     own fitted uncertainty are flagged low-contrast but never dropped.
@@ -293,12 +300,11 @@ def extract_phasor_series(on: FringeTrace, off: FringeTrace,
             f"on spans [{on.freq[0]:.6g}, {on.freq[-1]:.6g}] GHz with {on.freq.size} points, "
             f"off spans [{off.freq[0]:.6g}, {off.freq[-1]:.6g}] GHz with {off.freq.size} points"
         )
-    if delta_l is None:
-        delta_l = estimate_path_length_fft(off)
+    cfg = cfg.with_path_length(off)
     background = _background_counts(off)
 
-    won = window_phasors(on, delta_l, window_periods, hop_periods, poly_order, weight_beta)
-    woff = window_phasors(off, delta_l, window_periods, hop_periods, poly_order, weight_beta)
+    won = window_phasors(on, cfg)
+    woff = window_phasors(off, cfg)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         amp_ratio = np.where(woff.amplitude > 0, won.amplitude / woff.amplitude, np.inf)

@@ -13,7 +13,7 @@ coherent term carries |t| while the background carries I_t; the two differ
 by the incoherently scattered light, and the inverse pipeline relies on
 that distinction.  Traces store expected (or Poisson-sampled) counts per
 bin, i.e. rate times integration time.  :class:`InterferometerConfig` is the
-run config's ``interferometer`` block, its :class:`EnvPhase` makes ``phi_env``.
+run config's ``interferometer`` block, its :class:`EnvPhase` the default ``phi_env``.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class InterferometerConfig:
     p_lo_cps, p_sig_cps : local-oscillator and signal-arm photon rates, counts/s
     integration_time_s : s per frequency sample
     dark_cps : detector dark counts/s, default 0
-    env_phase : the environmental phase; ``simulate`` passes its series
-        (one sample per integration time) to :func:`fringe_trace` as ``phi_env``
+    env_phase : the environmental phase, one sample per integration time;
+        :func:`fringe_trace` applies its series unless given ``phi_env``
     """
 
     delta_l_m: float = 2.78
@@ -163,16 +163,18 @@ def expected_rate(cfg: InterferometerConfig, p: EmitterParams, freq_ghz, qd_on: 
 
 
 def fringe_trace(cfg: InterferometerConfig, p: EmitterParams, sweep, qd_on: bool,
-                 omega_r: float = 0.0, phi_env=0.0) -> FringeTrace:
+                 omega_r: float = 0.0, phi_env=None) -> FringeTrace:
     """Synthesize a noiseless fringe trace over a laser sweep (GHz).
 
     The sweep sets the laser-emitter detuning of every point; ``omega_r`` is
     the Rabi frequency of the drive, rad/ns, and the default 0 is the
     linear-response limit.  The metadata records the ``omega_r`` applied.
-    ``phi_env`` is the environmental phase, as in :func:`expected_rate`;
-    ``cfg.env_phase`` is not read here, so one series can serve several traces.
+    ``phi_env`` is the environmental phase, as in :func:`expected_rate`; None
+    is ``cfg.env_phase``'s series.  One series passed to two traces runs one lock loop.
     """
     sweep = np.asarray(sweep, dtype=float)
+    if phi_env is None:
+        phi_env = cfg.env_phase.series(sweep.size, cfg.integration_time_s)
     rate = expected_rate(cfg, p, sweep, qd_on, omega_r=omega_r, phi_env=phi_env)
     counts = rate * cfg.integration_time_s
     meta = {

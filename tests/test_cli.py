@@ -166,7 +166,8 @@ def test_extract_bad_extraction_value_is_bad_input(tmp_path, capsys, field, valu
                    "--out", str(tmp_path / "x"), "extract",
                    str(sim / "trace_on.csv"), str(sim / "trace_off.csv"))
     assert code == EXIT_BAD_INPUT
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and f"extraction.{field}: " in err
 
 
 @pytest.mark.parametrize("drive", [
@@ -222,6 +223,28 @@ def test_simulate_runs_the_lock_loop_once(tmp_path, monkeypatch):
     assert run_cli("--config", write_cfg(tmp_path, "cfg.json", cfg),
                    "--out", str(tmp_path / "sim"), "simulate") == EXIT_OK
     assert len(calls) == 1
+
+
+# every extraction key away from its default but the estimated path length,
+# and the sha256 of the extract bundle's config.json and phasors.csv, as the
+# separate config block wrote them
+EXTRACTION_CFG = dict(BASE_CFG, noise={"shot_noise": True, "seed": 4},
+                      extraction={"window_periods": 4.0, "hop_periods": 2.0,
+                                  "poly_order": 1, "weight_beta": 8.0})
+_EXTRACT_SHA256 = {
+    "config.json": "cd305501be7a22d244e8c4f94b14ad8001efe39b5d9bb5cb58da087566c4f48f",
+    "phasors.csv": "35bcb294282c5b7825ae029be8a7f2aa06f3d735ceefce3b81f820b8dbbc9e01",
+}
+
+
+def test_extract_bundle_bytes_pinned(tmp_path):
+    cfg = write_cfg(tmp_path, "cfg.json", EXTRACTION_CFG)
+    sim, ext = tmp_path / "sim", tmp_path / "ext"
+    assert run_cli("--config", cfg, "--out", str(sim), "simulate") == EXIT_OK
+    assert run_cli("--config", cfg, "--out", str(ext), "extract",
+                   str(sim / "trace_on.csv"), str(sim / "trace_off.csv")) == EXIT_OK
+    for name, digest in _EXTRACT_SHA256.items():
+        assert hashlib.sha256((ext / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_extract_truncated_csv_is_bad_input(tmp_path, capsys):

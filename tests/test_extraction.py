@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from wgphase.emitter import EmitterParams, transmission
-from wgphase.extraction import (NoFringeError, WindowFits, estimate_path_length_fft,
-                                extract_phasor_series, window_phasors)
+from wgphase.extraction import (ExtractionConfig, NoFringeError, WindowFits,
+                                estimate_path_length_fft, extract_phasor_series,
+                                window_phasors)
 from wgphase.interferometer import (FringeTrace, InterferometerConfig,
                                     apply_shot_noise, fringe_trace)
 from wgphase.units import C_M_PER_S, TWO_PI, detuning_angular, wrap_angle
@@ -74,7 +75,7 @@ def test_fft_nonuniform_grid_rejected():
 
 def test_self_comparison_is_identity():
     _, _, off = make_pair(delta_l=2.78, span=15.0, points=4501)
-    series = extract_phasor_series(off, off, delta_l=2.78)
+    series = extract_phasor_series(off, off, ExtractionConfig(delta_l_m=2.78))
     assert len(series) > 30
     for shift, amp, offset in zip(series.phase_shift, series.amp_ratio, series.offset_ratio):
         assert shift == pytest.approx(0.0, abs=1e-12)
@@ -88,7 +89,7 @@ def test_far_detuned_phase_vanishes():
     # large enough to push it below the 1e-6 target)
     p = EMITTER.with_(f0=-1e7, phi0=0.0)
     _, on, off = make_pair(delta_l=2.78, span=15.0, points=4501, p=p)
-    series = extract_phasor_series(on, off, delta_l=2.78)
+    series = extract_phasor_series(on, off, ExtractionConfig(delta_l_m=2.78))
     for shift, amp in zip(series.phase_shift, series.amp_ratio):
         assert abs(shift) < 1e-6
         assert amp == pytest.approx(1.0, abs=1e-6)
@@ -98,7 +99,7 @@ def test_noiseless_extraction_matches_model_pointwise():
     # window span (set by the fringe period at this path imbalance) keeps the
     # local-polynomial bias below 1e-6
     _, on, off = make_pair(delta_l=25.0, span=12.0, points=15001)
-    series = extract_phasor_series(on, off, delta_l=25.0)
+    series = extract_phasor_series(on, off, ExtractionConfig(delta_l_m=25.0))
     t, i_t = transmission(EMITTER, detuning_angular(series.freq, 0.0), 0.0)
     want_phase = wrap_angle(np.angle(t) + EMITTER.phi0)
     np.testing.assert_allclose(series.phase_shift, want_phase, atol=1e-6)
@@ -110,7 +111,7 @@ def test_phase_shift_wrapped_range():
     # an ideal chiral emitter pushes the shift to +/- pi; outputs stay in (-pi, pi]
     p = EmitterParams.chiral(gamma=12.3, beta_dir=1.0, phi0=0.0)
     _, on, off = make_pair(delta_l=25.0, span=12.0, points=15001, p=p)
-    shifts = extract_phasor_series(on, off, delta_l=25.0).phase_shift
+    shifts = extract_phasor_series(on, off, ExtractionConfig(delta_l_m=25.0)).phase_shift
     assert np.all(shifts > -np.pi) and np.all(shifts <= np.pi)
     assert np.max(np.abs(shifts)) > 3.0
 
@@ -118,8 +119,8 @@ def test_phase_shift_wrapped_range():
 def test_env_phase_2pi_invariance():
     _, on_a, off_a = make_pair(phi_env=0.4)
     _, on_b, off_b = make_pair(phi_env=0.4 + TWO_PI)
-    pa = extract_phasor_series(on_a, off_a, delta_l=25.0)
-    pb = extract_phasor_series(on_b, off_b, delta_l=25.0)
+    pa = extract_phasor_series(on_a, off_a, ExtractionConfig(delta_l_m=25.0))
+    pb = extract_phasor_series(on_b, off_b, ExtractionConfig(delta_l_m=25.0))
     for a, b in zip(pa.phase_shift, pb.phase_shift):
         assert a == pytest.approx(b, abs=1e-9)
     for a, b in zip(pa.amp_ratio, pb.amp_ratio):
@@ -132,8 +133,8 @@ def test_constant_env_phase_shifts_window_phase():
     shift = 0.6
     _, on_a, _ = make_pair(phi_env=0.0)
     _, on_b, _ = make_pair(phi_env=shift)
-    wa = window_phasors(on_a, 25.0)
-    wb = window_phasors(on_b, 25.0)
+    wa = window_phasors(on_a, ExtractionConfig(delta_l_m=25.0))
+    wb = window_phasors(on_b, ExtractionConfig(delta_l_m=25.0))
     for a, b in zip(wa.phase, wb.phase):
         assert wrap_angle(b - a) == pytest.approx(shift, abs=1e-7)
 
@@ -155,17 +156,17 @@ def test_low_contrast_flagged_not_dropped():
     on = fringe_trace(cfg, p, freq, qd_on=True)
     off = fringe_trace(cfg, p, freq, qd_on=False)
     series = extract_phasor_series(apply_shot_noise(on, 1), apply_shot_noise(off, 2),
-                                   delta_l=2.78)
+                                   ExtractionConfig(delta_l_m=2.78))
     flagged = series.freq[series.low_contrast]
     assert flagged.size, "expected low-contrast windows near the extinction point"
     assert all(abs(f) < 1.5 for f in flagged)
-    assert len(series) == len(extract_phasor_series(on, off, delta_l=2.78))
+    assert len(series) == len(extract_phasor_series(on, off, ExtractionConfig(delta_l_m=2.78)))
 
 
 def test_window_must_cover_one_period():
     _, on, off = make_pair(points=4501)
     with pytest.raises(ValueError, match="at least one fringe period"):
-        extract_phasor_series(on, off, window_periods=0.5, delta_l=25.0)
+        extract_phasor_series(on, off, ExtractionConfig(window_periods=0.5, delta_l_m=25.0))
 
 
 def test_extraction_with_estimated_path_length():
@@ -173,7 +174,7 @@ def test_extraction_with_estimated_path_length():
     # match the known-path extraction closely
     _, on, off = make_pair(delta_l=2.78, span=15.0, points=4501)
     auto = extract_phasor_series(on, off)
-    known = extract_phasor_series(on, off, delta_l=2.78)
+    known = extract_phasor_series(on, off, ExtractionConfig(delta_l_m=2.78))
     assert len(auto) == len(known)
     for a, k in zip(auto.phase_shift, known.phase_shift):
         assert a == pytest.approx(k, abs=5e-4)
@@ -266,7 +267,9 @@ def test_shared_projector_matches_per_window_oracle():
         trace = fringe_trace(cfg, p, freq, qd_on=bool(rng.integers(2)), phi_env=phi_env)
         if noisy:
             trace = apply_shot_noise(trace, seed=int(rng.integers(2**31)))
-        got = window_phasors(trace, delta_l, window, hop_periods, poly_order)
+        ext = ExtractionConfig(window_periods=window, hop_periods=hop_periods,
+                               poly_order=poly_order, delta_l_m=delta_l)
+        got = window_phasors(trace, ext)
         want = window_phasors_loop(trace, delta_l, window, hop_periods, poly_order)
         # a noiseless window the model fits to within solver rounding leaves a
         # residual (rms ~1e-8 of the counts or less) that two solves do not
@@ -288,10 +291,10 @@ def test_shared_projector_matches_per_window_oracle():
 
 
 @pytest.mark.parametrize("kwargs, field", [
-    ({"delta_l": 0.0}, "delta_l"),
-    ({"delta_l": -2.78}, "delta_l"),
-    ({"delta_l": np.nan}, "delta_l"),
-    ({"delta_l": np.inf}, "delta_l"),
+    ({"delta_l_m": 0.0}, "delta_l"),
+    ({"delta_l_m": -2.78}, "delta_l"),
+    ({"delta_l_m": np.nan}, "delta_l"),
+    ({"delta_l_m": np.inf}, "delta_l"),
     ({"poly_order": -1}, "poly_order"),
     ({"window_periods": np.inf}, "window_periods"),
     ({"window_periods": np.nan}, "window_periods"),
@@ -299,12 +302,28 @@ def test_shared_projector_matches_per_window_oracle():
     ({"hop_periods": np.nan}, "hop_periods"),
     ({"hop_periods": 0.0}, "hop_periods"),
     ({"hop_periods": -1.0}, "hop_periods"),
+    ({"weight_beta": np.nan}, "weight_beta"),  # was LinAlgError: SVD did not converge
+    ({"weight_beta": np.inf}, "weight_beta"),  # was a numpy RuntimeWarning
 ])
 def test_window_phasors_rejects_bad_parameters(kwargs, field):
-    _, on, _ = make_pair(delta_l=2.78, span=15.0, points=4501)
-    args = {"delta_l": 2.78, **kwargs}
-    with pytest.raises(ValueError, match=field):
-        window_phasors(on, **args)
+    # the record rejects the value before any window is fitted; the message
+    # leads with the field, which the config layer prefixes with "extraction."
+    with pytest.raises(ValueError, match=f"^{field}"):
+        ExtractionConfig(**{"delta_l_m": 2.78, **kwargs})
+
+
+def test_null_path_length_is_the_traces_estimate():
+    _, on, off = make_pair(delta_l=2.78, span=15.0, points=4501)
+    resolved = ExtractionConfig(poly_order=1).with_path_length(off)
+    assert resolved == ExtractionConfig(poly_order=1, delta_l_m=estimate_path_length_fft(off))
+    assert resolved.with_path_length(on) is resolved
+    got = window_phasors(on, ExtractionConfig())
+    want = window_phasors(on, ExtractionConfig(delta_l_m=estimate_path_length_fft(on)))
+    np.testing.assert_array_equal(got.phase, want.phase)
+    # extract_phasor_series estimates from the off trace, for both traces
+    auto = extract_phasor_series(on, off, ExtractionConfig(poly_order=1))
+    np.testing.assert_array_equal(auto.phase_shift,
+                                  extract_phasor_series(on, off, resolved).phase_shift)
 
 
 def test_window_phasors_rejects_nonuniform_grid():
@@ -313,4 +332,5 @@ def test_window_phasors_rejects_nonuniform_grid():
     freq = on.freq.copy()
     freq[2000:] += 0.5 * (freq[1] - freq[0])
     with pytest.raises(ValueError, match="uniform"):
-        window_phasors(FringeTrace(freq=freq, intensity=on.intensity), 2.78)
+        window_phasors(FringeTrace(freq=freq, intensity=on.intensity),
+                       ExtractionConfig(delta_l_m=2.78))

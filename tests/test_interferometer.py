@@ -120,6 +120,27 @@ def test_phase_additivity():
     assert not np.allclose(shifted, base)
 
 
+def test_fringe_trace_applies_the_records_env_phase():
+    # phi_env=None is the series of cfg.env_phase; an explicit phi_env wins
+    p = EmitterParams.isotropic(gamma=12.3, beta=0.9, phi0=-0.25)
+    freq = np.linspace(-2, 2, 5)
+    cfg = make_cfg(env_phase=EnvPhase(value_rad=0.3))
+    for qd_on in (True, False):
+        got = fringe_trace(cfg, p, freq, qd_on=qd_on)
+        want = fringe_trace(make_cfg(), p, freq, qd_on=qd_on, phi_env=0.3)
+        np.testing.assert_array_equal(got.intensity, want.intensity)
+        assert not np.array_equal(got.intensity,
+                                  fringe_trace(make_cfg(), p, freq, qd_on=qd_on).intensity)
+        np.testing.assert_array_equal(
+            fringe_trace(cfg, p, freq, qd_on=qd_on, phi_env=0.0).intensity,
+            fringe_trace(make_cfg(), p, freq, qd_on=qd_on).intensity)
+    drift = make_cfg(env_phase=EnvPhase(kind="locked_drift", seed=2))
+    np.testing.assert_array_equal(
+        fringe_trace(drift, p, freq, qd_on=True).intensity,
+        fringe_trace(drift, p, freq, qd_on=True,
+                     phi_env=drift.env_phase.series(freq.size, 0.1)).intensity)
+
+
 def test_env_phase_models():
     assert np.all(EnvPhase(value_rad=0.3).series(5, 0.1) == 0.3)
     walk = EnvPhase(kind="random_walk", sigma_rad=0.1, seed=3)

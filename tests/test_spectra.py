@@ -5,7 +5,7 @@ import pytest
 
 from wgphase.emitter import (EmitterParams, critical_photon_flux, phase_extrema_numeric,
                              transmission)
-from wgphase.extraction import extract_phasor_series
+from wgphase.extraction import ExtractionConfig, extract_phasor_series
 from wgphase.interferometer import (InterferometerConfig, apply_shot_noise,
                                     fringe_trace)
 from wgphase.spectra import (SpectrumChannel, SpectrumDataset, channel_model,
@@ -200,7 +200,7 @@ def _pipeline_fit(delta_l, seeds=None, integration_time=0.1, span=9.0, points=90
         else:
             on_s = apply_shot_noise(on, 2 * seed)
             off_s = apply_shot_noise(off, 2 * seed + 1)
-        pts = extract_phasor_series(on_s, off_s, delta_l=delta_l)
+        pts = extract_phasor_series(on_s, off_s, ExtractionConfig(delta_l_m=delta_l))
         ds = SpectrumDataset.from_phasors(pts, dipole=2)
         results.append(fit_two_dipole_spectra(ds))
     return results
