@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``simulate`` (spectra and fringe traces), ``extract`` (fringe
+Subcommands: ``simulate`` (an on/off fringe-trace pair), ``extract`` (fringe
 pair to phasors), ``pathlength`` (FFT imbalance estimate), ``fit``
 (two-dipole spectral fit), ``fit-saturation`` (power series fit) and
 ``predict-chiral`` (thresholds and phase curves for directional coupling).
@@ -31,12 +31,12 @@ import numpy as np
 
 from . import emitter, spectra
 from .config import ConfigError, RunConfig, check_seed, load_config
-from .extraction import NoFringeError, estimate_path_length_fft, extract_phasor_series
+from .extraction import (NoFringeError, TraceMetaError, estimate_path_length_fft,
+                         extract_phasor_series)
 from .interferometer import UnstableLoopError, apply_shot_noise, fringe_trace
 from .io import (ResultBundle, TraceParseError, fit_result_json, parse_phasors_csv,
                  parse_trace_csv, phasor_file_meta)
 from .lm import FitResult
-from .units import detuning_angular
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -65,10 +65,6 @@ def cmd_simulate(cfg: RunConfig, bundle: ResultBundle):
         if cfg.noise.shot_noise:
             trace = apply_shot_noise(trace, cfg.noise.seed + (0 if qd_on else 1))
         traces[name] = trace
-
-    t, i_t = emitter.transmission(p, detuning_angular(sweep, p.f0), omega_r)
-    bundle.write_table("model_spectrum.csv", "freq_ghz,phase_rad,abs_t,i_t",
-                       [sweep, np.angle(t), np.abs(t), i_t])
     for name, trace in traces.items():
         bundle.write_trace(name, trace)
 
@@ -77,7 +73,10 @@ def cmd_extract(cfg: RunConfig, bundle: ResultBundle, on_file, off_file):
     on = parse_trace_csv(on_file)
     off = parse_trace_csv(off_file)
     ext = cfg.extraction.with_path_length(off)  # one FFT estimate, recorded below
-    series = extract_phasor_series(on, off, ext)
+    try:
+        series = extract_phasor_series(on, off, ext)
+    except TraceMetaError as exc:  # the off trace's sidecar lacks the background
+        raise TraceParseError(f"{off_file}.meta.json: {exc}") from exc
     bundle.write_phasors("phasors.csv", series,
                          meta={"delta_l_m": ext.delta_l_m, "source_on": str(on_file),
                                "source_off": str(off_file)})
@@ -94,10 +93,14 @@ def _dataset_from_files(cfg: RunConfig, phasor_files):
     channels = []
     windows = cfg.fit.dipole_windows_ghz
     for i, path in enumerate(phasor_files, start=1):
-        window = windows.get(str(i))
-        ds = spectra.SpectrumDataset.from_phasors(
-            parse_phasors_csv(path), dipole=i, intensity_from=cfg.fit.intensity_from,
-            freq_window=tuple(window) if window else None)
+        series, window = parse_phasors_csv(path), windows.get(str(i))
+        try:
+            ds = spectra.SpectrumDataset.from_phasors(
+                series, dipole=i, intensity_from=cfg.fit.intensity_from,
+                freq_window=tuple(window) if window else None)
+        except ValueError as exc:  # too few or bad points in the file, or in its window
+            where = f"fit.dipole_windows_ghz.{i}: window {window} GHz of " if window else ""
+            raise ValueError(f"{where}{path}: {exc}") from exc
         channels.extend(ds.channels)
     return spectra.SpectrumDataset(channels=channels)
 
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output bundle directory (env: WGPHASE_OUT)")
     parser.add_argument("--seed", type=int, default=None, help="override noise seed")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", help="emit model spectra and an on/off fringe pair")
+    sub.add_parser("simulate", help="emit an on/off fringe-trace pair")
     p_ext = sub.add_parser("extract", help="extract phasors from an on/off trace pair")
     p_ext.add_argument("on_file")
     p_ext.add_argument("off_file")

@@ -112,6 +112,9 @@ class FitBlock:
         if self.model not in ("two_dipole", "saturation"):
             raise ConfigError(f"fit.model: must be 'two_dipole' or 'saturation', "
                               f"got {self.model!r}")
+        if self.intensity_from not in ("offset", "amplitude"):
+            raise ConfigError(f"fit.intensity_from: must be 'offset' or 'amplitude', "
+                              f"got {self.intensity_from!r}")
         if self.max_iter < 1:
             raise ConfigError(f"fit.max_iter: must be >= 1, got {self.max_iter}")
         try:

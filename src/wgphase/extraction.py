@@ -45,6 +45,10 @@ class NoFringeError(ValueError):
     """No dominant non-DC component found in the fringe spectrum."""
 
 
+class TraceMetaError(ValueError):
+    """A trace's metadata lacks a value the extraction needs."""
+
+
 @dataclass(frozen=True)
 class ExtractionConfig:
     """The window settings, under the names of the run config's ``extraction``
@@ -332,6 +336,7 @@ def _background_counts(off: FringeTrace) -> float:
     interf = (off.meta or {}).get("interferometer", {})
     p_lo, t_int = interf.get("p_lo_cps"), interf.get("integration_time_s")
     if p_lo is None or t_int is None:
-        raise ValueError("trace metadata lacks p_lo/integration time")
+        raise TraceMetaError("interferometer must give the p_lo_cps and integration_time_s "
+                             "of the local-oscillator background")
     return float(p_lo) * float(t_int)
 

@@ -3,12 +3,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wgphase import emitter, interferometer, spectra
 from wgphase.cli import (EXIT_BAD_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main)
+from wgphase.config import load_config
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.extraction import PhasorSeries
 from wgphase.io import parse_phasors_csv, parse_trace_csv, write_phasors_csv
@@ -44,9 +47,9 @@ def test_simulate_smoke(tmp_path):
     out = tmp_path / "sim"
     cfg = write_cfg(tmp_path, "cfg.json", BASE_CFG)
     assert run_cli("--config", cfg, "--out", str(out), "simulate") == EXIT_OK
-    for name in ("config.json", "manifest.json", "model_spectrum.csv",
-                 "trace_on.csv", "trace_off.csv"):
-        assert (out / name).exists(), name
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.json", "manifest.json", "trace_off.csv", "trace_off.csv.meta.json",
+        "trace_on.csv", "trace_on.csv.meta.json"]
     trace = parse_trace_csv(out / "trace_on.csv")
     assert trace.meta["qd_on"] is True
     manifest = read_json(out / "manifest.json")
@@ -93,17 +96,44 @@ def test_simulate_ideal_isotropic_vs_chiral_curves(tmp_path):
     chi_cfg = json.loads(json.dumps(iso_cfg))
     chi_cfg["emitter"]["coupling"] = "chiral"
 
+    # the model at the emitter and drive each run records in its trace sidecar
     curves = {}
     for label, cfg in (("iso", iso_cfg), ("chi", chi_cfg)):
         out = tmp_path / label
         assert run_cli("--config", write_cfg(tmp_path, f"{label}.json", cfg),
                        "--out", str(out), "simulate") == EXIT_OK
-        rows = np.genfromtxt(out / "model_spectrum.csv", delimiter=",", names=True)
-        curves[label] = rows
-    i0 = np.argmin(np.abs(curves["iso"]["freq_ghz"]))
-    assert curves["iso"]["i_t"][i0] == pytest.approx(0.0, abs=1e-12)
-    assert curves["chi"]["phase_rad"][i0] == pytest.approx(np.pi, abs=1e-12)
-    assert curves["chi"]["i_t"][i0] == pytest.approx(1.0, abs=1e-12)
+        trace = parse_trace_csv(out / "trace_on.csv")
+        e = dict(trace.meta["emitter"])
+        p = EmitterParams(f0=e.pop("f0_ghz"), **e)
+        assert p.coupling == cfg["emitter"]["coupling"]
+        curves[label] = transmission(p, detuning_angular(trace.freq, p.f0),
+                                     trace.meta["drive"]["omega_r"])
+    i0 = np.argmin(np.abs(trace.freq))  # both runs share the sweep
+    assert curves["iso"][1][i0] == pytest.approx(0.0, abs=1e-12)
+    assert np.angle(curves["chi"][0][i0]) == pytest.approx(np.pi, abs=1e-12)
+    assert curves["chi"][1][i0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_readme_transmission_recipe(tmp_path, monkeypatch):
+    # the README's recipe rebuilds, from a trace and its sidecar, the closed-form
+    # model at the run's emitter, sweep and drive, bit for bit
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    recipe = readme[readme.index("* **Model spectrum**"):]
+    recipe = recipe[recipe.index("```python\n") + 10:]
+    recipe = textwrap.dedent(recipe[:recipe.index("```")])
+    cfg = dict(BASE_CFG, drive={"omega_rad_ns": 8.0, "linear_response": False},
+               emitter={"gamma_rad_ns": 12.3, "gamma_dp_rad_ns": 3.9, "beta": 0.9,
+                        "coupling": "chiral", "f0_ghz": 0.5, "phi0_rad": -0.25})
+    cfg_path = write_cfg(tmp_path, "cfg.json", cfg)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("--config", cfg_path, "--out", "sim", "simulate") == EXIT_OK
+    scope = {}
+    exec(recipe, scope)
+    run = load_config(cfg_path)
+    p = run.emitter.to_params()
+    t, i_t = transmission(p, detuning_angular(run.sweep.grid(), p.f0), run.drive.omega_rad_ns)
+    for name, want in (("phase_rad", np.angle(t)), ("abs_t", np.abs(t)), ("i_t", i_t)):
+        np.testing.assert_array_equal(scope[name], want, err_msg=name)
 
 
 def test_extract_roundtrip_and_offoff(tmp_path):
@@ -205,11 +235,14 @@ def test_simulate_trace_meta_records_applied_drive(tmp_path, drive, omega_r):
                    "--out", str(out), "simulate") == EXIT_OK
     on = parse_trace_csv(out / "trace_on.csv")
     assert on.meta["drive"] == {"omega_r": omega_r}
+    # the noiseless counts are those of the model at the applied drive, bit for bit
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
+    icfg = interferometer.InterferometerConfig(delta_l_m=2.78, visibility=0.65, p_lo_cps=1e6,
+                                               p_sig_cps=1e4, integration_time_s=0.1)
     freq = np.linspace(-12.0, 12.0, 3601)
-    t, i_t = transmission(p, detuning_angular(freq, 0.0), omega_r)
-    rows = np.genfromtxt(out / "model_spectrum.csv", delimiter=",", names=True)
-    np.testing.assert_array_equal(rows["i_t"], i_t)
+    expected = interferometer.fringe_trace(icfg, p, freq, qd_on=True, omega_r=omega_r)
+    np.testing.assert_array_equal(on.freq, freq)
+    np.testing.assert_array_equal(on.intensity, expected.intensity)
 
 
 def test_simulate_runs_the_lock_loop_once(tmp_path, monkeypatch):
@@ -712,6 +745,49 @@ def test_extract_bad_trace_sidecar_is_bad_input(tmp_path, capsys):
     assert "trace_off.csv.meta.json:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("meta", [
+    {"qd_on": False},                                        # no interferometer object
+    {"interferometer": {}},
+    {"interferometer": {"p_lo_cps": 1e6}},
+    None,                                                    # no sidecar at all
+])
+def test_extract_trace_without_background_names_the_sidecar(tmp_path, capsys, meta):
+    # named no file: "trace metadata lacks p_lo/integration time"
+    sim = tmp_path / "sim"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", BASE_CFG),
+                   "--out", str(sim), "simulate") == EXIT_OK
+    sidecar = sim / "trace_off.csv.meta.json"
+    if meta is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    out = tmp_path / "x"
+    code = run_cli("--out", str(out), "extract",
+                   str(sim / "trace_on.csv"), str(sim / "trace_off.csv"))
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"{sidecar}:" in err and "p_lo_cps" in err
+    assert not out.exists()
+    # the path-length estimate needs no background: the same trace is good input
+    assert run_cli("--out", str(tmp_path / "len"), "pathlength",
+                   str(sim / "trace_off.csv")) == EXIT_OK
+
+
+@pytest.mark.parametrize("n_files", [1, 2])
+def test_fit_dipole_window_outside_the_data_names_key_and_file(tmp_path, capsys, n_files):
+    # named neither: "channel needs >= 5 points for identifiability, got 0"
+    p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
+    files = [_noisy_phasor_file(tmp_path / f"p{i}.csv", p, np.linspace(-8, 8, 41),
+                                np.random.default_rng(i)) for i in range(1, n_files + 1)]
+    window = {"dipole_windows_ghz": {str(n_files): [100, 200]}}  # the data span -8..8 GHz
+    cfg = write_cfg(tmp_path, "c.json", {"fit": window})
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), "fit", *files) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"fit.dipole_windows_ghz.{n_files}" in err and f"p{n_files}.csv" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, fit, named", [
     ("fit", {"init": {"beta": "a"}}, "fit.init.beta"),                 # was exit 4 (TypeError)
     ("fit", {"init": {"gamma": None}}, "fit.init.gamma"),              # was exit 4 (TypeError)
@@ -737,6 +813,7 @@ def test_extract_bad_trace_sidecar_is_bad_input(tmp_path, capsys):
     ("fit", {"model": "banana"}, "fit.model"),                         # was ignored, exit 0
     ("fit-saturation", {"powers": [0, 1, 2, 4, 8]}, "fit.powers[0]"),   # left config.json, fit.json
     ("fit-saturation", {"powers": [-1, 1, 2, 4, 8]}, "fit.powers[0]"),  # named no field
+    ("fit", {"intensity_from": "phase"}, "fit.intensity_from"),        # named no block
 ])
 def test_bad_fit_block_is_bad_input(tmp_path, capsys, command, fit, named):
     if command == "fit":
