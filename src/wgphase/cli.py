@@ -77,6 +77,8 @@ def cmd_extract(cfg: RunConfig, bundle: ResultBundle, on_file, off_file):
         series = extract_phasor_series(on, off, ext)
     except TraceMetaError as exc:  # the off trace's sidecar lacks the background
         raise TraceParseError(f"{off_file}.meta.json: {exc}") from exc
+    except ValueError as exc:  # the pair does not fit the grid or the windows
+        raise ValueError(f"{on_file}, {off_file}: {exc}") from exc
     bundle.write_phasors("phasors.csv", series,
                          meta={"delta_l_m": ext.delta_l_m, "source_on": str(on_file),
                                "source_off": str(off_file)})

@@ -112,6 +112,9 @@ class FitBlock:
         if self.model not in ("two_dipole", "saturation"):
             raise ConfigError(f"fit.model: must be 'two_dipole' or 'saturation', "
                               f"got {self.model!r}")
+        if self.combine not in ("isolated", "product"):
+            raise ConfigError(f"fit.combine: must be 'isolated' or 'product', "
+                              f"got {self.combine!r}")
         if self.intensity_from not in ("offset", "amplitude"):
             raise ConfigError(f"fit.intensity_from: must be 'offset' or 'amplitude', "
                               f"got {self.intensity_from!r}")

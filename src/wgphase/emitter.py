@@ -4,7 +4,10 @@ The complex transmission coefficient of the emitter-waveguide system for
 isotropic and chiral (directional) coupling, in closed form from the steady
 state of the optical Bloch equations, the closed-form phase-shift extremum
 (with a numeric search kept as its test oracle), the critical photon flux,
-and the chiral switching thresholds.
+and the chiral switching thresholds.  The spectral fits evaluate the same
+closed form, with its exact derivatives, in the real-arithmetic kernel of
+:mod:`wgphase.spectra` (its ``DERIVATIVE_ORDER`` names their rows), which
+shares one evaluation between the channels read at a point.
 
 Conventions: rates (``gamma``, ``gamma_dp``, ``omega_r``) and detunings are
 angular frequencies in rad/ns.  The total coherence decay rate is
@@ -21,8 +24,6 @@ import numpy as np
 
 ISOTROPIC = "isotropic"
 CHIRAL = "chiral"
-# the parameters :func:`transmission_derivatives` differentiates by, in its row order
-DERIVATIVE_ORDER = ("beta", "gamma", "gamma_dp", "delta", "w")
 
 _GRID_POINTS = 2001
 _GRID_HALF_WIDTH = 20.0  # in power-broadened linewidths
@@ -178,50 +179,6 @@ def transmission(p: EmitterParams, delta, omega_r=0.0):
     if np.ndim(denom) == 0:
         return complex(t), float(i_t)
     return t, i_t
-
-
-def transmission_derivatives(p: EmitterParams, delta, omega_r=0.0):
-    """Exact partial derivatives of the isotropic :func:`transmission`.
-
-    With s = beta*gamma/2, gamma2 = gamma/2 + gamma_dp, w = omega_r**2,
-    D = gamma2**2 + delta**2 + 4*(gamma2/gamma)*w and A = beta*gamma*gamma2*(2 - beta):
-        t   = 1 - s*(gamma2 + i*delta)/D
-        I_t = 1 - A/(2*D)
-    Returns (dt, di): complex and real arrays of shape (5, *broadcast shape),
-    the derivatives of t and I_t by ``DERIVATIVE_ORDER`` = (beta, gamma,
-    gamma_dp, delta, w) in that order.
-    """
-    if p.is_chiral:
-        raise ValueError("transmission_derivatives covers isotropic coupling")
-    delta = np.asarray(delta, dtype=float)
-    w = _rabi_squared(omega_r)
-    beta, gamma, g2, s = p.beta, p.gamma, p.gamma2, p.coupling_rate
-    inv_den = 1.0 / (g2 * g2 + delta * delta + 4.0 * (g2 / gamma) * w)
-    q_re, q_im = g2 * inv_den, delta * inv_den  # t = 1 - s*(q_re + i*q_im)
-    a = beta * gamma * g2 * (2.0 - beta)
-    shape = np.shape(inv_den)
-
-    # d/d(row) of D, then of s, of Re and Im of gamma2 + i*delta, and of A
-    d_den = np.empty((len(DERIVATIVE_ORDER),) + shape)
-    d_den[0] = 0.0
-    d_den[1] = g2 - 4.0 * w * p.gamma_dp / (gamma * gamma)
-    d_den[2] = 2.0 * g2 + 4.0 * w / gamma
-    d_den[3] = 2.0 * delta
-    d_den[4] = 4.0 * g2 / gamma
-    d_s, d_re, d_im, d_a = np.array([
-        [gamma / 2.0, beta / 2.0, 0.0, 0.0, 0.0],
-        [0.0, 0.5, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-        [gamma * g2 * (2.0 - 2.0 * beta), beta * (2.0 - beta) * (g2 + gamma / 2.0),
-         beta * gamma * (2.0 - beta), 0.0, 0.0],
-    ]).reshape((4, len(DERIVATIVE_ORDER)) + (1,) * len(shape))
-    # dt = -ds*q - (s/D)*(d(gamma2 + i*delta) - q*dD), in real arithmetic
-    c = s * inv_den
-    dt = np.empty(d_den.shape, dtype=complex)
-    dt.real = c * (q_re * d_den - d_re) - d_s * q_re
-    dt.imag = c * (q_im * d_den - d_im) - d_s * q_im
-    di = (a * inv_den * d_den - d_a) * (0.5 * inv_den)
-    return dt, di
 
 
 def phase_extrema_analytic(p: EmitterParams, omega_r=0.0) -> PhaseExtremum:

@@ -228,7 +228,8 @@ def window_phasors(trace: FringeTrace, cfg: ExtractionConfig) -> WindowFits:
     n = max(int(round(cfg.window_periods * period_ghz / df)), min_pts)
     hop = max(int(round(hop_periods * period_ghz / df)), 1)
     if n > freq.size:
-        raise ValueError("trace shorter than one extraction window")
+        raise ValueError(f"trace of {freq.size} points is shorter than one extraction window: "
+                         f"extraction.window_periods {cfg.window_periods:g} takes {n} points")
     starts = np.arange(0, freq.size - n + 1, hop)
     theta_start = 2.0 * np.pi * freq[starts] * 1e9 * delta_l / C_M_PER_S
 

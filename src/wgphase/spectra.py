@@ -16,24 +16,35 @@ Phase and |t| constrain the parameters only through beta*gamma/2 and
 gamma2, so a fit fed nothing else cannot split the coupling from the decay
 rate; the transmitted-intensity channel (I_t != |t|**2 once dephasing or
 saturation is present) is what restores full identifiability.
+
+Both fits, :func:`two_dipole_model` and :func:`channel_model` evaluate the
+model through one kernel in real arithmetic.  It computes Re t, Im t and I_t
+of each emitter once per site, a distinct (frequency, drive) point of its
+channels, so the phase and the intensity point of one window share one
+evaluation.  For a fit it also computes the derivatives by the parameters
+that the fit moves (beta, gamma, gamma_dp, and f0 or the drive calibration
+k), each a fixed linear combination of a few per-site arrays, and projects
+values and derivatives onto the channel kinds read at each site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import emitter
-from .emitter import EmitterParams, transmission
+# transmission is looked up here by the benchmark's tracer test; the fits use the kernel below
+from .emitter import EmitterParams, transmission  # noqa: F401
 from .extraction import PhasorSeries
 from .lm import FitResult, lm_minimize
-from .units import TWO_PI, detuning_angular, is_number, wrap_angle
+from .units import TWO_PI, is_number, wrap_angle
 
 PHASE = "phase"
 INTENSITY = "intensity"
 AMPLITUDE = "amplitude"
+_KINDS = (PHASE, AMPLITUDE, INTENSITY)
 
 _MIN_POINTS_PER_CHANNEL = 5
 _MIN_GAMMA = 1e-9  # a fit's gamma is clipped up to this
@@ -53,7 +64,7 @@ class SpectrumChannel:
         self.freq = np.asarray(self.freq, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
-        if self.kind not in (PHASE, INTENSITY, AMPLITUDE):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if not (self.freq.shape == self.values.shape == self.sigma.shape):
             raise ValueError("freq, values and sigma must have matching shapes")
@@ -63,6 +74,8 @@ class SpectrumChannel:
                 f"got {self.freq.size}")
         if np.any(self.sigma < 0):
             raise ValueError("sigma must be non-negative")
+        if not np.all(np.isfinite(self.freq)):
+            raise ValueError("freq must be finite")
 
 
 @dataclass
@@ -103,84 +116,207 @@ class SpectrumDataset:
 
 
 class _Points:
-    """The channels of a fit as one grid: their points concatenated in order."""
+    """The channels of a fit as one grid: their points concatenated in order.
 
-    def __init__(self, channels):
+    ``drive`` (one value, or one per point) is what each point was taken at;
+    an emitter evaluated there sees omega_r**2 = k*drive for its own k.
+    """
+
+    def __init__(self, channels, drive=0.0):
         sizes = [ch.freq.size for ch in channels]
         self.freq = np.concatenate([ch.freq for ch in channels])
         self.values = np.concatenate([ch.values for ch in channels])
         self.sigma = np.concatenate([ch.sigma for ch in channels])
-        kinds = np.repeat([ch.kind for ch in channels], sizes)
-        self.phase = kinds == PHASE
-        self.amplitude = kinds == AMPLITUDE
+        self.drive = np.broadcast_to(np.asarray(drive, dtype=float), self.freq.shape)
+        self.kind = np.repeat([_KINDS.index(ch.kind) for ch in channels], sizes)  # in _KINDS
+        self.of_kind = {kind: np.flatnonzero(self.kind == i) for i, kind in enumerate(_KINDS)}
         dipole = np.repeat([ch.dipole for ch in channels], sizes)
         self.of_dipole = {d: np.flatnonzero(dipole == d) for d in set(dipole.tolist())}
 
 
-def _model(points: _Points, factors, phi0, product=False, jac=None) -> np.ndarray:
-    """Model values on ``points``; with ``jac`` given, an array of zeros with
-    one row per point, their derivatives are added into it.
+class _Sites:
+    """The distinct (frequency, drive) pairs of the points ``index`` of a
+    grid (None: every point).
 
-    Each factor ``(p, sel, omega_r, chain)`` is an emitter whose
-    transmission covers the points ``sel``, driven at ``omega_r`` (a scalar
-    or one value per selected point).  Under ``product`` the factors all
-    cover every point and their transmissions multiply; otherwise their
-    points are disjoint.  The product t is projected on each point's
-    channel kind: arg t + phi0, |t| or I_t.  ``chain`` lists
-    ``(column, row, scale)``: parameter ``column`` of ``jac`` moves the
-    emitter's ``DERIVATIVE_ORDER[row]`` by ``scale`` (a scalar or one value
-    per selected point) per unit.  The phi0 column is the caller's.
+    An emitter is evaluated once per site, however many channels read it:
+    the phase and the intensity point of one window share a site.  A
+    per-site array for each of ``kinds`` (the channel kinds among the
+    points), laid end to end and followed by a zero, hands every point of
+    the grid its value by ``take(at)``; points that are not among these
+    take the zero.
     """
-    t = np.empty(points.freq.size, dtype=complex)
-    i_t = np.empty(points.freq.size)
-    parts = []
-    for k, (p, sel, omega_r, _) in enumerate(factors):
-        delta = detuning_angular(points.freq[sel], p.f0)
-        t_e, i_e = transmission(p, delta, omega_r)
-        if product and k:
-            t[sel] *= t_e
-            i_t[sel] *= i_e
+
+    def __init__(self, points: _Points, index=None):
+        if index is None:
+            index = np.arange(points.freq.size)
+        # a complex key sorts and compares as the (freq, drive) pair
+        keys, site = np.unique(points.freq[index] + 1j * points.drive[index], return_inverse=True)
+        self.freq, self.drive = keys.real.copy(), keys.imag.copy()
+        kind_of = points.kind[index]
+        kinds = [(kind, kind_of == i) for i, kind in enumerate(_KINDS)]
+        kinds = [(kind, mine) for kind, mine in kinds if mine.any()]
+        self.kinds = tuple(kind for kind, _ in kinds)
+        self.at = np.full(points.freq.size, len(kinds) * keys.size)
+        for slot, (_, mine) in enumerate(kinds):
+            self.at[index[mine]] = slot * keys.size + site[mine]
+        # ``(kind, slice)``: where each kind's per-site values sit end to end
+        self.blocks = [(kind, slice(slot * keys.size, (slot + 1) * keys.size))
+                       for slot, kind in enumerate(self.kinds)]
+
+
+# the parameters the kernel differentiates an emitter by, in its row order:
+# the detuning is delta = 2*pi*(freq - f0) and the drive omega_r**2 = k*drive
+DERIVATIVE_ORDER = ("beta", "gamma", "gamma_dp", "f0", "k")
+_BETA, _GAMMA, _GAMMA_DP, _F0, _K = range(len(DERIVATIVE_ORDER))
+
+
+class _Factor(NamedTuple):
+    """An emitter as the kernel evaluates it on ``sites``: isotropic unless
+    ``chiral``, at detuning 2*pi*(freq - f0) and omega_r**2 = k*drive.
+    ``chain`` lists ``(param, row)``: the derivative by
+    ``DERIVATIVE_ORDER[row]`` is the derivative by the fit's parameter
+    ``param``, one Jacobian row."""
+
+    sites: _Sites
+    beta: float
+    gamma: float
+    gamma_dp: float
+    f0: float
+    k: float = 0.0
+    chain: Sequence = ()
+    chiral: bool = False
+
+
+def _site_response(f: _Factor, jac_rows=0):
+    """Re t, Im t and I_t of ``f`` at its sites, in real arithmetic; with
+    ``jac_rows`` > 0, also ``(coef, basis)``, whose product holds the
+    derivatives of what each kind of ``f.sites`` reads (arg t, ln|t| or I_t)
+    by the ``jac_rows`` parameters of a fit, zero for those not in the
+    chain, at the sites laid out as :attr:`_Sites.blocks`.
+
+    With s = beta*gamma/2 (chiral: beta*gamma), gamma2 = gamma/2 + gamma_dp,
+    D = gamma2**2 + delta**2 + 4*(gamma2/gamma)*w and
+    A = beta*gamma*gamma2*(2 - beta) (chiral: 4*beta*gamma*gamma2*(1 - beta)),
+    t = 1 - s*(gamma2 + i*delta)/D and I_t = 1 - A/(2*D), the closed forms of
+    :func:`~wgphase.emitter.transmission`; derivatives cover isotropic coupling.
+    """
+    beta, gamma, gamma_dp, k = f.beta, f.gamma, f.gamma_dp, f.k
+    s = beta * gamma if f.chiral else beta * gamma / 2.0
+    g2 = gamma / 2.0 + gamma_dp
+    a = 4.0 * beta * gamma * g2 * (1.0 - beta) if f.chiral else beta * gamma * g2 * (2.0 - beta)
+    drive = f.sites.drive
+    delta = TWO_PI * (f.sites.freq - f.f0)
+    inv = 1.0 / (g2 * g2 + delta * delta + (4.0 * (g2 / gamma) * k) * drive)
+    q_re, q_im = g2 * inv, delta * inv  # t = 1 - s*(q_re + i*q_im)
+    # 0 - x: a zero Im t is +0, so arg t is +pi, not -pi, where Re t < 0
+    re, im = 1.0 - s * q_re, 0.0 - s * q_im
+    half_inv = 0.5 * inv
+    i_t = 1.0 - a * half_inv
+    if not jac_rows:
+        return re, im, i_t, None
+
+    # Each row's derivative of D is d0 + d1*drive + d2*delta; with those of s,
+    # gamma2, delta and A it is linear in per-site arrays whose coefficients
+    # are the row's (d0, d1, d2, ds, dgamma2, ddelta, dA):
+    #   arg t : (Re t dIm t - Im t dRe t)/|t|**2 = (q_im*e - c*(Re t ddelta - Im t dgamma2))/|t|**2
+    #   ln|t| : (Re t dRe t + Im t dIm t)/|t|**2 = (v*e - c*(Re t dgamma2 + Im t ddelta))/|t|**2
+    #   I_t   : (A*dD/D - dA)/(2*D)
+    # with c = s/D, e = c*dD - ds and v = q_re - s*(q_re**2 + q_im**2)
+    rows = {_BETA: (0.0, 0.0, 0.0, gamma / 2.0, 0.0, 0.0, gamma * g2 * (2.0 - 2.0 * beta)),
+            _GAMMA: (g2, -4.0 * gamma_dp * k / (gamma * gamma), 0.0, beta / 2.0, 0.5, 0.0,
+                     beta * (2.0 - beta) * (g2 + gamma / 2.0)),
+            _GAMMA_DP: (2.0 * g2, 4.0 * k / gamma, 0.0, 0.0, 1.0, 0.0, beta * gamma * (2.0 - beta)),
+            _F0: (0.0, 0.0, -2.0 * TWO_PI, 0.0, 0.0, -TWO_PI, 0.0),
+            _K: (0.0, 4.0 * g2 / gamma, 0.0, 0.0, 0.0, 0.0, 0.0)}
+    row_of = dict(f.chain)
+    coef = np.array([rows[row_of[param]] if param in row_of else (0.0,) * 7
+                     for param in range(jac_rows)])
+    c = s * inv
+    basis = np.zeros((7, len(f.sites.kinds) * delta.size + 1))
+    if PHASE in f.sites.kinds or AMPLITUDE in f.sites.kinds:
+        # a zero t, where arg t has no derivative, contributes none
+        abs2 = re * re + im * im
+        inv_abs2 = 1.0 / np.where(abs2 > 0.0, abs2, np.inf)
+        c_abs2 = c * inv_abs2
+        c_re, c_im = c_abs2 * re, c_abs2 * im
+    for kind, block in f.sites.blocks:
+        b = basis[:, block]
+        if kind == PHASE:
+            np.multiply(q_im, inv_abs2, out=b[3])
+            np.multiply(c, b[3], out=b[0])
+            np.negative(b[3], out=b[3])
+            b[4] = c_im
+            np.negative(c_re, out=b[5])
+        elif kind == AMPLITUDE:
+            np.multiply(q_re - s * (q_re * q_re + q_im * q_im), inv_abs2, out=b[3])
+            np.multiply(c, b[3], out=b[0])
+            np.negative(b[3], out=b[3])
+            np.negative(c_re, out=b[4])
+            np.negative(c_im, out=b[5])
         else:
-            t[sel], i_t[sel] = t_e, i_e
-        parts.append((delta, t_e, i_e))
-    values = np.where(points.phase, np.angle(t) + phi0,
-                      np.where(points.amplitude, np.abs(t), i_t))
-    if jac is None:
-        return values
-    for k, ((p, sel, omega_r, chain), (delta, t_e, i_e)) in enumerate(zip(factors, parts)):
-        dt, di = emitter.transmission_derivatives(p, delta, omega_r)
-        # d ln t = sum of the factors' dt/t: its imaginary part moves arg t, its
-        # real part ln|t|; I_t differentiates by the product rule
-        # (a zero t, where arg t has no derivative, contributes none)
-        dlog = dt * np.divide(1.0, t_e, out=np.zeros_like(t_e), where=t_e != 0)
-        rows = di
-        if product:
-            for j, (_, _, i_other) in enumerate(parts):
-                if j != k:
-                    rows *= i_other
-        np.copyto(rows, dlog.imag, where=points.phase[sel])
-        amplitude = points.amplitude[sel]
-        if amplitude.any():
-            np.copyto(rows, np.abs(t[sel]) * dlog.real, where=amplitude)
-        for column, row, scale in chain:
-            jac[sel, column] += scale * rows[row]
+            np.multiply(a * inv, half_inv, out=b[0])
+            np.negative(half_inv, out=b[6])
+        np.multiply(b[0], drive, out=b[1])
+        np.multiply(b[0], delta, out=b[2])
+    return re, im, i_t, (coef, basis)
+
+
+def _kernel(points: _Points, factors, phi0, product=False, jac=None) -> np.ndarray:
+    """Model values on ``points``; with ``jac`` given, an array of zeros with
+    one row per parameter and one column per point, their derivatives are
+    added into it.
+
+    Each :class:`_Factor` is evaluated once per site of its points.  Under
+    ``product`` the factors share their sites, which cover every point, and
+    their transmissions multiply; otherwise their points are disjoint.  The
+    product t is projected per site on the channel kinds read there (arg t +
+    phi0, |t| or I_t) and handed to the points of each kind.  The phi0 row
+    is the caller's.
+    """
+    values = 0.0
+    for group in [factors] if product else [[f] for f in factors]:
+        sites = group[0].sites
+        responses = [_site_response(f, 0 if jac is None else jac.shape[0]) for f in group]
+        re, im, i_t, _ = responses[0]
+        for re_k, im_k, i_k, _ in responses[1:]:
+            re, im, i_t = re * re_k - im * im_k, re * im_k + im * re_k, i_t * i_k
+        projected = np.zeros(len(sites.kinds) * re.size + 1)
+        for kind, block in sites.blocks:
+            projected[block] = (np.arctan2(im, re) + phi0 if kind == PHASE
+                                else np.hypot(re, im) if kind == AMPLITUDE else i_t)
+        values = values + projected.take(sites.at)
+        if jac is None:
+            continue
+        for k, (f, (_, _, _, (coef, basis))) in enumerate(zip(group, responses)):
+            # d|t| = |t| d ln|t_k|, and I_t differentiates by the product rule
+            for kind, block in sites.blocks:
+                if kind == AMPLITUDE:
+                    basis[:, block] *= projected[block]
+                elif kind == INTENSITY:
+                    for j, (_, _, i_j, _) in enumerate(responses):
+                        if j != k:
+                            basis[:, block] *= i_j
+            jac += (coef @ basis).take(sites.at, axis=1)
     return values
 
 
-_BETA, _GAMMA, _GAMMA_DP, _DELTA, _W = range(len(emitter.DERIVATIVE_ORDER))
+def _clipped(beta, gamma, gamma_dp):
+    """A fit's beta clipped to [0, 1] and its rates to their physical range."""
+    return min(max(beta, 0.0), 1.0), max(gamma, _MIN_GAMMA), max(gamma_dp, 0.0)
 
 
-def _rate_chain(columns, beta, gamma, gamma_dp):
-    """``(column, row, 1)`` for each of beta, gamma and gamma_dp that is not
-    past the clip of :func:`_clipped_emitter`; a clipped one has a zero
-    column, and one on its clip is differentiated from the feasible side."""
+def _rate_chain(params, beta, gamma, gamma_dp):
+    """``(param, row)`` for each of beta, gamma and gamma_dp that is not past
+    the clip of :func:`_clipped`; a clipped one has a zero derivative, and
+    one on its clip is differentiated from the feasible side."""
     inside = (0.0 <= beta <= 1.0, gamma >= _MIN_GAMMA, gamma_dp >= 0.0)
-    return [(column, row, 1.0)
-            for column, row, ok in zip(columns, (_BETA, _GAMMA, _GAMMA_DP), inside) if ok]
+    return [(param, row) for param, row, ok in zip(params, (_BETA, _GAMMA, _GAMMA_DP), inside)
+            if ok]
 
 
 def channel_model(ch: SpectrumChannel, params, omega_r=0.0) -> np.ndarray:
-    """Model values for one channel, every emitter driven at ``omega_r``.
+    """Model values for one channel, every emitter driven at ``omega_r``
+    (a scalar or one value per point).
 
     ``params`` is one :class:`EmitterParams`, or a sequence of them whose
     transmissions multiply (overlapping resonances in series); the product
@@ -188,8 +324,11 @@ def channel_model(ch: SpectrumChannel, params, omega_r=0.0) -> np.ndarray:
     """
     if isinstance(params, EmitterParams):
         params = (params,)
-    return _model(_Points([ch]), [(p, slice(None), omega_r, ()) for p in params],
-                  params[0].phi0, product=True)
+    points = _Points([ch], drive=emitter._rabi_squared(omega_r))
+    sites = _Sites(points)
+    return _kernel(points, [_Factor(sites, p.beta, p.gamma, p.gamma_dp, p.f0, 1.0,
+                                    chiral=p.is_chiral) for p in params],
+                   params[0].phi0, product=True)
 
 
 def two_dipole_model(data: SpectrumDataset, x, combine: str = "isolated") -> np.ndarray:
@@ -201,34 +340,33 @@ def two_dipole_model(data: SpectrumDataset, x, combine: str = "isolated") -> np.
     [0, 1] and the rates to their physical range, as in the fit.  The
     ``product`` combination applies only when two dipoles are present.
     """
-    return _two_dipole(_Points(data.channels), data.dipoles(), x, combine)
+    return _two_dipole(_Points(data.channels), data.dipoles(), combine)(x)
 
 
-def _two_dipole(points: _Points, dipoles, x, combine, jac=None) -> np.ndarray:
-    """:func:`two_dipole_model` on ``points``, and its Jacobian into ``jac``."""
+def _two_dipole(points: _Points, dipoles, combine):
+    """``model(x, jac=None)``: :func:`two_dipole_model` on ``points``, and its
+    Jacobian into ``jac``."""
     if combine not in ("isolated", "product"):
         raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
     product = combine == "product" and len(dipoles) == 2
-    gamma_dp, phi0 = x[-2], x[-1]
-    factors = []
-    for i, d in enumerate(dipoles):
-        beta, gamma, f0 = x[3 * i: 3 * i + 3]
-        chain = _rate_chain((3 * i, 3 * i + 1, len(x) - 2), beta, gamma, gamma_dp)
-        chain.append((3 * i + 2, _DELTA, -TWO_PI))  # delta = 2*pi*(freq - f0)
-        factors.append((_clipped_emitter(beta, gamma, f0, gamma_dp, phi0),
-                        slice(None) if product else points.of_dipole[d], 0.0, chain))
-    values = _model(points, factors, phi0, product, jac)
-    if jac is not None:
-        jac[points.phase, -1] = 1.0
-    return values
+    shared = _Sites(points) if product else None  # every dipole's factor covers every point
+    sites = [shared or _Sites(points, points.of_dipole[d]) for d in dipoles]
 
+    def model(x, jac=None):
+        x = np.asarray(x, dtype=float).tolist()
+        gamma_dp, phi0 = x[-2], x[-1]
+        factors = []
+        for i, on in enumerate(sites):
+            beta, gamma, f0 = x[3 * i: 3 * i + 3]
+            chain = _rate_chain((3 * i, 3 * i + 1, len(x) - 2), beta, gamma, gamma_dp)
+            chain.append((3 * i + 2, _F0))
+            factors.append(_Factor(on, *_clipped(beta, gamma, gamma_dp), f0, chain=chain))
+        values = _kernel(points, factors, phi0, product, jac)
+        if jac is not None:
+            jac[-1, points.of_kind[PHASE]] = 1.0
+        return values
 
-def _clipped_emitter(beta, gamma, f0, gamma_dp, phi0) -> EmitterParams:
-    """The isotropic emitter at a fit's parameter values, beta clipped to
-    [0, 1] and the rates to their physical range."""
-    return EmitterParams.isotropic(gamma=max(gamma, _MIN_GAMMA),
-                                   beta=float(np.clip(beta, 0, 1)),
-                                   gamma_dp=max(gamma_dp, 0.0), f0=f0, phi0=phi0)
+    return model
 
 
 def initial_guess(dataset: SpectrumDataset, dipole: int) -> dict:
@@ -322,7 +460,7 @@ def _start(defaults: dict, init: Optional[dict], aliases: dict) -> dict:
 def _fit(points: _Points, model, names, start, lo, hi, bounds, max_iter) -> FitResult:
     """Weighted least-squares fit of ``points`` to ``model(x, jac)``, which
     returns the model values and adds their derivatives into ``jac``, an
-    array of zeros with one row per point and one column per name.
+    array of zeros with one row per name and one column per point.
     ``bounds`` replaces the box ``lo``, ``hi`` (None: open) of a parameter of
     ``names`` in place, and ``start`` is projected into the box.  ValueError
     naming ``fit.bounds.<key>`` for an unknown key or a value that is not a
@@ -335,18 +473,21 @@ def _fit(points: _Points, model, names, start, lo, hi, bounds, max_iter) -> FitR
         lo[names.index(key)], hi[names.index(key)] = pair
     x0 = [min(max(v, l if l is not None else -np.inf), h if h is not None else np.inf)
           for v, l, h in zip(start, lo, hi)]
-    values, sigma, phase = points.values, points.sigma, points.phase
+    values, sigma, phase = points.values, points.sigma, points.of_kind[PHASE]
     # inverse-variance; low-contrast points keep their (large) fitted sigma
     used = np.isfinite(values) & np.isfinite(sigma) & (sigma > 0)
     weights = np.where(used, 1.0 / np.where(used, sigma, 1.0), 0.0)
 
+    unused = np.flatnonzero(~used)
+
     def fun(x):
-        jac = np.zeros((values.size, len(names)))
+        jac = np.zeros((len(names), values.size))
         diff = model(x, jac) - values
         diff[phase] = wrap_angle(diff[phase])  # whose derivative is 1
-        jac *= weights[:, None]
-        jac[~used] = 0.0
-        return np.where(used, diff * weights, 0.0), jac
+        jac *= weights
+        if unused.size:
+            jac[:, unused] = 0.0
+        return np.where(used, diff * weights, 0.0), jac.T
 
     return lm_minimize(fun, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
 
@@ -377,7 +518,7 @@ def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
     hi = [b for f0 in f0s for b in (1.0, None, f0 + 50.0)] + [None, np.pi]
     names = list(defaults)
     points = _Points(data.channels)
-    result = _fit(points, lambda x, jac: _two_dipole(points, dipoles, x, combine, jac), names,
+    result = _fit(points, _two_dipole(points, dipoles, combine), names,
                   [start[n] for n in names], lo, hi, bounds, max_iter)
     if result.flat_directions:
         result.converged = False
@@ -409,20 +550,20 @@ def fit_saturation_series(datasets: Sequence[SpectrumDataset], init: Optional[di
     names = ["beta", "gamma", "gamma_dp", "phi0", "k"]
     lo = [0.0, 1e-6, 0.0, -np.pi, 0.0]
 
-    points = _Points([ch for ds in datasets for ch in ds.channels])
     power = np.repeat([float(ds.power) for ds in datasets],
                       [sum(ch.freq.size for ch in ds.channels) for ds in datasets])
+    points = _Points([ch for ds in datasets for ch in ds.channels], drive=power)
+    sites = _Sites(points)
 
     def model(x, jac):
         # every dataset in one call, at its own omega_r**2 = k*P; f0 is held
-        beta, gamma, gamma_dp, phi0, k = x
+        beta, gamma, gamma_dp, phi0, k = x.tolist()
         chain = _rate_chain((0, 1, 2), beta, gamma, gamma_dp)
         if k >= 0.0:
-            chain.append((4, _W, power))
-        p = _clipped_emitter(beta, gamma, start["f0"], gamma_dp, phi0)
-        values = _model(points, [(p, slice(None), np.sqrt(max(k, 0.0) * power), chain)], phi0,
-                        jac=jac)
-        jac[points.phase, 3] = 1.0
+            chain.append((4, _K))
+        factor = _Factor(sites, *_clipped(beta, gamma, gamma_dp), start["f0"], max(k, 0.0), chain)
+        values = _kernel(points, [factor], phi0, jac=jac)
+        jac[3, points.of_kind[PHASE]] = 1.0
         return values
 
     result = _fit(points, model, names, [start[n] for n in names], lo,

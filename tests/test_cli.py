@@ -733,6 +733,24 @@ def test_fit_bad_phasor_file_is_bad_input(tmp_path, capsys, name, content):
     assert not (tmp_path / "fit").exists()
 
 
+def test_extract_trace_shorter_than_a_window_names_files_and_key(tmp_path, capsys):
+    # named neither: "trace shorter than one extraction window"
+    sim = tmp_path / "sim"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", BASE_CFG),
+                   "--out", str(sim), "simulate") == EXIT_OK
+    for name in ("trace_on.csv", "trace_off.csv"):  # the header and 29 rows
+        lines = (sim / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        (sim / name).write_text("".join(lines[:30]), encoding="utf-8")
+    out = tmp_path / "x"
+    code = run_cli("--out", str(out), "extract", str(sim / "trace_on.csv"),
+                   str(sim / "trace_off.csv"))
+    assert code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert str(sim / "trace_on.csv") in err and str(sim / "trace_off.csv") in err
+    assert "extraction.window_periods" in err and "29 points" in err
+    assert not out.exists()
+
+
 def test_extract_bad_trace_sidecar_is_bad_input(tmp_path, capsys):
     # was exit 4 (AttributeError while reading the local-oscillator background)
     sim = tmp_path / "sim"
@@ -826,6 +844,16 @@ def test_bad_fit_block_is_bad_input(tmp_path, capsys, command, fit, named):
     assert run_cli("--config", write_cfg(tmp_path, "c.json", {"fit": fit}), "--out", str(out),
                    command, *files) == EXIT_BAD_INPUT
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_misspelt_fit_combine_is_bad_input_for_every_command(tmp_path, capsys):
+    # was exit 0 with a bundle: predict-chiral never reads the fit block
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", {"fit": {"combine": "prodcut"}}),
+                   "--out", str(out), "predict-chiral") == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "fit.combine" in err and "prodcut" in err
     assert not out.exists()
 
 

@@ -33,6 +33,8 @@ def test_channel_validation():
         SpectrumChannel(np.arange(3.0), np.arange(3.0), np.ones(3))  # too few points
     with pytest.raises(ValueError):
         SpectrumChannel(np.arange(6.0), np.arange(6.0), np.ones(6), kind="magic")
+    with pytest.raises(ValueError, match="freq must be finite"):
+        SpectrumChannel(np.r_[np.arange(5.0), np.nan], np.arange(6.0), np.ones(6))
 
 
 def test_single_dipole_noiseless_roundtrip():
