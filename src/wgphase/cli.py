@@ -94,6 +94,10 @@ def cmd_pathlength(cfg: RunConfig, bundle: ResultBundle, trace_file):
 def _dataset_from_files(cfg: RunConfig, phasor_files):
     channels = []
     windows = cfg.fit.dipole_windows_ghz
+    for key in windows:  # dipole i is the i-th phasor file
+        if int(key) > len(phasor_files):
+            raise ValueError(f"fit.dipole_windows_ghz.{key}: a window for dipole {key} of "
+                             f"{len(phasor_files)} phasor file(s)")
     for i, path in enumerate(phasor_files, start=1):
         series, window = parse_phasors_csv(path), windows.get(str(i))
         try:
@@ -112,13 +116,8 @@ def cmd_fit(cfg: RunConfig, bundle: ResultBundle, phasor_files) -> FitResult:
     result = spectra.fit_two_dipole_spectra(
         data, init=cfg.fit.init or None, bounds=cfg.fit.bounds or None,
         combine=cfg.fit.combine, max_iter=cfg.fit.max_iter)
-    channels = data.channels
-    sizes = [ch.freq.size for ch in channels]
-    kind_codes = {"phase": 0, "intensity": 1, "amplitude": 2}
-    columns = [np.concatenate([ch.freq for ch in channels]),
-               np.repeat([kind_codes[ch.kind] for ch in channels], sizes),
-               np.repeat([ch.dipole for ch in channels], sizes),
-               np.concatenate([ch.values for ch in channels]),
+    points = spectra._Points(data.channels)  # its kind is the channel code, in spectra.KINDS
+    columns = [points.freq, points.kind, points.dipole, points.values,
                spectra.two_dipole_model(data, result.params, cfg.fit.combine)]
     bundle.write_text("fit.json", fit_result_json(result))
     bundle.write_table("residuals.csv", "freq_ghz,channel,dipole,value,model", columns)
@@ -128,6 +127,9 @@ def cmd_fit(cfg: RunConfig, bundle: ResultBundle, phasor_files) -> FitResult:
 def cmd_fit_saturation(cfg: RunConfig, bundle: ResultBundle, phasor_files) -> FitResult:
     datasets = []
     powers = list(cfg.fit.powers)
+    if len(powers) > len(phasor_files):
+        raise ValueError(f"fit.powers: {len(powers)} entries for "
+                         f"{len(phasor_files)} phasor file(s)")
     for i, path in enumerate(phasor_files):
         series = parse_phasors_csv(path)
         power = powers[i] if i < len(powers) else phasor_file_meta(path).get("power")

@@ -4,10 +4,10 @@ The complex transmission coefficient of the emitter-waveguide system for
 isotropic and chiral (directional) coupling, in closed form from the steady
 state of the optical Bloch equations, the closed-form phase-shift extremum
 (with a numeric search kept as its test oracle), the critical photon flux,
-and the chiral switching thresholds.  The spectral fits evaluate the same
-closed form, with its exact derivatives, in the real-arithmetic kernel of
-:mod:`wgphase.spectra` (its ``DERIVATIVE_ORDER`` names their rows), which
-shares one evaluation between the channels read at a point.
+and the chiral switching thresholds.  t and I_t are written once, in real
+arithmetic (``_rates``, ``_response``): :func:`transmission` and the kernel
+of the spectral fits in :mod:`wgphase.spectra` evaluate them, the kernel
+with their exact derivatives (its ``DERIVATIVE_ORDER`` names their rows).
 
 Conventions: rates (``gamma``, ``gamma_dp``, ``omega_r``) and detunings are
 angular frequencies in rad/ns.  The total coherence decay rate is
@@ -93,7 +93,7 @@ class EmitterParams:
     @property
     def coupling_rate(self) -> float:
         """s = beta*gamma (chiral) or beta*gamma/2 (isotropic): emission into the probe's mode."""
-        return self.beta * self.gamma if self.is_chiral else self.beta * self.gamma / 2.0
+        return _rates(self.beta, self.gamma, self.gamma_dp, self.is_chiral)[0]
 
     def with_(self, **kwargs) -> "EmitterParams":
         return replace(self, **kwargs)
@@ -169,16 +169,28 @@ def transmission(p: EmitterParams, delta, omega_r=0.0):
     delta_arr = np.asarray(delta, dtype=float)
     if not np.all(np.isfinite(delta_arr)):
         raise ValueError("delta must be finite")
-    g2 = p.gamma2
-    denom = g2 * g2 + delta_arr * delta_arr + 4.0 * (g2 / p.gamma) * _rabi_squared(omega_r)
-    t = 1.0 - p.coupling_rate * (g2 + 1j * delta_arr) / denom
-    if p.is_chiral:
-        i_t = 1.0 + 2.0 * p.beta * p.gamma * g2 * (p.beta - 1.0) / denom
-    else:
-        i_t = 1.0 - p.beta * p.gamma * g2 * (2.0 - p.beta) / (2.0 * denom)
-    if np.ndim(denom) == 0:
-        return complex(t), float(i_t)
-    return t, i_t
+    re, im, i_t, _ = _response(*_rates(p.beta, p.gamma, p.gamma_dp, p.is_chiral), p.gamma,
+                               delta_arr, _rabi_squared(omega_r))
+    if np.ndim(re) == 0:
+        return complex(re, im), float(i_t)
+    return re + 1j * im, i_t
+
+
+def _rates(beta, gamma, gamma_dp, chiral):
+    """s, gamma2 and A = 2*D*(1 - I_t) of an emitter, for :func:`_response`."""
+    g2 = gamma / 2.0 + gamma_dp
+    if chiral:
+        return beta * gamma, g2, 4.0 * beta * gamma * g2 * (1.0 - beta)
+    return beta * gamma / 2.0, g2, beta * gamma * g2 * (2.0 - beta)
+
+
+def _response(s, g2, a, gamma, delta, w):
+    """Re t, Im t, I_t and 1/D of :func:`transmission` at omega_r**2 = ``w``:
+    t = 1 - s*(gamma2 + i*delta)/D and I_t = 1 - A/(2*D), in real arithmetic."""
+    d = g2 * g2 + delta * delta + 4.0 * (g2 / gamma) * w
+    inv = 1.0 / d
+    # 0 - x: a zero Im t is +0, so arg t is +pi, not -pi, where Re t < 0
+    return 1.0 - (s * g2) * inv, 0.0 - (s * delta) * inv, 1.0 - 0.5 * (a / d), inv
 
 
 def phase_extrema_analytic(p: EmitterParams, omega_r=0.0) -> PhaseExtremum:

@@ -1,11 +1,13 @@
 """Levenberg-Marquardt nonlinear least squares with box bounds.
 
 Minimizes ``sum(r(x)**2)`` for a callable that returns the residual vector
-``r`` together with its Jacobian ``J = dr/dx``, evaluated once per trial
-point, with Marquardt-scaled damping: the damping factor is divided by 3
-after an accepted step and doubled after a rejected one.  Bounds are
-enforced by projecting trial points onto the box.  The covariance estimate
-is ``inv(J^T J)`` at the final point, scaled by the reduced chi-square.
+``r`` together with its Jacobian ``J = dr/dx``, with Marquardt-scaled
+damping: the damping factor is divided by 3 after an accepted step and
+doubled after a rejected one.  Each trial evaluates the callable at one
+point: the damped step projected onto the box or, when the box clips only
+some coordinates, the step re-solved for the free ones with the clipped
+ones held at their bounds.  The covariance estimate is ``inv(J^T J)`` at
+the final point, scaled by the reduced chi-square.
 :func:`jacobian_fd` (central differences) is the oracle that analytic
 Jacobians are tested against.
 """
@@ -85,8 +87,18 @@ def jacobian_fd(fun: Callable, x: np.ndarray, f0: Optional[np.ndarray] = None) -
     return jac
 
 
-def _project(x, lower, upper):
-    return np.minimum(np.maximum(x, lower), upper)
+def _solve(normal: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve ``normal @ step = rhs``; a singular system, or one without a
+    finite solution, is solved again with ``ridge`` added to the diagonal."""
+    try:
+        step = np.linalg.solve(normal, rhs)
+        if np.all(np.isfinite(step)):
+            return step
+    except np.linalg.LinAlgError:
+        pass
+    warnings.warn("singular normal equations; applying ridge regularization",
+                  RuntimeWarning, stacklevel=3)
+    return np.linalg.solve(normal + ridge * np.eye(rhs.size), rhs)
 
 
 def _evaluate(fun: Callable, x: np.ndarray):
@@ -114,16 +126,13 @@ def lm_minimize(fun: Callable, init: Sequence[float], bounds=None,
     """
     x = np.asarray(init, dtype=float).copy()
     n = x.size
-    if bounds is None:
-        lower = np.full(n, -np.inf)
-        upper = np.full(n, np.inf)
-    else:
-        lower = np.array([-np.inf if b is None else float(b) for b in bounds[0]])
-        upper = np.array([np.inf if b is None else float(b) for b in bounds[1]])
-        if np.any(lower > upper):
-            raise ValueError("lower bound exceeds upper bound")
-        if np.any(x < lower) or np.any(x > upper):
-            raise ValueError("initial point violates bounds")
+    lo, hi = ([None] * n, [None] * n) if bounds is None else bounds
+    lower = np.array([-np.inf if b is None else float(b) for b in lo])
+    upper = np.array([np.inf if b is None else float(b) for b in hi])
+    if np.any(lower > upper):
+        raise ValueError("lower bound exceeds upper bound")
+    if np.any(x < lower) or np.any(x > upper):
+        raise ValueError("initial point violates bounds")
 
     r, jac = _evaluate(fun, x)
     if not np.all(np.isfinite(r)):
@@ -141,40 +150,23 @@ def lm_minimize(fun: Callable, init: Sequence[float], bounds=None,
         grad = jac.T @ r
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1.0
+        ridge = 1e-10 * max(np.max(diag), 1.0)
 
         accepted = False
         for _ in range(40):
             normal = jtj + lam * np.diag(diag)
-            try:
-                step = np.linalg.solve(normal, -grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is None or not np.all(np.isfinite(step)):
-                ridge = 1e-10 * max(np.max(diag), 1.0)
-                warnings.warn("singular normal equations; applying ridge regularization",
-                              RuntimeWarning, stacklevel=2)
-                step = np.linalg.solve(normal + ridge * np.eye(n), -grad)
-            x_try = _project(x + step, lower, upper)
-            r_try, jac_try = _evaluate(fun, x_try)
-            chi2_try = float(r_try @ r_try) if np.all(np.isfinite(r_try)) else np.inf
-            clipped = x_try != x + step
+            full = x + _solve(normal, -grad, ridge)
+            x_try = np.clip(full, lower, upper)
+            clipped = x_try != full
             if np.any(clipped) and not np.all(clipped):
                 # re-solve for the free coordinates with the clipped ones held
                 # at their bounds, otherwise steps into an active bound stall
                 free = ~clipped
-                normal_f = normal[np.ix_(free, free)]
                 rhs = -grad[free] - normal[np.ix_(free, clipped)] @ (x_try[clipped] - x[clipped])
-                try:
-                    step_f = np.linalg.solve(normal_f, rhs)
-                    x_alt = x_try.copy()
-                    x_alt[free] = _project(x[free] + step_f, lower[free], upper[free])
-                    r_alt, jac_alt = ((r_try, jac_try) if np.array_equal(x_alt, x_try)
-                                      else _evaluate(fun, x_alt))
-                    if np.all(np.isfinite(r_alt)) and float(r_alt @ r_alt) < chi2_try:
-                        x_try, r_try, jac_try = x_alt, r_alt, jac_alt
-                        chi2_try = float(r_alt @ r_alt)
-                except np.linalg.LinAlgError:
-                    pass
+                x_try[free] = np.clip(x[free] + _solve(normal[np.ix_(free, free)], rhs, ridge),
+                                      lower[free], upper[free])
+            r_try, jac_try = _evaluate(fun, x_try)
+            chi2_try = float(r_try @ r_try) if np.all(np.isfinite(r_try)) else np.inf
             if chi2_try < chi2:
                 step_norm = float(np.linalg.norm(x_try - x))
                 rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
@@ -192,8 +184,7 @@ def lm_minimize(fun: Callable, init: Sequence[float], bounds=None,
         if converged:
             break
         if not accepted:
-            converged = True
-            message = "no downhill step found (stationary point)"
+            converged, message = True, "no downhill step found (stationary point)"
             break
 
     covariance, flat = _covariance(jac, chi2, r.size, n)

@@ -44,7 +44,8 @@ from .units import TWO_PI, is_number, wrap_angle
 PHASE = "phase"
 INTENSITY = "intensity"
 AMPLITUDE = "amplitude"
-_KINDS = (PHASE, AMPLITUDE, INTENSITY)
+# a kind's index here is its code, as in the channel column of residuals.csv
+KINDS = (PHASE, INTENSITY, AMPLITUDE)
 
 _MIN_POINTS_PER_CHANNEL = 5
 _MIN_GAMMA = 1e-9  # a fit's gamma is clipped up to this
@@ -64,7 +65,7 @@ class SpectrumChannel:
         self.freq = np.asarray(self.freq, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if not (self.freq.shape == self.values.shape == self.sigma.shape):
             raise ValueError("freq, values and sigma must have matching shapes")
@@ -116,7 +117,8 @@ class SpectrumDataset:
 
 
 class _Points:
-    """The channels of a fit as one grid: their points concatenated in order.
+    """The channels of a fit as one grid: their points concatenated in order,
+    each with its ``kind`` (an index into :data:`KINDS`) and ``dipole``.
 
     ``drive`` (one value, or one per point) is what each point was taken at;
     an emitter evaluated there sees omega_r**2 = k*drive for its own k.
@@ -128,10 +130,10 @@ class _Points:
         self.values = np.concatenate([ch.values for ch in channels])
         self.sigma = np.concatenate([ch.sigma for ch in channels])
         self.drive = np.broadcast_to(np.asarray(drive, dtype=float), self.freq.shape)
-        self.kind = np.repeat([_KINDS.index(ch.kind) for ch in channels], sizes)  # in _KINDS
-        self.of_kind = {kind: np.flatnonzero(self.kind == i) for i, kind in enumerate(_KINDS)}
-        dipole = np.repeat([ch.dipole for ch in channels], sizes)
-        self.of_dipole = {d: np.flatnonzero(dipole == d) for d in set(dipole.tolist())}
+        self.kind = np.repeat([KINDS.index(ch.kind) for ch in channels], sizes)
+        self.of_kind = {kind: np.flatnonzero(self.kind == i) for i, kind in enumerate(KINDS)}
+        self.dipole = np.repeat([ch.dipole for ch in channels], sizes)
+        self.of_dipole = {d: np.flatnonzero(self.dipole == d) for d in set(self.dipole.tolist())}
 
 
 class _Sites:
@@ -153,7 +155,7 @@ class _Sites:
         keys, site = np.unique(points.freq[index] + 1j * points.drive[index], return_inverse=True)
         self.freq, self.drive = keys.real.copy(), keys.imag.copy()
         kind_of = points.kind[index]
-        kinds = [(kind, kind_of == i) for i, kind in enumerate(_KINDS)]
+        kinds = [(kind, kind_of == i) for i, kind in enumerate(KINDS)]
         kinds = [(kind, mine) for kind, mine in kinds if mine.any()]
         self.kinds = tuple(kind for kind, _ in kinds)
         self.at = np.full(points.freq.size, len(kinds) * keys.size)
@@ -194,26 +196,18 @@ def _site_response(f: _Factor, jac_rows=0):
     by the ``jac_rows`` parameters of a fit, zero for those not in the
     chain, at the sites laid out as :attr:`_Sites.blocks`.
 
-    With s = beta*gamma/2 (chiral: beta*gamma), gamma2 = gamma/2 + gamma_dp,
-    D = gamma2**2 + delta**2 + 4*(gamma2/gamma)*w and
-    A = beta*gamma*gamma2*(2 - beta) (chiral: 4*beta*gamma*gamma2*(1 - beta)),
-    t = 1 - s*(gamma2 + i*delta)/D and I_t = 1 - A/(2*D), the closed forms of
-    :func:`~wgphase.emitter.transmission`; derivatives cover isotropic coupling.
+    The values are :func:`~wgphase.emitter.transmission`'s, from its s, gamma2,
+    A and D at omega_r**2 = k*drive; derivatives cover isotropic coupling.
     """
     beta, gamma, gamma_dp, k = f.beta, f.gamma, f.gamma_dp, f.k
-    s = beta * gamma if f.chiral else beta * gamma / 2.0
-    g2 = gamma / 2.0 + gamma_dp
-    a = 4.0 * beta * gamma * g2 * (1.0 - beta) if f.chiral else beta * gamma * g2 * (2.0 - beta)
+    s, g2, a = emitter._rates(beta, gamma, gamma_dp, f.chiral)
     drive = f.sites.drive
     delta = TWO_PI * (f.sites.freq - f.f0)
-    inv = 1.0 / (g2 * g2 + delta * delta + (4.0 * (g2 / gamma) * k) * drive)
-    q_re, q_im = g2 * inv, delta * inv  # t = 1 - s*(q_re + i*q_im)
-    # 0 - x: a zero Im t is +0, so arg t is +pi, not -pi, where Re t < 0
-    re, im = 1.0 - s * q_re, 0.0 - s * q_im
-    half_inv = 0.5 * inv
-    i_t = 1.0 - a * half_inv
+    re, im, i_t, inv = emitter._response(s, g2, a, gamma, delta, k * drive)
     if not jac_rows:
         return re, im, i_t, None
+    q_re, q_im = g2 * inv, delta * inv  # t = 1 - s*(q_re + i*q_im)
+    half_inv = 0.5 * inv
 
     # Each row's derivative of D is d0 + d1*drive + d2*delta; with those of s,
     # gamma2, delta and A it is linear in per-site arrays whose coefficients

@@ -806,6 +806,30 @@ def test_fit_dipole_window_outside_the_data_names_key_and_file(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_fit_dipole_window_for_a_file_not_given_is_bad_input(tmp_path, capsys):
+    # was ignored, exit 0: a window for dipole 2 of a one-file fit
+    p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
+    path = _noisy_phasor_file(tmp_path / "p.csv", p, np.linspace(-8, 8, 41),
+                              np.random.default_rng(0))
+    cfg = write_cfg(tmp_path, "c.json", {"fit": {"dipole_windows_ghz": {"2": [-1, 1]}}})
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), "fit", path) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "fit.dipole_windows_ghz.2" in err and "dipole 2" in err and "1 phasor file" in err
+    assert not out.exists()
+
+
+def test_fit_powers_for_files_not_given_is_bad_input(tmp_path, capsys):
+    # was ignored, exit 0: seven powers for three phasor files
+    files = _saturation_files(tmp_path)[:3]
+    cfg = write_cfg(tmp_path, "c.json", {"fit": {"powers": [1, 2, 3, 4, 5, 6, 7]}})
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), "fit-saturation", *files) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "fit.powers" in err and "7 entries" in err and "3 phasor file" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, fit, named", [
     ("fit", {"init": {"beta": "a"}}, "fit.init.beta"),                 # was exit 4 (TypeError)
     ("fit", {"init": {"gamma": None}}, "fit.init.gamma"),              # was exit 4 (TypeError)

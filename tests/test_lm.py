@@ -96,7 +96,7 @@ def test_bounds_are_respected():
 
 def test_clipped_steps_evaluate_each_point_once():
     # the first steps run into the bound on p[0] and are re-solved for p[1];
-    # the residual of every trial point is computed once and reused
+    # each trial evaluates one point, the re-solved one, and is accepted
     x = np.linspace(0, 1, 20)
     y = 5.0 * x + 1.0
     seen = []
@@ -108,6 +108,7 @@ def test_clipped_steps_evaluate_each_point_once():
     res = lm_minimize(fun, [0.0, 0.0], bounds=([None, None], [2.0, None]))
     assert res.params[0] == pytest.approx(2.0)
     assert len(seen) == len(set(seen))
+    assert len(seen) == res.n_iter + 1
 
 
 def test_init_outside_bounds_rejected():
