@@ -136,15 +136,17 @@ def cmd_fit_saturation(cfg: RunConfig, bundle: ResultBundle, phasor_files) -> Fi
         if power is None:
             raise TraceParseError(
                 f"{path}: no power level in sidecar and none given in fit.powers")
-        datasets.append(spectra.SpectrumDataset.from_phasors(
-            series, dipole=1, power=float(power), intensity_from=cfg.fit.intensity_from))
+        try:
+            datasets.append(spectra.SpectrumDataset.from_phasors(
+                series, dipole=1, power=float(power), intensity_from=cfg.fit.intensity_from))
+        except ValueError as exc:  # too few or bad points in the file
+            raise ValueError(f"{path}: {exc}") from exc
     result = spectra.fit_saturation_series(
         datasets, init=cfg.fit.init or None, bounds=cfg.fit.bounds or None,
         max_iter=cfg.fit.max_iter)
 
-    p_fit = emitter.EmitterParams.isotropic(
-        gamma=result["gamma"], beta=max(result["beta"], 1e-6),
-        gamma_dp=result["gamma_dp"], phi0=result["phi0"])
+    p_fit = emitter.EmitterParams.isotropic(gamma=result["gamma"], beta=result["beta"],
+                                            gamma_dp=result["gamma_dp"], phi0=result["phi0"])
     n_c = emitter.critical_photon_flux(p_fit) if result["beta"] > 0 else None
     pw = np.geomspace(min(ds.power for ds in datasets) / 3,
                       max(ds.power for ds in datasets) * 2, 25)

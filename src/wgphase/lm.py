@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+_LAMBDA_START = 1e-3  # the damping factor of the first trial
 _CHI2_REL_TOL = 1e-10
 _STEP_NORM_TOL = 1e-12
 _FLAT_SV_RATIO = 1e-12
@@ -107,8 +108,7 @@ def _evaluate(fun: Callable, x: np.ndarray):
 
 
 def lm_minimize(fun: Callable, init: Sequence[float], bounds=None,
-                names: Optional[Sequence[str]] = None, max_iter: int = 500,
-                lambda0: float = 1e-3) -> FitResult:
+                names: Optional[Sequence[str]] = None, max_iter: int = 500) -> FitResult:
     """Minimize a residual vector in the least-squares sense.
 
     Parameters
@@ -140,7 +140,7 @@ def lm_minimize(fun: Callable, init: Sequence[float], bounds=None,
     if jac.shape != (r.size, n):
         raise ValueError(f"Jacobian has shape {jac.shape}, expected {(r.size, n)}")
     chi2 = float(r @ r)
-    lam = lambda0
+    lam = _LAMBDA_START
     converged = False
     message = "max iterations exhausted"
     n_iter = 0

@@ -48,7 +48,6 @@ AMPLITUDE = "amplitude"
 KINDS = (PHASE, INTENSITY, AMPLITUDE)
 
 _MIN_POINTS_PER_CHANNEL = 5
-_MIN_GAMMA = 1e-9  # a fit's gamma is clipped up to this
 
 
 @dataclass
@@ -294,20 +293,6 @@ def _kernel(points: _Points, factors, phi0, product=False, jac=None) -> np.ndarr
     return values
 
 
-def _clipped(beta, gamma, gamma_dp):
-    """A fit's beta clipped to [0, 1] and its rates to their physical range."""
-    return min(max(beta, 0.0), 1.0), max(gamma, _MIN_GAMMA), max(gamma_dp, 0.0)
-
-
-def _rate_chain(params, beta, gamma, gamma_dp):
-    """``(param, row)`` for each of beta, gamma and gamma_dp that is not past
-    the clip of :func:`_clipped`; a clipped one has a zero derivative, and
-    one on its clip is differentiated from the feasible side."""
-    inside = (0.0 <= beta <= 1.0, gamma >= _MIN_GAMMA, gamma_dp >= 0.0)
-    return [(param, row) for param, row, ok in zip(params, (_BETA, _GAMMA, _GAMMA_DP), inside)
-            if ok]
-
-
 def channel_model(ch: SpectrumChannel, params, omega_r=0.0) -> np.ndarray:
     """Model values for one channel, every emitter driven at ``omega_r``
     (a scalar or one value per point).
@@ -330,31 +315,39 @@ def two_dipole_model(data: SpectrumDataset, x, combine: str = "isolated") -> np.
     parameter vector of :func:`fit_two_dipole_spectra`.
 
     ``x`` holds (beta_d, gamma_d, f0_d) for each dipole of ``data`` in
-    ascending order, then the shared gamma_dp and phi0; beta is clipped to
-    [0, 1] and the rates to their physical range, as in the fit.  The
-    ``product`` combination applies only when two dipoles are present.
+    ascending order, then the shared gamma_dp and phi0.  Under ``product``
+    every dipole's transmission multiplies into every channel.  ValueError
+    naming the parameter for a beta outside [0, 1], a gamma that is not
+    positive or a negative gamma_dp.
     """
-    return _two_dipole(_Points(data.channels), data.dipoles(), combine)(x)
+    x = np.asarray(x, dtype=float)
+    dipoles = data.dipoles()
+    for i, d in enumerate(dipoles):
+        if not 0.0 <= x[3 * i] <= 1.0:
+            raise ValueError(f"beta{d} must be in [0, 1], got {x[3 * i]}")
+        if not x[3 * i + 1] > 0.0:
+            raise ValueError(f"gamma{d} must be > 0, got {x[3 * i + 1]}")
+    if not x[-2] >= 0.0:
+        raise ValueError(f"gamma_dp must be >= 0, got {x[-2]}")
+    return _two_dipole(_Points(data.channels), dipoles, combine)(x)
 
 
 def _two_dipole(points: _Points, dipoles, combine):
     """``model(x, jac=None)``: :func:`two_dipole_model` on ``points``, and its
-    Jacobian into ``jac``."""
+    Jacobian into ``jac``, for an ``x`` in the physical range."""
     if combine not in ("isolated", "product"):
         raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
-    product = combine == "product" and len(dipoles) == 2
+    product = combine == "product"
     shared = _Sites(points) if product else None  # every dipole's factor covers every point
     sites = [shared or _Sites(points, points.of_dipole[d]) for d in dipoles]
+    chains = [((3 * i, _BETA), (3 * i + 1, _GAMMA), (3 * len(dipoles), _GAMMA_DP),
+               (3 * i + 2, _F0)) for i in range(len(dipoles))]
 
     def model(x, jac=None):
         x = np.asarray(x, dtype=float).tolist()
         gamma_dp, phi0 = x[-2], x[-1]
-        factors = []
-        for i, on in enumerate(sites):
-            beta, gamma, f0 = x[3 * i: 3 * i + 3]
-            chain = _rate_chain((3 * i, 3 * i + 1, len(x) - 2), beta, gamma, gamma_dp)
-            chain.append((3 * i + 2, _F0))
-            factors.append(_Factor(on, *_clipped(beta, gamma, gamma_dp), f0, chain=chain))
+        factors = [_Factor(on, x[3 * i], x[3 * i + 1], gamma_dp, x[3 * i + 2], chain=chain)
+                   for i, (on, chain) in enumerate(zip(sites, chains))]
         values = _kernel(points, factors, phi0, product, jac)
         if jac is not None:
             jac[-1, points.of_kind[PHASE]] = 1.0
@@ -455,18 +448,24 @@ def _fit(points: _Points, model, names, start, lo, hi, bounds, max_iter) -> FitR
     """Weighted least-squares fit of ``points`` to ``model(x, jac)``, which
     returns the model values and adds their derivatives into ``jac``, an
     array of zeros with one row per name and one column per point.
-    ``bounds`` replaces the box ``lo``, ``hi`` (None: open) of a parameter of
-    ``names`` in place, and ``start`` is projected into the box.  ValueError
-    naming ``fit.bounds.<key>`` for an unknown key or a value that is not a
-    [lo, hi] pair of numbers or nulls with lo <= hi."""
+    ``bounds`` narrows the box ``lo``, ``hi`` of a parameter of ``names`` in
+    place, a null side keeping the box's, and ``start`` is projected into the
+    box.  ValueError naming ``fit.bounds.<key>`` for an unknown key, a value
+    that is not a [lo, hi] pair of numbers or nulls with lo <= hi, or a pair
+    that leaves nothing of the box."""
     check_fit_values(bounds=bounds)
     for key, pair in (bounds or {}).items():
         if key not in names:
             raise ValueError(f"fit.bounds.{key}: not a parameter of this fit, which takes "
                              f"{', '.join(names)}")
-        lo[names.index(key)], hi[names.index(key)] = pair
-    x0 = [min(max(v, l if l is not None else -np.inf), h if h is not None else np.inf)
-          for v, l, h in zip(start, lo, hi)]
+        i = names.index(key)
+        box = lo[i], hi[i]
+        lo[i] = box[0] if pair[0] is None else max(box[0], pair[0])
+        hi[i] = box[1] if pair[1] is None else min(box[1], pair[1])
+        if lo[i] > hi[i]:
+            raise ValueError(f"fit.bounds.{key}: {pair!r} leaves nothing of the parameter's "
+                             f"range [{box[0]:g}, {box[1]:g}]")
+    x0 = [min(max(v, l), h) for v, l, h in zip(start, lo, hi)]
     values, sigma, phase = points.values, points.sigma, points.of_kind[PHASE]
     # inverse-variance; low-contrast points keep their (large) fitted sigma
     used = np.isfinite(values) & np.isfinite(sigma) & (sigma > 0)
@@ -489,14 +488,14 @@ def _fit(points: _Points, model, names, start, lo, hi, bounds, max_iter) -> FitR
 def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
                            bounds: Optional[dict] = None, combine: str = "isolated",
                            max_iter: int = 500) -> FitResult:
-    """Joint weighted fit of phase and intensity spectra of up to two dipoles.
+    """Joint weighted fit of phase and intensity spectra of any number of dipoles.
 
     Free parameters are (beta_i, gamma_i, f0_i) per present dipole plus the
     shared gamma_dp and phi0, named beta1, gamma1, f01, ..., gamma_dp, phi0
     in ``init`` and ``bounds``; ``init`` may also set beta, gamma or f0 of
-    every dipole at once.  With channels for a single dipole present the
-    fit reduces to a single-resonance fit.  Returns ``converged=False``
-    with a flat-direction diagnostic for non-identifiable inputs.
+    every dipole at once, and ``bounds`` narrows each one's physical range.
+    Returns ``converged=False`` with a flat-direction diagnostic for
+    non-identifiable inputs.
     """
     dipoles = data.dipoles()
     if not dipoles:
@@ -509,7 +508,7 @@ def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
                                     for key in ("beta", "gamma", "f0")})
     f0s = [start[f"f0{d}"] for d in dipoles]
     lo = [b for f0 in f0s for b in (0.0, 1e-6, f0 - 50.0)] + [0.0, -np.pi]
-    hi = [b for f0 in f0s for b in (1.0, None, f0 + 50.0)] + [None, np.pi]
+    hi = [b for f0 in f0s for b in (1.0, np.inf, f0 + 50.0)] + [np.inf, np.pi]
     names = list(defaults)
     points = _Points(data.channels)
     result = _fit(points, _two_dipole(points, dipoles, combine), names,
@@ -548,21 +547,19 @@ def fit_saturation_series(datasets: Sequence[SpectrumDataset], init: Optional[di
                       [sum(ch.freq.size for ch in ds.channels) for ds in datasets])
     points = _Points([ch for ds in datasets for ch in ds.channels], drive=power)
     sites = _Sites(points)
+    chain = ((0, _BETA), (1, _GAMMA), (2, _GAMMA_DP), (4, _K))
 
     def model(x, jac):
         # every dataset in one call, at its own omega_r**2 = k*P; f0 is held
         beta, gamma, gamma_dp, phi0, k = x.tolist()
-        chain = _rate_chain((0, 1, 2), beta, gamma, gamma_dp)
-        if k >= 0.0:
-            chain.append((4, _K))
-        factor = _Factor(sites, *_clipped(beta, gamma, gamma_dp), start["f0"], max(k, 0.0), chain)
+        factor = _Factor(sites, beta, gamma, gamma_dp, start["f0"], k, chain)
         values = _kernel(points, [factor], phi0, jac=jac)
         jac[3, points.of_kind[PHASE]] = 1.0
         return values
 
     result = _fit(points, model, names, [start[n] for n in names], lo,
-                  [1.0, None, None, np.pi, None], bounds, max_iter)
-    if lo[4] is not None and result["k"] <= lo[4] + 1e-12:
+                  [1.0, np.inf, np.inf, np.pi, np.inf], bounds, max_iter)
+    if result["k"] <= lo[4] + 1e-12:
         result.message += "; k pinned at lower bound (series shows no saturation)"
         if "k" not in result.flat_directions:
             result.flat_directions.append("k")

@@ -856,6 +856,8 @@ def test_fit_powers_for_files_not_given_is_bad_input(tmp_path, capsys):
     ("fit-saturation", {"powers": [0, 1, 2, 4, 8]}, "fit.powers[0]"),   # left config.json, fit.json
     ("fit-saturation", {"powers": [-1, 1, 2, 4, 8]}, "fit.powers[0]"),  # named no field
     ("fit", {"intensity_from": "phase"}, "fit.intensity_from"),        # named no block
+    ("fit", {"bounds": {"beta1": [2, 3]}}, "fit.bounds.beta1"),        # no box left: was exit 3
+    ("fit-saturation", {"bounds": {"k": [None, -1]}}, "fit.bounds.k"),  # no box left: was exit 0
 ])
 def test_bad_fit_block_is_bad_input(tmp_path, capsys, command, fit, named):
     if command == "fit":
@@ -868,6 +870,36 @@ def test_bad_fit_block_is_bad_input(tmp_path, capsys, command, fit, named):
     assert run_cli("--config", write_cfg(tmp_path, "c.json", {"fit": fit}), "--out", str(out),
                    command, *files) == EXIT_BAD_INPUT
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_bounds_wider_than_physics_give_the_default_fit(tmp_path):
+    # was exit 3 with beta1 > 1 and gamma_dp < 0: bounds replaced the fit's box
+    p = EmitterParams.isotropic(gamma=12.3, gamma_dp=0.0, beta=1.0, phi0=-0.25)
+    path = _noisy_phasor_file(tmp_path / "p.csv", p, np.linspace(-8, 8, 41),
+                              np.random.default_rng(6))
+    wide = {"fit": {"bounds": {"beta1": [None, None], "gamma_dp": [-5, None]}}}
+    for name, cfg in (("default", {}), ("wide", wide)):
+        assert run_cli("--config", write_cfg(tmp_path, f"{name}.json", cfg), "--out",
+                       str(tmp_path / name), "fit", path) == EXIT_OK
+    assert (tmp_path / "wide" / "fit.json").read_bytes() == (
+        tmp_path / "default" / "fit.json").read_bytes()
+
+
+def test_fit_saturation_file_too_short_names_the_file(tmp_path, capsys):
+    # named no file: "channel needs >= 5 points for identifiability, got 4"
+    ones, errs = np.ones(4), np.full(4, 0.01)
+    series = PhasorSeries(freq=np.arange(4.0), phase_shift=np.zeros(4), amp_ratio=ones,
+                          offset_ratio=ones, phase_err=errs, amp_err=errs, offset_err=errs,
+                          low_contrast=np.zeros(4, dtype=bool))
+    files = [str(tmp_path / f"p{i}.csv") for i in range(3)]
+    for path in files:
+        write_phasors_csv(series, path)
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", {"fit": {"powers": [1, 2, 3]}}),
+                   "--out", str(out), "fit-saturation", *files) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"{files[0]}:" in err and "got 4" in err
     assert not out.exists()
 
 

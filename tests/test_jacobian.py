@@ -145,9 +145,6 @@ def test_parameter_on_its_bound_is_differentiated_from_inside(monkeypatch, name)
     one_sided = (fun(x_in)[0] - r) / (inside * h)
     np.testing.assert_allclose(jac[:, i], one_sided, rtol=1e-4,
                                atol=1e-4 * np.max(np.abs(one_sided)))
-    x_out = x.copy()
-    x_out[i] -= inside * 1e-3
-    assert np.all(fun(x_out)[1][:, i] == 0.0)  # past the clip the model is flat
 
 
 def test_transmission_over_drive_array_matches_scalar_calls():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wgphase import lm
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.lm import fd_step, jacobian_fd, lm_minimize
 from wgphase.units import detuning_angular
@@ -153,11 +154,12 @@ def test_flat_direction_diagnostic():
     assert res.uncertainties[1] == 0.0 or not np.isfinite(res.uncertainties[1])
 
 
-def test_singular_normal_equations_ridge_warning():
+def test_singular_normal_equations_ridge_warning(monkeypatch):
     # duplicated columns with zero initial damping force the ridge path
     def residual(p):
         return np.array([p[0] + p[1] - 1.0, 2 * (p[0] + p[1]) - 2.0])
 
+    monkeypatch.setattr(lm, "_LAMBDA_START", 0.0)
     with pytest.warns(RuntimeWarning, match="ridge"):
-        res = lm_minimize(fd(residual), [0.0, 0.0], lambda0=0.0)
+        res = lm_minimize(fd(residual), [0.0, 0.0])
     assert np.isfinite(res.chi2)

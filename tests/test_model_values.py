@@ -85,6 +85,30 @@ def test_two_dipole_model_on_unshared_and_cut_grids_matches_closed_form(combine)
                                    rtol=0, atol=TOL)
 
 
+def test_two_dipole_model_multiplies_three_dipoles_under_product():
+    # every channel holds the product of all three transmissions; the product
+    # rule used to apply only to exactly two dipoles
+    freq = np.linspace(-8.0, 8.0, 33)
+    data = SpectrumDataset([channel(kind, freq, d) for d in (1, 2, 3)
+                            for kind in ("phase", "intensity", "amplitude")])
+    x = np.array([0.94, 9.4, -4.0, 0.8, 12.3, 0.0, 0.97, 11.0, 4.0, 3.9, -0.25])
+    emitters = [dipole_params(x, i) for i in range(3)]
+    for ch, got in zip(data.channels, by_channel(data, two_dipole_model(data, x, "product"))):
+        np.testing.assert_allclose(got, closed_form(ch.kind, emitters, ch.freq), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("at, value, named", [
+    (0, 1.1, "beta1"), (3, -0.1, "beta2"), (4, 0.0, "gamma2"), (6, -0.5, "gamma_dp")])
+def test_two_dipole_model_outside_the_physical_range_raises(at, value, named):
+    # was clipped to the nearest physical value, in silence
+    freq = np.linspace(-8.0, 8.0, 17)
+    data = SpectrumDataset([channel("phase", freq, d) for d in (1, 2)])
+    x = np.array([0.94, 9.4, 0.0, 0.8, 12.3, 2.5, 3.9, -0.25])
+    x[at] = value
+    with pytest.raises(ValueError, match=named):
+        two_dipole_model(data, x)
+
+
 def test_saturation_model_at_each_power_matches_closed_form(monkeypatch):
     # noiseless data at the truth: every residual is the model's difference
     # from the closed form at omega_r**2 = k*P, over sigma

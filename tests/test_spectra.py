@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from wgphase import spectra
 from wgphase.emitter import (EmitterParams, critical_photon_flux, phase_extrema_numeric,
                              transmission)
 from wgphase.extraction import ExtractionConfig, extract_phasor_series
@@ -86,6 +89,76 @@ def test_product_model_roundtrip():
     assert res["gamma2"] == pytest.approx(12.3, rel=1e-4)
     assert res["f01"] == pytest.approx(-1.5, abs=1e-4)
     assert res["f02"] == pytest.approx(1.5, abs=1e-4)
+
+
+def test_three_dipole_product_roundtrip():
+    # every dipole's transmission multiplies into every channel: the product
+    # of three was fitted as three isolated lines, far from the truth
+    emitters = [DIPOLE1.with_(f0=-4.0), DIPOLE2.with_(f0=0.0, beta=0.9),
+                DIPOLE1.with_(f0=4.0, gamma=11.0, beta=0.97)]
+    freq = np.linspace(-12, 12, 121)
+    t, i_t = 1.0, 1.0
+    for p in emitters:
+        t_p, i_p = transmission(p, detuning_angular(freq, p.f0), 0.0)
+        t, i_t = t * t_p, i_t * i_p
+    sigma = np.full(freq.size, 1e-3)
+    chs = [SpectrumChannel(freq, values, sigma, kind, d) for d in (1, 2, 3)
+           for values, kind in ((np.angle(t) + DIPOLE1.phi0, "phase"), (i_t, "intensity"))]
+    init = {"gamma_dp": 3.0, "phi0": -0.2}
+    for d, p in enumerate(emitters, start=1):
+        init.update({f"beta{d}": 0.9, f"gamma{d}": 10.0, f"f0{d}": p.f0 + 0.2})
+    res = fit_two_dipole_spectra(SpectrumDataset(channels=chs), init=init, combine="product")
+    assert res.converged
+    for d, p in enumerate(emitters, start=1):
+        for key in ("beta", "gamma", "f0"):
+            assert res[f"{key}{d}"] == pytest.approx(getattr(p, key), rel=1e-6, abs=1e-6)
+    assert res["gamma_dp"] == pytest.approx(3.9, rel=1e-6)
+
+
+def _visited(monkeypatch):
+    """Every parameter vector the fits hand to their residual function."""
+    seen = []
+
+    def recording_lm(fun, *args, **kwargs):
+        def recorded(x):
+            seen.append(np.array(x))
+            return fun(x)
+        return lm_minimize(recorded, *args, **kwargs)
+
+    lm_minimize = spectra.lm_minimize
+    monkeypatch.setattr(spectra, "lm_minimize", recording_lm)
+    return seen
+
+
+@pytest.mark.parametrize("fit", ["two_dipole", "saturation"])
+def test_bounds_wider_than_physics_keep_the_default_box(monkeypatch, fit):
+    # noisy data at beta = 1 and gamma_dp = 0: bounds that replaced the box
+    # let the fits report beta > 1 and gamma_dp < 0, values the model never
+    # used; bounds only narrow the box, so these fits are the default ones
+    seen = _visited(monkeypatch)
+    p = EmitterParams.isotropic(gamma=12.3, gamma_dp=0.0, beta=1.0, phi0=-0.25)
+    rng = np.random.default_rng(6)
+    if fit == "two_dipole":
+        data = SpectrumDataset(synth_channels(p, np.linspace(-8, 8, 41), 1, 1e-2, 1e-2, rng))
+        physical = ["beta1", "gamma1", "gamma_dp"]
+        wide = {"beta1": [-1, 2], "gamma_dp": [-5, None]}
+        run = functools.partial(fit_two_dipole_spectra, data)
+    else:
+        om_sat2 = p.gamma * p.gamma2 / 4.0
+        series = [SpectrumDataset(synth_channels(p, np.linspace(-8, 8, 41), 1, 1e-2, 1e-2, rng,
+                                                 np.sqrt(scale * om_sat2)), power=scale * om_sat2)
+                  for scale in (0.1, 0.3, 1.0, 3.0, 10.0)]
+        physical = ["beta", "gamma", "gamma_dp", "k"]
+        wide = {"beta": [None, None], "gamma_dp": [-5, None], "k": [-1, None]}
+        run = functools.partial(fit_saturation_series, series)
+    default = run()
+    seen.clear()
+    res = run(bounds=wide)
+    assert res.converged, res.message
+    np.testing.assert_array_equal(res.params, default.params)
+    xs = np.array(seen)[:, [res.names.index(name) for name in physical]]
+    assert np.all((xs[:, 0] >= 0.0) & (xs[:, 0] <= 1.0))  # beta
+    assert np.all(xs[:, 1] >= 1e-6) and np.all(xs[:, 2:] >= 0.0)  # gamma, gamma_dp, k
 
 
 def test_intensity_only_near_unit_beta_not_identifiable():
