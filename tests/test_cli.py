@@ -349,6 +349,15 @@ def _channel_residual(ch, model):
     return np.where(w > 0, diff * w, 0.0)
 
 
+def _dipole_files(tmp_path, n_files):
+    """Noisy phasor files of ``n_files`` dipoles, one file per dipole."""
+    rng = np.random.default_rng(5)
+    emitters = [EmitterParams.isotropic(gamma=9.4, gamma_dp=3.9, beta=0.94, phi0=-0.25),
+                EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, f0=6.0, phi0=-0.25)]
+    return [_noisy_phasor_file(tmp_path / f"p{d}.csv", p, np.linspace(p.f0 - 8, p.f0 + 8, 41),
+                               rng) for d, p in enumerate(emitters[:n_files], start=1)]
+
+
 @pytest.mark.parametrize("n_files,combine", [(1, "isolated"), (2, "isolated"), (2, "product")])
 def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_files, combine):
     # every row of residuals.csv carries its channel's dipole, and the model
@@ -362,11 +371,7 @@ def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_fil
 
     lm_minimize = spectra.lm_minimize
     monkeypatch.setattr(spectra, "lm_minimize", recording_lm)
-    rng = np.random.default_rng(5)
-    emitters = [EmitterParams.isotropic(gamma=9.4, gamma_dp=3.9, beta=0.94, phi0=-0.25),
-                EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, f0=6.0, phi0=-0.25)]
-    files = [_noisy_phasor_file(tmp_path / f"p{d}.csv", p, np.linspace(p.f0 - 8, p.f0 + 8, 41),
-                                rng) for d, p in enumerate(emitters[:n_files], start=1)]
+    files = _dipole_files(tmp_path, n_files)
     out = tmp_path / "fit"
     code = run_cli("--config", write_cfg(tmp_path, "c.json", {"fit": {"combine": combine}}),
                    "--out", str(out), "fit", *files)
@@ -386,6 +391,40 @@ def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_fil
         np.testing.assert_array_equal(block[:, 3], ch.values)
         blocks.append(_channel_residual(ch, block[:, 4]))
     np.testing.assert_array_equal(np.concatenate(blocks), fun(result.params)[0])
+
+
+# sha256 of the fit products of _dipole_files under each combine of
+# test_fit_residuals_csv_reproduces_fit_residuals, and of the five-power
+# fit-saturation of _saturation_files, as the fits wrote them when each fit
+# found the points that share a frequency by sorting them
+_FIT_SHA256 = {
+    (1, "isolated"): {
+        "fit.json": "171e9b2c3300f273b46d32fc74952ae14ecf8017ffc98229bc0601d5cca718ca",
+        "residuals.csv": "ba322c0b27337a4fdb3fc6084a0894bc911c20867ca40e0a2d69f8b46855972d"},
+    (2, "isolated"): {
+        "fit.json": "c0b66420c9f8d2a1b27cfae1f7d03b545c6328fc99068c54c17c1c8f3aa6d5e4",
+        "residuals.csv": "3fb4619f7ac1ac30d7305031b0f317d538355e50ff38f912ef90faaabb97cdab"},
+    (2, "product"): {
+        "fit.json": "02b3f16f39729d5e9434f6f4b3e0e8f862b46fd89df69f347c9e237941c18d3e",
+        "residuals.csv": "4dac9e172bcfc95b2404a88d66ac776702131f8f425911fa01da04279d80610b"},
+    "saturation": {
+        "fit.json": "a9402e24fa714865857ae33ffc21ce91be980f00214edbaad0e80e7f6bce2f3a",
+        "phase_vs_power.csv": "7c2c6f21c79ed7376fa839aa5c67170d6f741738d8802c3851d2057f04ee538b"},
+}
+
+
+@pytest.mark.parametrize("case", list(_FIT_SHA256), ids=str)
+def test_fit_bundle_bytes_pinned(tmp_path, case):
+    out = tmp_path / "out"
+    if case == "saturation":
+        argv = ["fit-saturation", *_saturation_files(tmp_path)]
+    else:
+        n_files, combine = case
+        argv = ["--config", write_cfg(tmp_path, "c.json", {"fit": {"combine": combine}}),
+                "fit", *_dipole_files(tmp_path, n_files)]
+    assert run_cli("--out", str(out), *argv) == EXIT_OK
+    for name, digest in _FIT_SHA256[case].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_fit_missing_file_is_bad_input(tmp_path):
