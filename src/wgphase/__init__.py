@@ -11,9 +11,8 @@ from .interferometer import (EnvPhase, FringeTrace, InterferometerConfig, Unstab
                              apply_shot_noise, expected_rate, fringe_trace,
                              lock_loop_residual)
 from .lm import FitResult, lm_minimize
-from .spectra import (SpectrumChannel, SpectrumDataset, fit_saturation_series,
-                      fit_two_dipole_spectra, initial_guess, predict_phase_vs_power,
-                      two_dipole_model)
+from .spectra import (Spectrum, fit_saturation_series, fit_two_dipole_spectra,
+                      initial_guess, predict_phase_vs_power, two_dipole_model)
 
 __version__ = "0.1.0"
 
@@ -21,7 +20,7 @@ __all__ = [
     "ChiralThresholds", "EmitterParams", "EnvPhase", "ExtractionConfig", "FitResult",
     "FringeTrace",
     "InterferometerConfig", "NoFringeError", "PhaseExtremum", "PhasorSeries",
-    "SpectrumChannel", "SpectrumDataset", "UnstableLoopError", "WindowFits",
+    "Spectrum", "UnstableLoopError", "WindowFits",
     "apply_shot_noise", "chiral_thresholds", "critical_photon_flux",
     "estimate_path_length_fft", "expected_rate", "extract_phasor_series",
     "fit_saturation_series", "fit_two_dipole_spectra", "fringe_trace", "initial_guess",

@@ -91,65 +91,63 @@ def cmd_pathlength(cfg: RunConfig, bundle: ResultBundle, trace_file):
     bundle.write_json("summary.json", {"delta_l_m": delta_l, "source": str(trace_file)})
 
 
-def _dataset_from_files(cfg: RunConfig, phasor_files):
-    channels = []
-    windows = cfg.fit.dipole_windows_ghz
+def _spectra_from_files(cfg: RunConfig, phasor_files, power_series=False):
+    """One spectrum per phasor file.  For ``fit`` the i-th file is dipole i,
+    cut to its window in fit.dipole_windows_ghz; for a power series every
+    file is dipole 1 at its entry in fit.powers, or else at the power in its
+    sidecar."""
+    windows = {} if power_series else cfg.fit.dipole_windows_ghz
+    powers = list(cfg.fit.powers) if power_series else []
+    if len(powers) > len(phasor_files):
+        raise ValueError(f"fit.powers: {len(powers)} entries for "
+                         f"{len(phasor_files)} phasor file(s)")
     for key in windows:  # dipole i is the i-th phasor file
         if int(key) > len(phasor_files):
             raise ValueError(f"fit.dipole_windows_ghz.{key}: a window for dipole {key} of "
                              f"{len(phasor_files)} phasor file(s)")
+    records = []
     for i, path in enumerate(phasor_files, start=1):
-        series, window = parse_phasors_csv(path), windows.get(str(i))
+        series, window, power = parse_phasors_csv(path), windows.get(str(i)), None
+        if power_series:
+            power = powers[i - 1] if i <= len(powers) else phasor_file_meta(path).get("power")
+            if power is None:
+                raise TraceParseError(
+                    f"{path}: no power level in sidecar and none given in fit.powers")
         try:
-            ds = spectra.SpectrumDataset.from_phasors(
-                series, dipole=i, intensity_from=cfg.fit.intensity_from,
-                freq_window=tuple(window) if window else None)
+            records.append(spectra.Spectrum.from_phasors(
+                series, dipole=1 if power_series else i,
+                power=None if power is None else float(power),
+                intensity_from=cfg.fit.intensity_from,
+                freq_window=tuple(window) if window else None))
         except ValueError as exc:  # too few or bad points in the file, or in its window
             where = f"fit.dipole_windows_ghz.{i}: window {window} GHz of " if window else ""
             raise ValueError(f"{where}{path}: {exc}") from exc
-        channels.extend(ds.channels)
-    return spectra.SpectrumDataset(channels=channels)
+    return records
 
 
 def cmd_fit(cfg: RunConfig, bundle: ResultBundle, phasor_files) -> FitResult:
-    data = _dataset_from_files(cfg, phasor_files)
+    records = _spectra_from_files(cfg, phasor_files)
     result = spectra.fit_two_dipole_spectra(
-        data, init=cfg.fit.init or None, bounds=cfg.fit.bounds or None,
+        records, init=cfg.fit.init or None, bounds=cfg.fit.bounds or None,
         combine=cfg.fit.combine, max_iter=cfg.fit.max_iter)
-    points = spectra._Points(data.channels)  # its kind is the channel code, in spectra.KINDS
-    columns = [points.freq, points.kind, points.dipole, points.values,
-               spectra.two_dipole_model(data, result.params, cfg.fit.combine)]
+    columns = [*spectra.point_columns(records),
+               spectra.two_dipole_model(records, result.params, cfg.fit.combine)]
     bundle.write_text("fit.json", fit_result_json(result))
     bundle.write_table("residuals.csv", "freq_ghz,channel,dipole,value,model", columns)
     return result
 
 
 def cmd_fit_saturation(cfg: RunConfig, bundle: ResultBundle, phasor_files) -> FitResult:
-    datasets = []
-    powers = list(cfg.fit.powers)
-    if len(powers) > len(phasor_files):
-        raise ValueError(f"fit.powers: {len(powers)} entries for "
-                         f"{len(phasor_files)} phasor file(s)")
-    for i, path in enumerate(phasor_files):
-        series = parse_phasors_csv(path)
-        power = powers[i] if i < len(powers) else phasor_file_meta(path).get("power")
-        if power is None:
-            raise TraceParseError(
-                f"{path}: no power level in sidecar and none given in fit.powers")
-        try:
-            datasets.append(spectra.SpectrumDataset.from_phasors(
-                series, dipole=1, power=float(power), intensity_from=cfg.fit.intensity_from))
-        except ValueError as exc:  # too few or bad points in the file
-            raise ValueError(f"{path}: {exc}") from exc
+    records = _spectra_from_files(cfg, phasor_files, power_series=True)
     result = spectra.fit_saturation_series(
-        datasets, init=cfg.fit.init or None, bounds=cfg.fit.bounds or None,
+        records, init=cfg.fit.init or None, bounds=cfg.fit.bounds or None,
         max_iter=cfg.fit.max_iter)
 
     p_fit = emitter.EmitterParams.isotropic(gamma=result["gamma"], beta=result["beta"],
                                             gamma_dp=result["gamma_dp"], phi0=result["phi0"])
     n_c = emitter.critical_photon_flux(p_fit) if result["beta"] > 0 else None
-    pw = np.geomspace(min(ds.power for ds in datasets) / 3,
-                      max(ds.power for ds in datasets) * 2, 25)
+    powers = [s.power for s in records]
+    pw = np.geomspace(min(powers) / 3, max(powers) * 2, 25)
     phi = spectra.predict_phase_vs_power(p_fit, result["k"], pw) if result["k"] > 0 else None
     bundle.write_text("fit.json", fit_result_json(result, extra={"n_c": n_c}))
     if phi is not None:

@@ -1,6 +1,7 @@
 """Spectral models and fits for extracted phasor data.
 
-Channels are (frequency, value, sigma) triples tagged by what they measure:
+A :class:`Spectrum` holds what was measured on one frequency grid: for each
+channel kind it carries, one value and one sigma per frequency.
 
 * ``phase``     : on/off fringe phase shift, modeled as arg t + phi0
 * ``intensity`` : background-corrected offset ratio, modeled as I_t
@@ -19,18 +20,18 @@ saturation is present) is what restores full identifiability.
 
 Both fits, :func:`two_dipole_model` and :func:`channel_model` evaluate the
 model through one kernel in real arithmetic.  It computes Re t, Im t and I_t
-of each emitter once per site, a distinct (frequency, drive) point of its
-channels, so the phase and the intensity point of one window share one
-evaluation.  For a fit it also computes the derivatives by the parameters
-that the fit moves (beta, gamma, gamma_dp, and f0 or the drive calibration
-k), each a fixed linear combination of a few per-site arrays, and projects
-values and derivatives onto the channel kinds read at each site.
+of each emitter once per site, a row of a spectrum's grid, so the phase and
+the intensity point of one window share one evaluation.  For a fit it also
+computes the derivatives by the parameters that the fit moves (beta, gamma,
+gamma_dp, and f0 or the drive calibration k), each a fixed linear
+combination of a few per-site arrays, and projects values and derivatives
+onto the channel kinds read at each site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,48 +52,41 @@ _MIN_POINTS_PER_CHANNEL = 5
 
 
 @dataclass
-class SpectrumChannel:
-    """One measured spectrum: values with uncertainties on a frequency grid."""
+class Spectrum:
+    """Spectra of ``dipole`` measured on one frequency grid at drive
+    ``power``: ``channels`` maps each kind it carries to its (values,
+    sigma), one of each per frequency, and is kept in the order of
+    :data:`KINDS`."""
 
     freq: np.ndarray
-    values: np.ndarray
-    sigma: np.ndarray
-    kind: str = PHASE
+    channels: Dict[str, Tuple[np.ndarray, np.ndarray]]
     dipole: int = 1
+    power: Optional[float] = None
 
     def __post_init__(self):
         self.freq = np.asarray(self.freq, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if not (self.freq.shape == self.values.shape == self.sigma.shape):
+        for kind in self.channels:
+            if kind not in KINDS:
+                raise ValueError(f"unknown channel kind {kind!r}")
+        self.channels = {kind: tuple(np.asarray(a, dtype=float) for a in self.channels[kind])
+                         for kind in KINDS if kind in self.channels}
+        if not all(self.freq.shape == values.shape == sigma.shape
+                   for values, sigma in self.channels.values()):
             raise ValueError("freq, values and sigma must have matching shapes")
         if self.freq.size < _MIN_POINTS_PER_CHANNEL:
             raise ValueError(
                 f"channel needs >= {_MIN_POINTS_PER_CHANNEL} points for identifiability, "
                 f"got {self.freq.size}")
-        if np.any(self.sigma < 0):
+        if any(np.any(sigma < 0) for _, sigma in self.channels.values()):
             raise ValueError("sigma must be non-negative")
         if not np.all(np.isfinite(self.freq)):
             raise ValueError("freq must be finite")
 
-
-@dataclass
-class SpectrumDataset:
-    """A set of channels measured at one drive power."""
-
-    channels: List[SpectrumChannel]
-    power: Optional[float] = None
-
-    def dipoles(self) -> List[int]:
-        return sorted({ch.dipole for ch in self.channels})
-
     @classmethod
     def from_phasors(cls, series: PhasorSeries, dipole: int = 1,
                      power: Optional[float] = None, intensity_from: str = "offset",
-                     freq_window=None) -> "SpectrumDataset":
-        """Build phase + intensity channels from an extracted phasor series.
+                     freq_window=None) -> "Spectrum":
+        """The phase and an intensity-like channel of an extracted phasor series.
 
         ``intensity_from`` selects the offset ratio (I_t) or the amplitude
         ratio (|t|) as the intensity-like channel.  ``freq_window`` is an
@@ -108,61 +102,60 @@ class SpectrumDataset:
         if freq_window is not None:
             lo, hi = freq_window
             keep = (lo <= series.freq) & (series.freq <= hi)
-        channels = [SpectrumChannel(freq=series.freq[keep], values=v[keep], sigma=e[keep],
-                                    kind=k, dipole=dipole)
-                    for v, e, k in ((series.phase_shift, series.phase_err, PHASE),
-                                    (vals, errs, kind))]
-        return cls(channels=channels, power=power)
+        return cls(series.freq[keep], {PHASE: (series.phase_shift[keep], series.phase_err[keep]),
+                                       kind: (vals[keep], errs[keep])}, dipole, power)
 
 
 class _Points:
-    """The channels of a fit as one grid: their points concatenated in order,
-    each with its ``kind`` (an index into :data:`KINDS`) and ``dipole``.
+    """The points of ``spectra`` as one grid: spectrum after spectrum, and
+    within a spectrum its channels in the order of :data:`KINDS`.  Each point
+    has its ``kind`` (an index into KINDS) and ``row``, the index of its
+    frequency among the spectra's rows laid end to end; ``phase`` lists the
+    phase points.
 
-    ``drive`` (one value, or one per point) is what each point was taken at;
-    an emitter evaluated there sees omega_r**2 = k*drive for its own k.
+    An emitter is evaluated once per row, the site of every point read there:
+    the phase and the intensity point of one window share it.  ``drive`` (one
+    value, or one per row) is what each row was taken at; an emitter
+    evaluated there sees omega_r**2 = k*drive for its own k.
     """
 
-    def __init__(self, channels, drive=0.0):
-        sizes = [ch.freq.size for ch in channels]
-        self.freq = np.concatenate([ch.freq for ch in channels])
-        self.values = np.concatenate([ch.values for ch in channels])
-        self.sigma = np.concatenate([ch.sigma for ch in channels])
-        self.drive = np.broadcast_to(np.asarray(drive, dtype=float), self.freq.shape)
-        self.kind = np.repeat([KINDS.index(ch.kind) for ch in channels], sizes)
-        self.of_kind = {kind: np.flatnonzero(self.kind == i) for i, kind in enumerate(KINDS)}
-        self.dipole = np.repeat([ch.dipole for ch in channels], sizes)
-        self.of_dipole = {d: np.flatnonzero(self.dipole == d) for d in set(self.dipole.tolist())}
+    def __init__(self, spectra: Sequence[Spectrum], drive=0.0):
+        blocks = [(j, kind) for j, s in enumerate(spectra) for kind in s.channels]
+        first = np.cumsum([0] + [s.freq.size for s in spectra])
+        self.row_freq = np.concatenate([s.freq for s in spectra])
+        self.row_drive = np.broadcast_to(np.asarray(drive, dtype=float), self.row_freq.shape)
+        self.row_dipole = np.repeat([s.dipole for s in spectra], np.diff(first))
+        self.row = np.concatenate([np.arange(first[j], first[j + 1]) for j, _ in blocks])
+        self.kind = np.repeat([KINDS.index(kind) for _, kind in blocks],
+                              [spectra[j].freq.size for j, _ in blocks])
+        self.values, self.sigma = (np.concatenate([spectra[j].channels[kind][i]
+                                                   for j, kind in blocks]) for i in (0, 1))
+        self.phase = np.flatnonzero(self.kind == KINDS.index(PHASE))
+
+    def sites(self, dipole=None):
+        """The rows of ``dipole``'s spectra (None: of every spectrum), where
+        one emitter is evaluated, as ``(freq, drive, blocks, at)``.  Per-site
+        arrays of the channel kinds read there, laid end to end as
+        ``blocks``, ``(kind, slice)`` pairs, and followed by a zero, hand
+        every point its value by ``take(at)``; points of other spectra take
+        the zero."""
+        on = np.full(self.row_freq.size, True) if dipole is None else self.row_dipole == dipole
+        n, mine = np.count_nonzero(on), on[self.row]
+        read = np.bincount(self.kind[mine], minlength=len(KINDS)) > 0
+        at = np.full(self.row.size, np.count_nonzero(read) * n)
+        at[mine] = (np.cumsum(read) - 1)[self.kind[mine]] * n + (np.cumsum(on) - 1)[self.row[mine]]
+        blocks = [(kind, slice(slot * n, (slot + 1) * n))
+                  for slot, kind in enumerate(k for k, r in zip(KINDS, read) if r)]
+        return self.row_freq[on], self.row_drive[on], blocks, at
 
 
-class _Sites:
-    """The distinct (frequency, drive) pairs of the points ``index`` of a
-    grid (None: every point).
-
-    An emitter is evaluated once per site, however many channels read it:
-    the phase and the intensity point of one window share a site.  A
-    per-site array for each of ``kinds`` (the channel kinds among the
-    points), laid end to end and followed by a zero, hands every point of
-    the grid its value by ``take(at)``; points that are not among these
-    take the zero.
-    """
-
-    def __init__(self, points: _Points, index=None):
-        if index is None:
-            index = np.arange(points.freq.size)
-        # a complex key sorts and compares as the (freq, drive) pair
-        keys, site = np.unique(points.freq[index] + 1j * points.drive[index], return_inverse=True)
-        self.freq, self.drive = keys.real.copy(), keys.imag.copy()
-        kind_of = points.kind[index]
-        kinds = [(kind, kind_of == i) for i, kind in enumerate(KINDS)]
-        kinds = [(kind, mine) for kind, mine in kinds if mine.any()]
-        self.kinds = tuple(kind for kind, _ in kinds)
-        self.at = np.full(points.freq.size, len(kinds) * keys.size)
-        for slot, (_, mine) in enumerate(kinds):
-            self.at[index[mine]] = slot * keys.size + site[mine]
-        # ``(kind, slice)``: where each kind's per-site values sit end to end
-        self.blocks = [(kind, slice(slot * keys.size, (slot + 1) * keys.size))
-                       for slot, kind in enumerate(self.kinds)]
+def point_columns(spectra: Sequence[Spectrum]):
+    """Frequency, kind (an index into :data:`KINDS`), dipole and value of
+    every point of ``spectra``, in the order the fits and
+    :func:`two_dipole_model` take them."""
+    points = _Points(spectra)
+    return (points.row_freq[points.row], points.kind, points.row_dipole[points.row],
+            points.values)
 
 
 # the parameters the kernel differentiates an emitter by, in its row order:
@@ -172,13 +165,14 @@ _BETA, _GAMMA, _GAMMA_DP, _F0, _K = range(len(DERIVATIVE_ORDER))
 
 
 class _Factor(NamedTuple):
-    """An emitter as the kernel evaluates it on ``sites``: isotropic unless
+    """An emitter as the kernel evaluates it on ``sites``, the ``(freq, drive,
+    blocks, at)`` of :meth:`_Points.sites`: isotropic unless
     ``chiral``, at detuning 2*pi*(freq - f0) and omega_r**2 = k*drive.
     ``chain`` lists ``(param, row)``: the derivative by
     ``DERIVATIVE_ORDER[row]`` is the derivative by the fit's parameter
     ``param``, one Jacobian row."""
 
-    sites: _Sites
+    sites: tuple
     beta: float
     gamma: float
     gamma_dp: float
@@ -191,17 +185,17 @@ class _Factor(NamedTuple):
 def _site_response(f: _Factor, jac_rows=0):
     """Re t, Im t and I_t of ``f`` at its sites, in real arithmetic; with
     ``jac_rows`` > 0, also ``(coef, basis)``, whose product holds the
-    derivatives of what each kind of ``f.sites`` reads (arg t, ln|t| or I_t)
-    by the ``jac_rows`` parameters of a fit, zero for those not in the
-    chain, at the sites laid out as :attr:`_Sites.blocks`.
+    derivatives of what each kind read at ``f.sites`` reads (arg t, ln|t| or
+    I_t) by the ``jac_rows`` parameters of a fit, zero for those not in the
+    chain, at the sites laid out as their ``blocks``.
 
     The values are :func:`~wgphase.emitter.transmission`'s, from its s, gamma2,
     A and D at omega_r**2 = k*drive; derivatives cover isotropic coupling.
     """
     beta, gamma, gamma_dp, k = f.beta, f.gamma, f.gamma_dp, f.k
     s, g2, a = emitter._rates(beta, gamma, gamma_dp, f.chiral)
-    drive = f.sites.drive
-    delta = TWO_PI * (f.sites.freq - f.f0)
+    freq, drive, blocks, _ = f.sites
+    delta = TWO_PI * (freq - f.f0)
     re, im, i_t, inv = emitter._response(s, g2, a, gamma, delta, k * drive)
     if not jac_rows:
         return re, im, i_t, None
@@ -225,14 +219,14 @@ def _site_response(f: _Factor, jac_rows=0):
     coef = np.array([rows[row_of[param]] if param in row_of else (0.0,) * 7
                      for param in range(jac_rows)])
     c = s * inv
-    basis = np.zeros((7, len(f.sites.kinds) * delta.size + 1))
-    if PHASE in f.sites.kinds or AMPLITUDE in f.sites.kinds:
+    basis = np.zeros((7, len(blocks) * delta.size + 1))
+    if any(kind != INTENSITY for kind, _ in blocks):
         # a zero t, where arg t has no derivative, contributes none
         abs2 = re * re + im * im
         inv_abs2 = 1.0 / np.where(abs2 > 0.0, abs2, np.inf)
         c_abs2 = c * inv_abs2
         c_re, c_im = c_abs2 * re, c_abs2 * im
-    for kind, block in f.sites.blocks:
+    for kind, block in blocks:
         b = basis[:, block]
         if kind == PHASE:
             np.multiply(q_im, inv_abs2, out=b[3])
@@ -254,74 +248,68 @@ def _site_response(f: _Factor, jac_rows=0):
     return re, im, i_t, (coef, basis)
 
 
-def _kernel(points: _Points, factors, phi0, product=False, jac=None) -> np.ndarray:
-    """Model values on ``points``; with ``jac`` given, an array of zeros with
-    one row per parameter and one column per point, their derivatives are
-    added into it.
+def _kernel(factors, phi0, jac=None) -> np.ndarray:
+    """Model values of the product of the ``factors``' transmissions at the
+    points their shared sites hand values to, zero at the others; with
+    ``jac`` given, an array of zeros with one row per parameter and one
+    column per point, their derivatives are added into it.
 
-    Each :class:`_Factor` is evaluated once per site of its points.  Under
-    ``product`` the factors share their sites, which cover every point, and
-    their transmissions multiply; otherwise their points are disjoint.  The
-    product t is projected per site on the channel kinds read there (arg t +
-    phi0, |t| or I_t) and handed to the points of each kind.  The phi0 row
-    is the caller's.
+    Each :class:`_Factor` is evaluated once per site, and the product t is
+    projected per site on the channel kinds read there (arg t + phi0, |t| or
+    I_t) and handed to the points of each kind.  The phi0 row is the caller's.
     """
-    values = 0.0
-    for group in [factors] if product else [[f] for f in factors]:
-        sites = group[0].sites
-        responses = [_site_response(f, 0 if jac is None else jac.shape[0]) for f in group]
-        re, im, i_t, _ = responses[0]
-        for re_k, im_k, i_k, _ in responses[1:]:
-            re, im, i_t = re * re_k - im * im_k, re * im_k + im * re_k, i_t * i_k
-        projected = np.zeros(len(sites.kinds) * re.size + 1)
-        for kind, block in sites.blocks:
-            projected[block] = (np.arctan2(im, re) + phi0 if kind == PHASE
-                                else np.hypot(re, im) if kind == AMPLITUDE else i_t)
-        values = values + projected.take(sites.at)
-        if jac is None:
-            continue
-        for k, (f, (_, _, _, (coef, basis))) in enumerate(zip(group, responses)):
-            # d|t| = |t| d ln|t_k|, and I_t differentiates by the product rule
-            for kind, block in sites.blocks:
-                if kind == AMPLITUDE:
-                    basis[:, block] *= projected[block]
-                elif kind == INTENSITY:
-                    for j, (_, _, i_j, _) in enumerate(responses):
-                        if j != k:
-                            basis[:, block] *= i_j
-            jac += (coef @ basis).take(sites.at, axis=1)
+    _, _, blocks, at = factors[0].sites
+    responses = [_site_response(f, 0 if jac is None else jac.shape[0]) for f in factors]
+    re, im, i_t, _ = responses[0]
+    for re_k, im_k, i_k, _ in responses[1:]:
+        re, im, i_t = re * re_k - im * im_k, re * im_k + im * re_k, i_t * i_k
+    projected = np.zeros(len(blocks) * re.size + 1)
+    for kind, block in blocks:
+        projected[block] = (np.arctan2(im, re) + phi0 if kind == PHASE
+                            else np.hypot(re, im) if kind == AMPLITUDE else i_t)
+    values = projected.take(at)
+    if jac is None:
+        return values
+    for k, (_, _, _, (coef, basis)) in enumerate(responses):
+        # d|t| = |t| d ln|t_k|, and I_t differentiates by the product rule
+        for kind, block in blocks:
+            if kind == AMPLITUDE:
+                basis[:, block] *= projected[block]
+            elif kind == INTENSITY:
+                for j, (_, _, i_j, _) in enumerate(responses):
+                    if j != k:
+                        basis[:, block] *= i_j
+        jac += (coef @ basis).take(at, axis=1)
     return values
 
 
-def channel_model(ch: SpectrumChannel, params, omega_r=0.0) -> np.ndarray:
-    """Model values for one channel, every emitter driven at ``omega_r``
-    (a scalar or one value per point).
+def channel_model(spectrum: Spectrum, params, omega_r=0.0) -> np.ndarray:
+    """Model values for the channels of one spectrum, concatenated in order,
+    every emitter driven at ``omega_r`` (a scalar or one value per row).
 
     ``params`` is one :class:`EmitterParams`, or a sequence of them whose
     transmissions multiply (overlapping resonances in series); the product
-    is projected onto the channel kind, with the phase offset of the first.
+    is projected onto each channel kind, with the phase offset of the first.
     """
     if isinstance(params, EmitterParams):
         params = (params,)
-    points = _Points([ch], drive=emitter._rabi_squared(omega_r))
-    sites = _Sites(points)
-    return _kernel(points, [_Factor(sites, p.beta, p.gamma, p.gamma_dp, p.f0, 1.0,
-                                    chiral=p.is_chiral) for p in params],
-                   params[0].phi0, product=True)
+    sites = _Points([spectrum], drive=emitter._rabi_squared(omega_r)).sites()
+    return _kernel([_Factor(sites, p.beta, p.gamma, p.gamma_dp, p.f0, 1.0, chiral=p.is_chiral)
+                    for p in params], params[0].phi0)
 
 
-def two_dipole_model(data: SpectrumDataset, x, combine: str = "isolated") -> np.ndarray:
-    """Model values of the channels of ``data``, concatenated in order, at a
-    parameter vector of :func:`fit_two_dipole_spectra`.
+def two_dipole_model(spectra: Sequence[Spectrum], x, combine: str = "isolated") -> np.ndarray:
+    """Model values of the channels of ``spectra``, concatenated in order, at
+    a parameter vector of :func:`fit_two_dipole_spectra`.
 
-    ``x`` holds (beta_d, gamma_d, f0_d) for each dipole of ``data`` in
+    ``x`` holds (beta_d, gamma_d, f0_d) for each dipole of ``spectra`` in
     ascending order, then the shared gamma_dp and phi0.  Under ``product``
     every dipole's transmission multiplies into every channel.  ValueError
     naming the parameter for a beta outside [0, 1], a gamma that is not
     positive or a negative gamma_dp.
     """
     x = np.asarray(x, dtype=float)
-    dipoles = data.dipoles()
+    dipoles = sorted({s.dipole for s in spectra})
     for i, d in enumerate(dipoles):
         if not 0.0 <= x[3 * i] <= 1.0:
             raise ValueError(f"beta{d} must be in [0, 1], got {x[3 * i]}")
@@ -329,7 +317,7 @@ def two_dipole_model(data: SpectrumDataset, x, combine: str = "isolated") -> np.
             raise ValueError(f"gamma{d} must be > 0, got {x[3 * i + 1]}")
     if not x[-2] >= 0.0:
         raise ValueError(f"gamma_dp must be >= 0, got {x[-2]}")
-    return _two_dipole(_Points(data.channels), dipoles, combine)(x)
+    return _two_dipole(_Points(spectra), dipoles, combine)(x)
 
 
 def _two_dipole(points: _Points, dipoles, combine):
@@ -338,8 +326,8 @@ def _two_dipole(points: _Points, dipoles, combine):
     if combine not in ("isolated", "product"):
         raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
     product = combine == "product"
-    shared = _Sites(points) if product else None  # every dipole's factor covers every point
-    sites = [shared or _Sites(points, points.of_dipole[d]) for d in dipoles]
+    # under product every dipole's factor covers every point
+    sites = [points.sites()] * len(dipoles) if product else [points.sites(d) for d in dipoles]
     chains = [((3 * i, _BETA), (3 * i + 1, _GAMMA), (3 * len(dipoles), _GAMMA_DP),
                (3 * i + 2, _F0)) for i in range(len(dipoles))]
 
@@ -348,70 +336,73 @@ def _two_dipole(points: _Points, dipoles, combine):
         gamma_dp, phi0 = x[-2], x[-1]
         factors = [_Factor(on, x[3 * i], x[3 * i + 1], gamma_dp, x[3 * i + 2], chain=chain)
                    for i, (on, chain) in enumerate(zip(sites, chains))]
-        values = _kernel(points, factors, phi0, product, jac)
+        # the points of isolated factors are disjoint, each taking zero from the others
+        values = sum(_kernel(group, phi0, jac)
+                     for group in ([factors] if product else [[f] for f in factors]))
         if jac is not None:
-            jac[-1, points.of_kind[PHASE]] = 1.0
+            jac[-1, points.phase] = 1.0
         return values
 
     return model
 
 
-def initial_guess(dataset: SpectrumDataset, dipole: int) -> dict:
-    """Deterministic starting point for one dipole from its own channels.
+def initial_guess(spectra: Sequence[Spectrum], dipole: int) -> dict:
+    """Deterministic starting point for one dipole from its own spectra, the
+    first of them that carries each channel kind.
 
     gamma2 comes from the intensity-dip full width, beta from the dip depth
     (assuming no dephasing), gamma_dp from the shortfall of the observed
     phase extremum against the dephasing-free prediction, and phi0 from the
     far-detuned mean of the phase channel.
     """
-    phase_ch = _find_channel(dataset, PHASE, dipole)
-    int_ch = _find_channel(dataset, INTENSITY, dipole) or _find_channel(dataset, AMPLITUDE, dipole)
-    src = int_ch if int_ch is not None else phase_ch
-    if src is None:
+    found = {}  # (freq, values) of each kind, from the first spectrum that carries it
+    for s in spectra:
+        if s.dipole == dipole:
+            for kind, (values, _) in s.channels.items():
+                found.setdefault(kind, (s.freq, values))
+    if INTENSITY not in found and AMPLITUDE in found:
+        freq, values = found[AMPLITUDE]
+        found[INTENSITY] = freq, values**2
+    if not found:
         raise ValueError(f"no channels for dipole {dipole}")
 
-    if int_ch is not None:
-        vals = int_ch.values if int_ch.kind == INTENSITY else int_ch.values**2
+    if INTENSITY in found:
+        freq, vals = found[INTENSITY]
         i_dip = int(np.argmin(vals))
-        f0 = float(int_ch.freq[i_dip])
+        f0 = float(freq[i_dip])
         depth = float(np.clip(1.0 - vals[i_dip], 1e-3, 0.999))
         half = 1.0 - depth / 2.0
         below = vals <= half
         if np.any(below):
-            fwhm_ghz = float(int_ch.freq[below][-1] - int_ch.freq[below][0])
+            fwhm_ghz = float(freq[below][-1] - freq[below][0])
         else:
-            fwhm_ghz = float(int_ch.freq[-1] - int_ch.freq[0]) / 4.0
+            fwhm_ghz = float(freq[-1] - freq[0]) / 4.0
         gamma2 = max(TWO_PI * fwhm_ghz / 2.0, 1e-3)
     else:
-        i_dip = int(np.argmax(np.abs(phase_ch.values - np.median(phase_ch.values))))
-        f0 = float(phase_ch.freq[i_dip])
+        freq, phase = found[PHASE]
+        i_dip = int(np.argmax(np.abs(phase - np.median(phase))))
+        f0 = float(freq[i_dip])
         depth = 0.5
-        gamma2 = max(TWO_PI * (phase_ch.freq[-1] - phase_ch.freq[0]) / 8.0, 1e-3)
+        gamma2 = max(TWO_PI * (freq[-1] - freq[0]) / 8.0, 1e-3)
 
     beta = float(np.clip(1.0 - np.sqrt(1.0 - depth), 0.05, 1.0))
     gamma = 2.0 * gamma2
     gamma_dp = 0.0
 
     phi0 = 0.0
-    if phase_ch is not None:
-        n_edge = max(phase_ch.freq.size // 10, 2)
-        edges = np.r_[phase_ch.values[:n_edge], phase_ch.values[-n_edge:]]
+    if PHASE in found:
+        phase = found[PHASE][1]
+        n_edge = max(phase.size // 10, 2)
+        edges = np.r_[phase[:n_edge], phase[-n_edge:]]
         phi0 = float(np.mean(edges))
         # dephasing shrinks the phase extremum below the gamma_dp = 0 value
-        observed = float(np.max(np.abs(phase_ch.values - phi0)))
+        observed = float(np.max(np.abs(phase - phi0)))
         s = beta * gamma / 2.0
         if observed > 1e-6:
             tan_obs = np.tan(min(observed, np.pi / 2 - 1e-6))
             g2_eff = 0.5 * s * (1.0 + np.sqrt(1.0 + 1.0 / tan_obs**2))
             gamma_dp = float(np.clip(g2_eff - gamma / 2.0, 0.0, None))
     return {"beta": beta, "gamma": gamma, "gamma_dp": gamma_dp, "f0": f0, "phi0": phi0}
-
-
-def _find_channel(dataset: SpectrumDataset, kind: str, dipole: int):
-    for ch in dataset.channels:
-        if ch.kind == kind and ch.dipole == dipole:
-            return ch
-    return None
 
 
 def check_fit_values(init: Optional[dict] = None, bounds: Optional[dict] = None):
@@ -466,7 +457,7 @@ def _fit(points: _Points, model, names, start, lo, hi, bounds, max_iter) -> FitR
             raise ValueError(f"fit.bounds.{key}: {pair!r} leaves nothing of the parameter's "
                              f"range [{box[0]:g}, {box[1]:g}]")
     x0 = [min(max(v, l), h) for v, l, h in zip(start, lo, hi)]
-    values, sigma, phase = points.values, points.sigma, points.of_kind[PHASE]
+    values, sigma, phase = points.values, points.sigma, points.phase
     # inverse-variance; low-contrast points keep their (large) fitted sigma
     used = np.isfinite(values) & np.isfinite(sigma) & (sigma > 0)
     weights = np.where(used, 1.0 / np.where(used, sigma, 1.0), 0.0)
@@ -485,7 +476,7 @@ def _fit(points: _Points, model, names, start, lo, hi, bounds, max_iter) -> FitR
     return lm_minimize(fun, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
 
 
-def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
+def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = None,
                            bounds: Optional[dict] = None, combine: str = "isolated",
                            max_iter: int = 500) -> FitResult:
     """Joint weighted fit of phase and intensity spectra of any number of dipoles.
@@ -497,11 +488,11 @@ def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
     Returns ``converged=False`` with a flat-direction diagnostic for
     non-identifiable inputs.
     """
-    dipoles = data.dipoles()
+    dipoles = sorted({s.dipole for s in spectra})
     if not dipoles:
-        raise ValueError("dataset has no channels")
+        raise ValueError("no spectra to fit")
 
-    guesses = {d: initial_guess(data, d) for d in dipoles}
+    guesses = {d: initial_guess(spectra, d) for d in dipoles}
     defaults = {f"{key}{d}": guesses[d][key] for d in dipoles for key in ("beta", "gamma", "f0")}
     defaults.update((key, guesses[dipoles[0]][key]) for key in ("gamma_dp", "phi0"))
     start = _start(defaults, init, {key: [f"{key}{d}" for d in dipoles]
@@ -510,7 +501,7 @@ def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
     lo = [b for f0 in f0s for b in (0.0, 1e-6, f0 - 50.0)] + [0.0, -np.pi]
     hi = [b for f0 in f0s for b in (1.0, np.inf, f0 + 50.0)] + [np.inf, np.pi]
     names = list(defaults)
-    points = _Points(data.channels)
+    points = _Points(spectra)
     result = _fit(points, _two_dipole(points, dipoles, combine), names,
                   [start[n] for n in names], lo, hi, bounds, max_iter)
     if result.flat_directions:
@@ -519,50 +510,55 @@ def fit_two_dipole_spectra(data: SpectrumDataset, init: Optional[dict] = None,
     return result
 
 
-def fit_saturation_series(datasets: Sequence[SpectrumDataset], init: Optional[dict] = None,
+def fit_saturation_series(spectra: Sequence[Spectrum], init: Optional[dict] = None,
                           bounds: Optional[dict] = None, max_iter: int = 500) -> FitResult:
     """Global fit of spectra taken at several drive powers.
 
-    Parameters (beta, gamma, gamma_dp, phi0, k) are shared across datasets;
-    dataset j is driven at omega_r = sqrt(k * P_j).  ``init`` may also set
-    the resonance f0, which the fit holds fixed.  Needs >= 3 power levels,
-    otherwise k is not identifiable.
+    Parameters (beta, gamma, gamma_dp, phi0, k) are shared across spectra;
+    spectrum j is driven at omega_r = sqrt(k * P_j), P_j its ``power``.
+    ``init`` may also set the resonance f0, which the fit holds fixed.
+    Needs >= 3 power levels, otherwise k is not identifiable.  A k that ends
+    on the floor k = 0 is reported as a flat direction; one that ends on a
+    higher floor set by ``bounds`` is named in the message.
     """
-    datasets = list(datasets)
-    powers = [ds.power for ds in datasets]
+    spectra = list(spectra)
+    powers = [s.power for s in spectra]
     if any(pw is None for pw in powers):
-        raise ValueError("every dataset needs a recorded power level")
+        raise ValueError("every spectrum needs a recorded power level")
     if len({float(pw) for pw in powers}) < 3:
         raise ValueError(
             "k is unidentifiable: need >= 3 distinct power levels, "
             f"got {sorted({float(pw) for pw in powers})}")
 
-    lowest = min(range(len(datasets)), key=lambda i: powers[i])
-    guess = initial_guess(datasets[lowest], datasets[lowest].dipoles()[0])
+    lowest = min(powers)
+    at_lowest = [s for s in spectra if s.power == lowest]
+    guess = initial_guess(at_lowest, at_lowest[0].dipole)
     start = _start({**guess, "k": 0.0}, init, {})
     names = ["beta", "gamma", "gamma_dp", "phi0", "k"]
     lo = [0.0, 1e-6, 0.0, -np.pi, 0.0]
 
-    power = np.repeat([float(ds.power) for ds in datasets],
-                      [sum(ch.freq.size for ch in ds.channels) for ds in datasets])
-    points = _Points([ch for ds in datasets for ch in ds.channels], drive=power)
-    sites = _Sites(points)
+    points = _Points(spectra, drive=np.repeat([float(pw) for pw in powers],
+                                              [s.freq.size for s in spectra]))
+    sites = points.sites()
     chain = ((0, _BETA), (1, _GAMMA), (2, _GAMMA_DP), (4, _K))
 
     def model(x, jac):
-        # every dataset in one call, at its own omega_r**2 = k*P; f0 is held
+        # every spectrum in one call, at its own omega_r**2 = k*P; f0 is held
         beta, gamma, gamma_dp, phi0, k = x.tolist()
         factor = _Factor(sites, beta, gamma, gamma_dp, start["f0"], k, chain)
-        values = _kernel(points, [factor], phi0, jac=jac)
-        jac[3, points.of_kind[PHASE]] = 1.0
+        values = _kernel([factor], phi0, jac)
+        jac[3, points.phase] = 1.0
         return values
 
     result = _fit(points, model, names, [start[n] for n in names], lo,
                   [1.0, np.inf, np.inf, np.pi, np.inf], bounds, max_iter)
     if result["k"] <= lo[4] + 1e-12:
-        result.message += "; k pinned at lower bound (series shows no saturation)"
-        if "k" not in result.flat_directions:
-            result.flat_directions.append("k")
+        if lo[4] > 0.0:  # a fit.bounds.k floor, which _fit set in lo
+            result.message += f"; k held at its fit.bounds.k floor {lo[4]:g}"
+        else:
+            result.message += "; k pinned at lower bound (series shows no saturation)"
+            if "k" not in result.flat_directions:
+                result.flat_directions.append("k")
     return result
 
 

@@ -18,8 +18,8 @@ from wgphase.emitter import (EmitterParams, chiral_thresholds, critical_photon_f
 from wgphase.extraction import estimate_path_length_fft
 from wgphase.interferometer import (InterferometerConfig, apply_shot_noise,
                                     fringe_trace)
-from wgphase.spectra import (SpectrumChannel, SpectrumDataset, fit_saturation_series,
-                             fit_two_dipole_spectra, predict_phase_vs_power)
+from wgphase.spectra import (Spectrum, fit_saturation_series, fit_two_dipole_spectra,
+                             predict_phase_vs_power)
 from wgphase.units import detuning_angular
 
 
@@ -164,17 +164,16 @@ def test_criterion_5_table_round_trip():
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        channels = []
+        records = []
         for p, dipole in ((p1, 1), (p2, 2)):
             freq = grids[dipole]
             t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0)
             phase = np.angle(t) + p.phi0 + rng.normal(0, sigma, freq.size)
             inten = i_t + rng.normal(0, sigma, freq.size)
-            channels.append(SpectrumChannel(freq, phase, np.full(freq.size, sigma),
-                                            "phase", dipole))
-            channels.append(SpectrumChannel(freq, inten, np.full(freq.size, sigma),
-                                            "intensity", dipole))
-        res = fit_two_dipole_spectra(SpectrumDataset(channels=channels))
+            sig = np.full(freq.size, sigma)
+            records.append(Spectrum(freq, {"phase": (phase, sig), "intensity": (inten, sig)},
+                                    dipole))
+        res = fit_two_dipole_spectra(records)
         good = res.converged
         for name, want in TRUTH_TABLE.items():
             if abs(res[name] - want) > 3 * REF_SIGMA[name]:
@@ -200,10 +199,9 @@ def test_criterion_6_saturation_round_trip():
         t, i_t = transmission(truth, detuning_angular(freq, 0.0), np.sqrt(power))
         phase = np.angle(t) + truth.phi0 + rng.normal(0, 0.02, freq.size)
         inten = i_t + rng.normal(0, 0.02, freq.size)
-        datasets.append(SpectrumDataset(channels=[
-            SpectrumChannel(freq, phase, np.full(freq.size, 0.02), "phase"),
-            SpectrumChannel(freq, inten, np.full(freq.size, 0.02), "intensity")],
-            power=power))
+        sigma = np.full(freq.size, 0.02)
+        datasets.append(Spectrum(freq, {"phase": (phase, sigma), "intensity": (inten, sigma)},
+                                 power=power))
     res = fit_saturation_series(datasets)
     inside = {name: lo <= res[name] <= hi for name, (lo, hi) in SAT_INTERVALS.items()}
     fitted = EmitterParams.isotropic(gamma=res["gamma"], beta=res["beta"],

@@ -5,6 +5,7 @@ import hashlib
 import json
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -377,9 +378,11 @@ def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_fil
                    "--out", str(out), "fit", *files)
     assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
     (fun, result), = fits
-    channels = [ch for d, path in enumerate(files, start=1)
-                for ch in spectra.SpectrumDataset.from_phasors(parse_phasors_csv(path),
-                                                              dipole=d).channels]
+    # the fit's points: file by file, the channels of each in spectra.KINDS order
+    channels = [SimpleNamespace(freq=s.freq, values=values, sigma=sigma, kind=kind, dipole=d)
+                for d, path in enumerate(files, start=1)
+                for s in [spectra.Spectrum.from_phasors(parse_phasors_csv(path), dipole=d)]
+                for kind, (values, sigma) in s.channels.items()]
     rows = np.loadtxt(out / "residuals.csv", delimiter=",", skiprows=1)
     assert rows.shape == (sum(ch.freq.size for ch in channels), 5)
     start, blocks = 0, []

@@ -9,7 +9,7 @@ import pytest
 from wgphase import spectra
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.lm import fd_step, jacobian_fd
-from wgphase.spectra import SpectrumChannel, SpectrumDataset
+from wgphase.spectra import Spectrum
 from wgphase.units import detuning_angular
 
 DIPOLE1 = EmitterParams.isotropic(gamma=9.4, gamma_dp=3.9, beta=0.94, f0=0.0, phi0=-0.25)
@@ -17,31 +17,30 @@ DIPOLE2 = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, f0=6.0, ph
 POWER_SCALES = (0.1, 0.3, 1.0, 3.0, 10.0)
 
 
-def noisy_channels(p, freq, dipole, rng, omega=0.0, second="intensity"):
+def noisy_spectrum(p, freq, dipole, rng, omega=0.0, second="intensity", power=None):
     """Phase and an intensity-like channel of ``p`` with 1e-3 noise."""
     t, i_t = transmission(p, detuning_angular(freq, p.f0), omega)
     second_values = i_t if second == "intensity" else np.abs(t)
     sigma = np.full(freq.size, 1e-3)
-    return [SpectrumChannel(freq, np.angle(t) + p.phi0 + rng.normal(0, 1e-3, freq.size),
-                            sigma, "phase", dipole),
-            SpectrumChannel(freq, second_values + rng.normal(0, 1e-3, freq.size),
-                            sigma, second, dipole)]
+    phase = np.angle(t) + p.phi0 + rng.normal(0, 1e-3, freq.size)
+    return Spectrum(freq, {"phase": (phase, sigma),
+                           second: (second_values + rng.normal(0, 1e-3, freq.size), sigma)},
+                    dipole, power)
 
 
 def saturation_datasets(rng, second="intensity"):
     truth = EmitterParams.isotropic(gamma=12.6, gamma_dp=3.4, beta=0.95, phi0=-0.26)
     om_sat2 = truth.gamma * truth.gamma2 / 4.0
-    return [SpectrumDataset(noisy_channels(truth, np.linspace(-8, 8, 41), 1, rng,
-                                           omega=np.sqrt(scale * om_sat2), second=second),
-                            power=scale * om_sat2)
+    return [noisy_spectrum(truth, np.linspace(-8, 8, 41), 1, rng, omega=np.sqrt(scale * om_sat2),
+                           second=second, power=scale * om_sat2)
             for scale in POWER_SCALES]
 
 
 def two_dipole_dataset(rng, n_dipoles, second="intensity"):
-    chs = noisy_channels(DIPOLE1, np.linspace(-6, 10, 41), 1, rng, second=second)
+    records = [noisy_spectrum(DIPOLE1, np.linspace(-6, 10, 41), 1, rng, second=second)]
     if n_dipoles == 2:
-        chs += noisy_channels(DIPOLE2, np.linspace(-2, 14, 41), 2, rng)
-    return SpectrumDataset(channels=chs)
+        records.append(noisy_spectrum(DIPOLE2, np.linspace(-2, 14, 41), 2, rng))
+    return records
 
 
 def product_dataset(rng):
@@ -50,10 +49,10 @@ def product_dataset(rng):
     t1, i1 = transmission(DIPOLE1.with_(f0=-1.5), detuning_angular(freq, -1.5), 0.0)
     t2, i2 = transmission(DIPOLE2.with_(f0=1.5), detuning_angular(freq, 1.5), 0.0)
     sigma = np.full(freq.size, 1e-3)
-    return SpectrumDataset(channels=[
-        SpectrumChannel(freq, values + rng.normal(0, 1e-3, freq.size), sigma, kind, d)
-        for d in (1, 2) for values, kind in ((np.angle(t1 * t2) + DIPOLE1.phi0, "phase"),
-                                             (i1 * i2, "intensity"))])
+    return [Spectrum(freq, {kind: (values + rng.normal(0, 1e-3, freq.size), sigma)
+                            for values, kind in ((np.angle(t1 * t2) + DIPOLE1.phi0, "phase"),
+                                                 (i1 * i2, "intensity"))}, d)
+            for d in (1, 2)]
 
 
 class Captured(Exception):

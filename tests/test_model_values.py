@@ -1,10 +1,11 @@
 """The fits' model values against direct projections of ``transmission``.
 
-The fits evaluate each emitter once per distinct (frequency, drive) site
-and hand that value to every channel read there.  These cases share sites
-between channels, share only some of them, and share none, so a point
-handed the value of another site shows up as a mismatch with the closed
-form, projected as arg t + phi0, |t| or I_t.
+The fits evaluate each emitter once per row of a spectrum's grid and hand
+that value to every channel the spectrum carries there.  These cases put
+channels on one grid, on grids that share only some frequencies, and on
+grids of different dipoles, so a point handed the value of another row shows
+up as a mismatch with the closed form, projected as arg t + phi0, |t| or
+I_t.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from test_jacobian import captured_fun
 from wgphase import spectra
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.extraction import PhasorSeries
-from wgphase.spectra import SpectrumChannel, SpectrumDataset, channel_model, two_dipole_model
+from wgphase.spectra import Spectrum, channel_model, two_dipole_model
 from wgphase.units import detuning_angular, wrap_angle
 
 TOL = 1e-12
@@ -35,12 +36,15 @@ def closed_form(kind, emitters, freq, omega=0.0):
 
 
 def channel(kind, freq, dipole=1):
-    return SpectrumChannel(freq, np.zeros(freq.size), np.ones(freq.size), kind, dipole)
+    return Spectrum(freq, {kind: (np.zeros(freq.size), np.ones(freq.size))}, dipole)
 
 
 def by_channel(data, values):
-    """``values`` of ``data``'s concatenated channels, split per channel."""
-    return np.split(values, np.cumsum([ch.freq.size for ch in data.channels])[:-1])
+    """``(kind, dipole, freq, values)`` of each channel of ``data``, whose
+    concatenated channels ``values`` holds."""
+    channels = [(kind, s.dipole, s.freq) for s in data for kind in s.channels]
+    split = np.split(values, np.cumsum([freq.size for _, _, freq in channels])[:-1])
+    return [(*ch, got) for ch, got in zip(channels, split)]
 
 
 def dipole_params(x, i):
@@ -71,17 +75,16 @@ def test_two_dipole_model_on_unshared_and_cut_grids_matches_closed_form(combine)
     series = PhasorSeries(freq=series_freq, phase_shift=zeros, phase_err=zeros + 1.0,
                           amp_ratio=zeros, amp_err=zeros + 1.0, offset_ratio=zeros,
                           offset_err=zeros + 1.0, low_contrast=zeros.astype(bool))
-    cut = SpectrumDataset.from_phasors(series, dipole=2, freq_window=(0.5, 6.0))
-    data = SpectrumDataset([channel("phase", grid1), channel("amplitude", grid1[::2]),
-                            channel("intensity", np.linspace(-5.0, 5.0, 23)),
-                            *cut.channels])
-    assert cut.channels[0].freq.size < series_freq.size
+    cut = Spectrum.from_phasors(series, dipole=2, freq_window=(0.5, 6.0))
+    data = [channel("phase", grid1), channel("amplitude", grid1[::2]),
+            channel("intensity", np.linspace(-5.0, 5.0, 23)), cut]
+    assert cut.freq.size < series_freq.size
     x = np.array([0.94, 9.4, 0.0, 0.8, 12.3, 2.5, 3.9, -0.25])
     emitters = {1: [dipole_params(x, 0)], 2: [dipole_params(x, 1)]}
     if combine == "product":
         emitters = {d: [dipole_params(x, 0), dipole_params(x, 1)] for d in (1, 2)}
-    for ch, got in zip(data.channels, by_channel(data, two_dipole_model(data, x, combine))):
-        np.testing.assert_allclose(got, closed_form(ch.kind, emitters[ch.dipole], ch.freq),
+    for kind, dipole, freq, got in by_channel(data, two_dipole_model(data, x, combine)):
+        np.testing.assert_allclose(got, closed_form(kind, emitters[dipole], freq),
                                    rtol=0, atol=TOL)
 
 
@@ -89,12 +92,13 @@ def test_two_dipole_model_multiplies_three_dipoles_under_product():
     # every channel holds the product of all three transmissions; the product
     # rule used to apply only to exactly two dipoles
     freq = np.linspace(-8.0, 8.0, 33)
-    data = SpectrumDataset([channel(kind, freq, d) for d in (1, 2, 3)
-                            for kind in ("phase", "intensity", "amplitude")])
+    data = [Spectrum(freq, {kind: (np.zeros(freq.size), np.ones(freq.size))
+                            for kind in ("phase", "intensity", "amplitude")}, d)
+            for d in (1, 2, 3)]
     x = np.array([0.94, 9.4, -4.0, 0.8, 12.3, 0.0, 0.97, 11.0, 4.0, 3.9, -0.25])
     emitters = [dipole_params(x, i) for i in range(3)]
-    for ch, got in zip(data.channels, by_channel(data, two_dipole_model(data, x, "product"))):
-        np.testing.assert_allclose(got, closed_form(ch.kind, emitters, ch.freq), rtol=0, atol=TOL)
+    for kind, _, freq, got in by_channel(data, two_dipole_model(data, x, "product")):
+        np.testing.assert_allclose(got, closed_form(kind, emitters, freq), rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("at, value, named", [
@@ -102,7 +106,7 @@ def test_two_dipole_model_multiplies_three_dipoles_under_product():
 def test_two_dipole_model_outside_the_physical_range_raises(at, value, named):
     # was clipped to the nearest physical value, in silence
     freq = np.linspace(-8.0, 8.0, 17)
-    data = SpectrumDataset([channel("phase", freq, d) for d in (1, 2)])
+    data = [channel("phase", freq, d) for d in (1, 2)]
     x = np.array([0.94, 9.4, 0.0, 0.8, 12.3, 2.5, 3.9, -0.25])
     x[at] = value
     with pytest.raises(ValueError, match=named):
@@ -120,10 +124,9 @@ def test_saturation_model_at_each_power_matches_closed_form(monkeypatch):
         # the intensity grid shares only some sites with the phase grid
         int_freq = np.linspace(-8.0, 8.0, 17) + (0.25 if j % 2 else 0.0)
         omega = np.sqrt(k * power)
-        chs = [SpectrumChannel(f, closed_form(kind, [truth], f, omega), np.full(f.size, sigma),
-                               kind) for kind, f in (("phase", phase_freq),
-                                                     ("intensity", int_freq))]
-        datasets.append(SpectrumDataset(chs, power=power))
+        datasets += [Spectrum(f, {kind: (closed_form(kind, [truth], f, omega),
+                                         np.full(f.size, sigma))}, power=power)
+                     for kind, f in (("phase", phase_freq), ("intensity", int_freq))]
     fun = captured_fun(monkeypatch, spectra.fit_saturation_series, datasets, init={"f0": 0.0})
     r, _ = fun(np.array([truth.beta, truth.gamma, truth.gamma_dp, truth.phi0, k]))
     assert np.max(np.abs(wrap_angle(r * sigma))) <= TOL

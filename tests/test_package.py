@@ -39,3 +39,19 @@ def test_test_oracles_are_not_public():
     oracles = {"phase_extrema_numeric", "NumericExtremum", "channel_model"}
     assert oracles.isdisjoint(wgphase.__all__)
     assert not any(hasattr(wgphase, name) for name in oracles)
+
+
+def test_readme_library_tour_example_runs(capsys):
+    # the README's library example, run as written: simulate, extract and fit
+    # through the package's public names, recovering its emitter
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme[readme.index("## Library tour"):]
+    example = example[example.index("```python\n") + 10:]
+    scope = {}
+    exec(example[:example.index("```")], scope)
+    fit = scope["fit"]
+    assert fit.converged, fit.message
+    truth = {"beta1": 1.0, "gamma1": 12.3, "f01": 0.0, "gamma_dp": 3.9, "phi0": -0.25}
+    for name, want in truth.items():
+        assert abs(fit[name] - want) <= 3 * fit.error(name), name
+    assert "'gamma_dp'" in capsys.readouterr().out

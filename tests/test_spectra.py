@@ -11,37 +11,38 @@ from wgphase.emitter import (EmitterParams, critical_photon_flux, phase_extrema_
 from wgphase.extraction import ExtractionConfig, extract_phasor_series
 from wgphase.interferometer import (InterferometerConfig, apply_shot_noise,
                                     fringe_trace)
-from wgphase.spectra import (SpectrumChannel, SpectrumDataset, channel_model,
-                             fit_saturation_series, fit_two_dipole_spectra, initial_guess,
-                             predict_phase_vs_power)
+from wgphase.spectra import (Spectrum, channel_model, fit_saturation_series,
+                             fit_two_dipole_spectra, initial_guess, predict_phase_vs_power)
 from wgphase.units import detuning_angular
 
 DIPOLE1 = EmitterParams.isotropic(gamma=9.4, gamma_dp=3.9, beta=0.94, f0=0.0, phi0=-0.25)
 DIPOLE2 = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, f0=15.0, phi0=-0.25)
 
 
-def synth_channels(p, freq, dipole, sigma_phase=1e-3, sigma_int=1e-3, rng=None, omega=0.0):
+def synth_spectrum(p, freq, dipole, sigma_phase=1e-3, sigma_int=1e-3, rng=None, omega=0.0,
+                   power=None):
     t, i_t = transmission(p, detuning_angular(freq, p.f0), omega)
     phase = np.angle(t) + p.phi0
     intensity = i_t
     if rng is not None:
         phase = phase + rng.normal(0, sigma_phase, freq.size)
         intensity = intensity + rng.normal(0, sigma_int, freq.size)
-    return [SpectrumChannel(freq, phase, np.full(freq.size, sigma_phase), "phase", dipole),
-            SpectrumChannel(freq, intensity, np.full(freq.size, sigma_int), "intensity", dipole)]
+    return Spectrum(freq, {"phase": (phase, np.full(freq.size, sigma_phase)),
+                           "intensity": (intensity, np.full(freq.size, sigma_int))},
+                    dipole, power)
 
 
 def test_channel_validation():
     with pytest.raises(ValueError):
-        SpectrumChannel(np.arange(3.0), np.arange(3.0), np.ones(3))  # too few points
+        Spectrum(np.arange(3.0), {"phase": (np.arange(3.0), np.ones(3))})  # too few points
     with pytest.raises(ValueError):
-        SpectrumChannel(np.arange(6.0), np.arange(6.0), np.ones(6), kind="magic")
+        Spectrum(np.arange(6.0), {"magic": (np.arange(6.0), np.ones(6))})
     with pytest.raises(ValueError, match="freq must be finite"):
-        SpectrumChannel(np.r_[np.arange(5.0), np.nan], np.arange(6.0), np.ones(6))
+        Spectrum(np.r_[np.arange(5.0), np.nan], {"phase": (np.arange(6.0), np.ones(6))})
 
 
 def test_single_dipole_noiseless_roundtrip():
-    ds = SpectrumDataset(channels=synth_channels(DIPOLE2, np.linspace(9, 21, 41), 2))
+    ds = [synth_spectrum(DIPOLE2, np.linspace(9, 21, 41), 2)]
     res = fit_two_dipole_spectra(ds)
     assert res.converged
     assert res["beta2"] == pytest.approx(1.0, abs=1e-6)
@@ -52,9 +53,8 @@ def test_single_dipole_noiseless_roundtrip():
 
 
 def test_joint_two_dipole_noiseless_roundtrip():
-    chs = (synth_channels(DIPOLE1, np.linspace(-6, 6, 41), 1)
-           + synth_channels(DIPOLE2, np.linspace(9, 21, 41), 2))
-    res = fit_two_dipole_spectra(SpectrumDataset(channels=chs))
+    res = fit_two_dipole_spectra([synth_spectrum(DIPOLE1, np.linspace(-6, 6, 41), 1),
+                                  synth_spectrum(DIPOLE2, np.linspace(9, 21, 41), 2)])
     assert res.converged
     for name, want in [("beta1", 0.94), ("gamma1", 9.4), ("f01", 0.0),
                        ("beta2", 1.0), ("gamma2", 12.3), ("f02", 15.0),
@@ -63,7 +63,7 @@ def test_joint_two_dipole_noiseless_roundtrip():
 
 
 def test_dipole2_only_reduces_to_single_fit():
-    ds2 = SpectrumDataset(channels=synth_channels(DIPOLE2, np.linspace(9, 21, 41), 2))
+    ds2 = [synth_spectrum(DIPOLE2, np.linspace(9, 21, 41), 2)]
     res = fit_two_dipole_spectra(ds2)
     assert sorted(res.names) == ["beta2", "f02", "gamma2", "gamma_dp", "phi0"]
 
@@ -77,13 +77,12 @@ def test_product_model_roundtrip():
     t2, i2 = transmission(p2, detuning_angular(freq, p2.f0), 0.0)
     phase = np.angle(t1 * t2) + p1.phi0
     inten = i1 * i2
-    chs = [SpectrumChannel(freq, phase, np.full(freq.size, 1e-3), "phase", 1),
-           SpectrumChannel(freq, inten, np.full(freq.size, 1e-3), "intensity", 1),
-           SpectrumChannel(freq, phase, np.full(freq.size, 1e-3), "phase", 2),
-           SpectrumChannel(freq, inten, np.full(freq.size, 1e-3), "intensity", 2)]
+    sigma = np.full(freq.size, 1e-3)
+    chs = [Spectrum(freq, {"phase": (phase, sigma), "intensity": (inten, sigma)}, d)
+           for d in (1, 2)]
     init = {"beta1": 0.9, "gamma1": 10.0, "f01": -1.4, "beta2": 0.95, "gamma2": 12.0,
             "f02": 1.6, "gamma_dp": 3.0, "phi0": -0.2}
-    res = fit_two_dipole_spectra(SpectrumDataset(channels=chs), init=init, combine="product")
+    res = fit_two_dipole_spectra(chs, init=init, combine="product")
     assert res.converged
     assert res["gamma1"] == pytest.approx(9.4, rel=1e-4)
     assert res["gamma2"] == pytest.approx(12.3, rel=1e-4)
@@ -102,12 +101,12 @@ def test_three_dipole_product_roundtrip():
         t_p, i_p = transmission(p, detuning_angular(freq, p.f0), 0.0)
         t, i_t = t * t_p, i_t * i_p
     sigma = np.full(freq.size, 1e-3)
-    chs = [SpectrumChannel(freq, values, sigma, kind, d) for d in (1, 2, 3)
-           for values, kind in ((np.angle(t) + DIPOLE1.phi0, "phase"), (i_t, "intensity"))]
+    chs = [Spectrum(freq, {"phase": (np.angle(t) + DIPOLE1.phi0, sigma),
+                           "intensity": (i_t, sigma)}, d) for d in (1, 2, 3)]
     init = {"gamma_dp": 3.0, "phi0": -0.2}
     for d, p in enumerate(emitters, start=1):
         init.update({f"beta{d}": 0.9, f"gamma{d}": 10.0, f"f0{d}": p.f0 + 0.2})
-    res = fit_two_dipole_spectra(SpectrumDataset(channels=chs), init=init, combine="product")
+    res = fit_two_dipole_spectra(chs, init=init, combine="product")
     assert res.converged
     for d, p in enumerate(emitters, start=1):
         for key in ("beta", "gamma", "f0"):
@@ -139,14 +138,14 @@ def test_bounds_wider_than_physics_keep_the_default_box(monkeypatch, fit):
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=0.0, beta=1.0, phi0=-0.25)
     rng = np.random.default_rng(6)
     if fit == "two_dipole":
-        data = SpectrumDataset(synth_channels(p, np.linspace(-8, 8, 41), 1, 1e-2, 1e-2, rng))
+        data = [synth_spectrum(p, np.linspace(-8, 8, 41), 1, 1e-2, 1e-2, rng)]
         physical = ["beta1", "gamma1", "gamma_dp"]
         wide = {"beta1": [-1, 2], "gamma_dp": [-5, None]}
         run = functools.partial(fit_two_dipole_spectra, data)
     else:
         om_sat2 = p.gamma * p.gamma2 / 4.0
-        series = [SpectrumDataset(synth_channels(p, np.linspace(-8, 8, 41), 1, 1e-2, 1e-2, rng,
-                                                 np.sqrt(scale * om_sat2)), power=scale * om_sat2)
+        series = [synth_spectrum(p, np.linspace(-8, 8, 41), 1, 1e-2, 1e-2, rng,
+                                 np.sqrt(scale * om_sat2), power=scale * om_sat2)
                   for scale in (0.1, 0.3, 1.0, 3.0, 10.0)]
         physical = ["beta", "gamma", "gamma_dp", "k"]
         wide = {"beta": [None, None], "gamma_dp": [-5, None], "k": [-1, None]}
@@ -164,8 +163,7 @@ def test_bounds_wider_than_physics_keep_the_default_box(monkeypatch, fit):
 def test_intensity_only_near_unit_beta_not_identifiable():
     freq = np.linspace(9, 21, 41)
     _, i_t = transmission(DIPOLE2, detuning_angular(freq, 15.0), 0.0)
-    ds = SpectrumDataset(channels=[
-        SpectrumChannel(freq, i_t, np.full(freq.size, 1e-3), "intensity", 2)])
+    ds = [Spectrum(freq, {"intensity": (i_t, np.full(freq.size, 1e-3))}, 2)]
     res = fit_two_dipole_spectra(ds)
     assert not res.converged
     assert "phi0" in res.flat_directions
@@ -173,7 +171,7 @@ def test_intensity_only_near_unit_beta_not_identifiable():
 
 
 def test_initial_guess_deterministic_and_sane():
-    ds = SpectrumDataset(channels=synth_channels(DIPOLE2, np.linspace(9, 21, 61), 2))
+    ds = [synth_spectrum(DIPOLE2, np.linspace(9, 21, 61), 2)]
     g1 = initial_guess(ds, 2)
     g2 = initial_guess(ds, 2)
     assert g1 == g2
@@ -185,7 +183,7 @@ def test_initial_guess_deterministic_and_sane():
 
 def test_channel_model_isolated_vs_product_far_apart():
     freq = np.linspace(-4, 4, 21)
-    ch = SpectrumChannel(freq, np.zeros(21), np.ones(21), "phase", 1)
+    ch = Spectrum(freq, {"phase": (np.zeros(21), np.ones(21))}, 1)
     p2_far = DIPOLE2.with_(f0=500.0)
     iso = channel_model(ch, DIPOLE1)
     prod = channel_model(ch, [DIPOLE1, p2_far])
@@ -194,7 +192,7 @@ def test_channel_model_isolated_vs_product_far_apart():
 
 def test_fit_rejects_unknown_combine():
     # an unknown combination used to fall back to "isolated" silently
-    ds = SpectrumDataset(channels=synth_channels(DIPOLE1, np.linspace(-4, 4, 21), 1))
+    ds = [synth_spectrum(DIPOLE1, np.linspace(-4, 4, 21), 1)]
     with pytest.raises(ValueError, match="combine"):
         fit_two_dipole_spectra(ds, combine="prodcut")
 
@@ -205,8 +203,8 @@ def test_saturation_noiseless_roundtrip_and_flux_composition():
     datasets = []
     for scale in (0.1, 0.3, 1.0, 3.0, 10.0):
         power = scale * om_sat2
-        chs = synth_channels(truth, np.linspace(-8, 8, 41), 1, omega=np.sqrt(power))
-        datasets.append(SpectrumDataset(channels=chs, power=power))
+        datasets.append(synth_spectrum(truth, np.linspace(-8, 8, 41), 1, omega=np.sqrt(power),
+                                       power=power))
     res = fit_saturation_series(datasets)
     assert res.converged
     assert res["beta"] == pytest.approx(0.99, rel=1e-5)
@@ -223,8 +221,8 @@ def test_saturation_linear_series_pins_k():
     truth = EmitterParams.isotropic(gamma=12.6, gamma_dp=3.4, beta=0.99, phi0=-0.26)
     datasets = []
     for power in (1.0, 2.0, 4.0):
-        chs = synth_channels(truth, np.linspace(-8, 8, 41), 1, omega=0.0)
-        datasets.append(SpectrumDataset(channels=chs, power=power))
+        datasets.append(synth_spectrum(truth, np.linspace(-8, 8, 41), 1, omega=0.0,
+                                       power=power))
     res = fit_saturation_series(datasets)
     assert res["k"] == pytest.approx(0.0, abs=1e-9)
     assert "k" in res.flat_directions or "pinned" in res.message
@@ -233,11 +231,25 @@ def test_saturation_linear_series_pins_k():
     assert res["gamma_dp"] == pytest.approx(3.4, rel=1e-4)
 
 
+def test_saturation_k_on_a_bounds_floor_is_named_not_flat():
+    # k held at a fit.bounds.k floor was reported as the physical floor k = 0:
+    # "series shows no saturation", with k among the flat directions
+    truth = EmitterParams.isotropic(gamma=12.6, gamma_dp=3.4, beta=0.99, f0=0.0, phi0=-0.26)
+    om_sat2 = truth.gamma * truth.gamma2 / 4.0
+    datasets = [synth_spectrum(truth, np.linspace(-8, 8, 41), 1, omega=np.sqrt(scale * om_sat2),
+                               power=scale * om_sat2) for scale in (0.1, 0.3, 1.0, 3.0, 10.0)]
+    res = fit_saturation_series(datasets, bounds={"k": [2, None]})
+    assert res["k"] == pytest.approx(2.0, abs=1e-12)
+    assert "k" not in res.flat_directions
+    assert "no saturation" not in res.message
+    assert "k held at its fit.bounds.k floor 2" in res.message
+
+
 def test_saturation_needs_three_powers():
     truth = EmitterParams.isotropic(gamma=12.6, beta=0.99)
-    chs = synth_channels(truth, np.linspace(-8, 8, 41), 1)
+    ds = synth_spectrum(truth, np.linspace(-8, 8, 41), 1, power=1.0)
     with pytest.raises(ValueError, match="unidentifiable"):
-        fit_saturation_series([SpectrumDataset(channels=chs, power=1.0)])
+        fit_saturation_series([ds])
 
 
 def test_predict_phase_vs_power_limits_and_monotonicity():
@@ -276,8 +288,8 @@ def _pipeline_fit(delta_l, seeds=None, integration_time=0.1, span=9.0, points=90
             on_s = apply_shot_noise(on, 2 * seed)
             off_s = apply_shot_noise(off, 2 * seed + 1)
         pts = extract_phasor_series(on_s, off_s, ExtractionConfig(delta_l_m=delta_l))
-        ds = SpectrumDataset.from_phasors(pts, dipole=2)
-        results.append(fit_two_dipole_spectra(ds))
+        ds = Spectrum.from_phasors(pts, dipole=2)
+        results.append(fit_two_dipole_spectra([ds]))
     return results
 
 
@@ -321,8 +333,8 @@ def test_covariance_one_sigma_coverage():
     hits = {name: 0 for name in truth}
     n_runs = 100
     for _ in range(n_runs):
-        chs = synth_channels(p, freq, 1, sigma_phase=0.01, sigma_int=0.01, rng=rng_master)
-        res = fit_two_dipole_spectra(SpectrumDataset(channels=chs))
+        ds = synth_spectrum(p, freq, 1, sigma_phase=0.01, sigma_int=0.01, rng=rng_master)
+        res = fit_two_dipole_spectra([ds])
         for name, want in truth.items():
             if abs(res[name] - want) <= res.error(name):
                 hits[name] += 1
@@ -339,9 +351,9 @@ def test_amplitude_channel_fit_constrains_coupling_linewidth_product():
     p = DIPOLE1
     t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0)
     assert np.max(np.abs(np.abs(t) ** 2 - i_t)) > 0.01
-    chs = [SpectrumChannel(freq, np.angle(t) + p.phi0, np.full(freq.size, 1e-3), "phase", 1),
-           SpectrumChannel(freq, np.abs(t), np.full(freq.size, 1e-3), "amplitude", 1)]
-    res = fit_two_dipole_spectra(SpectrumDataset(channels=chs))
+    sigma = np.full(freq.size, 1e-3)
+    chs = {"phase": (np.angle(t) + p.phi0, sigma), "amplitude": (np.abs(t), sigma)}
+    res = fit_two_dipole_spectra([Spectrum(freq, chs)])
     assert res.chi2 == pytest.approx(0.0, abs=1e-12)
     s_hat = res["beta1"] * res["gamma1"] / 2.0
     g2_hat = res["gamma1"] / 2.0 + res["gamma_dp"]
@@ -349,8 +361,8 @@ def test_amplitude_channel_fit_constrains_coupling_linewidth_product():
     assert g2_hat == pytest.approx(9.4 / 2.0 + 3.9, rel=1e-6)
     assert res["phi0"] == pytest.approx(-0.25, abs=1e-6)
     # adding the intensity channel restores full identifiability
-    chs.append(SpectrumChannel(freq, i_t, np.full(freq.size, 1e-3), "intensity", 1))
-    res2 = fit_two_dipole_spectra(SpectrumDataset(channels=chs))
+    chs["intensity"] = (i_t, sigma)
+    res2 = fit_two_dipole_spectra([Spectrum(freq, chs)])
     assert res2.converged
     assert res2["beta1"] == pytest.approx(0.94, rel=1e-5)
     assert res2["gamma1"] == pytest.approx(9.4, rel=1e-5)
@@ -364,10 +376,10 @@ def test_from_phasors_amplitude_variant_and_window():
                        amp_ratio=np.full(10, 0.9), offset_ratio=np.full(10, 0.8),
                        phase_err=np.full(10, 0.01), amp_err=np.full(10, 0.02),
                        offset_err=np.full(10, 0.03), low_contrast=np.zeros(10, dtype=bool))
-    ds = SpectrumDataset.from_phasors(pts, dipole=2, intensity_from="amplitude",
-                                      freq_window=(2.0, 8.0))
-    kinds = sorted(ch.kind for ch in ds.channels)
+    ds = Spectrum.from_phasors(pts, dipole=2, intensity_from="amplitude",
+                               freq_window=(2.0, 8.0))
+    kinds = sorted(ds.channels)
     assert kinds == ["amplitude", "phase"]
-    assert all(ch.freq.min() >= 2.0 and ch.freq.max() <= 8.0 for ch in ds.channels)
+    assert ds.freq.min() >= 2.0 and ds.freq.max() <= 8.0
     with pytest.raises(ValueError, match="intensity_from"):
-        SpectrumDataset.from_phasors(pts, intensity_from="volume")
+        Spectrum.from_phasors(pts, intensity_from="volume")
