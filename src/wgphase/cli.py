@@ -72,7 +72,10 @@ def cmd_simulate(cfg: RunConfig, bundle: ResultBundle):
 def cmd_extract(cfg: RunConfig, bundle: ResultBundle, on_file, off_file):
     on = parse_trace_csv(on_file)
     off = parse_trace_csv(off_file)
-    ext = cfg.extraction.with_path_length(off)  # one FFT estimate, recorded below
+    try:
+        ext = cfg.extraction.with_path_length(off)  # one FFT estimate, recorded below
+    except ValueError as exc:  # the off trace gives no estimate
+        raise ValueError(f"{off_file}: {exc}") from exc
     try:
         series = extract_phasor_series(on, off, ext)
     except TraceMetaError as exc:  # the off trace's sidecar lacks the background
@@ -87,40 +90,46 @@ def cmd_extract(cfg: RunConfig, bundle: ResultBundle, on_file, off_file):
 
 
 def cmd_pathlength(cfg: RunConfig, bundle: ResultBundle, trace_file):
-    delta_l = estimate_path_length_fft(parse_trace_csv(trace_file))
+    trace = parse_trace_csv(trace_file)
+    try:
+        delta_l = estimate_path_length_fft(trace)
+    except ValueError as exc:  # too short, not on a uniform grid or without a fringe
+        raise ValueError(f"{trace_file}: {exc}") from exc
     bundle.write_json("summary.json", {"delta_l_m": delta_l, "source": str(trace_file)})
 
 
 def _spectra_from_files(cfg: RunConfig, phasor_files, power_series=False):
-    """One spectrum per phasor file.  For ``fit`` the i-th file is dipole i,
-    cut to its window in fit.dipole_windows_ghz; for a power series every
-    file is dipole 1 at its entry in fit.powers, or else at the power in its
-    sidecar."""
-    windows = {} if power_series else cfg.fit.dipole_windows_ghz
+    """One spectrum per phasor file, cut to its dipole's window in
+    fit.dipole_windows_ghz.  For ``fit`` the i-th file is dipole i; for a
+    power series every file is dipole 1, at its entry in fit.powers or else
+    at the power in its sidecar."""
+    windows = cfg.fit.dipole_windows_ghz
     powers = list(cfg.fit.powers) if power_series else []
     if len(powers) > len(phasor_files):
         raise ValueError(f"fit.powers: {len(powers)} entries for "
                          f"{len(phasor_files)} phasor file(s)")
-    for key in windows:  # dipole i is the i-th phasor file
-        if int(key) > len(phasor_files):
+    dipoles = [1 if power_series else i for i in range(1, len(phasor_files) + 1)]
+    for key in windows:
+        if int(key) not in dipoles:
             raise ValueError(f"fit.dipole_windows_ghz.{key}: a window for dipole {key} of "
-                             f"{len(phasor_files)} phasor file(s)")
+                             f"{len(phasor_files)} phasor file(s)"
+                             f"{', all of dipole 1' if power_series else ''}")
     records = []
-    for i, path in enumerate(phasor_files, start=1):
-        series, window, power = parse_phasors_csv(path), windows.get(str(i)), None
+    for i, (path, dipole) in enumerate(zip(phasor_files, dipoles)):
+        series, window, power = parse_phasors_csv(path), windows.get(str(dipole)), None
         if power_series:
-            power = powers[i - 1] if i <= len(powers) else phasor_file_meta(path).get("power")
+            power = powers[i] if i < len(powers) else phasor_file_meta(path).get("power")
             if power is None:
                 raise TraceParseError(
                     f"{path}: no power level in sidecar and none given in fit.powers")
         try:
             records.append(spectra.Spectrum.from_phasors(
-                series, dipole=1 if power_series else i,
+                series, dipole=dipole,
                 power=None if power is None else float(power),
                 intensity_from=cfg.fit.intensity_from,
                 freq_window=tuple(window) if window else None))
         except ValueError as exc:  # too few or bad points in the file, or in its window
-            where = f"fit.dipole_windows_ghz.{i}: window {window} GHz of " if window else ""
+            where = f"fit.dipole_windows_ghz.{dipole}: window {window} GHz of " if window else ""
             raise ValueError(f"{where}{path}: {exc}") from exc
     return records
 

@@ -8,7 +8,7 @@ is bit-exact; one strict reader checks the header, the field count and the
 numbers of both CSV schemas, and their sidecars, which must be JSON
 objects.  The reader converts a well-formed file in one cast and falls back
 to a per-line pass that names the first bad ``file:line``.  Traces must
-also be finite with strictly increasing frequency.
+also be finite, with non-negative counts and strictly increasing frequency.
 
 Every file is written as the UTF-8 bytes of its text, with ``\n`` line
 ends on every platform.  A :class:`ResultBundle` collects the files of one
@@ -132,11 +132,14 @@ def parse_trace_csv(path) -> FringeTrace:
     path = Path(path)
     (freq, counts), linenos = _read_csv(path, TRACE_HEADER)
     finite = np.isfinite(freq) & np.isfinite(counts)
-    bad = np.flatnonzero(~finite | np.r_[False, freq[1:] <= freq[:-1]])
+    bad = np.flatnonzero(~finite | (counts < 0) | np.r_[False, freq[1:] <= freq[:-1]])
     if bad.size:
         i = bad[0]
         if not finite[i]:
             raise TraceParseError(f"{path}:{linenos[i]}: non-finite value not allowed")
+        if counts[i] < 0:
+            raise TraceParseError(f"{path}:{linenos[i]}: counts must be non-negative, "
+                                  f"got {float(counts[i])!r}")
         raise TraceParseError(f"{path}:{linenos[i]}: freq_ghz must be strictly increasing "
                               f"({float(freq[i])!r} after {float(freq[i - 1])!r})")
     meta = _read_sidecar(path)

@@ -20,12 +20,12 @@ saturation is present) is what restores full identifiability.
 
 Both fits, :func:`two_dipole_model` and :func:`channel_model` evaluate the
 model through one kernel in real arithmetic.  It computes Re t, Im t and I_t
-of each emitter once per site, a row of a spectrum's grid, so the phase and
-the intensity point of one window share one evaluation.  For a fit it also
-computes the derivatives by the parameters that the fit moves (beta, gamma,
-gamma_dp, and f0 or the drive calibration k), each a fixed linear
-combination of a few per-site arrays, and projects values and derivatives
-onto the channel kinds read at each site.
+of each emitter once per row of a spectrum's grid, projects them on every
+channel kind that a point reads, and hands each point the value of its kind
+at its row, so the phase and the intensity point of one window share one
+evaluation.  For a fit it also computes the derivatives by the parameters
+that the fit moves (beta, gamma, gamma_dp, and f0 or the drive calibration
+k), each a fixed linear combination of a few per-row arrays.
 """
 
 from __future__ import annotations
@@ -110,13 +110,11 @@ class _Points:
     """The points of ``spectra`` as one grid: spectrum after spectrum, and
     within a spectrum its channels in the order of :data:`KINDS`.  Each point
     has its ``kind`` (an index into KINDS) and ``row``, the index of its
-    frequency among the spectra's rows laid end to end; ``phase`` lists the
-    phase points.
-
-    An emitter is evaluated once per row, the site of every point read there:
-    the phase and the intensity point of one window share it.  ``drive`` (one
-    value, or one per row) is what each row was taken at; an emitter
-    evaluated there sees omega_r**2 = k*drive for its own k.
+    frequency among the spectra's rows laid end to end; ``spans`` holds each
+    spectrum's rows as a slice, ``phase`` the phase points and ``kinds`` the
+    kinds that any point reads.  ``drive`` (one value, or one per row) is
+    what each row was taken at; an emitter evaluated there sees
+    omega_r**2 = k*drive for its own k.
     """
 
     def __init__(self, spectra: Sequence[Spectrum], drive=0.0):
@@ -125,28 +123,55 @@ class _Points:
         self.row_freq = np.concatenate([s.freq for s in spectra])
         self.row_drive = np.broadcast_to(np.asarray(drive, dtype=float), self.row_freq.shape)
         self.row_dipole = np.repeat([s.dipole for s in spectra], np.diff(first))
+        self.spans = [slice(a, b) for a, b in zip(first[:-1], first[1:])]
         self.row = np.concatenate([np.arange(first[j], first[j + 1]) for j, _ in blocks])
         self.kind = np.repeat([KINDS.index(kind) for _, kind in blocks],
                               [spectra[j].freq.size for j, _ in blocks])
         self.values, self.sigma = (np.concatenate([spectra[j].channels[kind][i]
                                                    for j, kind in blocks]) for i in (0, 1))
         self.phase = np.flatnonzero(self.kind == KINDS.index(PHASE))
+        read = np.bincount(self.kind, minlength=len(KINDS)) > 0
+        self.kinds = [kind for kind, r in zip(KINDS, read) if r]
+        # where each point finds its value in a (kinds, rows) table, flattened
+        self._at = (np.cumsum(read) - 1)[self.kind] * self.row_freq.size + self.row
 
-    def sites(self, dipole=None):
-        """The rows of ``dipole``'s spectra (None: of every spectrum), where
-        one emitter is evaluated, as ``(freq, drive, blocks, at)``.  Per-site
-        arrays of the channel kinds read there, laid end to end as
-        ``blocks``, ``(kind, slice)`` pairs, and followed by a zero, hand
-        every point its value by ``take(at)``; points of other spectra take
-        the zero."""
-        on = np.full(self.row_freq.size, True) if dipole is None else self.row_dipole == dipole
-        n, mine = np.count_nonzero(on), on[self.row]
-        read = np.bincount(self.kind[mine], minlength=len(KINDS)) > 0
-        at = np.full(self.row.size, np.count_nonzero(read) * n)
-        at[mine] = (np.cumsum(read) - 1)[self.kind[mine]] * n + (np.cumsum(on) - 1)[self.row[mine]]
-        blocks = [(kind, slice(slot * n, (slot + 1) * n))
-                  for slot, kind in enumerate(k for k, r in zip(KINDS, read) if r)]
-        return self.row_freq[on], self.row_drive[on], blocks, at
+    def model(self, groups, phi0, jac=None) -> np.ndarray:
+        """Model values at every point; with ``jac`` given, an array of zeros
+        with one row per parameter and one column per point, their
+        derivatives are added into it, except for phi0's row.
+
+        ``groups`` lists ``(rows, factors)``: a slice of the rows, all groups
+        together covering each row once, and the :class:`_Factor` list whose
+        product t holds there.  Each factor is evaluated once per row of its
+        group, and t is projected on each of ``kinds`` (arg t + phi0, |t|, I_t).
+        """
+        n_params = 0 if jac is None else jac.shape[0]
+        table = np.zeros((1 + n_params, len(self.kinds), self.row_freq.size))
+        for rows, factors in groups:
+            responses = [_site_response(f, self.row_freq[rows], self.row_drive[rows], self.kinds,
+                                        n_params) for f in factors]
+            re, im, i_t, _ = responses[0]
+            for re_k, im_k, i_k, _ in responses[1:]:
+                re, im, i_t = re * re_k - im * im_k, re * im_k + im * re_k, i_t * i_k
+            projected = np.array([np.arctan2(im, re) + phi0 if kind == PHASE
+                                  else np.hypot(re, im) if kind == AMPLITUDE else i_t
+                                  for kind in self.kinds])
+            table[0, :, rows] = projected
+            if n_params:
+                # d|t| = |t| d ln|t_k|, and I_t differentiates by the product rule
+                for k, (*_, (coef, basis)) in enumerate(responses):
+                    for slot, kind in enumerate(self.kinds):
+                        if kind == AMPLITUDE:
+                            basis[:, slot] *= projected[slot]
+                        elif kind == INTENSITY:
+                            for j, (_, _, i_j, _) in enumerate(responses):
+                                if j != k:
+                                    basis[:, slot] *= i_j
+                    part = coef @ basis.reshape(7, -1)
+                    table[1:, :, rows] += part.reshape(n_params, *basis.shape[1:])
+        if n_params:
+            jac += table[1:].reshape(n_params, -1).take(self._at, axis=1)
+        return table[0].take(self._at)
 
 
 def point_columns(spectra: Sequence[Spectrum]):
@@ -165,14 +190,12 @@ _BETA, _GAMMA, _GAMMA_DP, _F0, _K = range(len(DERIVATIVE_ORDER))
 
 
 class _Factor(NamedTuple):
-    """An emitter as the kernel evaluates it on ``sites``, the ``(freq, drive,
-    blocks, at)`` of :meth:`_Points.sites`: isotropic unless
+    """An emitter as :meth:`_Points.model` evaluates it: isotropic unless
     ``chiral``, at detuning 2*pi*(freq - f0) and omega_r**2 = k*drive.
     ``chain`` lists ``(param, row)``: the derivative by
     ``DERIVATIVE_ORDER[row]`` is the derivative by the fit's parameter
     ``param``, one Jacobian row."""
 
-    sites: tuple
     beta: float
     gamma: float
     gamma_dp: float
@@ -182,19 +205,18 @@ class _Factor(NamedTuple):
     chiral: bool = False
 
 
-def _site_response(f: _Factor, jac_rows=0):
-    """Re t, Im t and I_t of ``f`` at its sites, in real arithmetic; with
-    ``jac_rows`` > 0, also ``(coef, basis)``, whose product holds the
-    derivatives of what each kind read at ``f.sites`` reads (arg t, ln|t| or
+def _site_response(f: _Factor, freq, drive, kinds, jac_rows=0):
+    """Re t, Im t and I_t of ``f`` at the rows ``freq``, ``drive``, in real
+    arithmetic; with ``jac_rows`` > 0, also ``(coef, basis)``, whose product
+    holds the derivatives of what each of ``kinds`` reads (arg t, ln|t| or
     I_t) by the ``jac_rows`` parameters of a fit, zero for those not in the
-    chain, at the sites laid out as their ``blocks``.
+    chain: ``basis`` has shape (7, len(kinds), rows).
 
     The values are :func:`~wgphase.emitter.transmission`'s, from its s, gamma2,
     A and D at omega_r**2 = k*drive; derivatives cover isotropic coupling.
     """
     beta, gamma, gamma_dp, k = f.beta, f.gamma, f.gamma_dp, f.k
     s, g2, a = emitter._rates(beta, gamma, gamma_dp, f.chiral)
-    freq, drive, blocks, _ = f.sites
     delta = TWO_PI * (freq - f.f0)
     re, im, i_t, inv = emitter._response(s, g2, a, gamma, delta, k * drive)
     if not jac_rows:
@@ -203,7 +225,7 @@ def _site_response(f: _Factor, jac_rows=0):
     half_inv = 0.5 * inv
 
     # Each row's derivative of D is d0 + d1*drive + d2*delta; with those of s,
-    # gamma2, delta and A it is linear in per-site arrays whose coefficients
+    # gamma2, delta and A it is linear in per-row arrays whose coefficients
     # are the row's (d0, d1, d2, ds, dgamma2, ddelta, dA):
     #   arg t : (Re t dIm t - Im t dRe t)/|t|**2 = (q_im*e - c*(Re t ddelta - Im t dgamma2))/|t|**2
     #   ln|t| : (Re t dRe t + Im t dIm t)/|t|**2 = (v*e - c*(Re t dgamma2 + Im t ddelta))/|t|**2
@@ -219,15 +241,15 @@ def _site_response(f: _Factor, jac_rows=0):
     coef = np.array([rows[row_of[param]] if param in row_of else (0.0,) * 7
                      for param in range(jac_rows)])
     c = s * inv
-    basis = np.zeros((7, len(blocks) * delta.size + 1))
-    if any(kind != INTENSITY for kind, _ in blocks):
+    basis = np.zeros((7, len(kinds), delta.size))
+    if any(kind != INTENSITY for kind in kinds):
         # a zero t, where arg t has no derivative, contributes none
         abs2 = re * re + im * im
         inv_abs2 = 1.0 / np.where(abs2 > 0.0, abs2, np.inf)
         c_abs2 = c * inv_abs2
         c_re, c_im = c_abs2 * re, c_abs2 * im
-    for kind, block in blocks:
-        b = basis[:, block]
+    for slot, kind in enumerate(kinds):
+        b = basis[:, slot]
         if kind == PHASE:
             np.multiply(q_im, inv_abs2, out=b[3])
             np.multiply(c, b[3], out=b[0])
@@ -248,41 +270,6 @@ def _site_response(f: _Factor, jac_rows=0):
     return re, im, i_t, (coef, basis)
 
 
-def _kernel(factors, phi0, jac=None) -> np.ndarray:
-    """Model values of the product of the ``factors``' transmissions at the
-    points their shared sites hand values to, zero at the others; with
-    ``jac`` given, an array of zeros with one row per parameter and one
-    column per point, their derivatives are added into it.
-
-    Each :class:`_Factor` is evaluated once per site, and the product t is
-    projected per site on the channel kinds read there (arg t + phi0, |t| or
-    I_t) and handed to the points of each kind.  The phi0 row is the caller's.
-    """
-    _, _, blocks, at = factors[0].sites
-    responses = [_site_response(f, 0 if jac is None else jac.shape[0]) for f in factors]
-    re, im, i_t, _ = responses[0]
-    for re_k, im_k, i_k, _ in responses[1:]:
-        re, im, i_t = re * re_k - im * im_k, re * im_k + im * re_k, i_t * i_k
-    projected = np.zeros(len(blocks) * re.size + 1)
-    for kind, block in blocks:
-        projected[block] = (np.arctan2(im, re) + phi0 if kind == PHASE
-                            else np.hypot(re, im) if kind == AMPLITUDE else i_t)
-    values = projected.take(at)
-    if jac is None:
-        return values
-    for k, (_, _, _, (coef, basis)) in enumerate(responses):
-        # d|t| = |t| d ln|t_k|, and I_t differentiates by the product rule
-        for kind, block in blocks:
-            if kind == AMPLITUDE:
-                basis[:, block] *= projected[block]
-            elif kind == INTENSITY:
-                for j, (_, _, i_j, _) in enumerate(responses):
-                    if j != k:
-                        basis[:, block] *= i_j
-        jac += (coef @ basis).take(at, axis=1)
-    return values
-
-
 def channel_model(spectrum: Spectrum, params, omega_r=0.0) -> np.ndarray:
     """Model values for the channels of one spectrum, concatenated in order,
     every emitter driven at ``omega_r`` (a scalar or one value per row).
@@ -293,9 +280,9 @@ def channel_model(spectrum: Spectrum, params, omega_r=0.0) -> np.ndarray:
     """
     if isinstance(params, EmitterParams):
         params = (params,)
-    sites = _Points([spectrum], drive=emitter._rabi_squared(omega_r)).sites()
-    return _kernel([_Factor(sites, p.beta, p.gamma, p.gamma_dp, p.f0, 1.0, chiral=p.is_chiral)
-                    for p in params], params[0].phi0)
+    factors = [_Factor(p.beta, p.gamma, p.gamma_dp, p.f0, 1.0, chiral=p.is_chiral) for p in params]
+    points = _Points([spectrum], drive=emitter._rabi_squared(omega_r))
+    return points.model([(slice(None), factors)], params[0].phi0)
 
 
 def two_dipole_model(spectra: Sequence[Spectrum], x, combine: str = "isolated") -> np.ndarray:
@@ -325,20 +312,19 @@ def _two_dipole(points: _Points, dipoles, combine):
     Jacobian into ``jac``, for an ``x`` in the physical range."""
     if combine not in ("isolated", "product"):
         raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
-    product = combine == "product"
-    # under product every dipole's factor covers every point
-    sites = [points.sites()] * len(dipoles) if product else [points.sites(d) for d in dipoles]
+    # the rows and the factors of each group: under product every factor covers every row
+    groups = ([(slice(None), range(len(dipoles)))] if combine == "product"
+              else [(r, [dipoles.index(points.row_dipole[r.start])]) for r in points.spans])
     chains = [((3 * i, _BETA), (3 * i + 1, _GAMMA), (3 * len(dipoles), _GAMMA_DP),
                (3 * i + 2, _F0)) for i in range(len(dipoles))]
 
     def model(x, jac=None):
         x = np.asarray(x, dtype=float).tolist()
         gamma_dp, phi0 = x[-2], x[-1]
-        factors = [_Factor(on, x[3 * i], x[3 * i + 1], gamma_dp, x[3 * i + 2], chain=chain)
-                   for i, (on, chain) in enumerate(zip(sites, chains))]
-        # the points of isolated factors are disjoint, each taking zero from the others
-        values = sum(_kernel(group, phi0, jac)
-                     for group in ([factors] if product else [[f] for f in factors]))
+        factors = [_Factor(x[3 * i], x[3 * i + 1], gamma_dp, x[3 * i + 2], chain=chain)
+                   for i, chain in enumerate(chains)]
+        values = points.model([(rows, [factors[i] for i in group]) for rows, group in groups],
+                              phi0, jac)
         if jac is not None:
             jac[-1, points.phase] = 1.0
         return values
@@ -539,14 +525,13 @@ def fit_saturation_series(spectra: Sequence[Spectrum], init: Optional[dict] = No
 
     points = _Points(spectra, drive=np.repeat([float(pw) for pw in powers],
                                               [s.freq.size for s in spectra]))
-    sites = points.sites()
     chain = ((0, _BETA), (1, _GAMMA), (2, _GAMMA_DP), (4, _K))
 
     def model(x, jac):
         # every spectrum in one call, at its own omega_r**2 = k*P; f0 is held
         beta, gamma, gamma_dp, phi0, k = x.tolist()
-        factor = _Factor(sites, beta, gamma, gamma_dp, start["f0"], k, chain)
-        values = _kernel([factor], phi0, jac)
+        factor = _Factor(beta, gamma, gamma_dp, start["f0"], k, chain)
+        values = points.model([(slice(None), [factor])], phi0, jac)
         jac[3, points.phase] = 1.0
         return values
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import textwrap
@@ -15,7 +16,8 @@ from wgphase.cli import (EXIT_BAD_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main)
 from wgphase.config import load_config
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.extraction import PhasorSeries
-from wgphase.io import parse_phasors_csv, parse_trace_csv, write_phasors_csv
+from wgphase.io import (parse_phasors_csv, parse_trace_csv, phasor_file_meta,
+                        write_phasors_csv)
 from wgphase.units import detuning_angular, wrap_angle
 
 
@@ -833,6 +835,49 @@ def test_extract_trace_without_background_names_the_sidecar(tmp_path, capsys, me
                    str(sim / "trace_off.csv")) == EXIT_OK
 
 
+def _damaged_trace(tmp_path, source, damage):
+    """A copy of the trace CSV ``source``: 10 rows, a row dropped, or flat counts."""
+    lines = Path(source).read_text(encoding="utf-8").splitlines(keepends=True)
+    if damage == "short":
+        lines = lines[:11]
+    elif damage == "drop_row":
+        del lines[5]
+    else:
+        lines = lines[:1] + [line.split(",")[0] + ",5000\n" for line in lines[1:]]
+    path = tmp_path / f"{damage}.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("drop_row", "frequency grid must be uniform"),
+    ("flat", "no fringe detected"),
+])
+def test_extract_off_trace_without_a_path_length_names_it(tmp_path, capsys, lifecycle_inputs,
+                                                          damage, message):
+    # named neither trace: the estimate ran outside the handler that names them
+    off = _damaged_trace(tmp_path, lifecycle_inputs["off"], damage)
+    out = tmp_path / "x"
+    assert run_cli("--out", str(out), "extract", lifecycle_inputs["on"],
+                   str(off)) == EXIT_BAD_INPUT
+    assert f"error: {off}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("short", "trace too short for a spectral estimate"),
+    ("drop_row", "frequency grid must be uniform"),
+    ("flat", "no fringe detected"),
+])
+def test_pathlength_failure_names_the_trace(tmp_path, capsys, lifecycle_inputs, damage, message):
+    # named no file
+    trace = _damaged_trace(tmp_path, lifecycle_inputs["off"], damage)
+    out = tmp_path / "x"
+    assert run_cli("--out", str(out), "pathlength", str(trace)) == EXIT_BAD_INPUT
+    assert f"error: {trace}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_files", [1, 2])
 def test_fit_dipole_window_outside_the_data_names_key_and_file(tmp_path, capsys, n_files):
     # named neither: "channel needs >= 5 points for identifiability, got 0"
@@ -859,6 +904,41 @@ def test_fit_dipole_window_for_a_file_not_given_is_bad_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "fit.dipole_windows_ghz.2" in err and "dipole 2" in err and "1 phasor file" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("windows, named", [
+    ({"1": [100, 200], "7": [0, 1]}, ["fit.dipole_windows_ghz.7", "dipole 1"]),
+    ({"1": [100, 200]}, ["fit.dipole_windows_ghz.1", "phasors_0.csv"]),  # keeps no point
+])
+def test_fit_saturation_bad_dipole_window_is_bad_input(tmp_path, capsys, windows, named):
+    # was ignored, exit 0 with the unwindowed fit
+    files = _saturation_files(tmp_path)
+    cfg = write_cfg(tmp_path, "c.json", {"fit": {"dipole_windows_ghz": windows}})
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), "fit-saturation", *files) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", [[-10.0, 10.0], [-5.0, 5.0]])
+def test_fit_saturation_window_cuts_every_file(tmp_path, window):
+    # every file of a power series is dipole 1, so window "1" cuts each one
+    files = _saturation_files(tmp_path)
+    cut = []
+    for path in files:
+        series = parse_phasors_csv(path)
+        keep = (window[0] <= series.freq) & (series.freq <= window[1])
+        cut.append(tmp_path / f"cut_{Path(path).name}")
+        write_phasors_csv(PhasorSeries(*(getattr(series, f.name)[keep]
+                                         for f in dataclasses.fields(series))),
+                          cut[-1], meta={"power": phasor_file_meta(path)["power"]})
+    cfg = write_cfg(tmp_path, "c.json", {"fit": {"dipole_windows_ghz": {"1": window}}})
+    assert run_cli("--config", cfg, "--out", str(tmp_path / "win"), "fit-saturation",
+                   *files) == EXIT_OK
+    assert run_cli("--out", str(tmp_path / "cut"), "fit-saturation", *map(str, cut)) == EXIT_OK
+    assert (tmp_path / "win" / "fit.json").read_bytes() == (
+        tmp_path / "cut" / "fit.json").read_bytes()
 
 
 def test_fit_powers_for_files_not_given_is_bad_input(tmp_path, capsys):

@@ -83,6 +83,8 @@ def test_trace_parse_line_breaks(tmp_path, newline):
     ("0.0,0x1p3\n", "2: non-numeric value"),
     # the comma count is checked per line, not in total
     ("1,2,3\n4\n", "2: expected 2 comma-separated fields, got 3"),
+    # was left to FringeTrace: "intensity must be finite and non-negative", naming no file
+    ("0,1\n1,-2\n2,3\n", "3: counts must be non-negative, got -2.0"),
 ])
 def test_trace_parse_errors_name_the_right_line(tmp_path, body, message):
     path = tmp_path / "t.csv"
