@@ -78,7 +78,7 @@ def cmd_extract(cfg: RunConfig, bundle: ResultBundle, on_file, off_file):
         raise ValueError(f"{off_file}: {exc}") from exc
     try:
         series = extract_phasor_series(on, off, ext)
-    except TraceMetaError as exc:  # the off trace's sidecar lacks the background
+    except TraceMetaError as exc:  # the off sidecar lacks the background or says qd_on: true
         raise TraceParseError(f"{off_file}.meta.json: {exc}") from exc
     except ValueError as exc:  # the pair does not fit the grid or the windows
         raise ValueError(f"{on_file}, {off_file}: {exc}") from exc
@@ -126,7 +126,6 @@ def _spectra_from_files(cfg: RunConfig, phasor_files, power_series=False):
             records.append(spectra.Spectrum.from_phasors(
                 series, dipole=dipole,
                 power=None if power is None else float(power),
-                intensity_from=cfg.fit.intensity_from,
                 freq_window=tuple(window) if window else None))
         except ValueError as exc:  # too few or bad points in the file, or in its window
             where = f"fit.dipole_windows_ghz.{dipole}: window {window} GHz of " if window else ""

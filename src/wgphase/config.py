@@ -100,7 +100,7 @@ class NoiseBlock:
 class FitBlock:
     model: str = "two_dipole"           # two_dipole | saturation
     combine: str = "isolated"           # isolated | product
-    intensity_from: str = "offset"      # offset | amplitude
+    intensity_from: str = "offset"      # offset only
     max_iter: int = 500
     init: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
@@ -115,9 +115,10 @@ class FitBlock:
         if self.combine not in ("isolated", "product"):
             raise ConfigError(f"fit.combine: must be 'isolated' or 'product', "
                               f"got {self.combine!r}")
-        if self.intensity_from not in ("offset", "amplitude"):
-            raise ConfigError(f"fit.intensity_from: must be 'offset' or 'amplitude', "
-                              f"got {self.intensity_from!r}")
+        if self.intensity_from != "offset":
+            raise ConfigError(f"fit.intensity_from: must be 'offset', got {self.intensity_from!r}; "
+                              f"phase and |t| fix only beta*gamma/2, gamma2 and k*gamma2/gamma, "
+                              f"so the amplitude ratio cannot identify the emitter")
         if self.max_iter < 1:
             raise ConfigError(f"fit.max_iter: must be >= 1, got {self.max_iter}")
         try:

@@ -46,7 +46,8 @@ class NoFringeError(ValueError):
 
 
 class TraceMetaError(ValueError):
-    """A trace's metadata lacks a value the extraction needs."""
+    """The off trace's metadata lacks a value the extraction needs, or says
+    the trace was taken with the emitter on."""
 
 
 @dataclass(frozen=True)
@@ -298,7 +299,11 @@ def extract_phasor_series(on: FringeTrace, off: FringeTrace,
     local-oscillator background is the one recorded in the off-trace
     metadata.  Windows whose fringe amplitude falls below 5x its
     own fitted uncertainty are flagged low-contrast but never dropped.
+    TraceMetaError for an off trace whose metadata says ``qd_on: true``, as
+    in a swapped or an on/on pair; an off/off pair is the null comparison.
     """
+    if (off.meta or {}).get("qd_on") is True:
+        raise TraceMetaError("qd_on: true, but the off trace must be taken with the emitter off")
     if on.freq.shape != off.freq.shape or not np.array_equal(on.freq, off.freq):
         raise ValueError(
             "on/off traces must share a frequency grid: "

@@ -148,6 +148,9 @@ def parse_trace_csv(path) -> FringeTrace:
                                              for key in ("p_lo_cps", "integration_time_s"))):
         raise TraceParseError(f"{_sidecar_path(path)}: interferometer must be an object "
                               f"whose p_lo_cps and integration_time_s are numbers")
+    if not isinstance(meta.get("qd_on", False), bool):
+        raise TraceParseError(f"{_sidecar_path(path)}: qd_on must be true or false, "
+                              f"got {meta['qd_on']!r}")
     return FringeTrace(freq=freq, intensity=counts, meta=meta)
 
 

@@ -23,9 +23,11 @@ model through one kernel in real arithmetic.  It computes Re t, Im t and I_t
 of each emitter once per row of a spectrum's grid, projects them on every
 channel kind that a point reads, and hands each point the value of its kind
 at its row, so the phase and the intensity point of one window share one
-evaluation.  For a fit it also computes the derivatives by the parameters
-that the fit moves (beta, gamma, gamma_dp, and f0 or the drive calibration
-k), each a fixed linear combination of a few per-row arrays.
+evaluation.  An emitter reads its fields (beta, gamma, gamma_dp, f0 and the
+drive calibration k) by position from one list of values: a fit's parameter
+vector followed by the values it holds.  For a fit the kernel also computes
+the derivatives by the parameters, each field's a fixed linear combination of
+a few per-row arrays, added into the row of the position it reads.
 """
 
 from __future__ import annotations
@@ -84,26 +86,21 @@ class Spectrum:
 
     @classmethod
     def from_phasors(cls, series: PhasorSeries, dipole: int = 1,
-                     power: Optional[float] = None, intensity_from: str = "offset",
-                     freq_window=None) -> "Spectrum":
-        """The phase and an intensity-like channel of an extracted phasor series.
-
-        ``intensity_from`` selects the offset ratio (I_t) or the amplitude
-        ratio (|t|) as the intensity-like channel.  ``freq_window`` is an
-        optional (lo, hi) restriction in GHz.
-        """
-        if intensity_from == "offset":
-            vals, errs, kind = series.offset_ratio, series.offset_err, INTENSITY
-        elif intensity_from == "amplitude":
-            vals, errs, kind = series.amp_ratio, series.amp_err, AMPLITUDE
-        else:
-            raise ValueError("intensity_from must be 'offset' or 'amplitude'")
+                     power: Optional[float] = None, freq_window=None) -> "Spectrum":
+        """The phase and offset-ratio (I_t) channels of an extracted phasor
+        series; ``freq_window`` is an optional (lo, hi) restriction in GHz."""
         keep = slice(None)
         if freq_window is not None:
             lo, hi = freq_window
             keep = (lo <= series.freq) & (series.freq <= hi)
-        return cls(series.freq[keep], {PHASE: (series.phase_shift[keep], series.phase_err[keep]),
-                                       kind: (vals[keep], errs[keep])}, dipole, power)
+        return cls(series.freq[keep], {
+            PHASE: (series.phase_shift[keep], series.phase_err[keep]),
+            INTENSITY: (series.offset_ratio[keep], series.offset_err[keep])}, dipole, power)
+
+
+def _usable(values, sigma) -> np.ndarray:
+    """The points a fit reads, its start included: finite, with a finite sigma > 0."""
+    return np.isfinite(values) & np.isfinite(sigma) & (sigma > 0)
 
 
 class _Points:
@@ -135,25 +132,27 @@ class _Points:
         # where each point finds its value in a (kinds, rows) table, flattened
         self._at = (np.cumsum(read) - 1)[self.kind] * self.row_freq.size + self.row
 
-    def model(self, groups, phi0, jac=None) -> np.ndarray:
-        """Model values at every point; with ``jac`` given, an array of zeros
-        with one row per parameter and one column per point, their
-        derivatives are added into it, except for phi0's row.
+    def model(self, groups, x, phi0, jac=None) -> np.ndarray:
+        """Model values at every point, at the values ``x``; with ``jac``
+        given, an array of zeros with one row per parameter and one column
+        per point, their derivatives are added into it, the derivative by
+        ``x[i]`` into row i for every i below ``jac.shape[0]``, phi0's among them.
 
-        ``groups`` lists ``(rows, factors)``: a slice of the rows, all groups
-        together covering each row once, and the :class:`_Factor` list whose
-        product t holds there.  Each factor is evaluated once per row of its
-        group, and t is projected on each of ``kinds`` (arg t + phi0, |t|, I_t).
+        ``groups`` lists ``(rows, emitters)``: a slice of the rows, all groups
+        together covering each row once, and the :class:`_Emitter` list whose
+        product t holds there.  Each emitter is evaluated once per row of its
+        group, and t is projected on each of ``kinds`` (arg t + phi0, |t|,
+        I_t), phi0 being ``x[phi0]``.
         """
         n_params = 0 if jac is None else jac.shape[0]
         table = np.zeros((1 + n_params, len(self.kinds), self.row_freq.size))
-        for rows, factors in groups:
-            responses = [_site_response(f, self.row_freq[rows], self.row_drive[rows], self.kinds,
-                                        n_params) for f in factors]
+        for rows, emitters in groups:
+            responses = [_site_response(e, x, self.row_freq[rows], self.row_drive[rows],
+                                        self.kinds, n_params) for e in emitters]
             re, im, i_t, _ = responses[0]
             for re_k, im_k, i_k, _ in responses[1:]:
                 re, im, i_t = re * re_k - im * im_k, re * im_k + im * re_k, i_t * i_k
-            projected = np.array([np.arctan2(im, re) + phi0 if kind == PHASE
+            projected = np.array([np.arctan2(im, re) + x[phi0] if kind == PHASE
                                   else np.hypot(re, im) if kind == AMPLITUDE else i_t
                                   for kind in self.kinds])
             table[0, :, rows] = projected
@@ -171,6 +170,7 @@ class _Points:
                     table[1:, :, rows] += part.reshape(n_params, *basis.shape[1:])
         if n_params:
             jac += table[1:].reshape(n_params, -1).take(self._at, axis=1)
+            jac[phi0, self.phase] = 1.0
         return table[0].take(self._at)
 
 
@@ -183,41 +183,32 @@ def point_columns(spectra: Sequence[Spectrum]):
             points.values)
 
 
-# the parameters the kernel differentiates an emitter by, in its row order:
+# the fields of an emitter, which the kernel differentiates by in this order:
 # the detuning is delta = 2*pi*(freq - f0) and the drive omega_r**2 = k*drive
 DERIVATIVE_ORDER = ("beta", "gamma", "gamma_dp", "f0", "k")
-_BETA, _GAMMA, _GAMMA_DP, _F0, _K = range(len(DERIVATIVE_ORDER))
 
 
-class _Factor(NamedTuple):
-    """An emitter as :meth:`_Points.model` evaluates it: isotropic unless
-    ``chiral``, at detuning 2*pi*(freq - f0) and omega_r**2 = k*drive.
-    ``chain`` lists ``(param, row)``: the derivative by
-    ``DERIVATIVE_ORDER[row]`` is the derivative by the fit's parameter
-    ``param``, one Jacobian row."""
+class _Emitter(NamedTuple):
+    """An emitter as :meth:`_Points.model` evaluates it at a list of values ``x``:
+    field ``DERIVATIVE_ORDER[i]`` is ``x[at[i]]``; isotropic unless ``chiral``."""
 
-    beta: float
-    gamma: float
-    gamma_dp: float
-    f0: float
-    k: float = 0.0
-    chain: Sequence = ()
+    at: Sequence[int]
     chiral: bool = False
 
 
-def _site_response(f: _Factor, freq, drive, kinds, jac_rows=0):
-    """Re t, Im t and I_t of ``f`` at the rows ``freq``, ``drive``, in real
-    arithmetic; with ``jac_rows`` > 0, also ``(coef, basis)``, whose product
-    holds the derivatives of what each of ``kinds`` reads (arg t, ln|t| or
-    I_t) by the ``jac_rows`` parameters of a fit, zero for those not in the
-    chain: ``basis`` has shape (7, len(kinds), rows).
+def _site_response(e: _Emitter, x, freq, drive, kinds, jac_rows=0):
+    """Re t, Im t and I_t of ``e`` at the values ``x`` and the rows ``freq``,
+    ``drive``, in real arithmetic; with ``jac_rows`` > 0, also ``(coef,
+    basis)``, whose product holds the derivatives of what each of ``kinds``
+    reads (arg t, ln|t| or I_t) by ``x[:jac_rows]``, zero for a value that
+    sets none of ``e``'s fields: ``basis`` has shape (7, len(kinds), rows).
 
     The values are :func:`~wgphase.emitter.transmission`'s, from its s, gamma2,
     A and D at omega_r**2 = k*drive; derivatives cover isotropic coupling.
     """
-    beta, gamma, gamma_dp, k = f.beta, f.gamma, f.gamma_dp, f.k
-    s, g2, a = emitter._rates(beta, gamma, gamma_dp, f.chiral)
-    delta = TWO_PI * (freq - f.f0)
+    beta, gamma, gamma_dp, f0, k = (x[i] for i in e.at)
+    s, g2, a = emitter._rates(beta, gamma, gamma_dp, e.chiral)
+    delta = TWO_PI * (freq - f0)
     re, im, i_t, inv = emitter._response(s, g2, a, gamma, delta, k * drive)
     if not jac_rows:
         return re, im, i_t, None
@@ -231,15 +222,16 @@ def _site_response(f: _Factor, freq, drive, kinds, jac_rows=0):
     #   ln|t| : (Re t dRe t + Im t dIm t)/|t|**2 = (v*e - c*(Re t dgamma2 + Im t ddelta))/|t|**2
     #   I_t   : (A*dD/D - dA)/(2*D)
     # with c = s/D, e = c*dD - ds and v = q_re - s*(q_re**2 + q_im**2)
-    rows = {_BETA: (0.0, 0.0, 0.0, gamma / 2.0, 0.0, 0.0, gamma * g2 * (2.0 - 2.0 * beta)),
-            _GAMMA: (g2, -4.0 * gamma_dp * k / (gamma * gamma), 0.0, beta / 2.0, 0.5, 0.0,
-                     beta * (2.0 - beta) * (g2 + gamma / 2.0)),
-            _GAMMA_DP: (2.0 * g2, 4.0 * k / gamma, 0.0, 0.0, 1.0, 0.0, beta * gamma * (2.0 - beta)),
-            _F0: (0.0, 0.0, -2.0 * TWO_PI, 0.0, 0.0, -TWO_PI, 0.0),
-            _K: (0.0, 4.0 * g2 / gamma, 0.0, 0.0, 0.0, 0.0, 0.0)}
-    row_of = dict(f.chain)
-    coef = np.array([rows[row_of[param]] if param in row_of else (0.0,) * 7
-                     for param in range(jac_rows)])
+    rows = ((0.0, 0.0, 0.0, gamma / 2.0, 0.0, 0.0, gamma * g2 * (2.0 - 2.0 * beta)),
+            (g2, -4.0 * gamma_dp * k / (gamma * gamma), 0.0, beta / 2.0, 0.5, 0.0,
+             beta * (2.0 - beta) * (g2 + gamma / 2.0)),
+            (2.0 * g2, 4.0 * k / gamma, 0.0, 0.0, 1.0, 0.0, beta * gamma * (2.0 - beta)),
+            (0.0, 0.0, -2.0 * TWO_PI, 0.0, 0.0, -TWO_PI, 0.0),
+            (0.0, 4.0 * g2 / gamma, 0.0, 0.0, 0.0, 0.0, 0.0))  # in DERIVATIVE_ORDER
+    coef = np.zeros((jac_rows, 7))
+    for i, row in zip(e.at, rows):
+        if i < jac_rows:
+            coef[i] += row
     c = s * inv
     basis = np.zeros((7, len(kinds), delta.size))
     if any(kind != INTENSITY for kind in kinds):
@@ -280,9 +272,11 @@ def channel_model(spectrum: Spectrum, params, omega_r=0.0) -> np.ndarray:
     """
     if isinstance(params, EmitterParams):
         params = (params,)
-    factors = [_Factor(p.beta, p.gamma, p.gamma_dp, p.f0, 1.0, chiral=p.is_chiral) for p in params]
+    # five values per emitter, k = 1 since the drive holds each row's omega_r**2
+    x = [v for p in params for v in (p.beta, p.gamma, p.gamma_dp, p.f0, 1.0)] + [params[0].phi0]
+    emitters = [_Emitter(range(5 * i, 5 * i + 5), p.is_chiral) for i, p in enumerate(params)]
     points = _Points([spectrum], drive=emitter._rabi_squared(omega_r))
-    return points.model([(slice(None), factors)], params[0].phi0)
+    return points.model([(slice(None), emitters)], x, len(x) - 1)
 
 
 def two_dipole_model(spectra: Sequence[Spectrum], x, combine: str = "isolated") -> np.ndarray:
@@ -304,53 +298,43 @@ def two_dipole_model(spectra: Sequence[Spectrum], x, combine: str = "isolated") 
             raise ValueError(f"gamma{d} must be > 0, got {x[3 * i + 1]}")
     if not x[-2] >= 0.0:
         raise ValueError(f"gamma_dp must be >= 0, got {x[-2]}")
-    return _two_dipole(_Points(spectra), dipoles, combine)(x)
+    points = _Points(spectra)
+    return points.model(_dipole_groups(points, dipoles, combine), [*x.tolist(), 0.0], x.size - 1)
 
 
-def _two_dipole(points: _Points, dipoles, combine):
-    """``model(x, jac=None)``: :func:`two_dipole_model` on ``points``, and its
-    Jacobian into ``jac``, for an ``x`` in the physical range."""
+def _dipole_groups(points: _Points, dipoles, combine):
+    """The groups of :meth:`_Points.model` for the parameter vector of
+    :func:`fit_two_dipole_spectra` followed by k = 0: under ``product``
+    every dipole's emitter covers every row."""
     if combine not in ("isolated", "product"):
         raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
-    # the rows and the factors of each group: under product every factor covers every row
-    groups = ([(slice(None), range(len(dipoles)))] if combine == "product"
-              else [(r, [dipoles.index(points.row_dipole[r.start])]) for r in points.spans])
-    chains = [((3 * i, _BETA), (3 * i + 1, _GAMMA), (3 * len(dipoles), _GAMMA_DP),
-               (3 * i + 2, _F0)) for i in range(len(dipoles))]
-
-    def model(x, jac=None):
-        x = np.asarray(x, dtype=float).tolist()
-        gamma_dp, phi0 = x[-2], x[-1]
-        factors = [_Factor(x[3 * i], x[3 * i + 1], gamma_dp, x[3 * i + 2], chain=chain)
-                   for i, chain in enumerate(chains)]
-        values = points.model([(rows, [factors[i] for i in group]) for rows, group in groups],
-                              phi0, jac)
-        if jac is not None:
-            jac[-1, points.phase] = 1.0
-        return values
-
-    return model
+    n = len(dipoles)
+    emitters = [_Emitter((3 * i, 3 * i + 1, 3 * n, 3 * i + 2, 3 * n + 2)) for i in range(n)]
+    return ([(slice(None), emitters)] if combine == "product" else
+            [(r, [emitters[dipoles.index(points.row_dipole[r.start])]]) for r in points.spans])
 
 
 def initial_guess(spectra: Sequence[Spectrum], dipole: int) -> dict:
-    """Deterministic starting point for one dipole from its own spectra, the
-    first of them that carries each channel kind.
+    """Deterministic starting point for one dipole from the usable points of
+    its own spectra, the first of them that has such points of each kind.
 
     gamma2 comes from the intensity-dip full width, beta from the dip depth
     (assuming no dephasing), gamma_dp from the shortfall of the observed
     phase extremum against the dephasing-free prediction, and phi0 from the
     far-detuned mean of the phase channel.
     """
-    found = {}  # (freq, values) of each kind, from the first spectrum that carries it
+    found = {}  # (freq, values) of each kind's usable points, from the first spectrum with any
     for s in spectra:
         if s.dipole == dipole:
-            for kind, (values, _) in s.channels.items():
-                found.setdefault(kind, (s.freq, values))
+            for kind, (values, sigma) in s.channels.items():
+                keep = _usable(values, sigma)
+                if keep.any():
+                    found.setdefault(kind, (s.freq[keep], values[keep]))
     if INTENSITY not in found and AMPLITUDE in found:
         freq, values = found[AMPLITUDE]
         found[INTENSITY] = freq, values**2
     if not found:
-        raise ValueError(f"no channels for dipole {dipole}")
+        raise ValueError(f"no usable points for dipole {dipole}")
 
     if INTENSITY in found:
         freq, vals = found[INTENSITY]
@@ -421,15 +405,15 @@ def _start(defaults: dict, init: Optional[dict], aliases: dict) -> dict:
     return start
 
 
-def _fit(points: _Points, model, names, start, lo, hi, bounds, max_iter) -> FitResult:
-    """Weighted least-squares fit of ``points`` to ``model(x, jac)``, which
-    returns the model values and adds their derivatives into ``jac``, an
-    array of zeros with one row per name and one column per point.
-    ``bounds`` narrows the box ``lo``, ``hi`` of a parameter of ``names`` in
-    place, a null side keeping the box's, and ``start`` is projected into the
-    box.  ValueError naming ``fit.bounds.<key>`` for an unknown key, a value
-    that is not a [lo, hi] pair of numbers or nulls with lo <= hi, or a pair
-    that leaves nothing of the box."""
+def _fit(points: _Points, groups, held, names, start, lo, hi, bounds, max_iter) -> FitResult:
+    """Weighted least-squares fit of ``points`` to the model of ``groups``
+    (see :meth:`_Points.model`) at the values ``[*x, *held]``, ``x`` holding
+    the parameters ``names``, phi0 among them.  ``bounds`` narrows the box
+    ``lo``, ``hi`` of a parameter in place, a null side keeping the box's,
+    and ``start`` is projected into the box.  A fit that ends with a flat
+    direction has not converged.  ValueError naming ``fit.bounds.<key>`` for
+    an unknown key, a value that is not a [lo, hi] pair of numbers or nulls
+    with lo <= hi, or a pair that leaves nothing of the box."""
     check_fit_values(bounds=bounds)
     for key, pair in (bounds or {}).items():
         if key not in names:
@@ -443,23 +427,27 @@ def _fit(points: _Points, model, names, start, lo, hi, bounds, max_iter) -> FitR
             raise ValueError(f"fit.bounds.{key}: {pair!r} leaves nothing of the parameter's "
                              f"range [{box[0]:g}, {box[1]:g}]")
     x0 = [min(max(v, l), h) for v, l, h in zip(start, lo, hi)]
-    values, sigma, phase = points.values, points.sigma, points.phase
+    used = _usable(points.values, points.sigma)
     # inverse-variance; low-contrast points keep their (large) fitted sigma
-    used = np.isfinite(values) & np.isfinite(sigma) & (sigma > 0)
-    weights = np.where(used, 1.0 / np.where(used, sigma, 1.0), 0.0)
-
+    weights = np.where(used, 1.0 / np.where(used, points.sigma, 1.0), 0.0)
+    values = np.where(used, points.values, 0.0)  # an unused inf would warn in wrap_angle
+    phase, phi0 = points.phase, names.index("phi0")
     unused = np.flatnonzero(~used)
 
     def fun(x):
         jac = np.zeros((len(names), values.size))
-        diff = model(x, jac) - values
+        diff = points.model(groups, [*x.tolist(), *held], phi0, jac) - values
         diff[phase] = wrap_angle(diff[phase])  # whose derivative is 1
         jac *= weights
         if unused.size:
             jac[:, unused] = 0.0
         return np.where(used, diff * weights, 0.0), jac.T
 
-    return lm_minimize(fun, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
+    result = lm_minimize(fun, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
+    if result.flat_directions:
+        result.converged = False
+        result.message += "; non-identifiable: flat directions " + ", ".join(result.flat_directions)
+    return result
 
 
 def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = None,
@@ -488,12 +476,8 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     hi = [b for f0 in f0s for b in (1.0, np.inf, f0 + 50.0)] + [np.inf, np.pi]
     names = list(defaults)
     points = _Points(spectra)
-    result = _fit(points, _two_dipole(points, dipoles, combine), names,
-                  [start[n] for n in names], lo, hi, bounds, max_iter)
-    if result.flat_directions:
-        result.converged = False
-        result.message += "; non-identifiable: flat directions " + ", ".join(result.flat_directions)
-    return result
+    return _fit(points, _dipole_groups(points, dipoles, combine), [0.0], names,
+                [start[n] for n in names], lo, hi, bounds, max_iter)
 
 
 def fit_saturation_series(spectra: Sequence[Spectrum], init: Optional[dict] = None,
@@ -503,9 +487,11 @@ def fit_saturation_series(spectra: Sequence[Spectrum], init: Optional[dict] = No
     Parameters (beta, gamma, gamma_dp, phi0, k) are shared across spectra;
     spectrum j is driven at omega_r = sqrt(k * P_j), P_j its ``power``.
     ``init`` may also set the resonance f0, which the fit holds fixed.
-    Needs >= 3 power levels, otherwise k is not identifiable.  A k that ends
-    on the floor k = 0 is reported as a flat direction; one that ends on a
-    higher floor set by ``bounds`` is named in the message.
+    Needs >= 3 power levels, otherwise k is not identifiable.  As in
+    :func:`fit_two_dipole_spectra`, a flat direction leaves the fit
+    unconverged; but a k that ends on the floor k = 0 is added to them after
+    the fit, which stays converged, and one that ends on a higher floor set
+    by ``bounds`` is named in the message.
     """
     spectra = list(spectra)
     powers = [s.power for s in spectra]
@@ -525,17 +511,9 @@ def fit_saturation_series(spectra: Sequence[Spectrum], init: Optional[dict] = No
 
     points = _Points(spectra, drive=np.repeat([float(pw) for pw in powers],
                                               [s.freq.size for s in spectra]))
-    chain = ((0, _BETA), (1, _GAMMA), (2, _GAMMA_DP), (4, _K))
-
-    def model(x, jac):
-        # every spectrum in one call, at its own omega_r**2 = k*P; f0 is held
-        beta, gamma, gamma_dp, phi0, k = x.tolist()
-        factor = _Factor(beta, gamma, gamma_dp, start["f0"], k, chain)
-        values = points.model([(slice(None), [factor])], phi0, jac)
-        jac[3, points.phase] = 1.0
-        return values
-
-    result = _fit(points, model, names, [start[n] for n in names], lo,
+    # every spectrum in one group, at its own omega_r**2 = k*P; f0 is held
+    groups = [(slice(None), [_Emitter((0, 1, 2, 5, 4))])]
+    result = _fit(points, groups, [start["f0"]], names, [start[n] for n in names], lo,
                   [1.0, np.inf, np.inf, np.pi, np.inf], bounds, max_iter)
     if result["k"] <= lo[4] + 1e-12:
         if lo[4] > 0.0:  # a fit.bounds.k floor, which _fit set in lo

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import textwrap
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -835,6 +836,42 @@ def test_extract_trace_without_background_names_the_sidecar(tmp_path, capsys, me
                    str(sim / "trace_off.csv")) == EXIT_OK
 
 
+@pytest.mark.parametrize("on, off", [
+    ("trace_off.csv", "trace_on.csv"),  # swapped: was exit 0, and fit converged to beta 1.0
+    ("trace_on.csv", "trace_on.csv"),   # was exit 0
+])
+def test_extract_off_trace_taken_with_the_emitter_names_the_sidecar(tmp_path, capsys, on, off):
+    # an off/off pair stays the null comparison (test_extract_roundtrip_and_offoff)
+    sim = tmp_path / "sim"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", BASE_CFG),
+                   "--out", str(sim), "simulate") == EXIT_OK
+    files = [str(sim / on), str(sim / off)]
+    out = tmp_path / "x"
+    assert run_cli("--out", str(out), "extract", *files) == EXIT_BAD_INPUT
+    assert f"{files[1]}.meta.json: qd_on: true" in capsys.readouterr().err
+    assert not out.exists()
+    # sidecars without the key pass, as a lab CSV's would
+    for name in {on, off}:
+        sidecar = sim / f"{name}.meta.json"
+        meta = read_json(sidecar)
+        del meta["qd_on"]
+        sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    assert run_cli("--out", str(out), "extract", *files) == EXIT_OK
+
+
+def test_extract_string_qd_on_names_the_sidecar(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", BASE_CFG),
+                   "--out", str(sim), "simulate") == EXIT_OK
+    sidecar = sim / "trace_on.csv.meta.json"
+    sidecar.write_text(json.dumps({**read_json(sidecar), "qd_on": "true"}), encoding="utf-8")
+    out = tmp_path / "x"
+    assert run_cli("--out", str(out), "extract", str(sim / "trace_on.csv"),
+                   str(sim / "trace_off.csv")) == EXIT_BAD_INPUT
+    assert f"{sidecar}: qd_on must be true or false" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _damaged_trace(tmp_path, source, damage):
     """A copy of the trace CSV ``source``: 10 rows, a row dropped, or flat counts."""
     lines = Path(source).read_text(encoding="utf-8").splitlines(keepends=True)
@@ -952,6 +989,16 @@ def test_fit_powers_for_files_not_given_is_bad_input(tmp_path, capsys):
     assert not out.exists()
 
 
+def _fit_files(tmp_path, command):
+    """The phasor files of ``command``: one noisy file for fit, the noiseless
+    power series for fit-saturation, whose start reads the first file."""
+    if command == "fit":
+        p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
+        return [_noisy_phasor_file(tmp_path / "p.csv", p, np.linspace(-8, 8, 41),
+                                   np.random.default_rng(0))]
+    return _saturation_files(tmp_path)
+
+
 @pytest.mark.parametrize("command, fit, named", [
     ("fit", {"init": {"beta": "a"}}, "fit.init.beta"),                 # was exit 4 (TypeError)
     ("fit", {"init": {"gamma": None}}, "fit.init.gamma"),              # was exit 4 (TypeError)
@@ -980,19 +1027,48 @@ def test_fit_powers_for_files_not_given_is_bad_input(tmp_path, capsys):
     ("fit", {"intensity_from": "phase"}, "fit.intensity_from"),        # named no block
     ("fit", {"bounds": {"beta1": [2, 3]}}, "fit.bounds.beta1"),        # no box left: was exit 3
     ("fit-saturation", {"bounds": {"k": [None, -1]}}, "fit.bounds.k"),  # no box left: was exit 0
+    ("fit", {"intensity_from": "amplitude"}, "fit.intensity_from"),    # was exit 3
+    ("fit-saturation", {"intensity_from": "amplitude"}, "fit.intensity_from"),  # was wrong, exit 0
 ])
 def test_bad_fit_block_is_bad_input(tmp_path, capsys, command, fit, named):
-    if command == "fit":
-        p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
-        files = [_noisy_phasor_file(tmp_path / "p.csv", p, np.linspace(-8, 8, 41),
-                                    np.random.default_rng(0))]
-    else:
-        files = _saturation_files(tmp_path)
+    files = _fit_files(tmp_path, command)
     out = tmp_path / "o"
     assert run_cli("--config", write_cfg(tmp_path, "c.json", {"fit": fit}), "--out", str(out),
                    command, *files) == EXIT_BAD_INPUT
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def _edit_phasor_file(path, column, row, value):
+    series = parse_phasors_csv(path)
+    getattr(series, column)[row] = value
+    write_phasors_csv(series, path, meta=phasor_file_meta(path))
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-saturation"])
+def test_nan_value_fits_as_an_unweighted_point(tmp_path, command):
+    # a nan at the intensity dip was exit 2: "residual is not finite at the
+    # initial point", as the start read the nan
+    fits = []
+    for name, column, value in (("nan", "offset_ratio", np.nan), ("zero", "offset_err", 0.0)):
+        (tmp_path / name).mkdir()
+        files = _fit_files(tmp_path / name, command)
+        dip = int(np.argmin(parse_phasors_csv(files[0]).offset_ratio))
+        _edit_phasor_file(files[0], column, dip, value)
+        out = tmp_path / name / "out"
+        assert run_cli("--out", str(out), command, *files) == EXIT_OK
+        fits.append((out / "fit.json").read_bytes())
+    assert fits[0] == fits[1]
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-saturation"])
+def test_inf_phase_in_an_edge_row_fits_without_warnings(tmp_path, command):
+    # was RuntimeWarnings from the start's phase - phi0 and from wrap_angle, then exit 3
+    files = _fit_files(tmp_path, command)
+    _edit_phasor_file(files[0], "phase_shift", 0, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("--out", str(tmp_path / "out"), command, *files) == EXIT_OK
 
 
 def test_fit_bounds_wider_than_physics_give_the_default_fit(tmp_path):

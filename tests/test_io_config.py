@@ -38,6 +38,20 @@ def test_trace_roundtrip_bit_exact(tmp_path, trace):
     assert back.meta["interferometer"]["p_lo_cps"] == 1e6
 
 
+@pytest.mark.parametrize("qd_on", ["false", 1, None])
+def test_trace_sidecar_qd_on_must_be_a_boolean(tmp_path, trace, qd_on):
+    path = write_trace_csv(trace, tmp_path / "t.csv")
+    sidecar = tmp_path / "t.csv.meta.json"
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    sidecar.write_text(json.dumps({**meta, "qd_on": qd_on}), encoding="utf-8")
+    with pytest.raises(TraceParseError, match=f"{sidecar}: qd_on must be true or false"):
+        parse_trace_csv(path)
+    # a trace without the key, such as a lab CSV with no sidecar, passes
+    del meta["qd_on"]
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    assert "qd_on" not in parse_trace_csv(path).meta
+
+
 def test_trace_parse_errors_name_lines(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("freq_ghz,counts\n0.0,1.0\n0.5\n", encoding="utf-8")

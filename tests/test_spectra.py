@@ -245,6 +245,24 @@ def test_saturation_k_on_a_bounds_floor_is_named_not_flat():
     assert "k held at its fit.bounds.k floor 2" in res.message
 
 
+def test_saturation_flat_direction_is_not_converged():
+    # phase and |t| fix only beta*gamma/2, gamma2 and k*gamma2/gamma: this fit
+    # returned converged=True with gamma and gamma_dp flat and beta 0.615
+    truth = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
+    freq, rng, sigma = np.linspace(-10, 10, 81), np.random.default_rng(1), 0.01
+    datasets = []
+    for omega in (2.0, 4.0, 8.0):
+        t, _ = transmission(truth, detuning_angular(freq, 0.0), omega)
+        errs = np.full(freq.size, sigma)
+        datasets.append(Spectrum(freq, {
+            "phase": (np.angle(t) + truth.phi0 + rng.normal(0, sigma, freq.size), errs),
+            "amplitude": (np.abs(t) + rng.normal(0, sigma, freq.size), errs)}, power=omega**2))
+    res = fit_saturation_series(datasets, init={"f0": 0.0})
+    assert not res.converged
+    assert res.flat_directions == ["gamma", "gamma_dp"]
+    assert "non-identifiable: flat directions gamma, gamma_dp" in res.message
+
+
 def test_saturation_needs_three_powers():
     truth = EmitterParams.isotropic(gamma=12.6, beta=0.99)
     ds = synth_spectrum(truth, np.linspace(-8, 8, 41), 1, power=1.0)
@@ -376,10 +394,7 @@ def test_from_phasors_amplitude_variant_and_window():
                        amp_ratio=np.full(10, 0.9), offset_ratio=np.full(10, 0.8),
                        phase_err=np.full(10, 0.01), amp_err=np.full(10, 0.02),
                        offset_err=np.full(10, 0.03), low_contrast=np.zeros(10, dtype=bool))
-    ds = Spectrum.from_phasors(pts, dipole=2, intensity_from="amplitude",
-                               freq_window=(2.0, 8.0))
+    ds = Spectrum.from_phasors(pts, dipole=2, freq_window=(2.0, 8.0))
     kinds = sorted(ds.channels)
-    assert kinds == ["amplitude", "phase"]
+    assert kinds == ["intensity", "phase"]
     assert ds.freq.min() >= 2.0 and ds.freq.max() <= 8.0
-    with pytest.raises(ValueError, match="intensity_from"):
-        Spectrum.from_phasors(pts, intensity_from="volume")
