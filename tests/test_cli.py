@@ -284,6 +284,26 @@ def test_extract_bundle_bytes_pinned(tmp_path):
         assert hashlib.sha256((ext / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of simulate's trace pair with shot noise (integer counts) and
+# noiseless (17-digit counts), as each trace was formatted on its own
+_TRACE_SHA256 = {
+    "shot_noise": {
+        "trace_on.csv": "92dc9d8c6d40cac00a5cac87802283b72697c4221f1cb7ac8fe4c2fd7c526367",
+        "trace_off.csv": "d39ff1903a37b900e1026fce5b965ff8c5edad51cf9237f3b482435979e3bb16"},
+    "noiseless": {
+        "trace_on.csv": "9a1260ea8fa0eb598993ea7355220a3881ce136e3ab815c58432bd5ab4703b04",
+        "trace_off.csv": "84cf619b4683a8e1c937ee0007f047699695e540022f7ab1aa473e1207e99eba"},
+}
+
+
+@pytest.mark.parametrize("case", list(_TRACE_SHA256))
+def test_simulate_trace_bytes_pinned(tmp_path, case):
+    cfg = write_cfg(tmp_path, "cfg.json", EXTRACTION_CFG if case == "shot_noise" else BASE_CFG)
+    assert run_cli("--config", cfg, "--out", str(tmp_path / "sim"), "simulate") == EXIT_OK
+    for name, digest in _TRACE_SHA256[case].items():
+        assert hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_extract_truncated_csv_is_bad_input(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "cfg.json", BASE_CFG)
     sim = tmp_path / "sim"
