@@ -35,7 +35,7 @@ from .extraction import (NoFringeError, TraceMetaError, estimate_path_length_fft
                          extract_phasor_series)
 from .interferometer import UnstableLoopError, apply_shot_noise, fringe_trace
 from .io import (ResultBundle, TraceParseError, fit_result_json, parse_phasors_csv,
-                 parse_trace_csv, phasor_file_meta)
+                 parse_trace_csv, parse_trace_pair, phasor_file_meta)
 from .lm import FitResult
 
 EXIT_OK = 0
@@ -65,13 +65,11 @@ def cmd_simulate(cfg: RunConfig, bundle: ResultBundle):
         if cfg.noise.shot_noise:
             trace = apply_shot_noise(trace, cfg.noise.seed + (0 if qd_on else 1))
         traces[name] = trace
-    for name, trace in traces.items():
-        bundle.write_trace(name, trace)
+    bundle.write_traces(traces)
 
 
 def cmd_extract(cfg: RunConfig, bundle: ResultBundle, on_file, off_file):
-    on = parse_trace_csv(on_file)
-    off = parse_trace_csv(off_file)
+    on, off = parse_trace_pair(on_file, off_file)
     try:
         ext = cfg.extraction.with_path_length(off)  # one FFT estimate, recorded below
     except ValueError as exc:  # the off trace gives no estimate
@@ -96,6 +94,9 @@ def cmd_pathlength(cfg: RunConfig, bundle: ResultBundle, trace_file):
     except ValueError as exc:  # too short, not on a uniform grid or without a fringe
         raise ValueError(f"{trace_file}: {exc}") from exc
     bundle.write_json("summary.json", {"delta_l_m": delta_l, "source": str(trace_file)})
+
+
+_USABLE = "a finite value with a finite sigma > 0"
 
 
 def _spectra_from_files(cfg: RunConfig, phasor_files, power_series=False):
@@ -123,13 +124,19 @@ def _spectra_from_files(cfg: RunConfig, phasor_files, power_series=False):
                 raise TraceParseError(
                     f"{path}: no power level in sidecar and none given in fit.powers")
         try:
-            records.append(spectra.Spectrum.from_phasors(
-                series, dipole=dipole,
-                power=None if power is None else float(power),
-                freq_window=tuple(window) if window else None))
-        except ValueError as exc:  # too few or bad points in the file, or in its window
+            record = spectra.Spectrum.from_phasors(
+                series, dipole=dipole, power=None if power is None else float(power),
+                freq_window=tuple(window) if window else None)
+            if not (power_series or record.has_usable_point()):
+                raise ValueError(f"no usable points for dipole {dipole} ({_USABLE})")
+        except ValueError as exc:  # too few, bad or unusable points in the file or its window
             where = f"fit.dipole_windows_ghz.{dipole}: window {window} GHz of " if window else ""
             raise ValueError(f"{where}{path}: {exc}") from exc
+        records.append(record)
+    if power_series and not any(r.has_usable_point() for r in records):
+        where = " in its fit.dipole_windows_ghz.1 window" if windows else ""
+        raise ValueError(f"none of the {len(records)} phasor files has a usable point"
+                         f"{where} ({_USABLE})")
     return records
 
 

@@ -21,7 +21,8 @@ magnitude.  The residual systematic error is the local-polynomial
 truncation bias, which shrinks with the ratio of window span to spectral
 feature width (i.e. with larger path imbalance or higher ``poly_order``).
 On the uniform grid the extraction requires, all windows share one weighted
-projector, so the solves of a trace are done together.  The settings are one
+projector, so the solves of a trace are done together, and the on and off
+traces of a pair share one window layout.  The settings are one
 :class:`ExtractionConfig`.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -207,22 +208,29 @@ def _parabolic_offset(mag: np.ndarray, i: int) -> float:
     return float(0.5 * (a - c) / denom)
 
 
-def window_phasors(trace: FringeTrace, cfg: ExtractionConfig) -> WindowFits:
-    """Fit the local polynomial phasor model in sliding windows of one trace,
-    at the path length ``cfg.delta_l_m`` (None: the estimate from ``trace``).
+class _Layout(NamedTuple):
+    """The windows of one uniform grid under one config: the window length
+    ``n`` and each window's first sample, the carrier phase there and its
+    centre frequency; the shared design matrix, weighted projector, unit
+    sandwich covariance and residual dof; and the coefficient index of the
+    carrier's cosine (``i_p``) and sine (``i_q``) terms."""
 
-    The grid must be uniform: every window then has the same design matrix
-    in its own coordinates (``u`` from the sample index, carrier ``theta -
-    theta[start]``), so one weighted projector, one sandwich covariance and
-    one residual dof serve all windows.  A window's local phasor ``z = p +
-    i*q`` is rotated back by ``exp(-i*theta[start])``; the amplitude and
-    phase variances are rotation-invariant and are evaluated in the local
-    frame.
-    """
-    cfg = cfg.with_path_length(trace)
+    n: int
+    starts: np.ndarray
+    theta_start: np.ndarray
+    centers: np.ndarray
+    design: np.ndarray
+    proj: np.ndarray
+    cov_unit: np.ndarray
+    dof: float
+    i_p: int
+    i_q: int
+
+
+def _window_layout(freq: np.ndarray, cfg: ExtractionConfig) -> _Layout:
+    """The windows of the grid ``freq`` at the path length ``cfg.delta_l_m``."""
     delta_l, poly_order = cfg.delta_l_m, cfg.poly_order
     hop_periods = cfg.window_periods if cfg.hop_periods is None else cfg.hop_periods
-    freq = trace.freq
     df = _uniform_spacing(freq)
     period_ghz = C_M_PER_S / delta_l / 1e9
     min_pts = 2 * 3 * (poly_order + 1)
@@ -252,17 +260,36 @@ def window_phasors(trace: FringeTrace, cfg: ExtractionConfig) -> WindowFits:
     c_mat = design.T @ design
     a_inv = np.linalg.pinv(a_mat)
     dof = max(n - 2 * k + float(np.trace(a_inv @ c_mat @ a_inv @ b_mat)), 1.0)
-    cov_unit = a_inv @ b_mat @ a_inv
+    centers = 0.5 * (freq[starts] + freq[starts + n - 1])
+    return _Layout(n=n, starts=starts, theta_start=theta_start, centers=centers, design=design,
+                   proj=proj, cov_unit=a_inv @ b_mat @ a_inv, dof=dof, i_p=poly_order + 1,
+                   i_q=2 * (poly_order + 1))
 
-    samples = np.lib.stride_tricks.sliding_window_view(trace.intensity, n)[starts]
-    coef = samples @ proj.T
-    resid = samples - coef @ design.T
-    sigma2 = np.einsum("ij,ij->i", resid, resid) / dof
 
-    i_p, i_q = poly_order + 1, 2 * (poly_order + 1)
+def window_phasors(trace: FringeTrace, cfg: ExtractionConfig, *,
+                   _layout: _Layout | None = None) -> WindowFits:
+    """Fit the local polynomial phasor model in sliding windows of one trace,
+    at the path length ``cfg.delta_l_m`` (None: the estimate from ``trace``).
+
+    The grid must be uniform: every window then has the same design matrix
+    in its own coordinates (``u`` from the sample index, carrier ``theta -
+    theta[start]``), so one weighted projector, one sandwich covariance and
+    one residual dof serve all windows.  A window's local phasor ``z = p +
+    i*q`` is rotated back by ``exp(-i*theta[start])``; the amplitude and
+    phase variances are rotation-invariant and are evaluated in the local
+    frame.  ``_layout``, that of ``trace.freq`` under ``cfg``, is passed by
+    a caller that fits several traces on one grid.
+    """
+    lay = _window_layout(trace.freq, cfg.with_path_length(trace)) if _layout is None else _layout
+    samples = np.lib.stride_tricks.sliding_window_view(trace.intensity, lay.n)[lay.starts]
+    coef = samples @ lay.proj.T
+    resid = samples - coef @ lay.design.T
+    sigma2 = np.einsum("ij,ij->i", resid, resid) / lay.dof
+
+    i_p, i_q, cov_unit = lay.i_p, lay.i_q, lay.cov_unit
     p, q = coef[:, i_p], coef[:, i_q]
     amp = np.hypot(p, q)
-    phase = np.angle((p + 1j * q) * np.exp(-1j * theta_start))
+    phase = np.angle((p + 1j * q) * np.exp(-1j * lay.theta_start))
     cpp, cqq, cpq = cov_unit[i_p, i_p], cov_unit[i_q, i_q], cov_unit[i_p, i_q]
     var_offset = np.maximum(sigma2 * cov_unit[0, 0], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,10 +301,9 @@ def window_phasors(trace: FringeTrace, cfg: ExtractionConfig) -> WindowFits:
             amp > 0,
             np.maximum(sigma2 * (q * q * cpp + p * p * cqq - 2 * p * q * cpq) / amp**4, 0.0),
             np.inf)
-    centers = 0.5 * (freq[starts] + freq[starts + n - 1])
-    return WindowFits(freq=centers, offset=coef[:, 0], amplitude=amp, phase=phase,
+    return WindowFits(freq=lay.centers, offset=coef[:, 0], amplitude=amp, phase=phase,
                       var_offset=var_offset, var_amplitude=var_amp, var_phase=var_phase,
-                      n_points=n)
+                      n_points=lay.n)
 
 
 def _uniform_spacing(freq: np.ndarray) -> float:
@@ -313,8 +339,10 @@ def extract_phasor_series(on: FringeTrace, off: FringeTrace,
     cfg = cfg.with_path_length(off)
     background = _background_counts(off)
 
-    won = window_phasors(on, cfg)
-    woff = window_phasors(off, cfg)
+    # one window layout for both traces, each fitted through the module global
+    layout = _window_layout(on.freq, cfg)
+    won = window_phasors(on, cfg, _layout=layout)
+    woff = window_phasors(off, cfg, _layout=layout)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         amp_ratio = np.where(woff.amplitude > 0, won.amplitude / woff.amplitude, np.inf)

@@ -97,6 +97,10 @@ class Spectrum:
             PHASE: (series.phase_shift[keep], series.phase_err[keep]),
             INTENSITY: (series.offset_ratio[keep], series.offset_err[keep])}, dipole, power)
 
+    def has_usable_point(self) -> bool:
+        """Whether a fit can read any point of this spectrum (see :func:`_usable`)."""
+        return any(_usable(values, sigma).any() for values, sigma in self.channels.values())
+
 
 def _usable(values, sigma) -> np.ndarray:
     """The points a fit reads, its start included: finite, with a finite sigma > 0."""
@@ -502,8 +506,10 @@ def fit_saturation_series(spectra: Sequence[Spectrum], init: Optional[dict] = No
             "k is unidentifiable: need >= 3 distinct power levels, "
             f"got {sorted({float(pw) for pw in powers})}")
 
-    lowest = min(powers)
-    at_lowest = [s for s in spectra if s.power == lowest]
+    # the start reads the lowest power whose spectra hold a usable point
+    usable = [s for s in spectra if s.has_usable_point()] or spectra
+    lowest = min(s.power for s in usable)
+    at_lowest = [s for s in usable if s.power == lowest]
     guess = initial_guess(at_lowest, at_lowest[0].dipole)
     start = _start({**guess, "k": 0.0}, init, {})
     names = ["beta", "gamma", "gamma_dp", "phi0", "k"]

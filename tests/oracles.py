@@ -1,4 +1,5 @@
-"""Test oracles: time-domain integration of the optical Bloch equations.
+"""Test oracles: time-domain integration of the optical Bloch equations,
+and the line-by-line CSV reader of :mod:`wgphase.io`.
 
 Independent cross-check for the closed-form transmission in
 :mod:`wgphase.emitter`: the rotating-frame master equation with decay
@@ -21,6 +22,9 @@ and how fast the transient decays.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -139,3 +143,51 @@ def input_output(s, gamma, omega_r, rho_ee, rho_ge):
     t = 1.0 + 1j * s * np.conj(rho_ge) / omega_r
     i_t = 1.0 - s * (gamma - s) * rho_ee / omega_r**2
     return t, i_t
+
+
+class TraceParseError(ValueError):
+    """Raised by the reader oracle where wgphase.io raises its namesake."""
+
+
+# The CSV reader of wgphase.io before it checked a file's structure on its
+# bytes: it splits the text into lines, and converts a file whose every line
+# holds the header's field count in one cast of the comma-joined lines, any
+# other file line by line.  Its columns, line numbers and error messages are
+# what the reader must reproduce for every input.
+def _read_csv(path: Path, header: str):
+    """The non-blank rows under the exact ``header`` as a float array of shape
+    (columns, rows), and the line number of each row."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path}: not valid UTF-8 ({exc})") from exc
+    if not lines or lines[0].strip() != header:
+        found = lines[0].strip() if lines else "<empty file>"
+        raise TraceParseError(f"{path}:1: expected header {header!r}, found {found!r}")
+    n_fields = header.count(",") + 1
+    body = lines[1:]
+    # fast path: every line holds n_fields fields (so none is blank, or the
+    # cast fails on it) and all of them convert in one cast, numpy's str ->
+    # float accepting exactly what float() accepts; any other file takes the
+    # per-line pass, which names the bad line
+    if body and set(map(str.count, body, repeat(","))) == {n_fields - 1}:
+        try:
+            values = np.array(",".join(body).split(","), dtype=float)
+        except ValueError:
+            pass
+        else:
+            return values.reshape(-1, n_fields).T.copy(), list(range(2, len(lines) + 1))
+    linenos = [n for n, raw in enumerate(body, start=2) if raw.strip()]
+    values = []
+    for lineno in linenos:
+        parts = lines[lineno - 1].split(",")
+        if len(parts) != n_fields:
+            raise TraceParseError(f"{path}:{lineno}: expected {n_fields} comma-separated "
+                                  f"fields, got {len(parts)}")
+        try:
+            values += map(float, parts)
+        except ValueError as exc:
+            raise TraceParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    if not values:
+        raise TraceParseError(f"{path}: no data rows")
+    return np.array(values).reshape(-1, n_fields).T.copy(), linenos

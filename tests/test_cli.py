@@ -1091,6 +1091,49 @@ def test_inf_phase_in_an_edge_row_fits_without_warnings(tmp_path, command):
         assert run_cli("--out", str(tmp_path / "out"), command, *files) == EXIT_OK
 
 
+def _unusable_phasor_file(path, power=None):
+    """8 rows whose phase and offset-ratio columns are all nan: no point a fit reads."""
+    freq, nan, errs = np.linspace(-4.0, 4.0, 8), np.full(8, np.nan), np.full(8, 0.01)
+    series = PhasorSeries(freq=freq, phase_shift=nan, phase_err=errs, amp_ratio=np.ones(8),
+                          amp_err=errs, offset_ratio=nan, offset_err=errs,
+                          low_contrast=np.zeros(8, dtype=bool))
+    write_phasors_csv(series, path, meta=None if power is None else {"power": power})
+    return str(path)
+
+
+@pytest.mark.parametrize("dipole", [1, 2])
+def test_fit_file_without_a_usable_point_names_the_file(tmp_path, capsys, dipole):
+    # was "no usable points for dipole 1", naming no file
+    files = _fit_files(tmp_path, "fit")
+    files.insert(dipole - 1, _unusable_phasor_file(tmp_path / "nan.csv"))
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), "fit", *files) == EXIT_BAD_INPUT
+    assert f"nan.csv: no usable points for dipole {dipole}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_saturation_without_a_usable_point_names_the_files(tmp_path, capsys):
+    files = [_unusable_phasor_file(tmp_path / f"nan{i}.csv", power) for i, power in
+             enumerate([1.0, 2.0, 4.0])]
+    out = tmp_path / "o"
+    assert run_cli("--out", str(out), "fit-saturation", *files) == EXIT_BAD_INPUT
+    assert "none of the 3 phasor files has a usable point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_saturation_starts_from_the_lowest_power_with_a_usable_point(tmp_path):
+    # an unusable file at the lowest power was "no usable points for dipole 1";
+    # it adds no point to the fit, whose start now reads the next power up
+    files = _saturation_files(tmp_path)
+    out = [tmp_path / "with", tmp_path / "without"]
+    nan = _unusable_phasor_file(tmp_path / "nan.csv", power=1e-3)
+    assert run_cli("--out", str(out[0]), "fit-saturation", nan, *files) == EXIT_OK
+    assert run_cli("--out", str(out[1]), "fit-saturation", *files) == EXIT_OK
+    params = [read_json(o / "fit.json")["params"] for o in out]
+    for name, entry in params[1].items():
+        assert params[0][name]["value"] == pytest.approx(entry["value"], rel=1e-12), name
+
+
 def test_fit_bounds_wider_than_physics_give_the_default_fit(tmp_path):
     # was exit 3 with beta1 > 1 and gamma_dp < 0: bounds replaced the fit's box
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=0.0, beta=1.0, phi0=-0.25)

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _read_csv as read_csv_oracle
 
 from wgphase.config import ConfigError, RunConfig, load_config
 from wgphase.emitter import EmitterParams
 from wgphase.extraction import PhasorSeries
 from wgphase.interferometer import EnvPhase, FringeTrace, InterferometerConfig, fringe_trace
-from wgphase.io import (PHASOR_HEADER, SCHEMA_VERSION, ResultBundle, TraceParseError,
-                        _write_csv, parse_phasors_csv, parse_trace_csv, write_phasors_csv,
-                        write_trace_csv)
+from wgphase.io import (PHASOR_HEADER, SCHEMA_VERSION, TRACE_HEADER, ResultBundle,
+                        TraceParseError, _Grid, _read_csv, _write_csv, parse_phasors_csv,
+                        parse_trace_csv, write_phasors_csv, write_trace_csv)
 
 
 @pytest.fixture
@@ -196,6 +197,161 @@ def test_phasor_csv_roundtrip_property(tmp_path_factory, rows):
     np.testing.assert_array_equal(back.low_contrast, series.low_contrast)
 
 
+# fields float() reads though the writer never spells them so, fields it
+# rejects, the line breaks of str.splitlines other than "\n", and blanks
+_ODD_FIELDS = ["1_0", "+1e3", "-0", "1e400", ".5", "5.", "nan", "NaN", "-nan", "+nan", "inf",
+               "-inf", "Infinity", "-iNF", "\uff11", "\u0661"]
+_BAD_FIELDS = ["", "1e", "abc", "1..2", "0x1", "in", "nan(1)", "1 2", "\x00", "\x1f1"]
+_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+_BLANKS = ["", " ", "\t", " \t "]
+_TOKEN = _FINITE.map("%.17g".__mod__) | st.integers(-10**6, 10**6).map(str)
+_MUTATIONS = ["field", "pad", "count", "break", "stray", "blank", "final", "header", "utf8"]
+
+
+@st.composite
+def _csv_files(draw, first_op):
+    """(header, bytes of a table file, bytes of its partner): rows of numbers
+    as the writer spells them, then the mutation ``first_op`` (None: none)
+    and up to two more; the partner holds the same rows with some
+    first-column fields respelt or changed."""
+    header = draw(st.sampled_from([TRACE_HEADER, PHASOR_HEADER]))
+    n = header.count(",") + 1
+    rows = draw(st.lists(st.lists(_TOKEN, min_size=n, max_size=n), min_size=1, max_size=6))
+    partner = [[draw(st.sampled_from([row[0], row[0] + "0" if "e" not in row[0] else row[0],
+                                      "%.17g" % (float(row[0]) + 1.0)])), *row[1:]]
+               for row in rows]
+    lines = [header] + [",".join(row) for row in rows]
+    ends = ["\n"] * len(lines)
+    tail = b""
+    ops = [first_op] if first_op else []
+    for op in ops + draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2)):
+        i = draw(st.integers(1, len(lines) - 1))
+        fields = lines[i].split(",")
+        j = draw(st.integers(0, len(fields) - 1))
+        if op == "field":
+            fields[j] = draw(st.sampled_from(_ODD_FIELDS + _BAD_FIELDS))
+        elif op == "pad":
+            pads = st.sampled_from(_BLANKS)
+            fields[j] = draw(pads) + fields[j] + draw(pads)
+        elif op == "count":
+            fields = fields[:-1] if draw(st.booleans()) else fields + [fields[j]]
+        elif op == "stray":  # a line break before or after a field's text
+            brk = draw(st.sampled_from(_BREAKS))
+            fields[j] = brk + fields[j] if draw(st.booleans()) else fields[j] + brk
+        elif op == "break":
+            ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(_BREAKS))
+        elif op == "blank":  # first, middle or last line of the body
+            at = draw(st.sampled_from([1, max(1, len(lines) // 2), len(lines)]))
+            lines.insert(at, draw(st.sampled_from(_BLANKS)))
+            ends.insert(at, draw(st.sampled_from(["\n"] + _BREAKS)))
+            continue
+        elif op == "final":
+            ends[-1] = ""
+        elif op == "header":
+            lines[0] = draw(st.sampled_from([" " + header, header + "\t", header[:-1], ""]))
+        else:
+            tail = b"\xff\n"  # no UTF-8
+        lines[i] = ",".join(fields)
+    data = "".join(map(str.__add__, lines, ends)).encode("utf-8") + tail
+    other = [header] + [",".join(row) for row in partner]
+    return header, data, ("\n".join(other) + "\n").encode("utf-8")
+
+
+def _read_outcome(read, path):
+    """The columns' shape and bits and the line numbers, or the error's class
+    name and message (the oracle raises a TraceParseError of its own)."""
+    try:
+        columns, linenos = read(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return columns.shape, _bits(columns), list(linenos)
+
+
+@pytest.mark.parametrize("first_op", [None] + _MUTATIONS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(case=st.data())
+def test_read_csv_matches_line_by_line_oracle(tmp_path_factory, first_op, case):
+    # the reader checks a file's structure on its bytes and casts it at once, or
+    # reads it line by line; either way it returns what the oracle returns, also
+    # when it reuses the first column of a partner file it read before
+    header, data, partner = case.draw(_csv_files(first_op))
+    root = tmp_path_factory.getbasetemp() / "read_oracle"  # rewritten by every example
+    root.mkdir(exist_ok=True)
+    path = root / "x.csv"
+    path.write_bytes(data)
+    (root / "partner.csv").write_bytes(partner)
+    want = _read_outcome(lambda p: read_csv_oracle(p, header), path)
+    assert _read_outcome(lambda p: _read_csv(p, header), path) == want
+    grid = _Grid()
+    _read_csv(root / "partner.csv", header, grid)
+    assert grid.text is not None  # the partner took the fast path
+    assert _read_outcome(lambda p: _read_csv(p, header, grid), path) == want
+
+
+def test_read_csv_fast_path_takes_written_files(tmp_path, monkeypatch):
+    # files as the writer writes them, nan and inf included, never reach the
+    # line-by-line pass, the only reader of the text
+    trace = FringeTrace(freq=np.linspace(-1.0, 1.0, 9), intensity=np.arange(9.0) ** 3.5)
+    values = [np.linspace(0.0, 1.0, 4), np.array([np.nan, np.inf, -np.inf, -0.0])]
+    series = PhasorSeries(*values * 3, values[0], low_contrast=np.zeros(4, dtype=bool))
+    paths = [write_trace_csv(trace, tmp_path / "t.csv"),
+             write_phasors_csv(series, tmp_path / "p.csv")]
+    monkeypatch.setattr(Path, "read_text", None)
+    (freq, counts), linenos = _read_csv(paths[0], TRACE_HEADER)
+    assert _bits(freq) == _bits(trace.freq) and _bits(counts) == _bits(trace.intensity)
+    assert list(linenos) == list(range(2, 11))
+    columns, _ = _read_csv(paths[1], PHASOR_HEADER)
+    assert _bits(columns) == _bits([*values * 3, values[0]])
+
+
+# doubles whose %.17g text is easy to get wrong: signed zeros, subnormals,
+# integers past 2**53, the largest double, infinities and nan
+_WRITER_VALUES = (_FINITE | st.integers(10**16 - 10**3, 10**17 + 10**3).map(float)
+                  | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -(2.0 ** 60 + 2 ** 8),
+                                     1.7976931348623157e308, math.inf, -math.inf, math.nan]))
+
+
+# integer-valued doubles, as shot-noise counts are, to past %.17g's last
+# fixed-point digits at 1e17, and -0
+_INTEGERS = (st.integers(-10**18, 10**18).map(float)
+             | st.sampled_from([-0.0, 2.0 ** 53 + 2, 1e16 - 2, 1e16, 1e17 - 16, 1e17, -1e17]))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(n_columns=st.sampled_from([1, 2, 7]),
+       first=st.lists(_WRITER_VALUES, min_size=1, max_size=8), data=st.data())
+def test_paired_writer_matches_one_format_writer(tmp_path_factory, n_columns, first, data):
+    # two tables written with one grid are byte for byte the tables written on
+    # their own, also when the second one's first column differs in one value
+    n = len(first)
+    root = tmp_path_factory.mktemp("w")
+    grid = _Grid()
+    for k in range(2):
+        column = list(first)
+        if k and data.draw(st.booleans()):
+            column[data.draw(st.integers(0, n - 1))] = data.draw(_WRITER_VALUES)
+        values = data.draw(st.sampled_from([_WRITER_VALUES, _INTEGERS]))
+        columns = [column] + [data.draw(st.lists(values, min_size=n, max_size=n))
+                              for _ in range(n_columns - 1)]
+        paired = _write_csv(root / f"paired{k}.csv", "h", columns, grid=grid).read_bytes()
+        assert paired == _write_csv(root / f"alone{k}.csv", "h", columns).read_bytes()
+
+
+def test_write_traces_on_unequal_grids_formats_each_trace(tmp_path):
+    # 0.0 and -0.0 compare equal but print differently: the second trace's grid
+    # differs in its bits, so it is formatted on its own
+    freq = np.linspace(-1.0, 1.0, 5)
+    traces = {"a.csv": FringeTrace(freq=freq, intensity=np.arange(5.0)),
+              "b.csv": FringeTrace(freq=np.where(freq == 0.0, -0.0, freq),
+                                   intensity=np.arange(5.0) + 0.5)}
+    bundle = ResultBundle(tmp_path / "out")
+    bundle.write_traces(traces)
+    for name, trace in traces.items():
+        alone = write_trace_csv(trace, tmp_path / name).read_bytes()
+        assert (tmp_path / "out" / name).read_bytes() == alone
+    assert b"\n-0," in (tmp_path / "out" / "b.csv").read_bytes()
+
+
 def test_bundle_manifest_hashes(tmp_path):
     bundle = ResultBundle(tmp_path / "out")
     bundle.write_json("config.json", {"a": 1})
@@ -250,7 +406,7 @@ def test_bundle_rerun_byte_identical(tmp_path, trace):
     digests = []
     for sub in ("a", "b"):
         bundle = ResultBundle(tmp_path / sub)
-        bundle.write_trace("trace.csv", trace)
+        bundle.write_traces({"trace.csv": trace})
         bundle.write_json("summary.json", {"n": trace.freq.size})
         bundle.finalize()
         manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
