@@ -59,11 +59,21 @@ def cmd_simulate(cfg: RunConfig, bundle: ResultBundle):
     omega_r = cfg.drive.omega_rad_ns
     # one environmental-phase realisation (one lock loop) serves both traces
     phi_env = icfg.env_phase.series(sweep.size, icfg.integration_time_s)
+    rates = (f"interferometer.p_lo_cps {icfg.p_lo_cps:g}, p_sig_cps {icfg.p_sig_cps:g} and "
+             f"dark_cps {icfg.dark_cps:g} over integration_time_s {icfg.integration_time_s:g}")
     traces = {}
     for qd_on, name in ((True, "trace_on.csv"), (False, "trace_off.csv")):
-        trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, omega_r=omega_r, phi_env=phi_env)
+        try:
+            trace = fringe_trace(icfg, p, sweep, qd_on=qd_on, omega_r=omega_r, phi_env=phi_env)
+        except ValueError as exc:  # the only one left after the load: counts past a double
+            raise ValueError(f"{rates}: expected counts overflow ({exc})") from exc
         if cfg.noise.shot_noise:
-            trace = apply_shot_noise(trace, cfg.noise.seed + (0 if qd_on else 1))
+            try:
+                trace = apply_shot_noise(trace, cfg.noise.seed + (0 if qd_on else 1))
+            except ValueError as exc:  # numpy draws no Poisson mean above ~9.2e18
+                raise ValueError(f"noise.shot_noise: {rates}: expected counts up to "
+                                 f"{trace.intensity.max():g} per bin are too large for a "
+                                 f"Poisson draw ({exc})") from exc
         traces[name] = trace
     bundle.write_traces(traces)
 
@@ -133,10 +143,18 @@ def _spectra_from_files(cfg: RunConfig, phasor_files, power_series=False):
             where = f"fit.dipole_windows_ghz.{dipole}: window {window} GHz of " if window else ""
             raise ValueError(f"{where}{path}: {exc}") from exc
         records.append(record)
-    if power_series and not any(r.has_usable_point() for r in records):
+    if not power_series:
+        return records
+    if not any(r.has_usable_point() for r in records):
         where = " in its fit.dipole_windows_ghz.1 window" if windows else ""
         raise ValueError(f"none of the {len(records)} phasor files has a usable point"
                          f"{where} ({_USABLE})")
+    levels = sorted({r.power for r in records})
+    if len(levels) < 3:
+        sources = (["fit.powers"] if powers else []) + [
+            f"{path}.meta.json" for path in phasor_files[len(powers):]]
+        raise ValueError(f"{', '.join(sources)}: k is unidentifiable: need >= 3 distinct "
+                         f"power levels, got {levels}")
     return records
 
 

@@ -3,25 +3,15 @@
 Traces are CSV with the exact header ``freq_ghz,counts`` plus a JSON
 sidecar (``<name>.meta.json``) carrying the synthesis metadata and schema
 version.  One writer formats every table with 17 significant digits
-(``%.17g``, one format over the whole table), so a write/read round trip
-is bit-exact (a trace pair's integer counts print the same digits under
-``%d``); one strict reader checks the header, the field count and the
-numbers of both CSV schemas, and their sidecars, which must be JSON
-objects.  The two traces of a pair share their frequency grid, and its text:
-:meth:`ResultBundle.write_traces` formats that column once for the pair,
-and :func:`parse_trace_pair` converts the off trace's frequency text only
-where it differs from the on trace's.  The files are byte for byte those
-written and read one at a time.
-
-The reader has a fast and a fallback path.  The fast path takes a file
-that is the exact header line and then rows of number bytes (ASCII digits,
-signs, points, exponents, nan and inf) with the header's field count, each
-row ended by ``\n``: it checks that structure on the byte array at once and
-converts the fields in one cast.  Any other file (CR or other line breaks,
-blank lines, whitespace, non-ASCII text, a wrong field count or a bad number)
-takes the per-line pass, which reads what ``float`` reads and names the first
-bad ``file:line``; both paths return the same values.  Traces must also be
-finite, with non-negative counts and strictly increasing frequency.
+(``%.17g``), so a write/read round trip is bit-exact; the two traces of a
+pair format their shared frequency column once.  One strict reader checks
+the header, the field count and the numbers of both CSV schemas, and their
+sidecars, which must be JSON objects.  A file as the writer writes it
+(number bytes, commas and ``\n``) is checked on its bytes and converted in
+one cast; any other file is first cut into its non-blank lines, as
+``str.splitlines`` cuts them, which take the same check and cast.  A file
+that fails them is named with its first bad ``file:line``.  Traces must
+also be finite, with non-negative counts and strictly increasing frequency.
 
 Every file is written as the UTF-8 bytes of its text, with ``\n`` line
 ends on every platform.  A :class:`ResultBundle` collects the files of one
@@ -68,32 +58,19 @@ def _discard(name: str, digest: dict):
     """The ``record`` of a file written outside a bundle."""
 
 
-class _Grid:
-    """The first column of a pair of tables, filled in by the first of them
-    written or read: its ``values`` and its ``text``, each value's field
-    followed by a newline.  The second table reuses the text (writer) or the
-    values (reader) where its own are the same, so a trace pair formats and
-    converts its shared frequency column once.  Made by the code that
-    handles the pair and dropped with it."""
-
-    def __init__(self):
-        self.values = None
-        self.text = None
-
-
 def _write_csv(path: Path, header: str, columns, sidecar: dict | None = None,
-               record=_discard, grid: _Grid | None = None) -> Path:
+               record=_discard, grid: dict | None = None) -> Path:
     """One row per entry of the equal-length ``columns``, 17 significant
     digits, and the ``sidecar`` (with the schema version) when given;
-    ``record(file name, digest)`` is called for each file written.  With a
-    ``grid`` the first column's text is formatted once for every table whose
-    first column holds the same bits; the bytes are those written without."""
+    ``record(file name, digest)`` is called for each file written.  A
+    ``grid`` maps the bits of a first column to its text, so the tables of a
+    pair format their shared column once; the bytes are those written without."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     n_rows, n_columns = table.shape
-    if grid is not None and n_rows and grid.values is None:
-        grid.values = table[:, 0].copy()
-        grid.text = "%.17g\n" * n_rows % tuple(grid.values.tolist())
-    if grid is not None and n_rows and grid.values.tobytes() == table[:, 0].tobytes():
+    if grid is not None and n_rows:
+        key = table[:, 0].tobytes()
+        if key not in grid:
+            grid[key] = "%.17g\n" * n_rows % tuple(table[:, 0].tolist())
         rest = table[:, 1:]
         # integers below 1e16 other than -0 (shot-noise counts) print the
         # digits of %.17g under %d, which formats them three times as fast
@@ -102,7 +79,7 @@ def _write_csv(path: Path, header: str, columns, sidecar: dict | None = None,
             fmt, values = "%d", rest.astype(np.int64).ravel().tolist()
         else:
             fmt, values = "%.17g", rest.ravel().tolist()
-        text = grid.text.replace("\n", ("," + fmt) * (n_columns - 1) + "\n") % tuple(values)
+        text = grid[key].replace("\n", ("," + fmt) * (n_columns - 1) + "\n") % tuple(values)
     else:
         # one %-format over the whole table; %.17g prints the bytes of {:.17g}
         row = ",".join(["%.17g"] * n_columns) + "\n"
@@ -116,82 +93,82 @@ def _write_csv(path: Path, header: str, columns, sidecar: dict | None = None,
 
 # every byte of a number as %.17g or float() spells it, ASCII only and no
 # whitespace or underscore: a file of these bytes, commas and "\n" splits into
-# lines as str.splitlines does, and each field converts as float() converts it
+# lines as str.splitlines does
 _NUMBER_BYTES = b"0123456789+-.eEnNaAiIfFtTyY"
 
 
-def _read_csv(path: Path, header: str, grid: _Grid | None = None):
+def _read_csv(path: Path, header: str, grid: dict | None = None):
     """The non-blank rows under the exact ``header`` as a float array of shape
-    (columns, rows), and the line number of each row.  With a ``grid`` the
-    first column's values are reused where its text is the same as the
-    grid's, and the grid is filled in when empty."""
+    (columns, rows), and the line number of each row.  A ``grid`` maps the
+    text of a first column read before to its values, which a file whose
+    whole first column is that text reuses; the file's own is added."""
     n_fields = header.count(",") + 1
     data = path.read_bytes()
     lead = header.encode("ascii") + b"\n"
-    body = data[len(lead):]
-    # fast path: the exact header line, then rows of n_fields non-empty fields
-    # of number bytes, each row ended by "\n"; the structure is checked on the
-    # byte array at once, and the fields convert in one cast, numpy's
-    # str -> float accepting exactly what float() accepts.  Any other file
-    # takes the per-line pass, which names the bad line
-    if (data.startswith(lead) and body.endswith(b"\n")
-            and not body.translate(None, _NUMBER_BYTES + b",\n")):
-        buf = np.frombuffer(body, dtype=np.uint8)
-        newline = buf == 10
-        is_end = newline[np.flatnonzero(newline | (buf == 44))]
-        if is_end.size % n_fields == 0:
-            is_end = is_end.reshape(-1, n_fields)
-            if is_end[:, -1].all() and not is_end[:, :-1].any():
-                values = _convert(body.decode("ascii").replace("\n", ",").split(",")[:-1],
-                                  n_fields, grid)
-                if values is not None:
-                    return values, range(2, values.shape[1] + 2)
+    body, values, rows = data[len(lead):], None, None
+    if data.startswith(lead) and not body.translate(None, _NUMBER_BYTES + b",\n"):
+        values = _cast(body, n_fields, grid)
+    if values is None:  # any other file, or one with a blank line, no final "\n" or a bad row
+        rows = _cut_rows(path, data, header)
+        values = _cast(("\n".join(line for _, line in rows) + "\n").encode("utf-8"),
+                       n_fields, grid)
+    if values is None:  # name the first bad row
+        for lineno, line in rows:
+            fields = line.split(",")
+            if len(fields) != n_fields:
+                raise TraceParseError(f"{path}:{lineno}: expected {n_fields} comma-separated "
+                                      f"fields, got {len(fields)}")
+            try:
+                list(map(float, fields))
+            except ValueError as exc:
+                raise TraceParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    return values, range(2, values.shape[1] + 2) if rows is None else [n for n, _ in rows]
+
+
+def _cut_rows(path: Path, data: bytes, header: str) -> list:
+    """The non-blank lines after the header line of the UTF-8 ``data``, as
+    ``str.splitlines`` cuts them, each with its line number."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise TraceParseError(f"{path}: not valid UTF-8 ({exc})") from exc
     if not lines or lines[0].strip() != header:
         found = lines[0].strip() if lines else "<empty file>"
         raise TraceParseError(f"{path}:1: expected header {header!r}, found {found!r}")
-    linenos = [n for n, raw in enumerate(lines[1:], start=2) if raw.strip()]
-    values = []
-    for lineno in linenos:
-        parts = lines[lineno - 1].split(",")
-        if len(parts) != n_fields:
-            raise TraceParseError(f"{path}:{lineno}: expected {n_fields} comma-separated "
-                                  f"fields, got {len(parts)}")
-        try:
-            values += map(float, parts)
-        except ValueError as exc:
-            raise TraceParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-    if not values:
+    rows = [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    if not rows:
         raise TraceParseError(f"{path}: no data rows")
-    return np.array(values).reshape(-1, n_fields).T.copy(), linenos
+    return rows
 
 
-def _convert(tokens: list, n_fields: int, grid: _Grid | None):
-    """The fields ``tokens`` of a table of ``n_fields`` columns, row after
-    row, as a float array of shape (columns, rows); None when one of them is
-    no number.  The first column's fields that equal the grid's take the
-    grid's values, and an empty grid is filled in."""
-    first = tokens[::n_fields]
-    text = "\n".join(first) + "\n"
+def _cast(body: bytes, n_fields: int, grid: dict | None):
+    """The rows of ``body``, each ``n_fields`` comma-separated fields ended by
+    ``\n``, as a float array of shape (columns, rows), the fields converted in
+    one cast (numpy's str -> float accepts exactly what float() accepts);
+    None when a row holds another field count or a field is no number.  The
+    first column is taken from or added to ``grid`` as :func:`_read_csv` says."""
+    buf = np.frombuffer(body, dtype=np.uint8)
+    newline = buf == 10
+    is_end = newline[np.flatnonzero(newline | (buf == 44))]
+    if not body.endswith(b"\n") or is_end.size % n_fields:
+        return None
+    is_end = is_end.reshape(-1, n_fields)
+    if not is_end[:, -1].all() or is_end[:, :-1].any():
+        return None
+    tokens = body.decode("utf-8").replace("\n", ",").split(",")[:-1]
+    key = "\n".join(tokens[::n_fields]) if grid is not None else None
     try:
-        if grid is None or grid.text is None or grid.values.size != len(first):
-            values = np.array(tokens, dtype=float).reshape(-1, n_fields).T.copy()
-        else:
+        if grid and key in grid:
             del tokens[::n_fields]
-            values = np.empty((n_fields, len(first)))
-            values[1:] = np.array(tokens, dtype=float).reshape(len(first), n_fields - 1).T
-            values[0] = grid.values
-            if text != grid.text:
-                differ = [i for i, (a, b) in enumerate(zip(first, grid.text.split("\n")))
-                          if a != b]
-                values[0, differ] = np.array([first[i] for i in differ], dtype=float)
+            values = np.empty((n_fields, len(grid[key])))
+            values[0] = grid[key]
+            values[1:] = np.array(tokens, dtype=float).reshape(values.shape[1], n_fields - 1).T
+        else:
+            values = np.array(tokens, dtype=float).reshape(-1, n_fields).T.copy()
     except ValueError:
         return None
-    if grid is not None and grid.text is None:
-        grid.values, grid.text = values[0], text
+    if grid is not None:
+        grid.setdefault(key, values[0])
     return values
 
 
@@ -240,9 +217,9 @@ def parse_trace_csv(path, *, _grid=None) -> FringeTrace:
 
 def parse_trace_pair(on_path, off_path):
     """The on and off traces of a pair, each read by :func:`parse_trace_csv`;
-    the off trace converts only the frequency text that differs from the on
-    trace's."""
-    grid = _Grid()
+    the off trace reuses the on trace's frequencies when its column is the
+    same text."""
+    grid = {}
     # through the module global, so a wrapper installed on parse_trace_csv sees each call
     return parse_trace_csv(on_path, _grid=grid), parse_trace_csv(off_path, _grid=grid)
 
@@ -319,9 +296,9 @@ class ResultBundle:
         return self.write_text(name, _json_dumps(obj))
 
     def write_traces(self, traces: Dict[str, FringeTrace]):
-        """Each trace under its name; the frequency text of the first one is
-        formatted once and reused by every later trace on the same grid."""
-        grid = _Grid()
+        """Each trace under its name; the frequency text of each grid is
+        formatted once and reused by every later trace on it."""
+        grid = {}
         for name, trace in traces.items():
             # through the module global, so a wrapper installed on write_trace_csv sees each call
             write_trace_csv(trace, self.path(name), _record=self.files.__setitem__, _grid=grid)

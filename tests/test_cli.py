@@ -227,6 +227,25 @@ def test_simulate_negative_or_nonfinite_drive_is_bad_input(tmp_path, capsys, dri
     assert "drive.omega_rad_ns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rates, shot_noise, named", [
+    # was "lam value too large"
+    ({"p_lo_cps": 1e20}, True, "noise.shot_noise: interferometer.p_lo_cps 1e+20, p_sig_cps "
+                               "10000 and dark_cps 0 over integration_time_s 0.1: expected "
+                               "counts up to 1e+19 per bin are too large for a Poisson draw"),
+    # was "intensity must be finite and non-negative"
+    ({"p_lo_cps": 1e300, "p_sig_cps": 1e300}, False,
+     "interferometer.p_lo_cps 1e+300, p_sig_cps 1e+300 and dark_cps 0 over "
+     "integration_time_s 0.1: expected counts overflow"),
+], ids=["poisson", "overflow"])
+def test_simulate_huge_photon_rates_name_their_keys(tmp_path, capsys, rates, shot_noise, named):
+    cfg = write_cfg(tmp_path, "cfg.json", {"interferometer": rates,
+                                           "noise": {"shot_noise": shot_noise}})
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), "simulate") == EXIT_BAD_INPUT
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("drive, omega_r", [
     ({}, 0.0),
     ({"omega_rad_ns": 0.0, "linear_response": False}, 0.0),
@@ -1006,6 +1025,26 @@ def test_fit_powers_for_files_not_given_is_bad_input(tmp_path, capsys):
     assert run_cli("--config", cfg, "--out", str(out), "fit-saturation", *files) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert "fit.powers" in err and "7 entries" in err and "3 phasor file" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("powers, sidecar_powers, named", [
+    ([4, 16, 4], [], "fit.powers"),
+    ([], [4, 16, 16], "{dir}/phasors_0.csv.meta.json, {dir}/phasors_1.csv.meta.json, "
+                      "{dir}/phasors_2.csv.meta.json"),
+    ([4, 16], [16], "fit.powers, {dir}/phasors_2.csv.meta.json"),
+], ids=["config", "sidecars", "both"])
+def test_fit_saturation_too_few_power_levels_names_their_source(tmp_path, capsys, powers,
+                                                               sidecar_powers, named):
+    # was "k is unidentifiable: ...", naming neither fit.powers nor a sidecar
+    files = _saturation_files(tmp_path)[:3]
+    for path, power in zip(files[len(powers):], sidecar_powers):
+        Path(f"{path}.meta.json").write_text(json.dumps({"power": power}), encoding="utf-8")
+    cfg = write_cfg(tmp_path, "c.json", {"fit": {"powers": powers}})
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), "fit-saturation", *files) == EXIT_BAD_INPUT
+    assert (f"error: {named.format(dir=tmp_path)}: k is unidentifiable: need >= 3 distinct "
+            "power levels, got [4.0, 16.0]\n") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import _read_csv as read_csv_oracle
 
+from wgphase import io
 from wgphase.config import ConfigError, RunConfig, load_config
 from wgphase.emitter import EmitterParams
 from wgphase.extraction import PhasorSeries
 from wgphase.interferometer import EnvPhase, FringeTrace, InterferometerConfig, fringe_trace
 from wgphase.io import (PHASOR_HEADER, SCHEMA_VERSION, TRACE_HEADER, ResultBundle,
-                        TraceParseError, _Grid, _read_csv, _write_csv, parse_phasors_csv,
+                        TraceParseError, _read_csv, _write_csv, parse_phasors_csv,
                         parse_trace_csv, write_phasors_csv, write_trace_csv)
 
 
@@ -98,6 +99,8 @@ def test_trace_parse_line_breaks(tmp_path, newline):
     ("0.0,0x1p3\n", "2: non-numeric value"),
     # the comma count is checked per line, not in total
     ("1,2,3\n4\n", "2: expected 2 comma-separated fields, got 3"),
+    # a last row without its "\n" is not dropped, even when it is one field short
+    ("0.0,1.0\n2.0", "3: expected 2 comma-separated fields, got 1"),
     # was left to FringeTrace: "intensity must be finite and non-negative", naming no file
     ("0,1\n1,-2\n2,3\n", "3: counts must be non-negative, got -2.0"),
 ])
@@ -271,9 +274,9 @@ def _read_outcome(read, path):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(case=st.data())
 def test_read_csv_matches_line_by_line_oracle(tmp_path_factory, first_op, case):
-    # the reader checks a file's structure on its bytes and casts it at once, or
-    # reads it line by line; either way it returns what the oracle returns, also
-    # when it reuses the first column of a partner file it read before
+    # the reader checks a file's structure on its bytes and casts it at once,
+    # cutting any other file into its lines first; either way it returns what
+    # the oracle returns, also when it reuses the first column of a partner file
     header, data, partner = case.draw(_csv_files(first_op))
     root = tmp_path_factory.getbasetemp() / "read_oracle"  # rewritten by every example
     root.mkdir(exist_ok=True)
@@ -282,26 +285,38 @@ def test_read_csv_matches_line_by_line_oracle(tmp_path_factory, first_op, case):
     (root / "partner.csv").write_bytes(partner)
     want = _read_outcome(lambda p: read_csv_oracle(p, header), path)
     assert _read_outcome(lambda p: _read_csv(p, header), path) == want
-    grid = _Grid()
+    grid = {}
     _read_csv(root / "partner.csv", header, grid)
-    assert grid.text is not None  # the partner took the fast path
+    assert grid  # the partner's first column was read
     assert _read_outcome(lambda p: _read_csv(p, header, grid), path) == want
 
 
-def test_read_csv_fast_path_takes_written_files(tmp_path, monkeypatch):
-    # files as the writer writes them, nan and inf included, never reach the
-    # line-by-line pass, the only reader of the text
+def test_read_csv_never_cuts_written_files(tmp_path, monkeypatch):
+    # files as the writer writes them, nan, inf and -0 included, are cast from
+    # their bytes: they never reach the line cutter
     trace = FringeTrace(freq=np.linspace(-1.0, 1.0, 9), intensity=np.arange(9.0) ** 3.5)
     values = [np.linspace(0.0, 1.0, 4), np.array([np.nan, np.inf, -np.inf, -0.0])]
     series = PhasorSeries(*values * 3, values[0], low_contrast=np.zeros(4, dtype=bool))
     paths = [write_trace_csv(trace, tmp_path / "t.csv"),
              write_phasors_csv(series, tmp_path / "p.csv")]
-    monkeypatch.setattr(Path, "read_text", None)
-    (freq, counts), linenos = _read_csv(paths[0], TRACE_HEADER)
-    assert _bits(freq) == _bits(trace.freq) and _bits(counts) == _bits(trace.intensity)
-    assert list(linenos) == list(range(2, 11))
-    columns, _ = _read_csv(paths[1], PHASOR_HEADER)
-    assert _bits(columns) == _bits([*values * 3, values[0]])
+    cut, cut_rows = [], io._cut_rows
+    monkeypatch.setattr(io, "_cut_rows", lambda path, *args: cut.append(path)
+                        or cut_rows(path, *args))
+
+    def check_reads():
+        (freq, counts), linenos = _read_csv(paths[0], TRACE_HEADER)
+        assert _bits(freq) == _bits(trace.freq) and _bits(counts) == _bits(trace.intensity)
+        assert list(linenos) == list(range(2, 11))
+        columns, _ = _read_csv(paths[1], PHASOR_HEADER)
+        assert _bits(columns) == _bits([*values * 3, values[0]])
+
+    check_reads()
+    assert cut == []
+    # the same files with a blank line last are cut, and read to the same values
+    for path in paths:
+        path.write_bytes(path.read_bytes() + b"\n")
+    check_reads()
+    assert cut == paths
 
 
 # doubles whose %.17g text is easy to get wrong: signed zeros, subnormals,
@@ -325,7 +340,7 @@ def test_paired_writer_matches_one_format_writer(tmp_path_factory, n_columns, fi
     # their own, also when the second one's first column differs in one value
     n = len(first)
     root = tmp_path_factory.mktemp("w")
-    grid = _Grid()
+    grid = {}
     for k in range(2):
         column = list(first)
         if k and data.draw(st.booleans()):
