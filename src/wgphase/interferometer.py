@@ -98,6 +98,14 @@ class InterferometerConfig:
             raise ValueError(f"visibility: must be in [0, 1], got {self.visibility}")
         if self.integration_time_s <= 0:
             raise ValueError(f"integration_time_s: must be > 0, got {self.integration_time_s}")
+        # ((sqrt(p_lo) + sqrt(p_sig))**2 + dark)*T bounds every term of a bin's counts
+        with np.errstate(over="ignore"):
+            peak = (self.p_lo_cps + self.p_sig_cps + self.dark_cps + 2.0 * np.sqrt(
+                self.p_lo_cps * self.p_sig_cps)) * self.integration_time_s
+        if not np.isfinite(peak):
+            raise ValueError(f"p_lo_cps {self.p_lo_cps:g}, p_sig_cps {self.p_sig_cps:g} and "
+                             f"dark_cps {self.dark_cps:g} over integration_time_s "
+                             f"{self.integration_time_s:g}: expected counts overflow")
         env = self.env_phase
         if env.kind == "locked_drift":  # the loop runs one step per integration time
             radius = lock_loop_radius({"kp": env.kp, "ki": env.ki, "kd": env.kd},

@@ -9,9 +9,10 @@ channel kind it carries, one value and one sigma per frequency.
 
 Each dipole is modeled as an isolated resonance on its own detuning axis;
 a product-of-transmissions combination is available for overlapping lines.
-The joint two-dipole fit shares the pure dephasing rate and the constant
-phase offset between dipoles; the saturation fit ties the Rabi frequency of
-every power level to one calibration constant k through omega_r**2 = k*P.
+Both fits are one fit of (beta, gamma, f0) per dipole, the shared pure
+dephasing rate and phase offset, and a drive calibration k (omega_r**2 = k*P
+at a spectrum's power P), held at 0 for spectra without one: the saturation
+fit is the case of one dipole at several powers.
 
 Phase and |t| constrain the parameters only through beta*gamma/2 and
 gamma2, so a fit fed nothing else cannot split the coupling from the decay
@@ -111,20 +112,19 @@ class _Points:
     """The points of ``spectra`` as one grid: spectrum after spectrum, and
     within a spectrum its channels in the order of :data:`KINDS`.  Each point
     has its ``kind`` (an index into KINDS) and ``row``, the index of its
-    frequency among the spectra's rows laid end to end; ``spans`` holds each
-    spectrum's rows as a slice, ``phase`` the phase points and ``kinds`` the
-    kinds that any point reads.  ``drive`` (one value, or one per row) is
-    what each row was taken at; an emitter evaluated there sees
-    omega_r**2 = k*drive for its own k.
+    frequency among the spectra's rows laid end to end; ``row_dipole`` holds
+    each row's dipole, ``phase`` the phase points and ``kinds`` the kinds
+    that any point reads.  ``row_drive`` holds each row's spectrum's
+    ``power``, 0 without one; an emitter evaluated there sees
+    omega_r**2 = k*row_drive for its own k.
     """
 
-    def __init__(self, spectra: Sequence[Spectrum], drive=0.0):
+    def __init__(self, spectra: Sequence[Spectrum]):
         blocks = [(j, kind) for j, s in enumerate(spectra) for kind in s.channels]
         first = np.cumsum([0] + [s.freq.size for s in spectra])
         self.row_freq = np.concatenate([s.freq for s in spectra])
-        self.row_drive = np.broadcast_to(np.asarray(drive, dtype=float), self.row_freq.shape)
+        self.row_drive = np.repeat([s.power or 0.0 for s in spectra], np.diff(first))
         self.row_dipole = np.repeat([s.dipole for s in spectra], np.diff(first))
-        self.spans = [slice(a, b) for a, b in zip(first[:-1], first[1:])]
         self.row = np.concatenate([np.arange(first[j], first[j + 1]) for j, _ in blocks])
         self.kind = np.repeat([KINDS.index(kind) for _, kind in blocks],
                               [spectra[j].freq.size for j, _ in blocks])
@@ -279,7 +279,8 @@ def channel_model(spectrum: Spectrum, params, omega_r=0.0) -> np.ndarray:
     # five values per emitter, k = 1 since the drive holds each row's omega_r**2
     x = [v for p in params for v in (p.beta, p.gamma, p.gamma_dp, p.f0, 1.0)] + [params[0].phi0]
     emitters = [_Emitter(range(5 * i, 5 * i + 5), p.is_chiral) for i, p in enumerate(params)]
-    points = _Points([spectrum], drive=emitter._rabi_squared(omega_r))
+    points = _Points([spectrum])
+    points.row_drive = np.broadcast_to(emitter._rabi_squared(omega_r), points.row_freq.shape)
     return points.model([(slice(None), emitters)], x, len(x) - 1)
 
 
@@ -308,14 +309,17 @@ def two_dipole_model(spectra: Sequence[Spectrum], x, combine: str = "isolated") 
 
 def _dipole_groups(points: _Points, dipoles, combine):
     """The groups of :meth:`_Points.model` for the parameter vector of
-    :func:`fit_two_dipole_spectra` followed by k = 0: under ``product``
-    every dipole's emitter covers every row."""
+    :func:`fit_two_dipole_spectra` followed by k: under ``isolated`` one
+    group per run of rows of one dipole, under ``product`` every dipole's
+    emitter covers every row."""
     if combine not in ("isolated", "product"):
         raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
     n = len(dipoles)
     emitters = [_Emitter((3 * i, 3 * i + 1, 3 * n, 3 * i + 2, 3 * n + 2)) for i in range(n)]
+    starts = np.r_[0, np.flatnonzero(np.diff(points.row_dipole)) + 1].tolist()
     return ([(slice(None), emitters)] if combine == "product" else
-            [(r, [emitters[dipoles.index(points.row_dipole[r.start])]]) for r in points.spans])
+            [(slice(a, b), [emitters[dipoles.index(points.row_dipole[a])]])
+             for a, b in zip(starts, [*starts[1:], None])])
 
 
 def initial_guess(spectra: Sequence[Spectrum], dipole: int) -> dict:
@@ -394,21 +398,6 @@ def check_fit_values(init: Optional[dict] = None, bounds: Optional[dict] = None)
                              f"with lo <= hi, got {pair!r}")
 
 
-def _start(defaults: dict, init: Optional[dict], aliases: dict) -> dict:
-    """``defaults`` updated from ``init`` by key; an ``aliases`` key sets the
-    keys it lists, except those ``init`` also sets by name.  ValueError
-    naming ``fit.init.<key>`` for an unknown key or a non-finite value."""
-    check_fit_values(init=init)
-    start = dict(defaults)
-    # alias keys first, so that a key given by name wins
-    for key, value in sorted((init or {}).items(), key=lambda item: item[0] in defaults):
-        if key not in defaults and key not in aliases:
-            raise ValueError(f"fit.init.{key}: not a parameter of this fit, which takes "
-                             f"{', '.join([*defaults, *aliases])}")
-        start.update(dict.fromkeys(aliases.get(key, [key]), value))
-    return start
-
-
 def _fit(points: _Points, groups, held, names, start, lo, hi, bounds, max_iter) -> FitResult:
     """Weighted least-squares fit of ``points`` to the model of ``groups``
     (see :meth:`_Points.model`) at the values ``[*x, *held]``, ``x`` holding
@@ -416,9 +405,7 @@ def _fit(points: _Points, groups, held, names, start, lo, hi, bounds, max_iter) 
     ``lo``, ``hi`` of a parameter in place, a null side keeping the box's,
     and ``start`` is projected into the box.  A fit that ends with a flat
     direction has not converged.  ValueError naming ``fit.bounds.<key>`` for
-    an unknown key, a value that is not a [lo, hi] pair of numbers or nulls
-    with lo <= hi, or a pair that leaves nothing of the box."""
-    check_fit_values(bounds=bounds)
+    an unknown key or a pair that leaves nothing of the box."""
     for key, pair in (bounds or {}).items():
         if key not in names:
             raise ValueError(f"fit.bounds.{key}: not a parameter of this fit, which takes "
@@ -454,6 +441,57 @@ def _fit(points: _Points, groups, held, names, start, lo, hi, bounds, max_iter) 
     return result
 
 
+def _fit_dipoles(spectra: Sequence[Spectrum], init, bounds, combine, max_iter,
+                 numbered=True) -> FitResult:
+    """The fit behind both public fits, of (beta, gamma, f0) per dipole of
+    ``spectra`` in ascending order (names numbered by dipole if ``numbered``),
+    gamma_dp, phi0 and, if any spectrum carries a power, k (else held at 0).
+    Each dipole starts from :func:`initial_guess` over its spectra by
+    ascending power, k from 0; ``init`` overrides a start by name, its beta,
+    gamma or f0 every dipole's not named.  The box keeps beta in [0, 1],
+    gamma >= 1e-6, f0 within 50 GHz of its start, gamma_dp and k >= 0 and
+    phi0 in [-pi, pi].  A k that ends on the floor 0 joins the flat
+    directions, the fit staying converged; one on a higher ``bounds`` floor
+    is named.  ValueError naming the ``fit.init`` or ``fit.bounds`` key of a
+    bad value or of no parameter."""
+    check_fit_values(init, bounds)
+    dipoles = sorted({s.dipole for s in spectra})
+    if not dipoles:
+        raise ValueError("no spectra to fit")
+    by_power = sorted(spectra, key=lambda s: s.power or 0.0)
+    guesses = {d: initial_guess(by_power, d) for d in dipoles}
+    tags = [str(d) if numbered else "" for d in dipoles]
+    keys = ("beta", "gamma", "f0")
+    defaults = {f"{key}{tag}": guesses[d][key] for d, tag in zip(dipoles, tags) for key in keys}
+    defaults.update((key, guesses[dipoles[0]][key]) for key in ("gamma_dp", "phi0"))
+    powered = any(s.power is not None for s in spectra)
+    if powered:
+        defaults["k"] = 0.0
+    names, start = list(defaults), dict(defaults)
+    shorthand = {key: [f"{key}{tag}" for tag in tags] for key in keys if key not in defaults}
+    # shorthand keys first, so that a key given by name wins
+    for key, value in sorted((init or {}).items(), key=lambda item: item[0] in defaults):
+        if key not in defaults and key not in shorthand:
+            raise ValueError(f"fit.init.{key}: not a parameter of this fit, which takes "
+                             f"{', '.join([*defaults, *shorthand])}")
+        start.update(dict.fromkeys(shorthand.get(key, [key]), value))
+    f0s = [start[f"f0{tag}"] for tag in tags]
+    lo = [b for f0 in f0s for b in (0.0, 1e-6, f0 - 50.0)] + [0.0, -np.pi, 0.0]
+    hi = [b for f0 in f0s for b in (1.0, np.inf, f0 + 50.0)] + [np.inf, np.pi, np.inf]
+    del lo[len(names):], hi[len(names):]  # k's box, when k is held
+    points = _Points(spectra)
+    result = _fit(points, _dipole_groups(points, dipoles, combine), [] if powered else [0.0],
+                  names, [start[n] for n in names], lo, hi, bounds, max_iter)
+    if powered and result["k"] <= lo[-1] + 1e-12:
+        if lo[-1] > 0.0:  # a fit.bounds.k floor, which _fit set in lo
+            result.message += f"; k held at its fit.bounds.k floor {lo[-1]:g}"
+        else:
+            result.message += "; k pinned at lower bound (series shows no saturation)"
+            if "k" not in result.flat_directions:
+                result.flat_directions.append("k")
+    return result
+
+
 def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = None,
                            bounds: Optional[dict] = None, combine: str = "isolated",
                            max_iter: int = 500) -> FitResult:
@@ -466,69 +504,24 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     Returns ``converged=False`` with a flat-direction diagnostic for
     non-identifiable inputs.
     """
-    dipoles = sorted({s.dipole for s in spectra})
-    if not dipoles:
-        raise ValueError("no spectra to fit")
-
-    guesses = {d: initial_guess(spectra, d) for d in dipoles}
-    defaults = {f"{key}{d}": guesses[d][key] for d in dipoles for key in ("beta", "gamma", "f0")}
-    defaults.update((key, guesses[dipoles[0]][key]) for key in ("gamma_dp", "phi0"))
-    start = _start(defaults, init, {key: [f"{key}{d}" for d in dipoles]
-                                    for key in ("beta", "gamma", "f0")})
-    f0s = [start[f"f0{d}"] for d in dipoles]
-    lo = [b for f0 in f0s for b in (0.0, 1e-6, f0 - 50.0)] + [0.0, -np.pi]
-    hi = [b for f0 in f0s for b in (1.0, np.inf, f0 + 50.0)] + [np.inf, np.pi]
-    names = list(defaults)
-    points = _Points(spectra)
-    return _fit(points, _dipole_groups(points, dipoles, combine), [0.0], names,
-                [start[n] for n in names], lo, hi, bounds, max_iter)
+    return _fit_dipoles(spectra, init, bounds, combine, max_iter)
 
 
 def fit_saturation_series(spectra: Sequence[Spectrum], init: Optional[dict] = None,
                           bounds: Optional[dict] = None, max_iter: int = 500) -> FitResult:
-    """Global fit of spectra taken at several drive powers.
-
-    Parameters (beta, gamma, gamma_dp, phi0, k) are shared across spectra;
-    spectrum j is driven at omega_r = sqrt(k * P_j), P_j its ``power``.
-    ``init`` may also set the resonance f0, which the fit holds fixed.
-    Needs >= 3 power levels, otherwise k is not identifiable.  As in
-    :func:`fit_two_dipole_spectra`, a flat direction leaves the fit
-    unconverged; but a k that ends on the floor k = 0 is added to them after
-    the fit, which stays converged, and one that ends on a higher floor set
-    by ``bounds`` is named in the message.
+    """Global fit of spectra of one dipole taken at several drive powers: the
+    fit of :func:`fit_two_dipole_spectra` with k free and the parameters
+    unnumbered (beta, gamma, f0, gamma_dp, phi0, k); spectrum j is driven at
+    omega_r = sqrt(k * P_j), P_j its ``power``.  Needs >= 3 power levels,
+    otherwise k is not identifiable.  As there, a flat direction leaves the
+    fit unconverged, except a k on the floor k = 0 (see :func:`_fit_dipoles`).
     """
-    spectra = list(spectra)
-    powers = [s.power for s in spectra]
-    if any(pw is None for pw in powers):
+    if any(s.power is None for s in spectra):
         raise ValueError("every spectrum needs a recorded power level")
-    if len({float(pw) for pw in powers}) < 3:
-        raise ValueError(
-            "k is unidentifiable: need >= 3 distinct power levels, "
-            f"got {sorted({float(pw) for pw in powers})}")
-
-    # the start reads the lowest power whose spectra hold a usable point
-    usable = [s for s in spectra if s.has_usable_point()] or spectra
-    lowest = min(s.power for s in usable)
-    at_lowest = [s for s in usable if s.power == lowest]
-    guess = initial_guess(at_lowest, at_lowest[0].dipole)
-    start = _start({**guess, "k": 0.0}, init, {})
-    names = ["beta", "gamma", "gamma_dp", "phi0", "k"]
-    lo = [0.0, 1e-6, 0.0, -np.pi, 0.0]
-
-    points = _Points(spectra, drive=np.repeat([float(pw) for pw in powers],
-                                              [s.freq.size for s in spectra]))
-    # every spectrum in one group, at its own omega_r**2 = k*P; f0 is held
-    groups = [(slice(None), [_Emitter((0, 1, 2, 5, 4))])]
-    result = _fit(points, groups, [start["f0"]], names, [start[n] for n in names], lo,
-                  [1.0, np.inf, np.inf, np.pi, np.inf], bounds, max_iter)
-    if result["k"] <= lo[4] + 1e-12:
-        if lo[4] > 0.0:  # a fit.bounds.k floor, which _fit set in lo
-            result.message += f"; k held at its fit.bounds.k floor {lo[4]:g}"
-        else:
-            result.message += "; k pinned at lower bound (series shows no saturation)"
-            if "k" not in result.flat_directions:
-                result.flat_directions.append("k")
-    return result
+    levels = sorted({float(s.power) for s in spectra})
+    if len(levels) < 3:
+        raise ValueError(f"k is unidentifiable: need >= 3 distinct power levels, got {levels}")
+    return _fit_dipoles(spectra, init, bounds, "isolated", max_iter, numbered=False)
 
 
 def predict_phase_vs_power(p: EmitterParams, k: float, powers) -> np.ndarray:

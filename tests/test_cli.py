@@ -232,9 +232,9 @@ def test_simulate_negative_or_nonfinite_drive_is_bad_input(tmp_path, capsys, dri
     ({"p_lo_cps": 1e20}, True, "noise.shot_noise: interferometer.p_lo_cps 1e+20, p_sig_cps "
                                "10000 and dark_cps 0 over integration_time_s 0.1: expected "
                                "counts up to 1e+19 per bin are too large for a Poisson draw"),
-    # was "intensity must be finite and non-negative"
+    # was "intensity must be finite and non-negative"; refused at load since
     ({"p_lo_cps": 1e300, "p_sig_cps": 1e300}, False,
-     "interferometer.p_lo_cps 1e+300, p_sig_cps 1e+300 and dark_cps 0 over "
+     "interferometer: p_lo_cps 1e+300, p_sig_cps 1e+300 and dark_cps 0 over "
      "integration_time_s 0.1: expected counts overflow"),
 ], ids=["poisson", "overflow"])
 def test_simulate_huge_photon_rates_name_their_keys(tmp_path, capsys, rates, shot_noise, named):
@@ -243,6 +243,21 @@ def test_simulate_huge_photon_rates_name_their_keys(tmp_path, capsys, rates, sho
     out = tmp_path / "o"
     assert run_cli("--config", cfg, "--out", str(out), "simulate") == EXIT_BAD_INPUT
     assert f"error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rates, command", [
+    # was exit 4 from fringe_trace's overflow warning, raised as an error here
+    ({"p_lo_cps": 1e10, "integration_time_s": 1e300}, "simulate"),
+    # was exit 0 with a bundle recording rates that simulate refuses
+    ({"p_lo_cps": 1e300, "p_sig_cps": 1e300}, "predict-chiral"),
+])
+def test_rates_whose_counts_overflow_are_bad_input_at_load(tmp_path, capsys, rates, command):
+    cfg = write_cfg(tmp_path, "cfg.json", {"interferometer": rates})
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), command) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "interferometer: p_lo_cps" in err and "expected counts overflow" in err
     assert not out.exists()
 
 
@@ -439,9 +454,9 @@ def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_fil
 
 
 # sha256 of the fit products of _dipole_files under each combine of
-# test_fit_residuals_csv_reproduces_fit_residuals, and of the five-power
-# fit-saturation of _saturation_files, as the fits wrote them when each fit
-# found the points that share a frequency by sorting them
+# test_fit_residuals_csv_reproduces_fit_residuals, as the fits wrote them when
+# each fit found the points that share a frequency by sorting them, and of the
+# five-power fit-saturation of _saturation_files, as it wrote them once it fit f0
 _FIT_SHA256 = {
     (1, "isolated"): {
         "fit.json": "171e9b2c3300f273b46d32fc74952ae14ecf8017ffc98229bc0601d5cca718ca",
@@ -453,8 +468,8 @@ _FIT_SHA256 = {
         "fit.json": "02b3f16f39729d5e9434f6f4b3e0e8f862b46fd89df69f347c9e237941c18d3e",
         "residuals.csv": "4dac9e172bcfc95b2404a88d66ac776702131f8f425911fa01da04279d80610b"},
     "saturation": {
-        "fit.json": "a9402e24fa714865857ae33ffc21ce91be980f00214edbaad0e80e7f6bce2f3a",
-        "phase_vs_power.csv": "7c2c6f21c79ed7376fa839aa5c67170d6f741738d8802c3851d2057f04ee538b"},
+        "fit.json": "593f0fdb07b1ba2f174b90aedca7c539c4a82fa0dfa6774e979bbb4ca26ac491",
+        "phase_vs_power.csv": "5697ffe252e2fc71cf41be246f3054e1b3d218a490592c5f206d3cc35fb016a2"},
 }
 
 
@@ -1068,7 +1083,7 @@ def _fit_files(tmp_path, command):
     ("fit", {"bounds": {"beta1": [2, 1]}}, "fit.bounds.beta1"),        # named no field
     ("fit", {"bounds": {"gamma1": [0, None, 3]}}, "fit.bounds.gamma1"),  # was exit 4
     ("fit", {"bounds": {"beta": [2, 1]}}, "fit.bounds.beta"),          # was ignored, exit 0
-    ("fit-saturation", {"bounds": {"f0": [-1, 1]}}, "fit.bounds.f0"),  # was ignored, exit 0
+    ("fit-saturation", {"bounds": {"f01": [-1, 1]}}, "fit.bounds.f01"),  # was ignored, exit 0
     ("fit-saturation", {"init": {"beta1": 0.5}}, "fit.init.beta1"),    # was ignored, exit 0
     ("fit", {"powers": [[1], [2], [3]]}, "fit.powers[0]"),             # was exit 4 (TypeError)
     ("fit-saturation", {"powers": ["a"]}, "fit.powers[0]"),            # named no field
@@ -1213,8 +1228,8 @@ def test_misspelt_fit_combine_is_bad_input_for_every_command(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_fit_init_shorthand_held_f0_and_open_bounds_are_valid(tmp_path):
-    # the shorthand init sets every dipole, the saturation fit holds init.f0,
+def test_fit_init_shorthand_f0_start_and_open_bounds_are_valid(tmp_path):
+    # the shorthand init sets every dipole, the saturation fit starts at init.f0,
     # either fit.model is accepted by either subcommand, and a null lower
     # bound on k was exit 4 (TypeError)
     p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)

@@ -99,6 +99,8 @@ def _draw(rng, names, start):
     for i, name in enumerate(names):
         if name.startswith("beta"):
             x[i] = rng.uniform(0.3, 0.99)
+        elif name.startswith("f0"):
+            x[i] = start[i] + rng.uniform(-0.5, 0.5)
     if rng.random() < 0.5:
         i = rng.choice([i for i, n in enumerate(names) if n in NEAR_BOUND])
         edge, inside = NEAR_BOUND[names[i]]
@@ -110,10 +112,10 @@ def _draw(rng, names, start):
 def test_analytic_jacobian_matches_finite_differences(monkeypatch, fit, second, combine):
     rng = np.random.default_rng(11)
     fun = _case(monkeypatch, rng, fit, second, combine)
-    names = (["beta", "gamma", "gamma_dp", "phi0", "k"] if fit == "saturation"
+    names = (["beta", "gamma", "f0", "gamma_dp", "phi0", "k"] if fit == "saturation"
              else [f"{key}{d}" for d in range(1, 3 if fit.endswith("2") else 2)
                    for key in ("beta", "gamma", "f0")] + ["gamma_dp", "phi0"])
-    truth = {"beta": 0.95, "gamma": 12.6, "gamma_dp": 3.4, "phi0": -0.26, "k": 1.0,
+    truth = {"beta": 0.95, "gamma": 12.6, "f0": 0.0, "gamma_dp": 3.4, "phi0": -0.26, "k": 1.0,
              "beta1": 0.94, "gamma1": 9.4, "f01": 0.0, "beta2": 0.97, "gamma2": 12.3,
              "f02": 6.0}
     start = [truth[n] for n in names]
@@ -132,9 +134,9 @@ def test_parameter_on_its_bound_is_differentiated_from_inside(monkeypatch, name)
     # a central difference straddling the clip would give half of this
     fun = captured_fun(monkeypatch, spectra.fit_saturation_series,
                        saturation_datasets(np.random.default_rng(4)))
-    names = ["beta", "gamma", "gamma_dp", "phi0", "k"]
+    names = ["beta", "gamma", "f0", "gamma_dp", "phi0", "k"]
     i = names.index(name)
-    x = np.array([0.95, 12.6, 3.4, -0.26, 1.0])
+    x = np.array([0.95, 12.6, 0.0, 3.4, -0.26, 1.0])
     edge, inside = NEAR_BOUND[name]
     x[i] = edge
     r, jac = fun(x)

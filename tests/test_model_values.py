@@ -127,6 +127,6 @@ def test_saturation_model_at_each_power_matches_closed_form(monkeypatch):
         datasets += [Spectrum(f, {kind: (closed_form(kind, [truth], f, omega),
                                          np.full(f.size, sigma))}, power=power)
                      for kind, f in (("phase", phase_freq), ("intensity", int_freq))]
-    fun = captured_fun(monkeypatch, spectra.fit_saturation_series, datasets, init={"f0": 0.0})
-    r, _ = fun(np.array([truth.beta, truth.gamma, truth.gamma_dp, truth.phi0, k]))
+    fun = captured_fun(monkeypatch, spectra.fit_saturation_series, datasets)
+    r, _ = fun(np.array([truth.beta, truth.gamma, truth.f0, truth.gamma_dp, truth.phi0, k]))
     assert np.max(np.abs(wrap_angle(r * sigma))) <= TOL
