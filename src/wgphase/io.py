@@ -253,8 +253,8 @@ def phasor_file_meta(path) -> dict:
 
 
 def fit_result_json(result: FitResult, extra: dict | None = None) -> str:
-    return _json_dumps({"schema": SCHEMA_VERSION, **result.as_dict(),
-                        "covariance": result.covariance, **(extra or {})})
+    return _json_dumps({"schema": SCHEMA_VERSION, **result.as_dict(), "covariance":
+                        result.covariance, "covariance_names": result.names, **(extra or {})})
 
 
 def _json_dumps(obj) -> str:

@@ -456,19 +456,20 @@ def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_fil
 # sha256 of the fit products of _dipole_files under each combine of
 # test_fit_residuals_csv_reproduces_fit_residuals, as the fits wrote them when
 # each fit found the points that share a frequency by sorting them, and of the
-# five-power fit-saturation of _saturation_files, as it wrote them once it fit f0
+# five-power fit-saturation of _saturation_files, as it wrote them once it fit
+# f0; each fit.json as it was written once it named the covariance's rows
 _FIT_SHA256 = {
     (1, "isolated"): {
-        "fit.json": "171e9b2c3300f273b46d32fc74952ae14ecf8017ffc98229bc0601d5cca718ca",
+        "fit.json": "cbd8b99def8d254cd166798307fbd3f75092e85490d994351b83ee57eb39b726",
         "residuals.csv": "ba322c0b27337a4fdb3fc6084a0894bc911c20867ca40e0a2d69f8b46855972d"},
     (2, "isolated"): {
-        "fit.json": "c0b66420c9f8d2a1b27cfae1f7d03b545c6328fc99068c54c17c1c8f3aa6d5e4",
+        "fit.json": "dc4dd6c42f87f8a372810e9194cd35949623bcd4826e8c18758f66bda2f7bfae",
         "residuals.csv": "3fb4619f7ac1ac30d7305031b0f317d538355e50ff38f912ef90faaabb97cdab"},
     (2, "product"): {
-        "fit.json": "02b3f16f39729d5e9434f6f4b3e0e8f862b46fd89df69f347c9e237941c18d3e",
+        "fit.json": "ca26afaf8f7bec9eb339508cc7416050904f9ca177768145325df2c0ecb205c1",
         "residuals.csv": "4dac9e172bcfc95b2404a88d66ac776702131f8f425911fa01da04279d80610b"},
     "saturation": {
-        "fit.json": "593f0fdb07b1ba2f174b90aedca7c539c4a82fa0dfa6774e979bbb4ca26ac491",
+        "fit.json": "0376288388801c375b0b423e17091d8e2025ccda10a7a41144bf0597375de4ae",
         "phase_vs_power.csv": "5697ffe252e2fc71cf41be246f3054e1b3d218a490592c5f206d3cc35fb016a2"},
 }
 
@@ -485,6 +486,18 @@ def test_fit_bundle_bytes_pinned(tmp_path, case):
     assert run_cli("--out", str(out), *argv) == EXIT_OK
     for name, digest in _FIT_SHA256[case].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-saturation"])
+def test_fit_json_names_the_covariance_rows(tmp_path, command):
+    # the rows followed the fit's order unnamed, while params is written key-sorted
+    out = tmp_path / "out"
+    assert run_cli("--out", str(out), command, *_fit_files(tmp_path, command)) == EXIT_OK
+    fit = read_json(out / "fit.json")
+    names = fit["covariance_names"]
+    assert sorted(names) == sorted(fit["params"])
+    for i, name in enumerate(names):
+        assert np.sqrt(max(fit["covariance"][i][i], 0.0)) == fit["params"][name]["sigma"]
 
 
 def test_fit_missing_file_is_bad_input(tmp_path):
