@@ -289,10 +289,10 @@ def two_dipole_model(spectra: Sequence[Spectrum], x, combine: str = "isolated") 
     a parameter vector of :func:`fit_two_dipole_spectra`.
 
     ``x`` holds (beta_d, gamma_d, f0_d) for each dipole of ``spectra`` in
-    ascending order, then the shared gamma_dp and phi0.  Under ``product``
-    every dipole's transmission multiplies into every channel.  ValueError
-    naming the parameter for a beta outside [0, 1], a gamma that is not
-    positive or a negative gamma_dp.
+    ascending order, then gamma_dp, phi0 and, for spectra with powers, k.
+    Under ``product`` every dipole's transmission multiplies into every
+    channel.  ValueError naming the parameter for a beta outside [0, 1], a
+    gamma that is not positive or a negative gamma_dp.
     """
     x = np.asarray(x, dtype=float)
     dipoles = sorted({s.dipole for s in spectra})
@@ -301,17 +301,17 @@ def two_dipole_model(spectra: Sequence[Spectrum], x, combine: str = "isolated") 
             raise ValueError(f"beta{d} must be in [0, 1], got {x[3 * i]}")
         if not x[3 * i + 1] > 0.0:
             raise ValueError(f"gamma{d} must be > 0, got {x[3 * i + 1]}")
-    if not x[-2] >= 0.0:
-        raise ValueError(f"gamma_dp must be >= 0, got {x[-2]}")
+    gamma_dp = 3 * len(dipoles)
+    if not x[gamma_dp] >= 0.0:
+        raise ValueError(f"gamma_dp must be >= 0, got {x[gamma_dp]}")
     points = _Points(spectra)
-    return points.model(_dipole_groups(points, dipoles, combine), [*x.tolist(), 0.0], x.size - 1)
+    return points.model(_dipole_groups(points, dipoles, combine), [*x.tolist(), 0.0], gamma_dp + 1)
 
 
 def _dipole_groups(points: _Points, dipoles, combine):
     """The groups of :meth:`_Points.model` for the parameter vector of
-    :func:`fit_two_dipole_spectra` followed by k: under ``isolated`` one
-    group per run of rows of one dipole, under ``product`` every dipole's
-    emitter covers every row."""
+    :func:`fit_two_dipole_spectra` followed by k: one per run of rows of one
+    dipole, or under ``product`` one where every dipole's emitter covers all."""
     if combine not in ("isolated", "product"):
         raise ValueError(f"combine must be 'isolated' or 'product', got {combine!r}")
     n = len(dipoles)
@@ -441,30 +441,31 @@ def _fit(points: _Points, groups, held, names, start, lo, hi, bounds, max_iter) 
     return result
 
 
-def _fit_dipoles(spectra: Sequence[Spectrum], init, bounds, combine, max_iter,
-                 numbered=True) -> FitResult:
-    """The fit behind both public fits, of (beta, gamma, f0) per dipole of
-    ``spectra`` in ascending order (names numbered by dipole if ``numbered``),
-    gamma_dp, phi0 and, if any spectrum carries a power, k (else held at 0).
-    Each dipole starts from :func:`initial_guess` over its spectra by
-    ascending power, k from 0; ``init`` overrides a start by name, its beta,
-    gamma or f0 every dipole's not named.  The box keeps beta in [0, 1],
-    gamma >= 1e-6, f0 within 50 GHz of its start, gamma_dp and k >= 0 and
-    phi0 in [-pi, pi].  A k that ends on the floor 0 joins the flat
-    directions, the fit staying converged; one on a higher ``bounds`` floor
-    is named.  ValueError naming the ``fit.init`` or ``fit.bounds`` key of a
-    bad value or of no parameter."""
+def _fit_dipoles(spectra: Sequence[Spectrum], init, bounds, combine, max_iter) -> FitResult:
+    """The fit behind both public fits: (beta, gamma, f0) per dipole of
+    ``spectra`` in ascending order, gamma_dp, phi0 and k.  Spectra without a
+    power hold k at 0 and number each name by its dipole; a power series, of
+    one dipole, fits k and leaves the names unnumbered.  Each dipole starts
+    from :func:`initial_guess` over its spectra by ascending power, k from
+    0, and ``init`` overrides a start by name (beta, gamma or f0 that of
+    every dipole it does not name).  The box keeps beta in [0, 1], gamma >=
+    1e-6, f0 within 50 GHz of its start, gamma_dp and k >= 0 and phi0 in
+    [-pi, pi].  A k that ends on the floor 0 joins the flat directions, the
+    fit staying converged; one on a higher ``bounds`` floor is named.  Bad
+    ``init`` or ``bounds`` keys and values are ValueErrors naming them."""
     check_fit_values(init, bounds)
     dipoles = sorted({s.dipole for s in spectra})
     if not dipoles:
         raise ValueError("no spectra to fit")
+    powered = any(s.power is not None for s in spectra)
+    if powered and len(dipoles) > 1:
+        raise ValueError(f"a power series is of one dipole, got dipoles {dipoles}")
     by_power = sorted(spectra, key=lambda s: s.power or 0.0)
     guesses = {d: initial_guess(by_power, d) for d in dipoles}
-    tags = [str(d) if numbered else "" for d in dipoles]
+    tags = ["" if powered else str(d) for d in dipoles]
     keys = ("beta", "gamma", "f0")
     defaults = {f"{key}{tag}": guesses[d][key] for d, tag in zip(dipoles, tags) for key in keys}
     defaults.update((key, guesses[dipoles[0]][key]) for key in ("gamma_dp", "phi0"))
-    powered = any(s.power is not None for s in spectra)
     if powered:
         defaults["k"] = 0.0
     names, start = list(defaults), dict(defaults)
@@ -502,7 +503,7 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     in ``init`` and ``bounds``; ``init`` may also set beta, gamma or f0 of
     every dipole at once, and ``bounds`` narrows each one's physical range.
     Returns ``converged=False`` with a flat-direction diagnostic for
-    non-identifiable inputs.
+    non-identifiable inputs.  Spectra with powers make a power series.
     """
     return _fit_dipoles(spectra, init, bounds, combine, max_iter)
 
@@ -521,7 +522,7 @@ def fit_saturation_series(spectra: Sequence[Spectrum], init: Optional[dict] = No
     levels = sorted({float(s.power) for s in spectra})
     if len(levels) < 3:
         raise ValueError(f"k is unidentifiable: need >= 3 distinct power levels, got {levels}")
-    return _fit_dipoles(spectra, init, bounds, "isolated", max_iter, numbered=False)
+    return _fit_dipoles(spectra, init, bounds, "isolated", max_iter)
 
 
 def predict_phase_vs_power(p: EmitterParams, k: float, powers) -> np.ndarray:

@@ -128,5 +128,9 @@ def test_saturation_model_at_each_power_matches_closed_form(monkeypatch):
                                          np.full(f.size, sigma))}, power=power)
                      for kind, f in (("phase", phase_freq), ("intensity", int_freq))]
     fun = captured_fun(monkeypatch, spectra.fit_saturation_series, datasets)
-    r, _ = fun(np.array([truth.beta, truth.gamma, truth.f0, truth.gamma_dp, truth.phi0, k]))
+    x = np.array([truth.beta, truth.gamma, truth.f0, truth.gamma_dp, truth.phi0, k])
+    r, _ = fun(x)
     assert np.max(np.abs(wrap_angle(r * sigma))) <= TOL
+    # two_dipole_model takes the same vector, k included (it read phi0 as gamma_dp)
+    data = np.concatenate([values for s in datasets for values, _ in s.channels.values()])
+    assert np.max(np.abs(wrap_angle(two_dipole_model(datasets, x) - data))) <= TOL

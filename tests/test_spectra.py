@@ -295,7 +295,7 @@ def test_saturation_series_fits_f0_off_every_window_centre(f0):
 
 def test_saturation_series_under_shot_noise_has_reduced_chi2_near_one():
     # with f0 held at a window centre the reduced chi2 of these series was
-    # 2.6-5.0, median 3.2; with f0 free it is 1.00-1.23, median 1.08
+    # 2.6-5.0, median 3.2
     reduced = []
     for seed in range(0, 40, 2):
         records = _drive_series(0.0, seed=100 * seed, beta=0.9, p_sig_cps=1e5)
@@ -311,6 +311,15 @@ def test_saturation_needs_three_powers():
     ds = synth_spectrum(truth, np.linspace(-8, 8, 41), 1, power=1.0)
     with pytest.raises(ValueError, match="unidentifiable"):
         fit_saturation_series([ds])
+
+
+def test_saturation_series_of_two_dipoles_is_refused():
+    # was fit as one emitter, the dipoles ignored
+    truth = EmitterParams.isotropic(gamma=12.6, beta=0.99)
+    ds = [synth_spectrum(truth, np.linspace(-8, 8, 41), d, power=power)
+          for d, power in ((1, 1.0), (2, 2.0), (1, 4.0))]
+    with pytest.raises(ValueError, match=r"one dipole, got dipoles \[1, 2\]"):
+        fit_saturation_series(ds)
 
 
 def test_predict_phase_vs_power_limits_and_monotonicity():
