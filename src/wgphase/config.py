@@ -9,7 +9,8 @@ Rates in the emitter block are angular (rad/ns, matching lifetime tables in
 1/ns); frequencies on the sweep axis are GHz.
 
 The ``interferometer`` and ``extraction`` blocks are the library's records
-themselves, built like any other block.
+themselves, built like any other block.  Each block checks its own values
+as it is built; :class:`RunConfig` then checks the rules that join two.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .emitter import EmitterParams
 from .extraction import ExtractionConfig
-from .interferometer import InterferometerConfig
+from .interferometer import POISSON_MEAN_MAX, InterferometerConfig
 from .spectra import check_fit_values
 from .units import is_number
 
@@ -175,6 +176,15 @@ class RunConfig:
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     fit: FitBlock = field(default_factory=FitBlock)
     chiral_scan: ChiralScanBlock = field(default_factory=ChiralScanBlock)
+
+    def __post_init__(self):  # the rules that join two blocks
+        icfg = self.interferometer
+        if self.noise.shot_noise and icfg.peak_counts > POISSON_MEAN_MAX:
+            raise ConfigError(
+                f"noise.shot_noise: interferometer.p_lo_cps {icfg.p_lo_cps:g}, p_sig_cps "
+                f"{icfg.p_sig_cps:g} and dark_cps {icfg.dark_cps:g} over integration_time_s "
+                f"{icfg.integration_time_s:g}: expected counts up to {icfg.peak_counts:g} per "
+                f"bin are too large for a Poisson draw (at most {POISSON_MEAN_MAX:g})")
 
     def resolved(self) -> dict:
         return asdict(self)

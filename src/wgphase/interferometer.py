@@ -30,6 +30,9 @@ SCHEMA_TRACE = "wgphase.trace.v1"
 # bins per shot-noise random stream; changing it changes every seeded draw
 _NOISE_BLOCK = 1024
 
+#: the largest mean numpy's ``Generator.poisson`` draws, 2**63 - 1 - 10*sqrt(2**63 - 1)
+POISSON_MEAN_MAX = 9.223372006484771e18
+
 
 @dataclass(frozen=True)
 class EnvPhase:
@@ -98,11 +101,7 @@ class InterferometerConfig:
             raise ValueError(f"visibility: must be in [0, 1], got {self.visibility}")
         if self.integration_time_s <= 0:
             raise ValueError(f"integration_time_s: must be > 0, got {self.integration_time_s}")
-        # ((sqrt(p_lo) + sqrt(p_sig))**2 + dark)*T bounds every term of a bin's counts
-        with np.errstate(over="ignore"):
-            peak = (self.p_lo_cps + self.p_sig_cps + self.dark_cps + 2.0 * np.sqrt(
-                self.p_lo_cps * self.p_sig_cps)) * self.integration_time_s
-        if not np.isfinite(peak):
+        if not np.isfinite(self.peak_counts):
             raise ValueError(f"p_lo_cps {self.p_lo_cps:g}, p_sig_cps {self.p_sig_cps:g} and "
                              f"dark_cps {self.dark_cps:g} over integration_time_s "
                              f"{self.integration_time_s:g}: expected counts overflow")
@@ -115,6 +114,13 @@ class InterferometerConfig:
                     f"env_phase: PID gains kp={env.kp:g}, ki={env.ki:g}, kd={env.kd:g} at "
                     f"integration_time_s {self.integration_time_s:g} make an unstable lock "
                     f"loop (largest pole radius {radius:.4g} > 1)")
+
+    @property
+    def peak_counts(self) -> float:
+        """((sqrt(p_lo) + sqrt(p_sig))**2 + dark)*T, the most counts a bin expects."""
+        with np.errstate(over="ignore"):
+            return float((self.p_lo_cps + self.p_sig_cps + self.dark_cps + 2.0 * np.sqrt(
+                self.p_lo_cps * self.p_sig_cps)) * self.integration_time_s)
 
 
 @dataclass
@@ -208,7 +214,8 @@ def apply_shot_noise(trace: FringeTrace, seed: int) -> FringeTrace:
     the seed, on its index and on the expected counts of the earlier bins in
     its block (a Poisson draw consumes a count-dependent number of random
     words), never on a later bin: a trace's draws are a prefix of the draws
-    of any longer trace that starts with the same expected counts.
+    of any longer trace that starts with the same expected counts.  numpy
+    draws no mean above :data:`POISSON_MEAN_MAX` and raises ValueError there.
     """
     means = trace.intensity
     counts = np.empty_like(means)

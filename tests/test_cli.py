@@ -246,19 +246,41 @@ def test_simulate_huge_photon_rates_name_their_keys(tmp_path, capsys, rates, sho
     assert not out.exists()
 
 
-@pytest.mark.parametrize("rates, command", [
+OVERFLOW = ("interferometer: p_lo_cps", "expected counts overflow")
+POISSON = ("noise.shot_noise: interferometer.p_lo_cps 1e+20", "too large for a Poisson draw")
+
+
+@pytest.mark.parametrize("rates, shot_noise, command, named", [
     # was exit 4 from fringe_trace's overflow warning, raised as an error here
-    ({"p_lo_cps": 1e10, "integration_time_s": 1e300}, "simulate"),
+    ({"p_lo_cps": 1e10, "integration_time_s": 1e300}, False, ["simulate"], OVERFLOW),
     # was exit 0 with a bundle recording rates that simulate refuses
-    ({"p_lo_cps": 1e300, "p_sig_cps": 1e300}, "predict-chiral"),
-])
-def test_rates_whose_counts_overflow_are_bad_input_at_load(tmp_path, capsys, rates, command):
-    cfg = write_cfg(tmp_path, "cfg.json", {"interferometer": rates})
+    ({"p_lo_cps": 1e300, "p_sig_cps": 1e300}, False, ["predict-chiral"], OVERFLOW),
+    # each was exit 0 (only simulate refused counts above numpy's Poisson ceiling)
+    ({"p_lo_cps": 1e20}, True, ["predict-chiral"], POISSON),
+    ({"p_lo_cps": 1e20}, True, ["fit", "p.csv"], POISSON),
+    ({"p_lo_cps": 1e20}, True, ["fit-saturation", "p.csv"], POISSON),
+    ({"p_lo_cps": 1e20}, True, ["extract", "on.csv", "off.csv"], POISSON),
+], ids=["rates0-simulate", "rates1-predict-chiral", "poisson-predict-chiral", "poisson-fit",
+        "poisson-fit-saturation", "poisson-extract"])
+def test_rates_whose_counts_overflow_are_bad_input_at_load(tmp_path, capsys, rates, shot_noise,
+                                                           command, named):
+    cfg = write_cfg(tmp_path, "cfg.json", {"interferometer": rates,
+                                           "noise": {"shot_noise": shot_noise}})
     out = tmp_path / "o"
-    assert run_cli("--config", cfg, "--out", str(out), command) == EXIT_BAD_INPUT
+    assert run_cli("--config", cfg, "--out", str(out), *command) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert "interferometer: p_lo_cps" in err and "expected counts overflow" in err
+    assert all(part in err for part in named)
     assert not out.exists()
+
+
+def test_poisson_ceiling_applies_only_under_shot_noise(tmp_path):
+    # the peak bound 1.0000002e19 is above numpy's ceiling 9.22e18; noiseless
+    # counts that large are a valid trace
+    cfg = write_cfg(tmp_path, "cfg.json", {"interferometer": {"p_lo_cps": 1e20},
+                                           "sweep": {"points": 11}})
+    out = tmp_path / "o"
+    assert run_cli("--config", cfg, "--out", str(out), "simulate") == EXIT_OK
+    assert parse_trace_csv(out / "trace_off.csv").intensity.max() > 9.3e18
 
 
 @pytest.mark.parametrize("drive, omega_r", [
