@@ -441,18 +441,24 @@ def _fit(points: _Points, groups, held, names, start, lo, hi, bounds, max_iter) 
     return result
 
 
-def _fit_dipoles(spectra: Sequence[Spectrum], init, bounds, combine, max_iter) -> FitResult:
-    """The fit behind both public fits: (beta, gamma, f0) per dipole of
-    ``spectra`` in ascending order, gamma_dp, phi0 and k.  Spectra without a
-    power hold k at 0 and number each name by its dipole; a power series, of
-    one dipole, fits k and leaves the names unnumbered.  Each dipole starts
-    from :func:`initial_guess` over its spectra by ascending power, k from
-    0, and ``init`` overrides a start by name (beta, gamma or f0 that of
-    every dipole it does not name).  The box keeps beta in [0, 1], gamma >=
-    1e-6, f0 within 50 GHz of its start, gamma_dp and k >= 0 and phi0 in
-    [-pi, pi].  A k that ends on the floor 0 joins the flat directions, the
-    fit staying converged; one on a higher ``bounds`` floor is named.  Bad
-    ``init`` or ``bounds`` keys and values are ValueErrors naming them."""
+def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = None,
+                           bounds: Optional[dict] = None, combine: str = "isolated",
+                           max_iter: int = 500) -> FitResult:
+    """Joint weighted fit of phase and intensity spectra of any number of dipoles.
+
+    Free parameters are (beta_i, gamma_i, f0_i) per dipole, in ascending
+    order, then the shared gamma_dp and phi0, named beta1, gamma1, f01, ...,
+    gamma_dp, phi0 in ``init`` and ``bounds``; spectra with powers are a
+    power series of one dipole, which fits k too and numbers no name.  Each
+    dipole starts from :func:`initial_guess` over its spectra by ascending
+    power, k from 0; ``init`` overrides a start by name, its beta, gamma or
+    f0 that of every dipole no numbered key names.  ``bounds`` narrows the
+    box: beta in [0, 1], gamma >= 1e-6, f0 within 50 GHz of its start,
+    gamma_dp and k >= 0, phi0 in [-pi, pi].  A flat direction leaves the fit
+    unconverged, except a k on the floor 0, which joins the flat directions;
+    one on a higher ``bounds`` floor is named.  Bad ``init`` or ``bounds``
+    keys and values are ValueErrors naming them.
+    """
     check_fit_values(init, bounds)
     dipoles = sorted({s.dipole for s in spectra})
     if not dipoles:
@@ -493,36 +499,17 @@ def _fit_dipoles(spectra: Sequence[Spectrum], init, bounds, combine, max_iter) -
     return result
 
 
-def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = None,
-                           bounds: Optional[dict] = None, combine: str = "isolated",
-                           max_iter: int = 500) -> FitResult:
-    """Joint weighted fit of phase and intensity spectra of any number of dipoles.
-
-    Free parameters are (beta_i, gamma_i, f0_i) per present dipole plus the
-    shared gamma_dp and phi0, named beta1, gamma1, f01, ..., gamma_dp, phi0
-    in ``init`` and ``bounds``; ``init`` may also set beta, gamma or f0 of
-    every dipole at once, and ``bounds`` narrows each one's physical range.
-    Returns ``converged=False`` with a flat-direction diagnostic for
-    non-identifiable inputs.  Spectra with powers make a power series.
-    """
-    return _fit_dipoles(spectra, init, bounds, combine, max_iter)
-
-
 def fit_saturation_series(spectra: Sequence[Spectrum], init: Optional[dict] = None,
                           bounds: Optional[dict] = None, max_iter: int = 500) -> FitResult:
-    """Global fit of spectra of one dipole taken at several drive powers: the
-    fit of :func:`fit_two_dipole_spectra` with k free and the parameters
-    unnumbered (beta, gamma, f0, gamma_dp, phi0, k); spectrum j is driven at
-    omega_r = sqrt(k * P_j), P_j its ``power``.  Needs >= 3 power levels,
-    otherwise k is not identifiable.  As there, a flat direction leaves the
-    fit unconverged, except a k on the floor k = 0 (see :func:`_fit_dipoles`).
-    """
+    """Global fit of spectra of one dipole at several drive powers, spectrum j
+    driven at omega_r = sqrt(k * P_j), P_j its ``power``: :func:`fit_two_dipole_spectra`
+    of the series.  Needs >= 3 power levels, otherwise k is not identifiable."""
     if any(s.power is None for s in spectra):
         raise ValueError("every spectrum needs a recorded power level")
     levels = sorted({float(s.power) for s in spectra})
     if len(levels) < 3:
         raise ValueError(f"k is unidentifiable: need >= 3 distinct power levels, got {levels}")
-    return _fit_dipoles(spectra, init, bounds, "isolated", max_iter)
+    return fit_two_dipole_spectra(spectra, init, bounds, "isolated", max_iter)
 
 
 def predict_phase_vs_power(p: EmitterParams, k: float, powers) -> np.ndarray:
