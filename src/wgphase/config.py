@@ -10,13 +10,16 @@ Rates in the emitter block are angular (rad/ns, matching lifetime tables in
 
 The ``interferometer`` and ``extraction`` blocks are the library's records
 themselves, built like any other block.  Each block checks its own values
-as it is built; :class:`RunConfig` then checks the rules that join two.
+as it is built; :class:`RunConfig` then checks the rules that join two:
+values whose arithmetic in ``simulate`` or ``predict-chiral`` would
+overflow, and counts past numpy's Poisson ceiling under shot noise.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -28,7 +31,7 @@ from .emitter import EmitterParams
 from .extraction import ExtractionConfig
 from .interferometer import POISSON_MEAN_MAX, InterferometerConfig
 from .spectra import check_fit_values
-from .units import is_number
+from .units import C_M_PER_S, TWO_PI, is_number
 
 
 class ConfigError(ValueError):
@@ -45,7 +48,12 @@ class EmitterBlock:
     phi0_rad: float = -0.25
 
     def __post_init__(self):
-        self.to_params()  # checked at load, for every command
+        p = self.to_params()  # checked at load, for every command
+        # the response's terms run up to 8*gamma2**2, and gamma2/gamma scales the drive's
+        if not all(map(math.isfinite, (8.0 * p.gamma2 * p.gamma2, 4.0 * (p.gamma2 / p.gamma)))):
+            raise ConfigError(f"emitter: gamma_rad_ns {p.gamma:g} and gamma_dp_rad_ns "
+                              f"{p.gamma_dp:g} overflow the response (gamma2 = gamma/2 + "
+                              f"gamma_dp = {p.gamma2:g} rad/ns)")
 
     def to_params(self) -> EmitterParams:
         return EmitterParams(gamma=self.gamma_rad_ns, gamma_dp=self.gamma_dp_rad_ns,
@@ -78,6 +86,9 @@ class SweepBlock:
             raise ConfigError("sweep.points: need at least 2 points")
         if self.stop_ghz <= self.start_ghz:
             raise ConfigError("sweep: stop_ghz must exceed start_ghz")
+        if not math.isfinite(self.stop_ghz - self.start_ghz):
+            raise ConfigError(f"sweep: the span from start_ghz {self.start_ghz:g} to stop_ghz "
+                              f"{self.stop_ghz:g} overflows")
 
     def grid(self):
         return np.linspace(self.start_ghz, self.stop_ghz, self.points)
@@ -178,7 +189,30 @@ class RunConfig:
     chiral_scan: ChiralScanBlock = field(default_factory=ChiralScanBlock)
 
     def __post_init__(self):  # the rules that join two blocks
-        icfg = self.interferometer
+        p, icfg, sweep = self.emitter.to_params(), self.interferometer, self.sweep
+        grid = f"sweep.start_ghz {sweep.start_ghz:g} to stop_ghz {sweep.stop_ghz:g}"
+        # simulate's largest carrier phase and saturation denominator D, and predict-chiral's
+        # largest c, each in its command's order of operations: where they are finite, so is
+        # every product the command forms
+        edge = max(abs(sweep.start_ghz), abs(sweep.stop_ghz))
+        if not math.isfinite(TWO_PI * edge * 1e9 * icfg.delta_l_m / C_M_PER_S):
+            raise ConfigError(f"interferometer.delta_l_m {icfg.delta_l_m:g} over {grid}: "
+                              f"the carrier phase 2*pi*f*delta_l_m/c overflows")
+        delta = max(abs(TWO_PI * (f - p.f0)) for f in (sweep.start_ghz, sweep.stop_ghz))
+        omega = self.drive.omega_rad_ns
+        if not math.isfinite(p.gamma2 * p.gamma2 + delta * delta
+                             + 4.0 * (p.gamma2 / p.gamma) * (omega * omega)):
+            raise ConfigError(f"emitter.f0_ghz {p.f0:g} over {grid} at drive.omega_rad_ns "
+                              f"{omega:g}: the emitter's response overflows (D = gamma2**2 + "
+                              f"delta**2 + 4*(gamma2/gamma)*omega_r**2)")
+        scan = self.chiral_scan
+        g2_top, omega_top = p.gamma / 2.0 + scan.gamma_dp_max_rad_ns, scan.omega_max_rad_ns
+        if not all(map(math.isfinite, (g2_top * g2_top, 4.0 * (g2_top / p.gamma),
+                                       2.0 * omega_top * omega_top))):
+            raise ConfigError(f"chiral_scan: omega_max_rad_ns {omega_top:g} and "
+                              f"gamma_dp_max_rad_ns {scan.gamma_dp_max_rad_ns:g} at "
+                              f"emitter.gamma_rad_ns {p.gamma:g} overflow the scan's c = "
+                              f"gamma2*(gamma2 - s) + 4*(gamma2/gamma)*omega_r**2")
         if self.noise.shot_noise and icfg.peak_counts > POISSON_MEAN_MAX:
             raise ConfigError(
                 f"noise.shot_noise: interferometer.p_lo_cps {icfg.p_lo_cps:g}, p_sig_cps "
@@ -251,7 +285,9 @@ def _check_value(want, value, path):
 
 
 def load_config(source) -> RunConfig:
-    """Load and validate a config from a path, JSON string, or dict."""
+    """Load and validate a config from a path, JSON string, or dict.  A
+    source that names no file is read as JSON text; if it is not valid JSON
+    either, the error names it as a file that does not exist."""
     if isinstance(source, RunConfig):
         return source
     if isinstance(source, dict):
@@ -263,7 +299,8 @@ def load_config(source) -> RunConfig:
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # bad or too deeply nested
-            raise ConfigError(f"{path if is_file else 'config'} is not valid JSON: {exc}") from exc
+            where = path if is_file else f"{source}: no such file, and the text"
+            raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return _build(RunConfig, data, "")

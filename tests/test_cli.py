@@ -273,6 +273,70 @@ def test_rates_whose_counts_overflow_are_bad_input_at_load(tmp_path, capsys, rat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, payload, named", [
+    # each was exit 4 under the suite's RuntimeWarning filter, and without it
+    # exit 2 naming nothing (the first three: NaN products) or exit 0 (the rest)
+    ("simulate", {"sweep": {"start_ghz": -1e308, "stop_ghz": 1e308}},
+     "sweep: the span from start_ghz -1e+308 to stop_ghz 1e+308 overflows"),
+    ("simulate", {"interferometer": {"delta_l_m": 1e300}},
+     "interferometer.delta_l_m 1e+300 over sweep.start_ghz -15 to stop_ghz 15: the carrier "
+     "phase"),
+    ("simulate", {"emitter": {"gamma_rad_ns": 1e300, "gamma_dp_rad_ns": 1e300}},
+     "emitter: gamma_rad_ns 1e+300 and gamma_dp_rad_ns 1e+300 overflow the response"),
+    ("simulate", {"drive": {"omega_rad_ns": 1e200, "linear_response": False}},
+     "emitter.f0_ghz 0 over sweep.start_ghz -15 to stop_ghz 15 at drive.omega_rad_ns 1e+200: "
+     "the emitter's response overflows"),
+    ("simulate", {"emitter": {"f0_ghz": 1e300}},
+     "emitter.f0_ghz 1e+300 over sweep.start_ghz -15 to stop_ghz 15 at drive.omega_rad_ns 0: "
+     "the emitter's response overflows"),
+    ("predict-chiral", {"chiral_scan": {"omega_max_rad_ns": 1e308, "gamma_dp_max_rad_ns": 1e308}},
+     "chiral_scan: omega_max_rad_ns 1e+308 and gamma_dp_max_rad_ns 1e+308 at "
+     "emitter.gamma_rad_ns 12.3 overflow the scan's c"),
+], ids=["sweep-span", "carrier-phase", "emitter-rates", "drive", "f0", "chiral-scan"])
+def test_values_whose_arithmetic_overflows_are_bad_input_at_load(tmp_path, capsys, command,
+                                                                 payload, named):
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", payload), "--out", str(out),
+                   command) == EXIT_BAD_INPUT
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, payload", [
+    # just inside the rules above: t -> 1 far off resonance, the phase -> 0 deep in
+    # saturation, finite and without a warning
+    ("simulate", {"emitter": {"f0_ghz": 1e150, "phi0_rad": 0.0}, "sweep": {"points": 11}}),
+    ("simulate", {"emitter": {"phi0_rad": 0.0}, "sweep": {"points": 11},
+                  "drive": {"omega_rad_ns": 1e150, "linear_response": False}}),
+    ("predict-chiral", {"chiral_scan": {"omega_max_rad_ns": 1e150, "gamma_dp_max_rad_ns": 1e150,
+                                        "points": 3}}),
+], ids=["f0", "drive", "chiral-scan"])
+def test_values_just_inside_the_overflow_rules_run(tmp_path, command, payload):
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", payload), "--out", str(out),
+                   command) == EXIT_OK
+    if command == "simulate":  # the emitter transmits as if absent: the on trace is the off one
+        on, off = (parse_trace_csv(out / name) for name in ("trace_on.csv", "trace_off.csv"))
+        np.testing.assert_allclose(on.intensity, off.intensity, rtol=1e-12)
+    else:
+        for name in ("phase_vs_omega.csv", "phase_vs_dephasing.csv"):
+            rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
+            assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[-1, 1:]) < 1e-140)
+
+
+def test_missing_config_file_is_named(tmp_path, capsys):
+    # was "config is not valid JSON: ...", naming neither the path nor the missing file
+    out = tmp_path / "o"
+    missing = str(tmp_path / "nosuch.json")
+    assert run_cli("--config", missing, "--out", str(out), "predict-chiral") == EXIT_BAD_INPUT
+    assert (f"error: {missing}: no such file, and the text is not valid JSON"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # JSON text in place of a path still loads
+    assert run_cli("--config", '{"chiral_scan": {"points": 3}}', "--out", str(out),
+                   "predict-chiral") == EXIT_OK
+
+
 def test_poisson_ceiling_applies_only_under_shot_noise(tmp_path):
     # the peak bound 1.0000002e19 is above numpy's ceiling 9.22e18; noiseless
     # counts that large are a valid trace
