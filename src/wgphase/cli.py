@@ -16,9 +16,8 @@ input: a command line the parser rejects, a bad input file, a
 ``WGPHASE_LOG`` that is no ``logging`` level name, a ``--config`` that
 names no file and is no JSON text either, or a bad config, checked at load
 for every command (unstable PID lock gains, values whose arithmetic would
-overflow, and counts above numpy's Poisson ceiling under shot noise
-included); 3 fit non-convergence, the bundle still written in full; 4
-internal error.
+overflow, and counts too large for a shot-noise draw included); 3 fit
+non-convergence, the bundle still written in full; 4 internal error.
 """
 
 from __future__ import annotations
