@@ -398,49 +398,6 @@ def check_fit_values(init: Optional[dict] = None, bounds: Optional[dict] = None)
                              f"with lo <= hi, got {pair!r}")
 
 
-def _fit(points: _Points, groups, held, names, start, lo, hi, bounds, max_iter) -> FitResult:
-    """Weighted least-squares fit of ``points`` to the model of ``groups``
-    (see :meth:`_Points.model`) at the values ``[*x, *held]``, ``x`` holding
-    the parameters ``names``, phi0 among them.  ``bounds`` narrows the box
-    ``lo``, ``hi`` of a parameter in place, a null side keeping the box's,
-    and ``start`` is projected into the box.  A fit that ends with a flat
-    direction has not converged.  ValueError naming ``fit.bounds.<key>`` for
-    an unknown key or a pair that leaves nothing of the box."""
-    for key, pair in (bounds or {}).items():
-        if key not in names:
-            raise ValueError(f"fit.bounds.{key}: not a parameter of this fit, which takes "
-                             f"{', '.join(names)}")
-        i = names.index(key)
-        box = lo[i], hi[i]
-        lo[i] = box[0] if pair[0] is None else max(box[0], pair[0])
-        hi[i] = box[1] if pair[1] is None else min(box[1], pair[1])
-        if lo[i] > hi[i]:
-            raise ValueError(f"fit.bounds.{key}: {pair!r} leaves nothing of the parameter's "
-                             f"range [{box[0]:g}, {box[1]:g}]")
-    x0 = [min(max(v, l), h) for v, l, h in zip(start, lo, hi)]
-    used = _usable(points.values, points.sigma)
-    # inverse-variance; low-contrast points keep their (large) fitted sigma
-    weights = np.where(used, 1.0 / np.where(used, points.sigma, 1.0), 0.0)
-    values = np.where(used, points.values, 0.0)  # an unused inf would warn in wrap_angle
-    phase, phi0 = points.phase, names.index("phi0")
-    unused = np.flatnonzero(~used)
-
-    def fun(x):
-        jac = np.zeros((len(names), values.size))
-        diff = points.model(groups, [*x.tolist(), *held], phi0, jac) - values
-        diff[phase] = wrap_angle(diff[phase])  # whose derivative is 1
-        jac *= weights
-        if unused.size:
-            jac[:, unused] = 0.0
-        return np.where(used, diff * weights, 0.0), jac.T
-
-    result = lm_minimize(fun, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
-    if result.flat_directions:
-        result.converged = False
-        result.message += "; non-identifiable: flat directions " + ", ".join(result.flat_directions)
-    return result
-
-
 def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = None,
                            bounds: Optional[dict] = None, combine: str = "isolated",
                            max_iter: int = 500) -> FitResult:
@@ -452,12 +409,14 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     power series of one dipole, which fits k too and numbers no name.  Each
     dipole starts from :func:`initial_guess` over its spectra by ascending
     power, k from 0; ``init`` overrides a start by name, its beta, gamma or
-    f0 that of every dipole no numbered key names.  ``bounds`` narrows the
-    box: beta in [0, 1], gamma >= 1e-6, f0 within 50 GHz of its start,
-    gamma_dp and k >= 0, phi0 in [-pi, pi].  A flat direction leaves the fit
-    unconverged, except a k on the floor 0, which joins the flat directions;
-    one on a higher ``bounds`` floor is named.  Bad ``init`` or ``bounds``
-    keys and values are ValueErrors naming them.
+    f0 that of every dipole no numbered key names.  The start is projected
+    into the box: beta in [0, 1], gamma >= 1e-6, f0 within 50 GHz of its
+    start, gamma_dp and k >= 0, phi0 in [-pi, pi], each side narrowed by a
+    non-null side of ``bounds``.  Each usable point weighs 1/sigma.  A flat
+    direction leaves the fit unconverged, except a k on the floor 0, which
+    joins the flat directions; one on a higher ``bounds`` floor is named.
+    Bad ``init`` or ``bounds`` keys and values, a ``bounds`` pair that
+    leaves nothing of the box among them, are ValueErrors naming them.
     """
     check_fit_values(init, bounds)
     dipoles = sorted({s.dipole for s in spectra})
@@ -486,11 +445,42 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     lo = [b for f0 in f0s for b in (0.0, 1e-6, f0 - 50.0)] + [0.0, -np.pi, 0.0]
     hi = [b for f0 in f0s for b in (1.0, np.inf, f0 + 50.0)] + [np.inf, np.pi, np.inf]
     del lo[len(names):], hi[len(names):]  # k's box, when k is held
+    for key, pair in (bounds or {}).items():
+        if key not in names:
+            raise ValueError(f"fit.bounds.{key}: not a parameter of this fit, which takes "
+                             f"{', '.join(names)}")
+        i = names.index(key)
+        box = lo[i], hi[i]
+        lo[i] = box[0] if pair[0] is None else max(box[0], pair[0])
+        hi[i] = box[1] if pair[1] is None else min(box[1], pair[1])
+        if lo[i] > hi[i]:
+            raise ValueError(f"fit.bounds.{key}: {pair!r} leaves nothing of the parameter's "
+                             f"range [{box[0]:g}, {box[1]:g}]")
+    x0 = [min(max(start[n], l), h) for n, l, h in zip(names, lo, hi)]
     points = _Points(spectra)
-    result = _fit(points, _dipole_groups(points, dipoles, combine), [] if powered else [0.0],
-                  names, [start[n] for n in names], lo, hi, bounds, max_iter)
+    groups, held = _dipole_groups(points, dipoles, combine), [] if powered else [0.0]
+    used = _usable(points.values, points.sigma)
+    # inverse-variance; low-contrast points keep their (large) fitted sigma
+    weights = np.where(used, 1.0 / np.where(used, points.sigma, 1.0), 0.0)
+    values = np.where(used, points.values, 0.0)  # an unused inf would warn in wrap_angle
+    phase, phi0 = points.phase, names.index("phi0")
+    unused = np.flatnonzero(~used)
+
+    def fun(x):
+        jac = np.zeros((len(names), values.size))
+        diff = points.model(groups, [*x.tolist(), *held], phi0, jac) - values
+        diff[phase] = wrap_angle(diff[phase])  # whose derivative is 1
+        jac *= weights
+        if unused.size:
+            jac[:, unused] = 0.0
+        return np.where(used, diff * weights, 0.0), jac.T
+
+    result = lm_minimize(fun, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
+    if result.flat_directions:
+        result.converged = False
+        result.message += "; non-identifiable: flat directions " + ", ".join(result.flat_directions)
     if powered and result["k"] <= lo[-1] + 1e-12:
-        if lo[-1] > 0.0:  # a fit.bounds.k floor, which _fit set in lo
+        if lo[-1] > 0.0:  # a fit.bounds.k floor
             result.message += f"; k held at its fit.bounds.k floor {lo[-1]:g}"
         else:
             result.message += "; k pinned at lower bound (series shows no saturation)"
