@@ -15,9 +15,10 @@ Exit codes, returned by :func:`main`: 0 success (``--help`` too); 2 bad
 input: a command line the parser rejects, a bad input file, a
 ``WGPHASE_LOG`` that is no ``logging`` level name, a ``--config`` that
 names no file and is no JSON text either, or a bad config, checked at load
-for every command (unstable PID lock gains, values whose arithmetic would
-overflow, and counts too large for a shot-noise draw included); 3 fit
-non-convergence, the bundle still written in full; 4 internal error.
+for every command (PID lock gains with a pole on or outside the unit
+circle, values whose arithmetic would overflow, and counts too large for a
+shot-noise draw included); 3 fit non-convergence, the bundle still written
+in full; 4 internal error.
 """
 
 from __future__ import annotations
@@ -185,13 +186,11 @@ def cmd_predict_chiral(cfg: RunConfig, bundle: ResultBundle):
     beta_dirs, omegas, gdps = cfg.chiral_scan.grids()
     ref = base.with_(coupling="chiral", beta=1.0) if not base.is_chiral else base
     thresholds = emitter.chiral_thresholds(ref)
-    by_omega, by_gdp = [omegas], [gdps]
-    for bd in beta_dirs:
-        p = ref.with_(beta=bd, gamma_dp=0.0)
-        by_omega.append(emitter.phase_extrema_analytic(p, omegas).phi_plus)
-        # the whole dephasing axis in one call, on gamma2 = gamma/2 + gamma_dp
-        by_gdp.append(emitter._phase_extrema(p.coupling_rate, p.gamma, p.gamma / 2.0 + gdps,
-                                             0.0).phi_plus)
+    # one call per table, a row per beta_dir (chiral s = beta_dir*gamma) on the whole
+    # axis, the dephasing axis on gamma2 = gamma/2 + gamma_dp
+    s, gamma = np.array(beta_dirs)[:, None] * ref.gamma, ref.gamma
+    by_omega = [omegas, *emitter._phase_extrema(s, gamma, gamma / 2.0, omegas).phi_plus]
+    by_gdp = [gdps, *emitter._phase_extrema(s, gamma, gamma / 2.0 + gdps, 0.0).phi_plus]
     header = "".join(f",phi_max_bdir_{bd:g}" for bd in beta_dirs)
     bundle.write_json("thresholds.json", {"omega_c_rad_ns": thresholds.omega_c,
                                           "gamma_dp_c_rad_ns": thresholds.gamma_dp_c,

@@ -12,7 +12,8 @@ The ``interferometer`` and ``extraction`` blocks are the library's records
 themselves, built like any other block.  Each block checks its own values
 as it is built; :class:`RunConfig` then checks the rules that join two:
 values whose arithmetic in ``simulate`` or ``predict-chiral`` would
-overflow, and counts past numpy's Poisson ceiling under shot noise.
+overflow (a random walk of ``sweep.points`` steps among them), and counts
+past numpy's Poisson ceiling under shot noise.
 """
 
 from __future__ import annotations
@@ -195,9 +196,19 @@ class RunConfig:
         # largest c, each in its command's order of operations: where they are finite, so is
         # every product the command forms
         edge = max(abs(sweep.start_ghz), abs(sweep.stop_ghz))
-        if not math.isfinite(TWO_PI * edge * 1e9 * icfg.delta_l_m / C_M_PER_S):
+        carrier = TWO_PI * edge * 1e9 * icfg.delta_l_m / C_M_PER_S
+        if not math.isfinite(carrier):
             raise ConfigError(f"interferometer.delta_l_m {icfg.delta_l_m:g} over {grid}: "
                               f"the carrier phase 2*pi*f*delta_l_m/c overflows")
+        # numpy's normal draws no |z| above 13.7, so a walk of sweep.points steps stays
+        # within 14*sigma_rad*points; the fringe phase adds it to the carrier, and the
+        # lock loop lets its residual reach 10x it
+        env = icfg.env_phase
+        walk = 14.0 * env.sigma_rad * sweep.points
+        if env.kind in ("random_walk", "locked_drift") and not math.isfinite(carrier + 10.0 * walk):
+            raise ConfigError(f"interferometer.env_phase.sigma_rad {env.sigma_rad:g} over "
+                              f"sweep.points {sweep.points}: the walk's bound "
+                              f"14*sigma_rad*points overflows the fringe phase")
         delta = max(abs(TWO_PI * (f - p.f0)) for f in (sweep.start_ghz, sweep.stop_ghz))
         omega = self.drive.omega_rad_ns
         if not math.isfinite(p.gamma2 * p.gamma2 + delta * delta

@@ -28,6 +28,7 @@ traces of a pair share one window layout.  The settings are one
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -234,11 +235,19 @@ def _window_layout(freq: np.ndarray, cfg: ExtractionConfig) -> _Layout:
     df = _uniform_spacing(freq)
     period_ghz = C_M_PER_S / delta_l / 1e9
     min_pts = 2 * 3 * (poly_order + 1)
-    n = max(int(round(cfg.window_periods * period_ghz / df)), min_pts)
-    hop = max(int(round(hop_periods * period_ghz / df)), 1)
+    with np.errstate(over="ignore"):  # a length that overflows is longer than any trace
+        width, step = (periods * period_ghz / df for periods in (cfg.window_periods, hop_periods))
+    n = max(int(round(min(width, freq.size + 1))), min_pts)
+    hop = max(int(round(min(step, freq.size))), 1)
     if n > freq.size:
         raise ValueError(f"trace of {freq.size} points is shorter than one extraction window: "
-                         f"extraction.window_periods {cfg.window_periods:g} takes {n} points")
+                         f"extraction.window_periods {cfg.window_periods:g} at delta_l_m "
+                         f"{delta_l:g} m takes at least {n} points")
+    # the largest carrier phase of theta_start and of a window, in their order of operations
+    reach = max(abs(float(freq[0])), abs(float(freq[-1])), (n - 1) * df)
+    if not math.isfinite(2.0 * np.pi * reach * 1e9 * float(delta_l) / C_M_PER_S):
+        raise ValueError(f"extraction.delta_l_m {delta_l:g} over [{freq[0]:g}, {freq[-1]:g}] GHz: "
+                         f"the carrier phase 2*pi*f*delta_l_m/c overflows")
     starts = np.arange(0, freq.size - n + 1, hop)
     theta_start = 2.0 * np.pi * freq[starts] * 1e9 * delta_l / C_M_PER_S
 

@@ -14,6 +14,9 @@ by the incoherently scattered light, and the inverse pipeline relies on
 that distinction.  Traces store expected (or Poisson-sampled) counts per
 bin, i.e. rate times integration time.  :class:`InterferometerConfig` is the
 run config's ``interferometer`` block, its :class:`EnvPhase` the default ``phi_env``.
+A ``locked_drift`` phase is refused as it is built unless every pole of the
+lock residual's recurrence lies strictly inside the unit circle
+(:func:`lock_loop_radius`): a pole on the circle rings or grows.
 """
 
 from __future__ import annotations
@@ -109,11 +112,14 @@ class InterferometerConfig:
         if env.kind == "locked_drift":  # the loop runs one step per integration time
             radius = lock_loop_radius({"kp": env.kp, "ki": env.ki, "kd": env.kd},
                                       self.integration_time_s)
-            if radius > 1.0 + 1e-9:
+            # np.roots splits a multiple root on the unit circle around it, leaving one
+            # copy within rounding of the circle or outside it; 1e-9 clears that
+            # rounding, and a loop that close to it takes 1e9 steps to settle
+            if radius > 1.0 - 1e-9:
                 raise ValueError(
                     f"env_phase: PID gains kp={env.kp:g}, ki={env.ki:g}, kd={env.kd:g} at "
                     f"integration_time_s {self.integration_time_s:g} make an unstable lock "
-                    f"loop (largest pole radius {radius:.4g} > 1)")
+                    f"loop (largest pole radius {radius:.4g}, not below 1)")
 
     @property
     def peak_counts(self) -> float:
@@ -273,12 +279,17 @@ def lock_loop_residual(drift, gains, dt: float) -> np.ndarray:
 
 
 def lock_loop_radius(gains, dt: float) -> float:
-    """Largest |root| of the characteristic polynomial of :func:`lock_loop_residual`,
-    ``z^3 + (kp + ki*dt + kd/dt - 1)*z^2 - (kp + 2*kd/dt)*z + kd/dt``; above 1
-    the loop is unstable.  With ``ki = 0`` a harmless root sits at exactly z = 1."""
+    """Largest |pole| of the residual's recurrence in :func:`lock_loop_residual`:
+    the roots of ``z^3 + (kp + ki*dt + kd/dt - 1)*z^2 - (kp + 2*kd/dt)*z + kd/dt``.
+    With ``ki = 0`` its root z = 1, the integrator's, cancels the residual's zero
+    there and is divided out, leaving ``z^2 + (kp + kd/dt)*z - kd/dt``.  The
+    residual of any drift settles only if every pole lies inside the unit circle:
+    at radius 1 (kp = 1, ki = 0, a pole at -1) it rings undamped, and a double
+    pole there (kp = -1, ki = 40 at dt = 0.1) grows without bound."""
     kp, ki, kd = (float(gains.get(key, 0.0)) for key in ("kp", "ki", "kd"))
-    roots = np.roots([1.0, kp + ki * dt + kd / dt - 1.0, -(kp + 2.0 * kd / dt), kd / dt])
-    return float(np.max(np.abs(roots)))
+    coeffs = ([1.0, kp + kd / dt, -kd / dt] if ki == 0.0 else
+              [1.0, kp + ki * dt + kd / dt - 1.0, -(kp + 2.0 * kd / dt), kd / dt])
+    return float(np.max(np.abs(np.roots(coeffs)), initial=0.0))
 
 
 def _emitter_meta(p: EmitterParams) -> dict:

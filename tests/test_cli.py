@@ -292,7 +292,15 @@ def test_rates_whose_counts_overflow_are_bad_input_at_load(tmp_path, capsys, rat
     ("predict-chiral", {"chiral_scan": {"omega_max_rad_ns": 1e308, "gamma_dp_max_rad_ns": 1e308}},
      "chiral_scan: omega_max_rad_ns 1e+308 and gamma_dp_max_rad_ns 1e+308 at "
      "emitter.gamma_rad_ns 12.3 overflow the scan's c"),
-], ids=["sweep-span", "carrier-phase", "emitter-rates", "drive", "f0", "chiral-scan"])
+    # the walk's cumsum overflowed: exit 4 under the filter, else exit 2 naming nothing
+    # ("intensity must be finite"); predict-chiral, which walks none, exited 0
+    ("simulate", {"interferometer": {"env_phase": {"kind": "random_walk", "sigma_rad": 1e308}}},
+     "interferometer.env_phase.sigma_rad 1e+308 over sweep.points 4501: the walk's bound"),
+    ("predict-chiral",
+     {"interferometer": {"env_phase": {"kind": "locked_drift", "sigma_rad": 1e308}}},
+     "interferometer.env_phase.sigma_rad 1e+308 over sweep.points 4501: the walk's bound"),
+], ids=["sweep-span", "carrier-phase", "emitter-rates", "drive", "f0", "chiral-scan",
+        "walk-sigma", "locked-walk-sigma"])
 def test_values_whose_arithmetic_overflows_are_bad_input_at_load(tmp_path, capsys, command,
                                                                  payload, named):
     out = tmp_path / "o"
@@ -322,6 +330,37 @@ def test_values_just_inside_the_overflow_rules_run(tmp_path, command, payload):
         for name in ("phase_vs_omega.csv", "phase_vs_dephasing.csv"):
             rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
             assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[-1, 1:]) < 1e-140)
+
+
+@pytest.mark.parametrize("gains", [
+    {"kp": -1.0, "ki": 40.0},  # (z + 1)**2: simulate refused it at step 239, predict-chiral ran
+    {"kp": 1.0, "ki": 0.0},    # an undamped pole at z = -1: the residual rang, exit 0
+], ids=["double-pole", "undamped"])
+@pytest.mark.parametrize("command", ["simulate", "predict-chiral"])
+def test_lock_loop_on_the_unit_circle_is_bad_input_at_load(tmp_path, capsys, gains, command):
+    payload = {"interferometer": {"env_phase": {"kind": "locked_drift", **gains}}}
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", payload), "--out", str(out),
+                   command) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "error: interferometer.env_phase: PID gains" in err
+    assert "largest pole radius 1, not below 1" in err
+    assert not out.exists()
+
+
+def test_lock_loop_failing_at_run_time_is_bad_input(tmp_path, capsys, monkeypatch):
+    # gains the load rule passes can still let a residual past 10x the drift
+    def blows_up(*args, **kwargs):
+        raise interferometer.UnstableLoopError("lock residual 40 rad exceeded 10x drift "
+                                               "amplitude 3.6 rad at step 7")
+    monkeypatch.setattr(interferometer, "lock_loop_residual", blows_up)
+    payload = {"interferometer": {"env_phase": {"kind": "locked_drift"}}}
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", payload), "--out", str(out),
+                   "simulate") == EXIT_BAD_INPUT
+    assert ("error: interferometer.env_phase: lock residual 40 rad exceeded"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_missing_config_file_is_named(tmp_path, capsys):
@@ -698,8 +737,8 @@ def test_predict_chiral_tables_bytes_pinned(tmp_path):
 
 
 def test_predict_chiral_evaluates_whole_axes(tmp_path, monkeypatch):
-    # each scan is one closed-form call per beta_dir on its whole axis, never
-    # one call per point (121 here)
+    # each table is one closed-form call on its whole grid of beta_dirs by axis
+    # points, never one call per beta_dir (4 here) or per point (121)
     calls = {"phase_extrema_analytic": 0, "_phase_extrema": 0}
     for name in calls:
         def counted(*args, _fn=getattr(emitter, name), _name=name, **kwargs):
@@ -710,9 +749,8 @@ def test_predict_chiral_evaluates_whole_axes(tmp_path, monkeypatch):
     cfg = {"chiral_scan": {"beta_dirs": beta_dirs, "points": 121}}
     assert run_cli("--config", write_cfg(tmp_path, "c.json", cfg),
                    "--out", str(tmp_path / "chi"), "predict-chiral") == EXIT_OK
-    assert calls["_phase_extrema"] >= len(beta_dirs)  # the wrappers saw the scans
-    for name, n in calls.items():
-        assert n <= 2 * len(beta_dirs), (name, n)
+    # phase_extrema_analytic calls _phase_extrema too, so this counts every call
+    assert calls["_phase_extrema"] == 2, calls
 
 
 @pytest.mark.parametrize("scan, named", [
@@ -1051,6 +1089,48 @@ def test_extract_off_trace_without_a_path_length_names_it(tmp_path, capsys, life
     assert run_cli("--out", str(out), "extract", lifecycle_inputs["on"],
                    str(off)) == EXIT_BAD_INPUT
     assert f"error: {off}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extraction, message", [
+    # was exit 4 under the suite's filter (theta_start overflowed), and without it
+    # exit 2 with "SVD did not converge", naming no key
+    ({"delta_l_m": 1e300}, "extraction.delta_l_m 1e+300 over [-12, 12] GHz: the carrier phase"),
+    # each was exit 4 (OverflowError or an overflowing divide) sizing the window
+    ({"delta_l_m": 1e-300}, "extraction.window_periods 3 at delta_l_m 1e-300 m takes at least "
+                            "3602 points"),
+    ({"delta_l_m": 2.78, "window_periods": 1e308}, "extraction.window_periods 1e+308 at "
+                                                   "delta_l_m 2.78 m takes at least 3602 points"),
+], ids=["carrier-phase", "tiny-path-length", "huge-window"])
+def test_extract_window_layout_that_overflows_names_its_key(tmp_path, capsys, lifecycle_inputs,
+                                                           extraction, message):
+    out = tmp_path / "x"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", {"extraction": extraction}),
+                   "--out", str(out), "extract", lifecycle_inputs["on"],
+                   lifecycle_inputs["off"]) == EXIT_BAD_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_hop_past_the_trace_is_one_window(tmp_path, lifecycle_inputs):
+    # was exit 4 (an overflowing divide): a hop longer than the trace leaves the first window
+    out = tmp_path / "x"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", {"extraction": {
+                       "delta_l_m": 2.78, "hop_periods": 1e308}}),
+                   "--out", str(out), "extract", lifecycle_inputs["on"],
+                   lifecycle_inputs["off"]) == EXIT_OK
+    assert len(parse_phasors_csv(out / "phasors.csv")) == 1
+
+
+def test_extract_header_only_trace_is_named(tmp_path, capsys, lifecycle_inputs):
+    on = tmp_path / "trace_on.csv"
+    on.write_text(Path(lifecycle_inputs["on"]).read_text(encoding="utf-8").splitlines()[0] + "\n",
+                  encoding="utf-8")
+    Path(f"{on}.meta.json").write_bytes(Path(f"{lifecycle_inputs['on']}.meta.json").read_bytes())
+    out = tmp_path / "x"
+    assert run_cli("--out", str(out), "extract", str(on),
+                   lifecycle_inputs["off"]) == EXIT_BAD_INPUT
+    assert f"error: {on}: no data rows" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -300,11 +300,11 @@ def test_lock_loop_matches_scalar_reference(gains):
 
 
 def test_lock_loop_radius_matches_impulse_response():
-    # a seeded draw of gain sets, a quarter with ki = 0 (a spurious pole at
-    # exactly z = 1); the loop's response to a unit impulse either blows up
-    # (UnstableLoopError) or decays, and the pole radius must say which.  A
-    # set within reach of the unit circle does neither in 3000 steps and is
-    # left out
+    # a seeded draw of gain sets, a quarter with ki = 0 (the integrator's pole
+    # at z = 1, divided out); the loop's response to a unit impulse either
+    # blows up (UnstableLoopError) or decays, and the load rule on the pole
+    # radius must say which.  A set within reach of the unit circle does
+    # neither in 3000 steps and is left out
     rng = np.random.default_rng(17)
     impulse = np.zeros(3000)
     impulse[0] = 1.0
@@ -321,10 +321,35 @@ def test_lock_loop_radius_matches_impulse_response():
             if not decayed:
                 continue
             blew_up = False
-        assert (lock_loop_radius(gains, dt) > 1.0 + 1e-9) == blew_up, (gains, dt)
+        assert (lock_loop_radius(gains, dt) > 1.0 - 1e-9) == blew_up, (gains, dt)
         verdicts.add((blew_up, gains["ki"] == 0.0))
     assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
     assert lock_loop_radius(GAINS, 0.1) == pytest.approx(0.7746, abs=1e-4)
+
+
+@pytest.mark.parametrize("gains, radius, residual", [
+    ({"kp": -1.0, "ki": 40.0}, 1.0, "grows"),    # z*(z + 1)**2
+    ({"kp": 1.0, "ki": 0.0}, 1.0, "rings"),      # z*(z + 1), once z = 1 is divided out
+    ({"kp": 0.5, "ki": 0.0}, 0.5, "settles"),    # z*(z + 0.5)
+    ({"kp": 0.0, "ki": 0.0}, 0.0, "settles"),    # no loop: the residual is the drift
+])
+def test_lock_loop_on_the_unit_circle_is_refused(gains, radius, residual):
+    assert lock_loop_radius(gains, 0.1) == radius
+    env = EnvPhase(kind="locked_drift", **gains)
+    if residual == "settles":
+        InterferometerConfig(env_phase=env)
+    else:
+        with pytest.raises(ValueError, match=r"env_phase: .*unstable lock loop .*not below 1"):
+            InterferometerConfig(env_phase=env)
+    # a unit impulse's residual grows past the run's limit, rings undamped or settles
+    impulse = np.zeros(400)
+    impulse[0] = 1.0
+    if residual == "grows":
+        with pytest.raises(UnstableLoopError):
+            lock_loop_residual(impulse, gains, 0.1)
+        return
+    tail = np.abs(lock_loop_residual(impulse, gains, 0.1)[-100:])
+    assert (np.min(tail) == 1.0) if residual == "rings" else (np.max(tail) < 1e-12)
 
 
 def test_lock_residual_feeds_fringe_trace():

@@ -482,7 +482,7 @@ def test_config_lock_gains_checked_at_load():
         return {"interferometer": {"integration_time_s": dt,
                                    "env_phase": {"kind": "locked_drift", **gains}}}
     load_config(locked())                      # the defaults: pole radius 0.775
-    load_config(locked(kp=0.5, ki=0.0))        # ki = 0: the pole at z = 1 is no instability
+    load_config(locked(kp=0.5, ki=0.0))        # ki = 0: the pole at z = 1 is divided out
     with pytest.raises(ConfigError, match=r"interferometer\.env_phase: .*unstable"):
         load_config(locked(kp=5.0))
     with pytest.raises(ConfigError, match=r"interferometer\.env_phase: .*unstable"):

@@ -181,6 +181,47 @@ def test_initial_guess_deterministic_and_sane():
     assert g1["phi0"] == pytest.approx(-0.25, abs=0.05)
 
 
+def test_phase_only_fit_starts_from_the_phase_and_finds_what_it_fixes(monkeypatch):
+    # no intensity or |t| channel: initial_guess takes f0 from the largest phase
+    # excursion, a depth of 1/2 and gamma2 from an eighth of the span; phase alone
+    # fixes beta*gamma/2 and gamma2 but not how gamma2 splits into gamma and gamma_dp
+    seen = _visited(monkeypatch)
+    freq = np.linspace(9, 21, 41)
+    t, _ = transmission(DIPOLE2, detuning_angular(freq, DIPOLE2.f0), 0.0)
+    phase = np.angle(t) + DIPOLE2.phi0
+    res = fit_two_dipole_spectra([Spectrum(freq, {"phase": (phase, np.full(freq.size, 1e-3))},
+                                           2)])
+    beta, gamma, f0 = seen[0][:3]
+    assert beta == pytest.approx(1.0 - np.sqrt(0.5), rel=1e-12)
+    assert gamma == pytest.approx(2.0 * 2.0 * np.pi * 12.0 / 8.0, rel=1e-12)
+    assert f0 == freq[np.argmax(np.abs(phase - np.median(phase)))]
+    assert res.chi2 == pytest.approx(0.0, abs=1e-12)
+    assert res["beta2"] * res["gamma2"] / 2.0 == pytest.approx(12.3 / 2.0, rel=1e-6)
+    assert res["gamma2"] / 2.0 + res["gamma_dp"] == pytest.approx(12.3 / 2.0 + 3.9, rel=1e-6)
+    assert res["phi0"] == pytest.approx(-0.25, abs=1e-6)
+    assert not res.converged and "non-identifiable" in res.message
+
+
+def test_dip_shallower_than_the_depth_floor_starts_from_a_quarter_span(monkeypatch):
+    # a 4e-4 dip is read as the floor depth 1e-3, whose half-depth level no point
+    # reaches: initial_guess takes the full width as a quarter of the span
+    seen = _visited(monkeypatch)
+    p = EmitterParams.isotropic(gamma=9.4, gamma_dp=0.0, beta=2e-4, phi0=-0.25)
+    freq = np.linspace(-6, 6, 41)
+    t, i_t = transmission(p, detuning_angular(freq, p.f0), 0.0)
+    assert 1.0 - i_t.min() < 5e-4
+    sigma = np.full(freq.size, 1e-4)
+    res = fit_two_dipole_spectra([Spectrum(freq, {"phase": (np.angle(t) + p.phi0, sigma),
+                                                  "intensity": (i_t, sigma)})],
+                                 max_iter=2000)  # a weak line's slow valley
+    beta, gamma = seen[0][:2]
+    assert beta == 0.05  # the depth floor's beta, clipped
+    assert gamma == pytest.approx(2.0 * 2.0 * np.pi * (12.0 / 4.0) / 2.0, rel=1e-12)
+    assert res.converged, res.message
+    assert res["beta1"] == pytest.approx(2e-4, rel=1e-6)
+    assert res["gamma1"] == pytest.approx(9.4, rel=1e-6)
+
+
 def test_channel_model_isolated_vs_product_far_apart():
     freq = np.linspace(-4, 4, 21)
     ch = Spectrum(freq, {"phase": (np.zeros(21), np.ones(21))}, 1)
