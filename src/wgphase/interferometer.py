@@ -289,7 +289,7 @@ def lock_loop_radius(gains, dt: float) -> float:
     kp, ki, kd = (float(gains.get(key, 0.0)) for key in ("kp", "ki", "kd"))
     coeffs = ([1.0, kp + kd / dt, -kd / dt] if ki == 0.0 else
               [1.0, kp + ki * dt + kd / dt - 1.0, -(kp + 2.0 * kd / dt), kd / dt])
-    return float(np.max(np.abs(np.roots(coeffs)), initial=0.0))
+    return float(np.max(np.abs(np.roots(coeffs))))
 
 
 def _emitter_meta(p: EmitterParams) -> dict:

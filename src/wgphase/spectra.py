@@ -9,11 +9,10 @@ channel kind it carries, one value and one sigma per frequency.
 
 Each dipole is modeled as an isolated resonance on its own detuning axis;
 a product-of-transmissions combination is available for overlapping lines.
-Both fits are :func:`fit_two_dipole_spectra`, one weighted fit of (beta,
-gamma, f0) per dipole, the shared pure dephasing rate and phase offset, and a
-drive calibration k (omega_r**2 = k*P at a spectrum's power P), held at 0 for
-spectra without one: the saturation fit is the case of one dipole at several
-powers.
+Both fits are :func:`fit_two_dipole_spectra`: (beta, gamma, f0) per dipole,
+the shared pure dephasing rate and phase offset, and a drive calibration k
+(omega_r**2 = k*P at a spectrum's power P), held at 0 for spectra without
+one: the saturation fit is the case of one dipole at several powers.
 
 Phase and |t| constrain the parameters only through beta*gamma/2 and
 gamma2, so a fit fed nothing else cannot split the coupling from the decay

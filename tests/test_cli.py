@@ -332,22 +332,6 @@ def test_values_just_inside_the_overflow_rules_run(tmp_path, command, payload):
             assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[-1, 1:]) < 1e-140)
 
 
-@pytest.mark.parametrize("gains", [
-    {"kp": -1.0, "ki": 40.0},  # (z + 1)**2: simulate refused it at step 239, predict-chiral ran
-    {"kp": 1.0, "ki": 0.0},    # an undamped pole at z = -1: the residual rang, exit 0
-], ids=["double-pole", "undamped"])
-@pytest.mark.parametrize("command", ["simulate", "predict-chiral"])
-def test_lock_loop_on_the_unit_circle_is_bad_input_at_load(tmp_path, capsys, gains, command):
-    payload = {"interferometer": {"env_phase": {"kind": "locked_drift", **gains}}}
-    out = tmp_path / "o"
-    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", payload), "--out", str(out),
-                   command) == EXIT_BAD_INPUT
-    err = capsys.readouterr().err
-    assert "error: interferometer.env_phase: PID gains" in err
-    assert "largest pole radius 1, not below 1" in err
-    assert not out.exists()
-
-
 def test_lock_loop_failing_at_run_time_is_bad_input(tmp_path, capsys, monkeypatch):
     # gains the load rule passes can still let a residual past 10x the drift
     def blows_up(*args, **kwargs):
@@ -821,6 +805,14 @@ def test_predict_chiral_bad_scan_is_bad_input(tmp_path, capsys, scan, named):
     ("--seed=-1 simulate", {"noise": {"shot_noise": True}}, "--seed"),        # was exit 0
     (f"--seed={2**64 - 1} simulate", {"noise": {"shot_noise": True}}, "--seed"),
     (f"--seed={2**64} simulate", {"noise": {"shot_noise": True}}, "--seed"),  # was seed 0
+    # a pole on the unit circle: (z + 1)**2, whose residual simulate refused at step
+    # 239 (predict-chiral ran), and an undamped pole at -1, whose residual rang
+    *((command, {"interferometer": {"env_phase": {"kind": "locked_drift", **gains}}},
+       f"interferometer.env_phase: PID gains {named} at integration_time_s 0.1 make an "
+       f"unstable lock loop (largest pole radius 1, not below 1)")
+      for command in ("simulate", "predict-chiral")
+      for gains, named in (({"kp": -1.0, "ki": 40.0}, "kp=-1, ki=40, kd=0"),
+                           ({"kp": 1.0, "ki": 0.0}, "kp=1, ki=0, kd=0"))),
 ])
 def test_rejected_run_writes_no_bundle(tmp_path, capsys, command, payload, named):
     # ``command`` may lead with global options, such as "--seed=-1 simulate"
@@ -1096,7 +1088,7 @@ def test_extract_off_trace_without_a_path_length_names_it(tmp_path, capsys, life
     # was exit 4 under the suite's filter (theta_start overflowed), and without it
     # exit 2 with "SVD did not converge", naming no key
     ({"delta_l_m": 1e300}, "extraction.delta_l_m 1e+300 over [-12, 12] GHz: the carrier phase"),
-    # each was exit 4 (OverflowError or an overflowing divide) sizing the window
+    # each was exit 4 (OverflowError rounding a window length that overflowed)
     ({"delta_l_m": 1e-300}, "extraction.window_periods 3 at delta_l_m 1e-300 m takes at least "
                             "3602 points"),
     ({"delta_l_m": 2.78, "window_periods": 1e308}, "extraction.window_periods 1e+308 at "
@@ -1113,7 +1105,8 @@ def test_extract_window_layout_that_overflows_names_its_key(tmp_path, capsys, li
 
 
 def test_extract_hop_past_the_trace_is_one_window(tmp_path, lifecycle_inputs):
-    # was exit 4 (an overflowing divide): a hop longer than the trace leaves the first window
+    # was exit 4 (OverflowError rounding a hop that overflowed); one longer than the
+    # trace leaves the first window
     out = tmp_path / "x"
     assert run_cli("--config", write_cfg(tmp_path, "c.json", {"extraction": {
                        "delta_l_m": 2.78, "hop_periods": 1e308}}),
