@@ -12,7 +12,9 @@ a product-of-transmissions combination is available for overlapping lines.
 Both fits are :func:`fit_two_dipole_spectra`: (beta, gamma, f0) per dipole,
 the shared pure dephasing rate and phase offset, and a drive calibration k
 (omega_r**2 = k*P at a spectrum's power P), held at 0 for spectra without
-one: the saturation fit is the case of one dipole at several powers.
+one: the saturation fit is the case of one dipole at several powers.  Each
+fit starts from :func:`initial_guess`, whose linear solves give the truth on
+noiseless spectra.
 
 Phase and |t| constrain the parameters only through beta*gamma/2 and
 gamma2, so a fit fed nothing else cannot split the coupling from the decay
@@ -323,64 +325,82 @@ def _dipole_groups(points: _Points, dipoles, combine):
 
 
 def initial_guess(spectra: Sequence[Spectrum], dipole: int) -> dict:
-    """Deterministic starting point for one dipole from the usable points of
-    its own spectra, the first of them that has such points of each kind.
+    """Closed-form start for one dipole from the usable points of its own
+    spectra, k among it for spectra with powers: the truth on noiseless spectra.
 
-    gamma2 comes from the intensity-dip full width, beta from the dip depth
-    (assuming no dephasing), gamma_dp from the shortfall of the observed
-    phase extremum against the dephasing-free prediction, and phi0 from the
-    far-detuned mean of the phase channel.
+    With s = beta*gamma/2, A = 2*s*gamma2*(2 - beta) and D = delta**2 +
+    gamma2**2 + W*P, W = 4*(gamma2/gamma)*k, 1/(1 - I_t) = 2*D/A is linear in
+    (f**2, f, 1, P), solved over the dip points (1 - I_t >= 5 sigma) with
+    weights (1 - I_t)**2/sigma for f0, A, gamma2 and W.  s*delta*cos(phi) +
+    (D - s*gamma2)*sin(phi) = 0 at phi = phase - phi0 is then solved for s and
+    a unit (cos phi0, sin phi0), cos(phi) >= 0 on the whole; beta = 2 -
+    A/(2*s*gamma2) is clipped into [s/gamma2, 1], so gamma_dp >= 0.  |t|**2
+    stands in for a missing I_t.  Short of dip points the phase alone, about
+    its mean phasor's phi0, gives f0, s, W and gamma2*(gamma2 - s); without
+    phase phi0 is 0.  Either alone takes gamma_dp = 0; neither, f0 mid-span,
+    gamma2 an eighth of the span and beta 1/2.
     """
-    found = {}  # (freq, values) of each kind's usable points, from the first spectrum with any
-    for s in spectra:
-        if s.dipole == dipole:
-            for kind, (values, sigma) in s.channels.items():
-                keep = _usable(values, sigma)
-                if keep.any():
-                    found.setdefault(kind, (s.freq[keep], values[keep]))
-    if INTENSITY not in found and AMPLITUDE in found:
-        freq, values = found[AMPLITUDE]
-        found[INTENSITY] = freq, values**2
-    if not found:
+    own = [spec for spec in spectra if spec.dipole == dipole]
+
+    def usable(kind):  # freq, values, sigma and power of the usable points of kind
+        cols = np.array([np.concatenate(c) for c in zip(
+            *[(spec.freq, *spec.channels[kind], np.full(spec.freq.size, spec.power or 0.0))
+              for spec in own if kind in spec.channels])] or np.zeros((4, 0)))
+        return cols[:, _usable(cols[1], cols[2])]
+
+    (f, v, sigma, p), phase = usable(INTENSITY), usable(PHASE)
+    if not f.size:  # |t|**2 for I_t
+        f, v, sigma, p = usable(AMPLITUDE)
+        v, sigma = v * v, (2.0 * np.abs(v) + sigma) * sigma
+    span = np.concatenate((f, phase[0]))
+    if not span.size:
         raise ValueError(f"no usable points for dipole {dipole}")
-
-    if INTENSITY in found:
-        freq, vals = found[INTENSITY]
-        i_dip = int(np.argmin(vals))
-        f0 = float(freq[i_dip])
-        depth = float(np.clip(1.0 - vals[i_dip], 1e-3, 0.999))
-        half = 1.0 - depth / 2.0
-        below = vals <= half
-        if np.any(below):
-            fwhm_ghz = float(freq[below][-1] - freq[below][0])
-        else:
-            fwhm_ghz = float(freq[-1] - freq[0]) / 4.0
-        gamma2 = max(TWO_PI * fwhm_ghz / 2.0, 1e-3)
-    else:
-        freq, phase = found[PHASE]
-        i_dip = int(np.argmax(np.abs(phase - np.median(phase))))
-        f0 = float(freq[i_dip])
-        depth = 0.5
-        gamma2 = max(TWO_PI * (freq[-1] - freq[0]) / 8.0, 1e-3)
-
-    beta = float(np.clip(1.0 - np.sqrt(1.0 - depth), 0.05, 1.0))
-    gamma = 2.0 * gamma2
-    gamma_dp = 0.0
-
-    phi0 = 0.0
-    if PHASE in found:
-        phase = found[PHASE][1]
-        n_edge = max(phase.size // 10, 2)
-        edges = np.r_[phase[:n_edge], phase[-n_edge:]]
-        phi0 = float(np.mean(edges))
-        # dephasing shrinks the phase extremum below the gamma_dp = 0 value
-        observed = float(np.max(np.abs(phase - phi0)))
-        s = beta * gamma / 2.0
-        if observed > 1e-6:
-            tan_obs = np.tan(min(observed, np.pi / 2 - 1e-6))
-            g2_eff = 0.5 * s * (1.0 + np.sqrt(1.0 + 1.0 / tan_obs**2))
-            gamma_dp = float(np.clip(g2_eff - gamma / 2.0, 0.0, None))
-    return {"beta": beta, "gamma": gamma, "gamma_dp": gamma_dp, "f0": f0, "phi0": phi0}
+    lo, hi = span.min(), span.max()
+    f0, g2, w, phi0, dip_fit = (lo + hi) / 2.0, max(TWO_PI * (hi - lo) / 8.0, 1e-3), 0.0, 0.0, False
+    a, s = 1.5 * g2 * g2, g2 / 2.0  # beta = 1/2 at gamma_dp = 0
+    dip = np.flatnonzero(1.0 - v >= 5.0 * sigma)
+    fit_w = dip.size > 0 and np.ptp(p[dip]) > 0.0
+    if dip.size > 3 + fit_w:  # 2*D/A = (8*pi**2/A)*((f - f0)**2 + (gamma2/(2*pi))**2) + (2*W/A)*P
+        o, sg, fc = 1.0 - v[dip], sigma[dip], f[dip[np.argmin(v[dip])]]
+        x = f[dip] - fc
+        cols = np.column_stack([x * x, x, np.ones_like(x), p[dip]][:3 + fit_w])
+        c = np.linalg.lstsq(cols * (o * o / sg)[:, None], o / sg, rcond=None)[0]
+        if dip_fit := c[0] > 0.0 and c[2] / c[0] > (c[1] / (2.0 * c[0]))**2:
+            x0 = -c[1] / (2.0 * c[0])
+            a, f0, g2 = 8.0 * np.pi**2 / c[0], fc + x0, TWO_PI * np.sqrt(c[2] / c[0] - x0 * x0)
+            w = max(c[3:].sum(), 0.0) * a / 2.0  # 0 without a P column
+            s = g2 * (1.0 - np.sqrt(max(1.0 - a / (2.0 * g2 * g2), 0.0)))  # gamma_dp = 0
+    f, ph, sg, p = phase
+    if ph.size and dip_fit:  # m @ (cos phi0, sin phi0, s*cos phi0, s*sin phi0) = 0
+        delta = TWO_PI * (f - f0)
+        d = delta * delta + g2 * g2 + w * p
+        cos, sin = np.cos(ph) / (sg * d), np.sin(ph) / (sg * d)
+        m = np.column_stack((d * sin, -d * cos, delta * cos - g2 * sin, delta * sin + g2 * cos))
+        g = m.T @ m  # eliminate the last two: r = the first two's Schur complement
+        proj = np.linalg.lstsq(g[2:, 2:], g[2:, :2], rcond=None)[0]
+        (r00, r01), (_, r11) = g[:2, :2] - g[:2, 2:] @ proj
+        angle = 0.5 * np.arctan2(2.0 * r01, r00 - r11) + np.pi / 2.0  # smaller eigenvalue's vector
+        u = np.array([np.cos(angle), np.sin(angle)])
+        u = u if u @ [cos.sum(), sin.sum()] >= 0.0 else -u
+        phi0, s = np.arctan2(u[1], u[0]), max(-u @ proj @ u, 0.0) or s
+    elif ph.size:  # 2*pi*s, -2*pi*s*x0, -8*pi**2*x0, c + 4*pi**2*x0**2 and W, about lo
+        phi0 = np.arctan2(np.sin(ph).sum(), np.cos(ph).sum())
+        x, cos, sin = f - lo, np.cos(ph - phi0) / sg, np.sin(ph - phi0) / sg
+        cols = np.column_stack([x * cos, cos, x * sin, sin, p * sin][:4 + (np.ptp(p) > 0.0)])
+        c = np.linalg.lstsq(cols, -4.0 * np.pi**2 * x * x * sin, rcond=None)[0]
+        s_ph, x0 = c[0] / TWO_PI, -c[2] / (8.0 * np.pi**2)
+        g2_sq = c[3] - 4.0 * np.pi**2 * x0 * x0 + s_ph * s_ph / 4.0  # (gamma2 - s/2)**2
+        if s_ph > 0.0 and g2_sq > 0.0:  # gamma_dp = 0
+            f0, g2, s, w = lo + x0, s_ph / 2.0 + np.sqrt(g2_sq), s_ph, max(c[4:].sum(), 0.0)
+            a = 2.0 * s * (2.0 * g2 - s)
+    s = min(max(s, 1e-9 * g2), g2)
+    beta = min(max(2.0 - a / (2.0 * s * g2), s / g2), 1.0)
+    gamma = 2.0 * s / beta
+    guess = {"beta": beta, "gamma": gamma, "gamma_dp": max(g2 - gamma / 2.0, 0.0),
+             "f0": min(max(f0, lo), hi), "phi0": phi0}
+    if any(spec.power is not None for spec in own):
+        guess["k"] = max(w * gamma / (4.0 * g2), 0.0)
+    return {key: float(value) for key, value in guess.items()}
 
 
 def check_fit_values(init: Optional[dict] = None, bounds: Optional[dict] = None):
@@ -407,8 +427,8 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     order, then the shared gamma_dp and phi0, named beta1, gamma1, f01, ...,
     gamma_dp, phi0 in ``init`` and ``bounds``; spectra with powers are a
     power series of one dipole, which fits k too and numbers no name.  Each
-    dipole starts from :func:`initial_guess` over its spectra by ascending
-    power, k from 0; ``init`` overrides a start by name, its beta, gamma or
+    dipole starts from :func:`initial_guess` over its own spectra by ascending
+    power, k among it; ``init`` overrides a start by name, its beta, gamma or
     f0 that of every dipole no numbered key names.  The start is projected
     into the box: beta in [0, 1], gamma >= 1e-6, f0 within 50 GHz of its
     start, gamma_dp and k >= 0, phi0 in [-pi, pi], each side narrowed by a
@@ -432,7 +452,7 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     defaults = {f"{key}{tag}": guesses[d][key] for d, tag in zip(dipoles, tags) for key in keys}
     defaults.update((key, guesses[dipoles[0]][key]) for key in ("gamma_dp", "phi0"))
     if powered:
-        defaults["k"] = 0.0
+        defaults["k"] = guesses[dipoles[0]]["k"]
     names, start = list(defaults), dict(defaults)
     shorthand = {key: [f"{key}{tag}" for tag in tags] for key in keys if key not in defaults}
     # shorthand keys first, so that a key given by name wins

@@ -1237,7 +1237,7 @@ def test_fit_saturation_too_few_power_levels_names_their_source(tmp_path, capsys
 
 def _fit_files(tmp_path, command):
     """The phasor files of ``command``: one noisy file for fit, the noiseless
-    power series for fit-saturation, whose start reads the first file."""
+    power series for fit-saturation."""
     if command == "fit":
         p = EmitterParams.isotropic(gamma=12.3, gamma_dp=3.9, beta=1.0, phi0=-0.25)
         return [_noisy_phasor_file(tmp_path / "p.csv", p, np.linspace(-8, 8, 41),
