@@ -566,20 +566,21 @@ def test_fit_residuals_csv_reproduces_fit_residuals(tmp_path, monkeypatch, n_fil
 # test_fit_residuals_csv_reproduces_fit_residuals, as the fits wrote them when
 # each fit found the points that share a frequency by sorting them, and of the
 # five-power fit-saturation of _saturation_files, as it wrote them once it fit
-# f0; each fit.json as it was written once it named the covariance's rows
+# f0; each fit.json as it was written once it named the covariance's rows;
+# all of them as written once the fits started from the closed-form start
 _FIT_SHA256 = {
     (1, "isolated"): {
-        "fit.json": "cbd8b99def8d254cd166798307fbd3f75092e85490d994351b83ee57eb39b726",
-        "residuals.csv": "ba322c0b27337a4fdb3fc6084a0894bc911c20867ca40e0a2d69f8b46855972d"},
+        "fit.json": "ea57607e3e58f3b4c404e911e1a1aa052b3e1df8aea0b4e1ce5cec52614fa75d",
+        "residuals.csv": "74ee1250e39b09a62142fa11bc26d62592dfaf6eeb9ab6b6ce6c85b8d0a51952"},
     (2, "isolated"): {
-        "fit.json": "dc4dd6c42f87f8a372810e9194cd35949623bcd4826e8c18758f66bda2f7bfae",
-        "residuals.csv": "3fb4619f7ac1ac30d7305031b0f317d538355e50ff38f912ef90faaabb97cdab"},
+        "fit.json": "5adf64f1bd5af2dc2e09dc3b7766872ff00182fb55290543603ca33349b264a5",
+        "residuals.csv": "08dfcc515173bfa180b4009ded07f0748c2a3720118abcabe729f2ce133a4b4b"},
     (2, "product"): {
-        "fit.json": "ca26afaf8f7bec9eb339508cc7416050904f9ca177768145325df2c0ecb205c1",
-        "residuals.csv": "4dac9e172bcfc95b2404a88d66ac776702131f8f425911fa01da04279d80610b"},
+        "fit.json": "debbb014f9feae1925fee0e89a73288babbaef4eb6835485ea22a91ae6890668",
+        "residuals.csv": "cb47fbae44278c0520b3dd4abd7c6148d6c5bc31efd1223c978e1f42afc4dedd"},
     "saturation": {
-        "fit.json": "0376288388801c375b0b423e17091d8e2025ccda10a7a41144bf0597375de4ae",
-        "phase_vs_power.csv": "5697ffe252e2fc71cf41be246f3054e1b3d218a490592c5f206d3cc35fb016a2"},
+        "fit.json": "9b65271a634d7294159c0075004e845fbb0c45bfbf8165676e32d18e01c01482",
+        "phase_vs_power.csv": "fe292a51930e4cf1fe89616990ef8742ae791d0accd059d17bfb07931bf52331"},
 }
 
 
