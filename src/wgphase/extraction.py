@@ -248,6 +248,9 @@ def _window_layout(freq: np.ndarray, cfg: ExtractionConfig) -> _Layout:
     if not math.isfinite(2.0 * np.pi * reach * 1e9 * float(delta_l) / C_M_PER_S):
         raise ValueError(f"extraction.delta_l_m {delta_l:g} over [{freq[0]:g}, {freq[-1]:g}] GHz: "
                          f"the carrier phase 2*pi*f*delta_l_m/c overflows")
+    if period_ghz < 2.0 * df:  # Nyquist: a shorter fringe period aliases to another carrier
+        raise ValueError(f"extraction.delta_l_m {delta_l:g} m: the fringe period c/delta_l_m "
+                         f"{period_ghz:g} GHz is under two grid steps ({2.0 * df:g} GHz)")
     starts = np.arange(0, freq.size - n + 1, hop)
     theta_start = 2.0 * np.pi * freq[starts] * 1e9 * delta_l / C_M_PER_S
 

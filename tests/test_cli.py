@@ -1105,6 +1105,23 @@ def test_extract_window_layout_that_overflows_names_its_key(tmp_path, capsys, li
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nyquists", [1.05, 1e288], ids=["just-past", "far-past"])
+def test_extract_fringe_period_under_two_grid_steps_names_its_key(tmp_path, capsys,
+                                                                  lifecycle_inputs, nyquists):
+    # was exit 0 at 1e290 m, with phasors of an aliased carrier (phase errors up to 90 rad)
+    df = 24.0 / 3600  # GHz, the step of BASE_CFG's sweep
+    delta_l = nyquists * 299792458.0 / (2.0 * df * 1e9)
+    out = tmp_path / "x"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", {"extraction": {
+                       "delta_l_m": delta_l}}),
+                   "--out", str(out), "extract", lifecycle_inputs["on"],
+                   lifecycle_inputs["off"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"extraction.delta_l_m {delta_l:g} m: the fringe period" in err
+    assert "is under two grid steps (0.0133333 GHz)" in err
+    assert not out.exists()
+
+
 def test_extract_hop_past_the_trace_is_one_window(tmp_path, lifecycle_inputs):
     # was exit 4 (OverflowError rounding a hop that overflowed); one longer than the
     # trace leaves the first window
