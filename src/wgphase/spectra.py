@@ -341,12 +341,22 @@ def initial_guess(spectra: Sequence[Spectrum], dipole: int) -> dict:
     gamma2 an eighth of the span and beta 1/2.
     """
     own = [spec for spec in spectra if spec.dipole == dipole]
+    if not own:
+        raise ValueError(f"no spectra of dipole {dipole}")
+    guess = _start(_Points(own), dipole)
+    if all(spec.power is None for spec in own):
+        del guess["k"]
+    return guess
+
+
+def _start(points: _Points, dipole: int) -> dict:
+    """:func:`initial_guess` of ``dipole`` from the points of its rows in ``points``, k among it."""
+    used = _usable(points.values, points.sigma) & (points.row_dipole[points.row] == dipole)
 
     def usable(kind):  # freq, values, sigma and power of the usable points of kind
-        cols = np.array([np.concatenate(c) for c in zip(
-            *[(spec.freq, *spec.channels[kind], np.full(spec.freq.size, spec.power or 0.0))
-              for spec in own if kind in spec.channels])] or np.zeros((4, 0)))
-        return cols[:, _usable(cols[1], cols[2])]
+        at = np.flatnonzero(used & (points.kind == KINDS.index(kind)))
+        rows = points.row[at]
+        return points.row_freq[rows], points.values[at], points.sigma[at], points.row_drive[rows]
 
     (f, v, sigma, p), phase = usable(INTENSITY), usable(PHASE)
     if not f.size:  # |t|**2 for I_t
@@ -397,9 +407,7 @@ def initial_guess(spectra: Sequence[Spectrum], dipole: int) -> dict:
     beta = min(max(2.0 - a / (2.0 * s * g2), s / g2), 1.0)
     gamma = 2.0 * s / beta
     guess = {"beta": beta, "gamma": gamma, "gamma_dp": max(g2 - gamma / 2.0, 0.0),
-             "f0": min(max(f0, lo), hi), "phi0": phi0}
-    if any(spec.power is not None for spec in own):
-        guess["k"] = max(w * gamma / (4.0 * g2), 0.0)
+             "f0": min(max(f0, lo), hi), "phi0": phi0, "k": max(w * gamma / (4.0 * g2), 0.0)}
     return {key: float(value) for key, value in guess.items()}
 
 
@@ -427,16 +435,16 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     order, then the shared gamma_dp and phi0, named beta1, gamma1, f01, ...,
     gamma_dp, phi0 in ``init`` and ``bounds``; spectra with powers are a
     power series of one dipole, which fits k too and numbers no name.  Each
-    dipole starts from :func:`initial_guess` over its own spectra by ascending
-    power, k among it; ``init`` overrides a start by name, its beta, gamma or
-    f0 that of every dipole no numbered key names.  The start is projected
-    into the box: beta in [0, 1], gamma >= 1e-6, f0 within 50 GHz of its
-    start, gamma_dp and k >= 0, phi0 in [-pi, pi], each side narrowed by a
-    non-null side of ``bounds``.  Each usable point weighs 1/sigma.  A flat
-    direction leaves the fit unconverged, except a k on the floor 0, which
-    joins the flat directions; one on a higher ``bounds`` floor is named.
-    Bad ``init`` or ``bounds`` keys and values, a ``bounds`` pair that
-    leaves nothing of the box among them, are ValueErrors naming them.
+    dipole starts from :func:`initial_guess` of its own spectra, k among it;
+    ``init`` overrides a start by name, its beta, gamma or f0 that of every
+    dipole no numbered key names.  The start is projected into the box: beta
+    in [0, 1], gamma >= 1e-6, f0 within 50 GHz of its start, gamma_dp and k
+    >= 0, phi0 in [-pi, pi], each side narrowed by a non-null side of
+    ``bounds``.  Each usable point weighs 1/sigma.  A flat direction leaves
+    the fit unconverged, except a k on the floor 0, which joins the flat
+    directions; one on a higher ``bounds`` floor is named.  Bad ``init`` or
+    ``bounds`` keys and values, a ``bounds`` pair that leaves nothing of the
+    box among them, are ValueErrors naming them.
     """
     check_fit_values(init, bounds)
     dipoles = sorted({s.dipole for s in spectra})
@@ -445,14 +453,13 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     powered = any(s.power is not None for s in spectra)
     if powered and len(dipoles) > 1:
         raise ValueError(f"a power series is of one dipole, got dipoles {dipoles}")
-    by_power = sorted(spectra, key=lambda s: s.power or 0.0)
-    guesses = {d: initial_guess(by_power, d) for d in dipoles}
+    points = _Points(spectra)
+    guesses = {d: _start(points, d) for d in dipoles}
     tags = ["" if powered else str(d) for d in dipoles]
     keys = ("beta", "gamma", "f0")
     defaults = {f"{key}{tag}": guesses[d][key] for d, tag in zip(dipoles, tags) for key in keys}
-    defaults.update((key, guesses[dipoles[0]][key]) for key in ("gamma_dp", "phi0"))
-    if powered:
-        defaults["k"] = guesses[dipoles[0]]["k"]
+    shared = ("gamma_dp", "phi0", "k")[:2 + powered]  # k for a power series
+    defaults.update((key, guesses[dipoles[0]][key]) for key in shared)
     names, start = list(defaults), dict(defaults)
     shorthand = {key: [f"{key}{tag}" for tag in tags] for key in keys if key not in defaults}
     # shorthand keys first, so that a key given by name wins
@@ -477,7 +484,6 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
             raise ValueError(f"fit.bounds.{key}: {pair!r} leaves nothing of the parameter's "
                              f"range [{box[0]:g}, {box[1]:g}]")
     x0 = [min(max(start[n], l), h) for n, l, h in zip(names, lo, hi)]
-    points = _Points(spectra)
     groups, held = _dipole_groups(points, dipoles, combine), [] if powered else [0.0]
     used = _usable(points.values, points.sigma)
     # inverse-variance; low-contrast points keep their (large) fitted sigma
