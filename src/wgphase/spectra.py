@@ -342,7 +342,7 @@ def initial_guess(spectra: Sequence[Spectrum], dipole: int) -> dict:
     """
     own = [spec for spec in spectra if spec.dipole == dipole]
     if not own:
-        raise ValueError(f"no spectra of dipole {dipole}")
+        raise ValueError(f"no usable points for dipole {dipole}")
     guess = _start(_Points(own), dipole)
     if all(spec.power is None for spec in own):
         del guess["k"]
