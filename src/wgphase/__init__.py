@@ -7,9 +7,8 @@ from .emitter import (ChiralThresholds, EmitterParams, PhaseExtremum, chiral_thr
                       critical_photon_flux, phase_extrema_analytic, transmission)
 from .extraction import (ExtractionConfig, NoFringeError, PhasorSeries, WindowFits,
                          estimate_path_length_fft, extract_phasor_series, window_phasors)
-from .interferometer import (EnvPhase, FringeTrace, InterferometerConfig, UnstableLoopError,
-                             apply_shot_noise, expected_rate, fringe_trace,
-                             lock_loop_residual)
+from .interferometer import (EnvPhase, FringeTrace, InterferometerConfig, apply_shot_noise,
+                             expected_rate, fringe_trace, lock_loop_residual)
 from .lm import FitResult, lm_minimize
 from .spectra import (Spectrum, fit_saturation_series, fit_two_dipole_spectra,
                       initial_guess, predict_phase_vs_power, two_dipole_model)
@@ -20,7 +19,7 @@ __all__ = [
     "ChiralThresholds", "EmitterParams", "EnvPhase", "ExtractionConfig", "FitResult",
     "FringeTrace",
     "InterferometerConfig", "NoFringeError", "PhaseExtremum", "PhasorSeries",
-    "Spectrum", "UnstableLoopError", "WindowFits",
+    "Spectrum", "WindowFits",
     "apply_shot_noise", "chiral_thresholds", "critical_photon_flux",
     "estimate_path_length_fft", "expected_rate", "extract_phasor_series",
     "fit_saturation_series", "fit_two_dipole_spectra", "fringe_trace", "initial_guess",

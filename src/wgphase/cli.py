@@ -36,7 +36,7 @@ from . import emitter, spectra
 from .config import ConfigError, RunConfig, check_seed, load_config
 from .extraction import (NoFringeError, TraceMetaError, estimate_path_length_fft,
                          extract_phasor_series)
-from .interferometer import UnstableLoopError, apply_shot_noise, fringe_trace
+from .interferometer import apply_shot_noise, fringe_trace
 from .io import (ResultBundle, TraceParseError, fit_result_json, parse_phasors_csv,
                  parse_trace_csv, parse_trace_pair, phasor_file_meta)
 from .lm import FitResult
@@ -261,9 +261,6 @@ def main(argv=None) -> int:
         bundle.finalize()
     except (ConfigError, TraceParseError, NoFringeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except UnstableLoopError as exc:
-        print(f"error: interferometer.env_phase: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception:  # pragma: no cover - defensive
         traceback.print_exc()

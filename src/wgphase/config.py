@@ -30,7 +30,7 @@ import numpy as np
 
 from .emitter import EmitterParams
 from .extraction import ExtractionConfig
-from .interferometer import POISSON_MEAN_MAX, InterferometerConfig
+from .interferometer import POISSON_MEAN_MAX, InterferometerConfig, lock_loop_impulse
 from .spectra import check_fit_values
 from .units import C_M_PER_S, TWO_PI, is_number
 
@@ -202,13 +202,19 @@ class RunConfig:
                               f"the carrier phase 2*pi*f*delta_l_m/c overflows")
         # numpy's normal draws no |z| above 13.7, so a walk of sweep.points steps stays
         # within 14*sigma_rad*points; the fringe phase adds it to the carrier, and the
-        # lock loop lets its residual reach 10x it
+        # lock loop's residual stays within 10x it, as the next rule guarantees
         env = icfg.env_phase
         walk = 14.0 * env.sigma_rad * sweep.points
         if env.kind in ("random_walk", "locked_drift") and not math.isfinite(carrier + 10.0 * walk):
             raise ConfigError(f"interferometer.env_phase.sigma_rad {env.sigma_rad:g} over "
                               f"sweep.points {sweep.points}: the walk's bound "
                               f"14*sigma_rad*points overflows the fringe phase")
+        if env.kind == "locked_drift":  # the l1 norm of the loop's impulse response bounds it
+            try:
+                lock_loop_impulse(vars(env), icfg.integration_time_s, sweep.points)
+            except ValueError as exc:
+                raise ConfigError(f"interferometer.env_phase over sweep.points {sweep.points} "
+                                  f"at integration_time_s {icfg.integration_time_s:g}: {exc}")
         delta = max(abs(TWO_PI * (f - p.f0)) for f in (sweep.start_ghz, sweep.stop_ghz))
         omega = self.drive.omega_rad_ns
         if not math.isfinite(p.gamma2 * p.gamma2 + delta * delta

@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .interferometer import FringeTrace
-from .units import C_M_PER_S, wrap_angle
+from .units import C_M_PER_S, smooth_length, wrap_angle
 
 _LOW_CONTRAST_SNR = 5.0
 _PEAK_FLOOR_RATIO = 5.0
@@ -148,7 +148,7 @@ def estimate_path_length_fft(trace: FringeTrace) -> float:
     signal = trace.intensity - np.mean(trace.intensity)
     n = signal.size
     windowed = signal * np.hanning(n)
-    n_fft = _smooth_length(8 * n)
+    n_fft = smooth_length(8 * n)
     mag = np.abs(np.fft.rfft(windowed, n=n_fft))
     tau = np.fft.rfftfreq(n_fft, d=df * 1e9)  # conjugate variable, seconds
 
@@ -164,21 +164,6 @@ def estimate_path_length_fft(trace: FringeTrace) -> float:
     peak = _resolve_tie(search, peak)
     delta = _parabolic_offset(mag, peak)
     return C_M_PER_S * (peak + delta) * (tau[1] - tau[0])
-
-
-def _smooth_length(n: int) -> int:
-    """Smallest 2**a * 3**b * 5**c >= n.  An FFT length with a large prime
-    factor (8*4501 = 2**3 * 7 * 643) takes numpy's much slower Bluestein path."""
-    best = 1 << (n - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            # the smallest power of two that takes odd to >= n
-            best = min(best, odd << (-(-n // odd) - 1).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
 
 
 def _resolve_tie(mag: np.ndarray, peak: int) -> int:

@@ -28,6 +28,21 @@ def detuning_angular(freq_ghz, f0_ghz):
     return TWO_PI * (np.asarray(freq_ghz, dtype=float) - f0_ghz)
 
 
+def smooth_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n.  An FFT length with a large prime
+    factor (8*4501 = 2**3 * 7 * 643) takes numpy's much slower Bluestein path."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest power of two that takes odd to >= n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def wrap_angle(phi):
     """Wrap an angle (scalar or array) to the interval (-pi, pi]."""
     phi = np.asarray(phi, dtype=float)

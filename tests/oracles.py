@@ -1,5 +1,6 @@
 """Test oracles: time-domain integration of the optical Bloch equations,
-and the line-by-line CSV reader of :mod:`wgphase.io`.
+the step-by-step PID lock loop of :mod:`wgphase.interferometer`, and the
+line-by-line CSV reader of :mod:`wgphase.io`.
 
 Independent cross-check for the closed-form transmission in
 :mod:`wgphase.emitter`: the rotating-frame master equation with decay
@@ -143,6 +144,27 @@ def input_output(s, gamma, omega_r, rho_ee, rho_ge):
     t = 1.0 + 1j * s * np.conj(rho_ge) / omega_r
     i_t = 1.0 - s * (gamma - s) * rho_ee / omega_r**2
     return t, i_t
+
+
+def lock_loop_reference(drift, gains, dt):
+    """The residual of a discrete-time PID lock tracking ``drift``, one step at a
+    time: the loop ``wgphase.interferometer.lock_loop_residual`` ran before it
+    became a convolution with the loop's impulse response, without its limit on
+    the residual.  Each step observes ``e = drift - correction``, records it, and
+    sets ``correction = kp*e + ki*integral(e dt) + kd*de/dt``.  A residual that
+    grows runs on to inf and nan: Python floats raise no warning."""
+    kp, ki, kd = (float(gains.get(key, 0.0)) for key in ("kp", "ki", "kd"))
+    residual = []
+    correction = integral = prev_err = 0.0
+    # Python floats take the same IEEE steps as numpy scalars, at a fraction of the cost
+    for value in np.asarray(drift, dtype=float).tolist():
+        err = value - correction
+        residual.append(err)
+        integral += err * dt
+        derivative = (err - prev_err) / dt
+        correction = kp * err + ki * integral + kd * derivative
+        prev_err = err
+    return np.array(residual, dtype=float)
 
 
 class TraceParseError(ValueError):

@@ -332,19 +332,45 @@ def test_values_just_inside_the_overflow_rules_run(tmp_path, command, payload):
             assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[-1, 1:]) < 1e-140)
 
 
-def test_lock_loop_failing_at_run_time_is_bad_input(tmp_path, capsys, monkeypatch):
-    # gains the load rule passes can still let a residual past 10x the drift
-    def blows_up(*args, **kwargs):
-        raise interferometer.UnstableLoopError("lock residual 40 rad exceeded 10x drift "
-                                               "amplitude 3.6 rad at step 7")
-    monkeypatch.setattr(interferometer, "lock_loop_residual", blows_up)
-    payload = {"interferometer": {"env_phase": {"kind": "locked_drift"}}}
-    out = tmp_path / "o"
-    assert run_cli("--config", write_cfg(tmp_path, "cfg.json", payload), "--out", str(out),
-                   "simulate") == EXIT_BAD_INPUT
-    assert ("error: interferometer.env_phase: lock residual 40 rad exceeded"
-            in capsys.readouterr().err)
-    assert not out.exists()
+# (kp, ki) past the l1 rule: ||h[:4501]||_1 is 127.6, 254.8 and 130.6, though every
+# pole lies inside the unit circle; simulate refused the first at walk seed 5 only
+# ("lock residual 21.5 rad exceeded 10x drift amplitude"), and ran it at seed 0
+_PAST_THE_L1_RULE = [((-0.99, 0.01), "127.6"), ((-0.995, 0.01), "254.8"),
+                     ((-0.99, 0.001), "130.6")]
+
+
+@pytest.mark.parametrize("command, operands", [
+    ("simulate", ()), ("extract", ("on.csv", "off.csv")), ("pathlength", ("on.csv",)),
+    ("fit", ("p.csv",)), ("fit-saturation", ("p.csv", "q.csv")), ("predict-chiral", ()),
+])
+@pytest.mark.parametrize("gains, gain", _PAST_THE_L1_RULE)
+def test_lock_gains_past_the_l1_rule_are_refused_at_load_for_every_seed(
+        tmp_path, capsys, command, operands, gains, gain):
+    kp, ki = gains
+    for seed in range(12):
+        payload = {"interferometer": {"env_phase": {"kind": "locked_drift", "kp": kp, "ki": ki,
+                                                    "seed": seed}}}
+        out = tmp_path / f"o{seed}"
+        assert run_cli("--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out),
+                       command, *operands) == EXIT_BAD_INPUT
+        assert (f"error: interferometer.env_phase over sweep.points 4501 at integration_time_s "
+                f"0.1: PID gains kp={kp:g}, ki={ki:g}, kd=0 let the lock residual reach "
+                f"{gain}x the drift" in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def test_lock_gains_at_the_l1_edge_run_for_every_seed(tmp_path):
+    # ||h[:4501]||_1 = 9.98: simulate runs at every walk seed, and no residual
+    # passes 10x its walk's amplitude
+    env = {"kind": "locked_drift", "kp": -0.814, "ki": 0.01}
+    for seed in range(12):
+        payload = {"interferometer": {"env_phase": dict(env, seed=seed)},
+                   "sweep": {"points": 4501}}
+        assert run_cli("--config", write_cfg(tmp_path, "c.json", payload), "--out",
+                       str(tmp_path / f"o{seed}"), "simulate") == EXIT_OK
+        walk = interferometer.EnvPhase(kind="random_walk", seed=seed).series(4501, 0.1)
+        residual = interferometer.EnvPhase(**env, seed=seed).series(4501, 0.1)
+        assert np.max(np.abs(residual)) <= 10.0 * np.max(np.abs(walk))
 
 
 def test_missing_config_file_is_named(tmp_path, capsys):

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import hashlib
-import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import lock_loop_reference
 from wgphase.emitter import EmitterParams, transmission
 from wgphase.interferometer import (EnvPhase, FringeTrace, InterferometerConfig,
-                                    UnstableLoopError, apply_shot_noise, expected_rate,
-                                    fringe_trace, lock_loop_radius, lock_loop_residual)
+                                    apply_shot_noise, expected_rate, fringe_trace,
+                                    lock_loop_impulse, lock_loop_radius, lock_loop_residual)
 from wgphase.units import C_M_PER_S
 
 GAINS = {"kp": 0.6, "ki": 4.0, "kd": 0.0}
@@ -263,64 +265,105 @@ def test_lock_slow_sinusoid_attenuation():
 
 def test_lock_unstable_gains_detected():
     drift = np.ones(2000)
-    with pytest.raises(UnstableLoopError):
+    with pytest.raises(ValueError, match=r"PID gains kp=25, ki=0, kd=0 .* reach infx the drift"):
         lock_loop_residual(drift, {"kp": 25.0, "ki": 0.0, "kd": 0.0}, dt=0.1)
 
 
-def _lock_loop_reference(drift, gains, dt):
-    # the loop over numpy scalars that lock_loop_residual replaced; same IEEE steps
-    kp, ki, kd = gains["kp"], gains["ki"], gains["kd"]
-    limit = 10.0 * np.max(np.abs(drift))
-    residual = np.empty_like(drift)
-    correction = integral = prev_err = 0.0
-    for i, value in enumerate(drift):
-        err = value - correction
-        residual[i] = err
-        if abs(err) > limit:
-            raise UnstableLoopError(
-                f"lock residual {err:.3g} rad exceeded 10x drift amplitude "
-                f"{limit / 10.0:.3g} rad at step {i} (unstable gains?)")
-        integral += err * dt
-        correction = kp * err + ki * integral + kd * ((err - prev_err) / dt)
-        prev_err = err
-    return residual
+def _impulse(n):
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    return impulse
+
+
+def _oracle_gain(gains, dt, n):
+    """||h[:n]||_1 of the oracle loop's own impulse response; inf once it overflows."""
+    h = np.abs(lock_loop_reference(_impulse(n), gains, dt))
+    return float(np.sum(h)) if np.all(np.isfinite(h)) else np.inf
 
 
 @pytest.mark.parametrize("gains", [GAINS, {"kp": 0.3, "ki": 2.0, "kd": 0.01},
                                    {"kp": 25.0, "ki": 0.0, "kd": 0.0}])
 def test_lock_loop_matches_scalar_reference(gains):
+    # the convolution agrees with the step-by-step loop to rounding of the
+    # transforms; gains whose residual can pass 10x the drift are refused,
+    # and the loop's own residual of this walk does pass it
     drift = np.cumsum(np.random.default_rng(4).normal(0.0, 0.05, 3000))
-    try:
-        want = _lock_loop_reference(drift, gains, 0.1)
-    except UnstableLoopError as exc:
-        with pytest.raises(UnstableLoopError, match=re.escape(str(exc))):
+    want, amplitude = lock_loop_reference(drift, gains, 0.1), np.max(np.abs(drift))
+    gain = _oracle_gain(gains, 0.1, drift.size)
+    if gain > 10.0:
+        with pytest.raises(ValueError, match=f"PID gains kp={gains['kp']:g}, "):
             lock_loop_residual(drift, gains, dt=0.1)
+        assert not np.all(np.abs(want) <= 10.0 * amplitude)
     else:
-        assert lock_loop_residual(drift, gains, dt=0.1).tobytes() == want.tobytes()
+        np.testing.assert_allclose(lock_loop_residual(drift, gains, dt=0.1), want, rtol=0,
+                                   atol=1e-12 * gain * amplitude)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(kp=st.floats(-1.5, 2.5), ki=st.floats(0.0, 20.0), kd=st.sampled_from([0.0, 0.002, 0.03]),
+       dt=st.sampled_from([0.01, 0.1, 0.5]), n=st.integers(1, 600), seed=st.integers(0, 2**16))
+def test_lock_loop_residual_matches_the_oracle_loop(kp, ki, kd, dt, n, seed):
+    # over stable gains, the FFT convolution is the step-by-step loop within
+    # 1e-12 of the bound ||h[:n]||_1 * max|drift|, the norm taken from the
+    # oracle's own impulse response; past 10 the gains are refused instead
+    gains = {"kp": kp, "ki": ki, "kd": kd}
+    assume(lock_loop_radius(gains, dt) < 1.0 - 1e-9)
+    gain = _oracle_gain(gains, dt, n)
+    assume(abs(gain - 10.0) > 1e-9)  # the two sums of |h| round apart at the edge
+    drift = np.cumsum(np.random.default_rng(seed).normal(0.0, 0.05, n))
+    if gain > 10.0:
+        with pytest.raises(ValueError, match=f"PID gains kp={kp:g}, ki={ki:g}, kd={kd:g} "):
+            lock_loop_residual(drift, gains, dt)
+        return
+    want = lock_loop_reference(drift, gains, dt)
+    np.testing.assert_allclose(lock_loop_residual(drift, gains, dt), want, rtol=0,
+                               atol=1e-12 * gain * np.max(np.abs(drift)))
+    np.testing.assert_allclose(np.sum(np.abs(lock_loop_impulse(gains, dt, n))), gain, rtol=1e-12)
+
+
+def test_lock_loop_residual_scales_exactly_without_overflow():
+    # the drift is scaled by a power of two before its transform, so a walk
+    # near the float ceiling has the residual of a small walk, scaled, and no
+    # sum of the transforms overflows
+    drift = np.cumsum(np.random.default_rng(8).normal(0.0, 0.05, 4501))
+    small = lock_loop_residual(drift, GAINS, 0.1)
+    np.testing.assert_array_equal(lock_loop_residual(np.ldexp(drift, 1015), GAINS, 0.1),
+                                  np.ldexp(small, 1015))
+    np.testing.assert_array_equal(lock_loop_residual(np.zeros(0), GAINS, 0.1), np.zeros(0))
+
+
+def test_lock_loop_gain_bounds_every_drift():
+    # ||h[:n]||_1 is the most the residual reaches over the drift's amplitude,
+    # and the drift sign(h) reversed in time reaches it at the last step
+    gains, n = {"kp": -0.814, "ki": 0.01}, 4501
+    h = lock_loop_impulse(gains, 0.1, n)
+    gain = np.sum(np.abs(h))
+    assert 9.9 < gain <= 10.0
+    worst = lock_loop_residual(np.sign(h)[::-1], gains, 0.1)
+    assert worst[-1] == pytest.approx(gain, rel=1e-12)
+    assert np.max(np.abs(worst)) <= gain * (1.0 + 1e-12)
+    with pytest.raises(ValueError, match=r"kp=-0\.99, ki=0\.01, kd=0 .* reach 127\.6x the drift"):
+        lock_loop_impulse({"kp": -0.99, "ki": 0.01}, 0.1, n)
+    # the bound grows with the length of the drift: the same gains pass at 10 samples
+    assert np.sum(np.abs(lock_loop_impulse({"kp": -0.99, "ki": 0.01}, 0.1, 10))) < 10.0
 
 
 def test_lock_loop_radius_matches_impulse_response():
     # a seeded draw of gain sets, a quarter with ki = 0 (the integrator's pole
     # at z = 1, divided out); the loop's response to a unit impulse either
-    # blows up (UnstableLoopError) or decays, and the load rule on the pole
-    # radius must say which.  A set within reach of the unit circle does
-    # neither in 3000 steps and is left out
+    # blows up (passes 10) or decays, and the load rule on the pole radius
+    # must say which.  A set within reach of the unit circle does neither in
+    # 3000 steps and is left out
     rng = np.random.default_rng(17)
-    impulse = np.zeros(3000)
-    impulse[0] = 1.0
     verdicts = set()
     for k in range(120):
         dt = float(rng.choice([0.01, 0.1, 0.5]))
         gains = {"kp": rng.uniform(0.0, 2.5), "ki": 0.0 if k % 4 == 0 else rng.uniform(0.0, 10.0),
                  "kd": rng.uniform(0.0, 0.05) if k % 3 == 0 else 0.0}
-        try:
-            decayed = np.max(np.abs(lock_loop_residual(impulse, gains, dt)[-200:])) < 1e-9
-        except UnstableLoopError:
-            blew_up = True
-        else:
-            if not decayed:
-                continue
-            blew_up = False
+        residual = np.abs(lock_loop_reference(_impulse(3000), gains, dt))
+        blew_up = not np.all(residual <= 10.0)
+        if not blew_up and np.max(residual[-200:]) >= 1e-9:
+            continue
         assert (lock_loop_radius(gains, dt) > 1.0 - 1e-9) == blew_up, (gains, dt)
         verdicts.add((blew_up, gains["ki"] == 0.0))
     assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
@@ -341,15 +384,17 @@ def test_lock_loop_on_the_unit_circle_is_refused(gains, radius, residual):
     else:
         with pytest.raises(ValueError, match=r"env_phase: .*unstable lock loop .*not below 1"):
             InterferometerConfig(env_phase=env)
-    # a unit impulse's residual grows past the run's limit, rings undamped or settles
-    impulse = np.zeros(400)
-    impulse[0] = 1.0
-    if residual == "grows":
-        with pytest.raises(UnstableLoopError):
-            lock_loop_residual(impulse, gains, 0.1)
+    # a unit impulse's residual grows past 10, rings undamped or settles; the
+    # library refuses the first two, whose impulse responses sum past 10
+    impulse = _impulse(400)
+    if residual == "settles":
+        tail = np.abs(lock_loop_residual(impulse, gains, 0.1)[-100:])
+        assert np.max(tail) < 1e-12
         return
-    tail = np.abs(lock_loop_residual(impulse, gains, 0.1)[-100:])
-    assert (np.min(tail) == 1.0) if residual == "rings" else (np.max(tail) < 1e-12)
+    with pytest.raises(ValueError, match=f"PID gains kp={gains['kp']:g}, "):
+        lock_loop_residual(impulse, gains, 0.1)
+    tail = np.abs(lock_loop_reference(impulse, gains, 0.1)[-100:])
+    assert (np.min(tail) == 1.0) if residual == "rings" else (np.min(tail) > 10.0)
 
 
 def test_lock_residual_feeds_fringe_trace():

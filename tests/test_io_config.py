@@ -491,6 +491,18 @@ def test_config_lock_gains_checked_at_load():
     load_config({"interferometer": {"env_phase": {"kind": "random_walk", "kp": 5.0}}})
 
 
+def test_config_lock_gain_rule_reads_sweep_points():
+    # the l1 norm of the loop's impulse response over sweep.points bounds the
+    # residual of every walk, so the rule needs no walk and no seed
+    def locked(points):
+        return {"sweep": {"points": points},
+                "interferometer": {"env_phase": {"kind": "locked_drift", "kp": -0.99, "ki": 0.01}}}
+    with pytest.raises(ConfigError, match=r"interferometer\.env_phase over sweep\.points 4501 at "
+                       r"integration_time_s 0\.1: PID gains kp=-0\.99, ki=0\.01, kd=0 .* 127\.6x"):
+        load_config(locked(4501))
+    load_config(locked(10))  # ||h[:10]||_1 = 9.40
+
+
 def test_interferometer_block_is_the_library_record_and_round_trips():
     block = {"delta_l_m": 3.1, "visibility": 0.5, "p_lo_cps": 2e6, "p_sig_cps": 3e4,
              "integration_time_s": 0.2, "dark_cps": 5.0,
