@@ -153,13 +153,16 @@ def test_env_phase_models():
 
 
 # sha256 of the float64 bytes of each kind's series (257 samples, dt 0.1 s),
-# as the per-kind phase classes this block replaced generated them
+# as the per-kind phase classes this block replaced generated them; the
+# locked_drift series is the FFT convolution's, at most 5.5e-16 rad from the
+# step-by-step loop, which still gives the loop's old pin
 _SERIES_SHA256 = {
     "constant": "702bf2b4c270242ed3e525eb04b1ffdf8b8b14e2ab5378eaa3e5e555c355b1c3",
     "random_walk": "e9e08d71c0d5b91d36e7625c20d08ea892e6e7facf5df6c2579d51d78772906c",
     "sinusoid": "12613b1abf8bf45045732013cca3abb619303f81bda4a5868d934da2b5cfe2d3",
-    "locked_drift": "72c7912124126ed60a22388b4f1ca487982496b3cbd639ef12caa36f116bf651",
+    "locked_drift": "d6d32ebda4c63bc092a582237b1c289a662b08b3806e1be6e865b2a64c5379b4",
 }
+_LOOP_SHA256 = "72c7912124126ed60a22388b4f1ca487982496b3cbd639ef12caa36f116bf651"
 
 
 @pytest.mark.parametrize("kind", sorted(_SERIES_SHA256))
@@ -168,6 +171,15 @@ def test_env_phase_series_bytes_pinned(kind):
                      frequency_hz=0.7, kp=0.5, ki=3.0, kd=0.005, seed=5)
     series = block.series(257, 0.1)
     assert hashlib.sha256(series.tobytes()).hexdigest() == _SERIES_SHA256[kind]
+
+
+def test_lock_loop_oracle_keeps_the_loops_pin():
+    # the oracle is the loop the convolution replaced, its arithmetic unchanged
+    walk = EnvPhase(kind="random_walk", sigma_rad=0.05, seed=5).series(257, 0.1)
+    loop = lock_loop_reference(walk, {"kp": 0.5, "ki": 3.0, "kd": 0.005}, 0.1)
+    assert hashlib.sha256(loop.tobytes()).hexdigest() == _LOOP_SHA256
+    locked = EnvPhase(kind="locked_drift", sigma_rad=0.05, kp=0.5, ki=3.0, kd=0.005, seed=5)
+    np.testing.assert_allclose(locked.series(257, 0.1), loop, rtol=0, atol=1e-15)
 
 
 def test_shot_noise_zero_rate():
