@@ -209,6 +209,13 @@ class RunConfig:
             raise ConfigError(f"interferometer.env_phase.sigma_rad {env.sigma_rad:g} over "
                               f"sweep.points {sweep.points}: the walk's bound "
                               f"14*sigma_rad*points overflows the fringe phase")
+        # the sinusoid's largest phase, in EnvPhase.series' order of operations
+        if env.kind == "sinusoid" and not math.isfinite(
+                TWO_PI * env.frequency_hz * ((sweep.points - 1) * icfg.integration_time_s)):
+            raise ConfigError(f"interferometer.env_phase.frequency_hz {env.frequency_hz:g} over "
+                              f"sweep.points {sweep.points} at integration_time_s "
+                              f"{icfg.integration_time_s:g}: the sinusoid's phase "
+                              f"2*pi*frequency_hz*t overflows")
         if env.kind == "locked_drift":  # the l1 norm of the loop's impulse response bounds it
             try:
                 lock_loop_impulse(vars(env), icfg.integration_time_s, sweep.points)

@@ -299,8 +299,15 @@ def test_rates_whose_counts_overflow_are_bad_input_at_load(tmp_path, capsys, rat
     ("predict-chiral",
      {"interferometer": {"env_phase": {"kind": "locked_drift", "sigma_rad": 1e308}}},
      "interferometer.env_phase.sigma_rad 1e+308 over sweep.points 4501: the walk's bound"),
+    # the sinusoid's phase overflowed: exit 4 under the filter ("invalid value
+    # encountered in multiply"), else exit 2 naming nothing; predict-chiral exited 0
+    *((command, {"interferometer": {"env_phase": {"kind": "sinusoid", "amplitude_rad": 0.3,
+                                                  "frequency_hz": 1e308}}},
+       "interferometer.env_phase.frequency_hz 1e+308 over sweep.points 4501 at "
+       "integration_time_s 0.1: the sinusoid's phase 2*pi*frequency_hz*t overflows")
+      for command in ("simulate", "predict-chiral")),
 ], ids=["sweep-span", "carrier-phase", "emitter-rates", "drive", "f0", "chiral-scan",
-        "walk-sigma", "locked-walk-sigma"])
+        "walk-sigma", "locked-walk-sigma", "sinusoid-frequency", "chiral-sinusoid-frequency"])
 def test_values_whose_arithmetic_overflows_are_bad_input_at_load(tmp_path, capsys, command,
                                                                  payload, named):
     out = tmp_path / "o"
@@ -330,6 +337,17 @@ def test_values_just_inside_the_overflow_rules_run(tmp_path, command, payload):
         for name in ("phase_vs_omega.csv", "phase_vs_dephasing.csv"):
             rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
             assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[-1, 1:]) < 1e-140)
+
+
+def test_sinusoid_just_inside_its_overflow_rule_runs(tmp_path):
+    # 2*pi*1e306*(10*0.1) is finite: the phase is huge but its sine is not
+    payload = {"interferometer": {"env_phase": {"kind": "sinusoid", "amplitude_rad": 0.3,
+                                                "frequency_hz": 1e306}},
+               "sweep": {"points": 11}}
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out),
+                   "simulate") == EXIT_OK
+    assert np.all(np.isfinite(parse_trace_csv(out / "trace_on.csv").intensity))
 
 
 # (kp, ki) past the l1 rule: ||h[:4501]||_1 is 127.6, 254.8 and 130.6, though every
