@@ -440,11 +440,12 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
     dipole no numbered key names.  The start is projected into the box: beta
     in [0, 1], gamma >= 1e-6, f0 within 50 GHz of its start, gamma_dp and k
     >= 0, phi0 in [-pi, pi], each side narrowed by a non-null side of
-    ``bounds``.  Each usable point weighs 1/sigma.  A flat direction leaves
-    the fit unconverged, except a k on the floor 0, which joins the flat
-    directions; one on a higher ``bounds`` floor is named.  Bad ``init`` or
-    ``bounds`` keys and values, a ``bounds`` pair that leaves nothing of the
-    box among them, are ValueErrors naming them.
+    ``bounds``.  Each usable point weighs 1/sigma, and no other point is a
+    residual or a degree of freedom.  A flat direction leaves the fit
+    unconverged, except a k on the floor 0, which joins the flat directions;
+    one on a higher ``bounds`` floor is named.  Bad ``init`` or ``bounds``
+    keys and values, a ``bounds`` pair that leaves nothing of the box among
+    them, are ValueErrors naming them.
     """
     check_fit_values(init, bounds)
     dipoles = sorted({s.dipole for s in spectra})
@@ -485,21 +486,17 @@ def fit_two_dipole_spectra(spectra: Sequence[Spectrum], init: Optional[dict] = N
                              f"range [{box[0]:g}, {box[1]:g}]")
     x0 = [min(max(start[n], l), h) for n, l, h in zip(names, lo, hi)]
     groups, held = _dipole_groups(points, dipoles, combine), [] if powered else [0.0]
-    used = _usable(points.values, points.sigma)
-    # inverse-variance; low-contrast points keep their (large) fitted sigma
-    weights = np.where(used, 1.0 / np.where(used, points.sigma, 1.0), 0.0)
-    values = np.where(used, points.values, 0.0)  # an unused inf would warn in wrap_angle
-    phase, phi0 = points.phase, names.index("phi0")
-    unused = np.flatnonzero(~used)
+    # only the usable points are residuals, so that only they count as degrees of freedom;
+    # inverse-variance, low-contrast points keeping their (large) fitted sigma
+    used = np.flatnonzero(_usable(points.values, points.sigma))
+    weights, values = 1.0 / points.sigma[used], points.values[used]
+    phase, phi0 = np.flatnonzero(points.kind[used] == KINDS.index(PHASE)), names.index("phi0")
 
     def fun(x):
-        jac = np.zeros((len(names), values.size))
-        diff = points.model(groups, [*x.tolist(), *held], phi0, jac) - values
+        jac = np.zeros((len(names), points.values.size))
+        diff = points.model(groups, [*x.tolist(), *held], phi0, jac)[used] - values
         diff[phase] = wrap_angle(diff[phase])  # whose derivative is 1
-        jac *= weights
-        if unused.size:
-            jac[:, unused] = 0.0
-        return np.where(used, diff * weights, 0.0), jac.T
+        return diff * weights, (jac.take(used, axis=1) * weights).T  # take keeps J row-major
 
     result = lm_minimize(fun, x0, bounds=(lo, hi), names=names, max_iter=max_iter)
     if result.flat_directions:

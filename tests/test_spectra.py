@@ -62,6 +62,27 @@ def test_joint_two_dipole_noiseless_roundtrip():
         assert res[name] == pytest.approx(want, rel=1e-6, abs=1e-6), name
 
 
+def test_unusable_points_are_no_degrees_of_freedom():
+    # 91 unusable rows (nan values, a nan, zero or inf sigma) appended to a
+    # noisy 91-row spectrum leave chi2 and every sigma as they were; counted
+    # as residuals, they shrank every sigma by sqrt(177/359) = 0.702
+    freq = np.linspace(-6.0, 6.0, 91)
+    noisy = synth_spectrum(DIPOLE1, freq, 1, sigma_phase=0.02, sigma_int=0.02,
+                           rng=np.random.default_rng(12))
+    extra = np.linspace(6.5, 15.0, 91)
+    bad_sigma = np.resize([np.nan, 0.0, np.inf], 91)
+    padded = Spectrum(np.r_[freq, extra], {
+        "phase": (np.r_[noisy.channels["phase"][0], np.full(91, np.nan)],
+                  np.r_[noisy.channels["phase"][1], np.full(91, 0.02)]),
+        "intensity": (np.r_[noisy.channels["intensity"][0], np.full(91, 0.5)],
+                      np.r_[noisy.channels["intensity"][1], bad_sigma])}, 1)
+    want, got = fit_two_dipole_spectra([noisy]), fit_two_dipole_spectra([padded])
+    assert want.converged and got.converged
+    assert got.chi2 == pytest.approx(want.chi2, rel=1e-12)
+    np.testing.assert_allclose(got.params, want.params, rtol=1e-12)
+    np.testing.assert_allclose(got.uncertainties, want.uncertainties, rtol=1e-12)
+
+
 def test_dipole2_only_reduces_to_single_fit():
     ds2 = [synth_spectrum(DIPOLE2, np.linspace(9, 21, 41), 2)]
     res = fit_two_dipole_spectra(ds2)
