@@ -169,6 +169,26 @@ def test_window_must_cover_one_period():
         extract_phasor_series(on, off, ExtractionConfig(window_periods=0.5, delta_l_m=25.0))
 
 
+def test_window_of_exactly_one_period_is_accepted():
+    # the rule is at least one period: one period exactly is a window
+    _, on, off = make_pair(points=4501)
+    series = extract_phasor_series(on, off, ExtractionConfig(window_periods=1.0, delta_l_m=25.0))
+    assert len(series) and np.all(np.isfinite(series.phase_shift))
+
+
+def test_fringe_period_just_over_two_grid_steps_is_extracted():
+    # the Nyquist rule refuses a fringe period under two grid steps, and only
+    # that: at 2.1 steps the carrier is the trace's own, and the phasors are right
+    span, points = 12.0, 15001
+    df = 2.0 * span / (points - 1)
+    delta_l = C_M_PER_S / (2.1 * df * 1e9)
+    _, on, off = make_pair(delta_l=delta_l, span=span, points=points)
+    series = extract_phasor_series(on, off, ExtractionConfig(delta_l_m=delta_l))
+    t, _ = transmission(EMITTER, detuning_angular(series.freq, EMITTER.f0), 0.0)
+    np.testing.assert_allclose(series.phase_shift, wrap_angle(np.angle(t) + EMITTER.phi0),
+                               atol=1e-3)
+
+
 def test_extraction_with_estimated_path_length():
     # delta_l defaults to the FFT estimate of the off trace; results must
     # match the known-path extraction closely

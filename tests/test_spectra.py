@@ -391,6 +391,20 @@ def test_saturation_k_on_a_bounds_floor_is_named_not_flat():
     assert "k held at its fit.bounds.k floor 2" in res.message
 
 
+def test_saturation_k_on_a_bounds_floor_below_one_is_named():
+    # a fit.bounds.k floor in (0, 1] is named as one above 1 is: data of k = 0.25
+    # held at the floor 0.5 are not "no saturation", and k is not flat
+    truth = EmitterParams.isotropic(gamma=12.6, gamma_dp=3.4, beta=0.99, f0=0.0, phi0=-0.26)
+    om_sat2 = truth.gamma * truth.gamma2 / 4.0
+    datasets = [synth_spectrum(truth, np.linspace(-8, 8, 41), 1, omega=np.sqrt(scale * om_sat2),
+                               power=4.0 * scale * om_sat2) for scale in (0.1, 0.3, 1.0, 3.0, 10.0)]
+    res = fit_saturation_series(datasets, bounds={"k": [0.5, None]})
+    assert res["k"] == pytest.approx(0.5, abs=1e-12)
+    assert "k" not in res.flat_directions
+    assert "no saturation" not in res.message
+    assert "k held at its fit.bounds.k floor 0.5" in res.message
+
+
 def test_saturation_flat_direction_is_not_converged():
     # phase and |t| fix only beta*gamma/2, gamma2 and k*gamma2/gamma: this fit
     # returned converged=True with gamma and gamma_dp flat and beta 0.615
