@@ -16,7 +16,8 @@ input: a command line the parser rejects, a bad input file, a
 ``WGPHASE_LOG`` that is no ``logging`` level name, a ``--config`` that
 names no file and is no JSON text either, or a bad config, checked at load
 for every command (PID lock gains with a pole on or outside the unit
-circle, values whose arithmetic would overflow, and counts too large for a
+circle or an impulse response whose l1 norm over ``sweep.points`` is above
+10, values whose arithmetic would overflow, and counts too large for a
 shot-noise draw included); 3 fit non-convergence, the bundle still written
 in full; 4 internal error.
 """

@@ -12,8 +12,10 @@ The ``interferometer`` and ``extraction`` blocks are the library's records
 themselves, built like any other block.  Each block checks its own values
 as it is built; :class:`RunConfig` then checks the rules that join two:
 values whose arithmetic in ``simulate`` or ``predict-chiral`` would
-overflow (a random walk of ``sweep.points`` steps among them), and counts
-past numpy's Poisson ceiling under shot noise.
+overflow (a random walk or a sinusoid over ``sweep.points`` samples among
+them), lock gains whose residual over ``sweep.points`` samples could pass
+10x the drift (the l1 norm of the loop's impulse response), and counts past
+numpy's Poisson ceiling under shot noise.
 """
 
 from __future__ import annotations

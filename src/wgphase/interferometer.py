@@ -16,7 +16,10 @@ bin, i.e. rate times integration time.  :class:`InterferometerConfig` is the
 run config's ``interferometer`` block, its :class:`EnvPhase` the default ``phi_env``.
 A ``locked_drift`` phase is refused as it is built unless every pole of the
 lock residual's recurrence lies strictly inside the unit circle
-(:func:`lock_loop_radius`): a pole on the circle rings or grows.
+(:func:`lock_loop_radius`): a pole on the circle rings or grows.  The lock
+residual is the drift convolved with the loop's impulse response h, so no
+drift of n samples leaves a residual past ||h[:n]||_1 times its amplitude;
+:func:`lock_loop_impulse` refuses gains that put that norm above 10.
 """
 
 from __future__ import annotations
