@@ -222,8 +222,8 @@ class RunConfig:
             try:
                 lock_loop_impulse(vars(env), icfg.integration_time_s, sweep.points)
             except ValueError as exc:
-                raise ConfigError(f"interferometer.env_phase over sweep.points {sweep.points} "
-                                  f"at integration_time_s {icfg.integration_time_s:g}: {exc}")
+                raise ConfigError(f"interferometer.env_phase over sweep.points {sweep.points} at "
+                                  f"integration_time_s {icfg.integration_time_s:g}: {exc}") from exc
         delta = max(abs(TWO_PI * (f - p.f0)) for f in (sweep.start_ghz, sweep.stop_ghz))
         omega = self.drive.omega_rad_ns
         if not math.isfinite(p.gamma2 * p.gamma2 + delta * delta
