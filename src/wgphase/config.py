@@ -12,10 +12,11 @@ The ``interferometer`` and ``extraction`` blocks are the library's records
 themselves, built like any other block.  Each block checks its own values
 as it is built; :class:`RunConfig` then checks the rules that join two:
 values whose arithmetic in ``simulate`` or ``predict-chiral`` would
-overflow (a random walk or a sinusoid over ``sweep.points`` samples among
-them), lock gains whose residual over ``sweep.points`` samples could pass
-10x the drift (the l1 norm of the loop's impulse response), and counts past
-numpy's Poisson ceiling under shot noise.
+overflow (the fringe phase, and a random walk or a sinusoid over
+``sweep.points`` samples among them), lock gains whose residual over
+``sweep.points`` samples could pass 10x the drift (the l1 norm of the
+loop's impulse response), and counts past numpy's Poisson ceiling under
+shot noise.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ class ConfigError(ValueError):
     """Configuration rejected; message names the offending key path."""
 
 
+# the emitter key of each EmitterParams field named otherwise
+_EMITTER_KEYS = {"gamma": "gamma_rad_ns", "gamma_dp": "gamma_dp_rad_ns", "f0": "f0_ghz",
+                 "phi0": "phi0_rad"}
+
+
 @dataclass
 class EmitterBlock:
     gamma_rad_ns: float = 12.3
@@ -51,7 +57,11 @@ class EmitterBlock:
     phi0_rad: float = -0.25
 
     def __post_init__(self):
-        p = self.to_params()  # checked at load, for every command
+        try:
+            p = self.to_params()  # checked at load, for every command
+        except ValueError as exc:  # the library's message leads with its own field name
+            name, detail = str(exc).split(": ", 1)
+            raise ValueError(f"{_EMITTER_KEYS.get(name, name)}: {detail}") from exc
         # the response's terms run up to 8*gamma2**2, and gamma2/gamma scales the drive's
         if not all(map(math.isfinite, (8.0 * p.gamma2 * p.gamma2, 4.0 * (p.gamma2 / p.gamma)))):
             raise ConfigError(f"emitter: gamma_rad_ns {p.gamma:g} and gamma_dp_rad_ns "
@@ -202,15 +212,25 @@ class RunConfig:
         if not math.isfinite(carrier):
             raise ConfigError(f"interferometer.delta_l_m {icfg.delta_l_m:g} over {grid}: "
                               f"the carrier phase 2*pi*f*delta_l_m/c overflows")
-        # numpy's normal draws no |z| above 13.7, so a walk of sweep.points steps stays
-        # within 14*sigma_rad*points; the fringe phase adds it to the carrier, and the
-        # lock loop's residual stays within 10x it, as the next rule guarantees
+        # the fringe phase carrier + phi_env + (arg t + phi0) stays within carrier + |phi_env|
+        # + (pi + |phi0|), in simulate's order of operations; numpy's normal draws no |z|
+        # above 13.7, so a walk of sweep.points steps stays within 14*sigma_rad*points, and
+        # the lock loop's residual within 10x it, as the l1 rule below guarantees
         env = icfg.env_phase
-        walk = 14.0 * env.sigma_rad * sweep.points
-        if env.kind in ("random_walk", "locked_drift") and not math.isfinite(carrier + 10.0 * walk):
-            raise ConfigError(f"interferometer.env_phase.sigma_rad {env.sigma_rad:g} over "
-                              f"sweep.points {sweep.points}: the walk's bound "
-                              f"14*sigma_rad*points overflows the fringe phase")
+        env_key, env_bound = {"constant": ("value_rad", abs(env.value_rad)),
+                              "sinusoid": ("amplitude_rad", abs(env.amplitude_rad))}.get(
+            env.kind, ("sigma_rad", 10.0 * (14.0 * env.sigma_rad * sweep.points)))
+        if not math.isfinite(carrier + env_bound + (math.pi + abs(p.phi0))):
+            if math.isfinite(carrier + env_bound):
+                what = f"emitter.phi0_rad {p.phi0:g}"
+            else:
+                what = f"interferometer.env_phase.{env_key} {getattr(env, env_key):g}"
+                if env_key == "sigma_rad":
+                    what += (f" over sweep.points {sweep.points}: the walk's bound "
+                             f"14*sigma_rad*points")
+            raise ConfigError(f"{what} overflows the fringe phase 2*pi*f*delta_l_m/c + phi_env "
+                              f"+ arg t + phi0 at interferometer.delta_l_m {icfg.delta_l_m:g} "
+                              f"over {grid}")
         # the sinusoid's largest phase, in EnvPhase.series' order of operations
         if env.kind == "sinusoid" and not math.isfinite(
                 TWO_PI * env.frequency_hz * ((sweep.points - 1) * icfg.integration_time_s)):

@@ -63,15 +63,15 @@ class EmitterParams:
     def __post_init__(self):
         for name in ("gamma", "gamma_dp", "beta", "f0", "phi0"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
         if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+            raise ValueError(f"gamma: must be > 0, got {self.gamma}")
         if self.gamma_dp < 0:
-            raise ValueError(f"gamma_dp must be >= 0, got {self.gamma_dp}")
+            raise ValueError(f"gamma_dp: must be >= 0, got {self.gamma_dp}")
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+            raise ValueError(f"beta: must be in [0, 1], got {self.beta}")
         if self.coupling not in (ISOTROPIC, CHIRAL):
-            raise ValueError(f"coupling must be 'isotropic' or 'chiral', got {self.coupling!r}")
+            raise ValueError(f"coupling: must be 'isotropic' or 'chiral', got {self.coupling!r}")
 
     @classmethod
     def isotropic(cls, gamma, beta=1.0, gamma_dp=0.0, f0=0.0, phi0=0.0):

@@ -197,9 +197,11 @@ def _parabolic_offset(mag: np.ndarray, i: int) -> float:
 class _Layout(NamedTuple):
     """The windows of one uniform grid under one config: the window length
     ``n`` and each window's first sample, the carrier phase there and its
-    centre frequency; the shared design matrix, weighted projector, unit
-    sandwich covariance and residual dof; and the coefficient index of the
-    carrier's cosine (``i_p``) and sine (``i_q``) terms."""
+    centre frequency; the shared design matrix, the weighted projector
+    ``proj`` (coefficients = ``proj @ samples``), its covariance
+    ``proj @ proj.T`` under unit noise, the residual dof ``||I - design @
+    proj||_F**2``; and the coefficient index of the carrier's cosine
+    (``i_p``) and sine (``i_q``) terms."""
 
     n: int
     starts: np.ndarray
@@ -249,18 +251,13 @@ def _window_layout(freq: np.ndarray, cfg: ExtractionConfig) -> _Layout:
     sw = np.sqrt(w)
     proj = np.linalg.pinv(design * sw[:, None]) * sw
 
-    # sandwich covariance for uniform per-point noise under design weights w;
-    # the residual dof accounts for the oblique projector of the weighted fit
-    k = design.shape[1]
-    a_mat = design.T @ (design * w[:, None])
-    b_mat = design.T @ (design * (w * w)[:, None])
-    c_mat = design.T @ design
-    a_inv = np.linalg.pinv(a_mat)
-    dof = max(n - 2 * k + float(np.trace(a_inv @ c_mat @ a_inv @ b_mat)), 1.0)
+    # unit noise on y gives proj @ y the covariance proj @ proj.T and the residual
+    # leave @ y the mean square sum ||leave||_F**2 >= rank(leave) = n - k, leave idempotent
+    leave = np.eye(n) - design @ proj
     centers = 0.5 * (freq[starts] + freq[starts + n - 1])
     return _Layout(n=n, starts=starts, theta_start=theta_start, centers=centers, design=design,
-                   proj=proj, cov_unit=a_inv @ b_mat @ a_inv, dof=dof, i_p=poly_order + 1,
-                   i_q=2 * (poly_order + 1))
+                   proj=proj, cov_unit=proj @ proj.T, dof=float(np.sum(leave * leave)),
+                   i_p=poly_order + 1, i_q=2 * (poly_order + 1))
 
 
 def window_phasors(trace: FringeTrace, cfg: ExtractionConfig, *,
@@ -270,12 +267,14 @@ def window_phasors(trace: FringeTrace, cfg: ExtractionConfig, *,
 
     The grid must be uniform: every window then has the same design matrix
     in its own coordinates (``u`` from the sample index, carrier ``theta -
-    theta[start]``), so one weighted projector, one sandwich covariance and
-    one residual dof serve all windows.  A window's local phasor ``z = p +
-    i*q`` is rotated back by ``exp(-i*theta[start])``; the amplitude and
-    phase variances are rotation-invariant and are evaluated in the local
-    frame.  ``_layout``, that of ``trace.freq`` under ``cfg``, is passed by
-    a caller that fits several traces on one grid.
+    theta[start]``), so one weighted projector ``proj`` serves all windows,
+    and the noise, taken as uniform within a window, gives its coefficients
+    the covariance ``sigma2 * proj @ proj.T`` with ``sigma2`` its residual sum
+    of squares over ``||I - design @ proj||_F**2``.  A window's local phasor
+    ``z = p + i*q`` is rotated back by ``exp(-i*theta[start])``; the amplitude
+    and phase variances are rotation-invariant and are evaluated in the local
+    frame.  ``_layout``, that of ``trace.freq`` under ``cfg``, is passed by a
+    caller that fits several traces on one grid.
     """
     lay = _window_layout(trace.freq, cfg.with_path_length(trace)) if _layout is None else _layout
     samples = np.lib.stride_tricks.sliding_window_view(trace.intensity, lay.n)[lay.starts]
@@ -288,7 +287,7 @@ def window_phasors(trace: FringeTrace, cfg: ExtractionConfig, *,
     amp = np.hypot(p, q)
     phase = np.angle((p + 1j * q) * np.exp(-1j * lay.theta_start))
     cpp, cqq, cpq = cov_unit[i_p, i_p], cov_unit[i_q, i_q], cov_unit[i_p, i_q]
-    var_offset = np.maximum(sigma2 * cov_unit[0, 0], 0.0)
+    var_offset = sigma2 * cov_unit[0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         var_amp = np.where(
             amp > 0,
@@ -358,9 +357,9 @@ def extract_phasor_series(on: FringeTrace, off: FringeTrace,
 
 
 def _ratio_err(num, var_num, den, var_den):
-    """Propagated error of num/den per entry; inf where den == 0."""
-    err = np.abs(num / den) * np.sqrt(var_num / np.maximum(num**2, 1e-300) + var_den / den**2)
-    return np.where(den == 0, np.inf, err)
+    """Propagated error of num/den per entry, sqrt(var_num + (num/den)**2 * var_den) / |den|;
+    inf where den == 0."""
+    return np.where(den == 0, np.inf, np.sqrt(var_num + (num / den) ** 2 * var_den) / np.abs(den))
 
 
 def _background_counts(off: FringeTrace) -> float:

@@ -241,16 +241,18 @@ def lock_loop_impulse(gains, dt: float, n: int) -> np.ndarray:
     """h[:n], the residual of :func:`lock_loop_residual` to a unit impulse: a drift d steps
     the state x = (correction, integral, last error) to A x + b d and leaves d - c x, with
     c = (1, 0, 0), so h[m > 0] = -c A^(m-1) b; the rows c A^m for m in [k, 2k) are those
-    for [0, k) times A^k.  Raises ValueError when ||h[:n]||_1, the most an n-sample
-    drift's residual reaches over its amplitude, is above 10 or not finite."""
+    for [0, k) times A^k, and once A^k underflows to all zeros, so do they and every later
+    row.  Raises ValueError when ||h[:n]||_1, the most an n-sample drift's residual
+    reaches over its amplitude, is above 10 or not finite."""
     kp, ki, kd = (float(gains.get(key, 0.0)) for key in ("kp", "ki", "kd"))
     g = kp + ki * dt + kd / dt
     rows, power = np.array([[1.0, 0.0, 0.0]]), np.array(
         [[-g, ki, -kd / dt], [-dt, 1.0, 0.0], [-1.0, 0.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"):  # gains past the pole rule overflow
-        while len(rows) < n:
+        while len(rows) < n and np.count_nonzero(power):
             rows, power = np.vstack((rows, rows[:n - len(rows)] @ power)), power @ power
-        h = np.concatenate(([1.0], rows[:n - 1] @ [-g, -dt, -1.0]))[:n]
+        h = np.zeros(n)
+        h[:len(rows) + 1] = np.concatenate(([1.0], rows @ [-g, -dt, -1.0]))[:n]
         if not (gain := float(np.fmin(np.sum(np.abs(h)), np.inf))) <= 10.0:  # nan reads inf
             raise ValueError(f"PID gains kp={kp:g}, ki={ki:g}, kd={kd:g} let the lock residual "
                              f"reach {gain:.4g}x the drift (its impulse response's l1 norm > 10)")

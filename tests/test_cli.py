@@ -37,6 +37,7 @@ def write_cfg(tmp_path, name, payload):
 
 
 NESTED_600 = json.loads("[" * 600 + "1" + "]" * 600)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 BASE_CFG = {
     "emitter": {"gamma_rad_ns": 12.3, "gamma_dp_rad_ns": 3.9, "beta": 1.0,
@@ -306,8 +307,21 @@ def test_rates_whose_counts_overflow_are_bad_input_at_load(tmp_path, capsys, rat
        "interferometer.env_phase.frequency_hz 1e+308 over sweep.points 4501 at "
        "integration_time_s 0.1: the sinusoid's phase 2*pi*frequency_hz*t overflows")
       for command in ("simulate", "predict-chiral")),
+    # the fringe phase carrier + phi_env + (arg t + phi0) overflowed: exit 4 under the
+    # filter ("overflow encountered in add"); predict-chiral, which forms none, exited 0
+    *((command, {"interferometer": {"delta_l_m": 1e297, **interferometer},
+                 "emitter": emitter, "sweep": {"points": 11}}, named)
+      for command, interferometer, emitter, named in (
+          ("simulate", {"env_phase": {"value_rad": _FLOAT_MAX}}, {},
+           "interferometer.env_phase.value_rad 1.79769e+308 overflows the fringe phase"),
+          ("predict-chiral", {"env_phase": {"kind": "sinusoid", "amplitude_rad": _FLOAT_MAX,
+                                            "frequency_hz": 0.25}}, {},
+           "interferometer.env_phase.amplitude_rad 1.79769e+308 overflows the fringe phase"),
+          ("simulate", {}, {"phi0_rad": _FLOAT_MAX},
+           "emitter.phi0_rad 1.79769e+308 overflows the fringe phase"))),
 ], ids=["sweep-span", "carrier-phase", "emitter-rates", "drive", "f0", "chiral-scan",
-        "walk-sigma", "locked-walk-sigma", "sinusoid-frequency", "chiral-sinusoid-frequency"])
+        "walk-sigma", "locked-walk-sigma", "sinusoid-frequency", "chiral-sinusoid-frequency",
+        "constant-phase", "chiral-sinusoid-amplitude", "phi0"])
 def test_values_whose_arithmetic_overflows_are_bad_input_at_load(tmp_path, capsys, command,
                                                                  payload, named):
     out = tmp_path / "o"
@@ -337,6 +351,37 @@ def test_values_just_inside_the_overflow_rules_run(tmp_path, command, payload):
         for name in ("phase_vs_omega.csv", "phase_vs_dephasing.csv"):
             rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
             assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[-1, 1:]) < 1e-140)
+
+
+@pytest.mark.parametrize("interferometer, emitter", [
+    ({"env_phase": {"value_rad": 1e307}}, {}),
+    ({"env_phase": {"kind": "sinusoid", "amplitude_rad": 1e307, "frequency_hz": 0.25}}, {}),
+    ({}, {"phi0_rad": 1e307}),
+], ids=["constant", "sinusoid", "phi0"])
+def test_fringe_phase_just_inside_its_overflow_rule_runs(tmp_path, interferometer, emitter):
+    # a carrier up to 3.1e299 rad plus 1e307 rad is finite, and so is its cosine
+    payload = {"interferometer": {"delta_l_m": 1e297, **interferometer}, "emitter": emitter,
+               "sweep": {"points": 11}}
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out),
+                   "simulate") == EXIT_OK
+    for name in ("trace_on.csv", "trace_off.csv"):
+        assert np.all(np.isfinite(parse_trace_csv(out / name).intensity))
+
+
+@pytest.mark.parametrize("emitter, named", [
+    ({"gamma_rad_ns": -1}, "emitter.gamma_rad_ns: must be > 0, got -1.0"),
+    ({"gamma_dp_rad_ns": -1}, "emitter.gamma_dp_rad_ns: must be >= 0, got -1.0"),
+    ({"beta": 1.5}, "emitter.beta: must be in [0, 1], got 1.5"),
+    ({"coupling": "both"}, "emitter.coupling: must be 'isotropic' or 'chiral', got 'both'"),
+], ids=["gamma", "gamma_dp", "beta", "coupling"])
+def test_emitter_values_the_library_refuses_name_their_key(tmp_path, capsys, emitter, named):
+    # the messages named the library's field ("emitter: gamma must be > 0, got -1.0")
+    out = tmp_path / "o"
+    assert run_cli("--config", write_cfg(tmp_path, "c.json", {"emitter": emitter}),
+                   "--out", str(out), "predict-chiral") == EXIT_BAD_INPUT
+    assert f"error: {named}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sinusoid_just_inside_its_overflow_rule_runs(tmp_path):
@@ -457,7 +502,7 @@ EXTRACTION_CFG = dict(BASE_CFG, noise={"shot_noise": True, "seed": 4},
                                   "poly_order": 1, "weight_beta": 8.0})
 _EXTRACT_SHA256 = {
     "config.json": "cd305501be7a22d244e8c4f94b14ad8001efe39b5d9bb5cb58da087566c4f48f",
-    "phasors.csv": "35bcb294282c5b7825ae029be8a7f2aa06f3d735ceefce3b81f820b8dbbc9e01",
+    "phasors.csv": "7aa3359aaaa407dae1af3606db6141c6ed0cfbc9c8c87a9af73928f13a45470a",
 }
 
 

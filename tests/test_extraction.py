@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wgphase.emitter import EmitterParams, transmission
-from wgphase.extraction import (ExtractionConfig, NoFringeError, WindowFits,
-                                estimate_path_length_fft, extract_phasor_series,
-                                window_phasors)
+from wgphase.extraction import (ExtractionConfig, NoFringeError, WindowFits, _parabolic_offset,
+                                _ratio_err, _window_layout, estimate_path_length_fft,
+                                extract_phasor_series, window_phasors)
 from wgphase.interferometer import (FringeTrace, InterferometerConfig,
                                     apply_shot_noise, fringe_trace)
 from wgphase.units import C_M_PER_S, TWO_PI, detuning_angular, wrap_angle
@@ -71,6 +72,26 @@ def test_fft_nonuniform_grid_rejected():
     trace = FringeTrace(freq=freq, intensity=np.cos(freq * 40) + 2)
     with pytest.raises(ValueError, match="uniform"):
         estimate_path_length_fft(trace)
+
+
+def test_parabolic_offset_is_zero_where_no_parabola_fits():
+    # a peak on the spectrum's edge, a neighbour of zero magnitude, three equal magnitudes
+    mag = np.array([1.0, 2.0, 1.0])
+    assert _parabolic_offset(mag, 0) == _parabolic_offset(mag, 2) == 0.0
+    assert _parabolic_offset(np.array([0.0, 2.0, 1.0]), 1) == 0.0
+    assert _parabolic_offset(np.array([2.0, 2.0, 2.0]), 1) == 0.0
+
+
+def test_ratio_error_is_the_closed_form():
+    # sqrt(var_num + (num/den)**2 * var_den) / |den|: a zero numerator read 0, and nan
+    # with an overflow past var_num 1.8e8; a numerator of 1e-160 read 5e-11, not 0.5
+    num = np.array([0.0, 0.0, 1e-160, 3.0, 1.0])
+    var_num = np.array([0.25, 4e8, 0.25, 0.0, 1.0])
+    den = np.array([2.0, 2.0, 1.0, 2.0, 0.0])
+    var_den = np.array([1.0, 1.0, 1.0, 0.16, 1.0])
+    with np.errstate(divide="ignore"):  # den == 0, as extract_phasor_series allows
+        got = _ratio_err(num, var_num, den, var_den)
+    np.testing.assert_allclose(got, [0.25, 1e4, 0.5, 0.3, np.inf], rtol=1e-15)
 
 
 def test_self_comparison_is_identity():
@@ -308,6 +329,45 @@ def test_shared_projector_matches_per_window_oracle():
                                                          abs=floor), label
             assert got.var_phase[j] == pytest.approx(want.var_phase[j], rel=1e-5,
                                                      abs=floor / want.amplitude[j]**2), label
+
+
+def _exact_unit_errors(design, sw) -> tuple:
+    """Test oracle for a layout's ``cov_unit`` and ``dof``, in rational arithmetic on
+    the float ``design`` and weights ``sw**2``: proj = (D^T W D)^-1 D^T W by Gauss-Jordan
+    elimination, its covariance proj proj^T and ||I - D proj||_F**2, expanded as
+    n - 2 tr(proj D) + tr(D^T D proj proj^T)."""
+    n, k = design.shape
+    d = [[Fraction(float(x)) for x in row] for row in design]
+    w = [Fraction(float(s)) ** 2 for s in sw]
+    dtw = [[d[i][j] * w[i] for i in range(n)] for j in range(k)]
+    rows = [[sum(dtw[j][i] * d[i][m] for i in range(n)) for m in range(k)] + dtw[j]
+            for j in range(k)]
+    for c in range(k):  # [D^T W D | D^T W] -> [I | proj]
+        pivot = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    proj = [row[k:] for row in rows]
+    cov = [[sum(a * b for a, b in zip(proj[j], proj[m])) for m in range(k)] for j in range(k)]
+    gram = [[sum(d[i][j] * d[i][m] for i in range(n)) for m in range(k)] for j in range(k)]
+    dof = (n - 2 * sum(proj[j][i] * d[i][j] for j in range(k) for i in range(n))
+           + sum(gram[j][m] * cov[m][j] for j in range(k) for m in range(k)))
+    return np.array(cov, dtype=float), float(dof)
+
+
+@pytest.mark.parametrize("window_periods, n", [(3.0, 49), (1.0, 18)])
+def test_layout_unit_errors_match_exact_arithmetic(window_periods, n):
+    # the default window, and a one-period window whose weighted design has
+    # condition number 2.5e4: there the normal-matrix sandwich of a second
+    # pseudo-inverse gave the dof 4.3e-7 and the covariance 5e-8 off
+    cfg = ExtractionConfig(window_periods=window_periods, delta_l_m=2.78)
+    lay = _window_layout(np.linspace(-15.0, 15.0, 4501), cfg)
+    assert lay.n == n
+    cov, dof = _exact_unit_errors(lay.design, np.sqrt(np.kaiser(n, cfg.weight_beta)))
+    assert lay.dof == pytest.approx(dof, rel=1e-10)
+    assert np.max(np.abs(lay.cov_unit - cov)) <= 1e-10 * np.max(np.abs(cov))
 
 
 @pytest.mark.parametrize("kwargs, field", [

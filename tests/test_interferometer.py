@@ -428,3 +428,12 @@ def test_fringe_trace_rejects_bad_grid():
         fringe_trace(cfg, p, np.array([]), qd_on=False)
     with pytest.raises(ValueError):
         fringe_trace(cfg, p, np.array([0.0, 1.0, 0.5]), qd_on=False)
+
+
+def test_impulse_response_of_a_long_sweep_is_a_short_one_padded_with_zeros():
+    # the default gains' power A^4096 underflows to zeros, so no row is formed past it:
+    # h[:10**6] is h[:4501] followed by zeros, bit for bit
+    short = lock_loop_impulse(GAINS, 0.1, 4501)
+    long = lock_loop_impulse(GAINS, 0.1, 10**6)
+    assert np.flatnonzero(short).max() < 4000
+    assert long.tobytes() == np.concatenate((short, np.zeros(long.size - short.size))).tobytes()

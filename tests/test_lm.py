@@ -163,3 +163,26 @@ def test_singular_normal_equations_ridge_warning(monkeypatch):
     with pytest.warns(RuntimeWarning, match="ridge"):
         res = lm_minimize(fd(residual), [0.0, 0.0])
     assert np.isfinite(res.chi2)
+
+
+def test_damping_past_1e14_ends_the_search(monkeypatch):
+    # a Jacobian of the wrong sign makes every step uphill; from a damping of 1e3 the
+    # 37th rejected trial doubles it past 1e14, 3 trials before the limit of 40
+    calls = []
+
+    def uphill(x):
+        calls.append(x.copy())
+        return x.copy(), -np.eye(1)
+
+    monkeypatch.setattr(lm, "_LAMBDA_START", 1e3)
+    res = lm_minimize(uphill, [1.0])
+    assert len(calls) == 1 + 37
+    assert res.n_iter == 1 and res.params[0] == 1.0
+    assert res.message == "no downhill step found (stationary point)"
+
+
+def test_jacobian_of_zeros_leaves_every_direction_flat():
+    res = lm_minimize(lambda x: (np.array([1.0, 2.0]), np.zeros((2, 2))), [0.5, 0.5],
+                      names=["a", "b"])
+    assert res.flat_directions == ["a", "b"]
+    assert np.all(res.covariance == np.inf)

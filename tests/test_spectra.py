@@ -466,6 +466,18 @@ def test_saturation_series_under_shot_noise_has_reduced_chi2_near_one():
     assert np.median(reduced) <= 1.3, reduced
 
 
+def test_fits_refuse_spectra_they_cannot_start_from():
+    freq = np.linspace(-8, 8, 41)
+    blank = Spectrum(freq, {"phase": (np.full(41, np.nan), np.ones(41))}, dipole=2)
+    with pytest.raises(ValueError, match="no usable points for dipole 2"):
+        fit_two_dipole_spectra([synth_spectrum(DIPOLE1, freq, 1), blank])
+    with pytest.raises(ValueError, match="no spectra to fit"):
+        fit_two_dipole_spectra([])
+    series = [synth_spectrum(DIPOLE1, freq, 1, power=power) for power in (1.0, 2.0, 4.0)]
+    with pytest.raises(ValueError, match="every spectrum needs a recorded power level"):
+        fit_saturation_series([*series, synth_spectrum(DIPOLE1, freq, 1)])
+
+
 def test_saturation_needs_three_powers():
     truth = EmitterParams.isotropic(gamma=12.6, beta=0.99)
     ds = synth_spectrum(truth, np.linspace(-8, 8, 41), 1, power=1.0)
