@@ -42,9 +42,9 @@ class ConfigError(ValueError):
     """Configuration rejected; message names the offending key path."""
 
 
-# the emitter key of each EmitterParams field named otherwise
-_EMITTER_KEYS = {"gamma": "gamma_rad_ns", "gamma_dp": "gamma_dp_rad_ns", "f0": "f0_ghz",
-                 "phi0": "phi0_rad"}
+# the emitter key of each EmitterParams field named otherwise that a check can refuse
+# (every float key is finite by then)
+_EMITTER_KEYS = {"gamma": "gamma_rad_ns", "gamma_dp": "gamma_dp_rad_ns"}
 
 
 @dataclass
