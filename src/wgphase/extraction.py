@@ -137,8 +137,8 @@ def estimate_path_length_fft(trace: FringeTrace) -> float:
     the log magnitude and converted via delta_l = c * tau.
 
     Raises :class:`NoFringeError` when no peak rises above 5x the median
-    magnitude.  If a competing peak is within 1% of the winner, the smaller
-    path length is returned with a warning.
+    magnitude of the non-DC bins.  If a competing peak is within 1% of the
+    winner, the smaller path length is returned with a warning.
     """
     freq = trace.freq
     if freq.size < 16:
@@ -156,7 +156,7 @@ def estimate_path_length_fft(trace: FringeTrace) -> float:
     dc_guard = int(2 * n_fft / n) + 1
     search = mag.copy()
     search[:dc_guard] = 0.0
-    floor = np.median(mag[dc_guard:])
+    floor = _median(mag[dc_guard:])
     peak = int(np.argmax(search))
     if search[peak] <= _PEAK_FLOOR_RATIO * floor or search[peak] == 0.0:
         raise NoFringeError("no fringe detected: no non-DC peak above 5x median magnitude")
@@ -164,6 +164,23 @@ def estimate_path_length_fft(trace: FringeTrace) -> float:
     peak = _resolve_tie(search, peak)
     delta = _parabolic_offset(mag, peak)
     return C_M_PER_S * (peak + delta) * (tau[1] - tau[0])
+
+
+def _median(a: np.ndarray) -> np.float64:
+    """The median of a non-empty 1-D float array, bit for bit what numpy's
+    median returns, without the ``numpy.ma`` import of its first call.
+
+    The partition numpy's median makes: the middle order statistic, or for an
+    even length 0.5 times the sum of the two middle ones (the exact half of
+    the rounded sum that numpy's mean divides by 2); a nan, which the
+    partition puts last, is the result.
+    """
+    k = a.size // 2
+    odd = a.size % 2
+    part = np.partition(a, [k, -1] if odd else [k - 1, k, -1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return part[k] if odd else 0.5 * (part[k - 1] + part[k])
 
 
 def _resolve_tie(mag: np.ndarray, peak: int) -> int:

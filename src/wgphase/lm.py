@@ -202,17 +202,17 @@ def _covariance(jac: np.ndarray, chi2: float, m: int, n: int):
     directions (the flat-direction diagnostic).
     """
     u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    if not (s.size and s[0] > 0):
+        # an all-zero Jacobian bounds no direction: inf, left unscaled, since a
+        # zero chi2 would turn it into nan
+        return np.full((n, n), np.inf), list(range(n))
     flat = []
-    if s.size and s[0] > 0:
-        null_mask = s < _FLAT_SV_RATIO * s[0]
-        if np.any(null_mask):
-            weights = np.abs(vt[null_mask]).max(axis=0)
-            flat = [int(i) for i in np.nonzero(weights > 0.1)[0]]
-        s_inv2 = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, s) ** 2)
-        cov = (vt.T * s_inv2) @ vt
-    else:
-        cov = np.full((n, n), np.inf)
-        flat = list(range(n))
-    dof = max(m - n, 1)
-    cov = cov * (chi2 / dof if m > n else 1.0)
+    null_mask = s < _FLAT_SV_RATIO * s[0]
+    if np.any(null_mask):
+        weights = np.abs(vt[null_mask]).max(axis=0)
+        flat = [int(i) for i in np.nonzero(weights > 0.1)[0]]
+    s_inv2 = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, s) ** 2)
+    cov = (vt.T * s_inv2) @ vt
+    if m > n:
+        cov = cov * (chi2 / (m - n))
     return 0.5 * (cov + cov.T), flat

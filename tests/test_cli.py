@@ -4,6 +4,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import warnings
 from pathlib import Path
@@ -1571,3 +1574,44 @@ def test_simulate_extract_fit_composed_noiseless(tmp_path):
     assert params["gamma_dp"]["value"] == pytest.approx(3.9, rel=1e-5)
     assert params["f01"]["value"] == pytest.approx(0.0, abs=1e-5)
     assert params["phi0"]["value"] == pytest.approx(-0.25, rel=1e-5)
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+from wgphase.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+run("--config", "run.json", "--out", "sim", "--seed", "9", "simulate")
+run("--config", "run.json", "--out", "ext", "extract", "sim/trace_on.csv", "sim/trace_off.csv")
+run("--config", "run.json", "--out", "fit", "fit", "ext/phasors.csv")
+run("--config", "run.json", "--out", "len", "pathlength", "sim/trace_off.csv")
+run("--config", "run.json", "--out", "chiral", "predict-chiral")
+for omega in (2, 4, 8):
+    run("--config", f"drive{omega}.json", "--out", f"sim{omega}", "simulate")
+    run("--out", f"ext{omega}", "extract", f"sim{omega}/trace_on.csv", f"sim{omega}/trace_off.csv")
+run("--config", "sat.json", "--out", "sat", "fit-saturation",
+    "ext2/phasors.csv", "ext4/phasors.csv", "ext8/phasors.csv")
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy's median imported numpy.ma, numpy.ma.core and numpy.ma.extras on the
+    # FFT path-length floor (about 1.2 MB of resident memory); every command
+    # runs in one fresh interpreter, so no earlier test's import hides one
+    write_cfg(tmp_path, "run.json", {
+        "interferometer": {"env_phase": {"kind": "locked_drift", "seed": 5}},
+        "noise": {"shot_noise": True}})
+    for omega in (2, 4, 8):
+        write_cfg(tmp_path, f"drive{omega}.json",
+                  {"drive": {"omega_rad_ns": omega, "linear_response": False}})
+    write_cfg(tmp_path, "sat.json", {"fit": {"powers": [4, 16, 64]}})
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _NO_MASKED_ARRAYS],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

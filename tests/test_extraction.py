@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wgphase.emitter import EmitterParams, transmission
-from wgphase.extraction import (ExtractionConfig, NoFringeError, WindowFits, _parabolic_offset,
-                                _ratio_err, _window_layout, estimate_path_length_fft,
-                                extract_phasor_series, window_phasors)
+from wgphase.extraction import (ExtractionConfig, NoFringeError, WindowFits, _median,
+                                _parabolic_offset, _ratio_err, _resolve_tie, _window_layout,
+                                estimate_path_length_fft, extract_phasor_series, window_phasors)
 from wgphase.interferometer import (FringeTrace, InterferometerConfig,
                                     apply_shot_noise, fringe_trace)
 from wgphase.units import C_M_PER_S, TWO_PI, detuning_angular, wrap_angle
@@ -65,6 +66,66 @@ def test_fft_tie_break_prefers_smaller_path():
     with pytest.warns(RuntimeWarning, match="within 1%"):
         est = estimate_path_length_fft(FringeTrace(freq=freq, intensity=counts))
     assert est == pytest.approx(1.5, rel=5e-3)
+
+
+_TIE_FREQ = np.linspace(-10, 10, 6000)
+_BINS_PER_M = 48000 * (_TIE_FREQ[1] - _TIE_FREQ[0]) * 1e9 / C_M_PER_S  # padded length 48000
+
+
+def _two_fringes(separation_bins):
+    """Equal fringes of path length 1.5 m and 1.5 m plus ``separation_bins``
+    padded FFT bins, both in phase at the centre of the sweep."""
+    freq = _TIE_FREQ
+    counts = 1e4
+    for dl in (1.5, 1.5 + separation_bins / _BINS_PER_M):
+        counts = counts + 2e3 * np.cos(TWO_PI * freq * 1e9 * dl / C_M_PER_S)
+    return FringeTrace(freq=freq, intensity=counts)
+
+
+@pytest.mark.parametrize("separation", [18, 19, 20, 22])
+def test_fft_tie_between_peaks_17_to_24_padded_bins_apart(separation):
+    # the main lobes pull the two magnitude peaks to 17, 19, 21 and 23 bins
+    # apart, within 0.3 % of each other
+    with pytest.warns(RuntimeWarning, match="within 1%"):
+        est = estimate_path_length_fft(_two_fringes(separation))
+    assert est == pytest.approx(1.5, rel=1e-3)
+
+
+@pytest.mark.parametrize("separation", [8, 16, 17])
+def test_fft_no_tie_between_peaks_16_padded_bins_apart_or_closer(separation):
+    # one merged peak, or two peaks 11 and 15 bins apart: one fringe component
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_path_length_fft(_two_fringes(separation))
+    assert 1.5 <= est <= 1.5 + separation / _BINS_PER_M
+
+
+@pytest.mark.parametrize("gap, tie", [(16, False), (17, True), (24, True)])
+def test_tie_rule_separates_peaks_more_than_16_bins_apart(gap, tie):
+    mag = np.zeros(200)
+    mag[100], mag[100 + gap] = 0.995, 1.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        winner = _resolve_tie(mag, 100 + gap)
+    assert winner == (100 if tie else 100 + gap)
+    assert len(caught) == tie
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 257, 1000])
+def test_median_floor_is_numpys_median_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    base = rng.choice([0.0, -0.0, 1.5, 2.5, 3.0], size)  # ties and signed zeros
+    spread = rng.exponential(3.0, size)
+    cases = [base, spread, np.concatenate([base, spread])]
+    for clean in list(cases):
+        for specials in ([np.inf], [np.nan], [np.inf, np.nan]):
+            dirty = clean.copy()
+            dirty[rng.integers(dirty.size, size=len(specials))] = specials
+            cases.append(dirty)
+    for a in cases:
+        want = np.median(a)
+        got = _median(a)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a, got, want)
 
 
 def test_fft_nonuniform_grid_rejected():

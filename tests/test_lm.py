@@ -186,3 +186,11 @@ def test_jacobian_of_zeros_leaves_every_direction_flat():
                       names=["a", "b"])
     assert res.flat_directions == ["a", "b"]
     assert np.all(res.covariance == np.inf)
+
+
+def test_zero_jacobian_and_zero_residual_keep_an_infinite_covariance():
+    # chi2 = 0 with m > n scaled the inf covariance by 0: nan and a RuntimeWarning
+    res = lm_minimize(lambda x: (np.zeros(3), np.zeros((3, 1))), [0.5])
+    assert res.chi2 == 0.0
+    assert res.flat_directions == ["p0"]
+    assert np.all(res.covariance == np.inf)

@@ -621,4 +621,5 @@ def test_from_phasors_amplitude_variant_and_window():
     ds = Spectrum.from_phasors(pts, dipole=2, freq_window=(2.0, 8.0))
     kinds = sorted(ds.channels)
     assert kinds == ["intensity", "phase"]
-    assert ds.freq.min() >= 2.0 and ds.freq.max() <= 8.0
+    # the window is inclusive: both edge rows are kept
+    np.testing.assert_array_equal(ds.freq, np.arange(2.0, 9.0))
